@@ -849,10 +849,7 @@ def _fit_constant(lhs, rhs):
                 target = l.entry(p, q).coeffs.get(mode)
                 if target is None:
                     return None
-                den = coeff.re * coeff.re + coeff.im * coeff.im
-                re = (target.re * coeff.re + target.im * coeff.im) / den
-                im = (target.im * coeff.re - target.re * coeff.im) / den
-                c = GaussRational(re, im)
+                c = target / coeff
                 break
             if c is not None:
                 break

@@ -12,11 +12,21 @@ mode vector (a tuple) to a Gaussian rational.  In this model
   * the normalised integral over the torus picks out the mode-0 coefficient,
 
 so every operation stays inside Q(i) and all identity checks are exact.
+
+A Gaussian rational (a + b*i)/d is held as three Python ints in canonical
+form, d > 0 and gcd(a, b, d) = 1, so each operation is a few int products
+and one gcd, and equal values have equal ints.  ``.re`` and ``.im`` give the
+parts as exact Fractions.  The ring operations of ``FourierScalar`` build
+their results through a trusted constructor that skips the public one's
+coercion and validation; they keep its invariant that no zero coefficient is
+ever stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 __all__ = [
     "GaussRational",
@@ -29,13 +39,30 @@ __all__ = [
 
 
 class GaussRational:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d held as three ints in canonical form.
 
-    __slots__ = ("re", "im")
+    The form is unique: ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is
+    ``(0, 0, 1)``), so equality is a comparison of the three ints.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        a, d = _ratio(re)
+        b, e = _ratio(im)
+        if d != e:
+            a, b, d = a * e, b * d, d * e
+            g = gcd(a, b, d)
+            a, b, d = a // g, b // g, d // g
+        self._a, self._b, self._d = a, b, d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(value) -> "GaussRational":
@@ -46,18 +73,26 @@ class GaussRational:
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other):
-        if not isinstance(other, (GaussRational, int, Fraction)):
-            return NotImplemented
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            if not isinstance(other, (GaussRational, int, Fraction)):
+                return NotImplemented
+            other = GaussRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussRational, int, Fraction)):
-            return NotImplemented
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRational:
+            if not isinstance(other, (GaussRational, int, Fraction)):
+                return NotImplemented
+            other = GaussRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         if not isinstance(other, (GaussRational, int, Fraction)):
@@ -65,58 +100,94 @@ class GaussRational:
         return GaussRational.coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussRational, int, Fraction)):
-            return NotImplemented
-        other = GaussRational.coerce(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            if not isinstance(other, (GaussRational, int, Fraction)):
+                return NotImplemented
+            other = GaussRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        a, b, c, e = self._a, self._b, other._a, other._b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        f = other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other):
         return GaussRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _gauss(self._a, -self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        try:
-            other = GaussRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRational:
+            try:
+                other = GaussRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal Fraction (and int)
+        if not self._b:
+            return hash(self.re)
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self):
-        if not self.im:
-            return f"{self.re}"
-        if not self.re:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return f"{re}"
+        if not re:
+            return f"{im}*i"
+        return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def _ratio(x):
+    """Numerator and positive denominator of an exact rational input."""
+    if type(x) is int:
+        return x, 1
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _gauss(a, b, d):
+    """Trusted constructor: (a + b*i)/d, already in canonical form."""
+    g = _new(GaussRational)
+    g._a, g._b, g._d = a, b, d
+    return g
+
+
+def _reduced(a, b, d):
+    """(a + b*i)/d for any d > 0, brought to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    g = _new(GaussRational)
+    g._a, g._b, g._d = a, b, d
+    return g
+
+
+def _times_i(c, k):
+    """c * (i*k) for a nonzero int k."""
+    return _reduced(-c._b * k, c._a * k, c._d)
+
+
+_new = object.__new__
 
 
 _ZERO = GaussRational(0)
-_I = GaussRational(0, 1)
 
 
 class FourierScalar:
@@ -125,14 +196,16 @@ class FourierScalar:
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs=None):
-        assert dim >= 1
+        if dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {dim}")
         self.dim = dim
         clean = {}
         if coeffs:
             for mode, c in coeffs.items():
                 c = GaussRational.coerce(c)
                 if c:
-                    assert len(mode) == dim, f"mode {mode} has wrong arity"
+                    if len(mode) != dim:
+                        raise ValueError(f"mode {mode} has wrong arity")
                     clean[tuple(int(m) for m in mode)] = c
         self.coeffs = clean
 
@@ -164,8 +237,16 @@ class FourierScalar:
         assert self.dim == other.dim
         coeffs = dict(self.coeffs)
         for mode, c in other.coeffs.items():
-            coeffs[mode] = coeffs.get(mode, _ZERO) + c
-        return FourierScalar(self.dim, coeffs)
+            acc = coeffs.get(mode)
+            if acc is None:
+                coeffs[mode] = c
+            else:
+                acc = acc + c
+                if acc:
+                    coeffs[mode] = acc
+                else:
+                    del coeffs[mode]
+        return _scalar(self.dim, coeffs)
 
     __radd__ = __add__
 
@@ -176,22 +257,24 @@ class FourierScalar:
         return (-self) + other
 
     def __neg__(self):
-        return FourierScalar(self.dim, {m: -c for m, c in self.coeffs.items()})
+        return _scalar(self.dim, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             s = GaussRational.coerce(other)
-            return FourierScalar(self.dim, {m: c * s for m, c in self.coeffs.items()})
+            if not s:
+                return _scalar(self.dim, {})
+            return _scalar(self.dim, {m: c * s for m, c in self.coeffs.items()})
         if not isinstance(other, FourierScalar):
             return NotImplemented
         assert self.dim == other.dim
         coeffs = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                mode = tuple(a + b for a, b in zip(m1, m2))
+                mode = tuple(map(add, m1, m2))
                 acc = coeffs.get(mode)
                 coeffs[mode] = c1 * c2 if acc is None else acc + c1 * c2
-        return FourierScalar(self.dim, coeffs)
+        return _scalar(self.dim, {m: c for m, c in coeffs.items() if c})
 
     __rmul__ = __mul__
 
@@ -200,8 +283,8 @@ class FourierScalar:
     def derivative(self, j: int) -> "FourierScalar":
         """d/dx^j: the coefficient of mode k picks up a factor i*k_j."""
         assert 0 <= j < self.dim
-        return FourierScalar(
-            self.dim, {m: c * GaussRational(0, m[j]) for m, c in self.coeffs.items()}
+        return _scalar(
+            self.dim, {m: _times_i(c, m[j]) for m, c in self.coeffs.items() if m[j]}
         )
 
     def integral(self) -> GaussRational:
@@ -224,6 +307,10 @@ class FourierScalar:
         return self.dim == other.dim and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant scalar equals its coefficient, so it hashes like it
+        zero = (0,) * self.dim
+        if not self.coeffs.keys() - {zero}:
+            return hash(self.coeffs.get(zero, _ZERO))
         return hash((self.dim, frozenset(self.coeffs.items())))
 
     def __repr__(self):
@@ -231,6 +318,18 @@ class FourierScalar:
             return "0"
         terms = [f"{c}*e[{','.join(map(str, m))}]" for m, c in sorted(self.coeffs.items())]
         return " + ".join(terms)
+
+
+def _scalar(dim: int, coeffs: dict) -> FourierScalar:
+    """Trusted constructor for the ring operations.
+
+    ``coeffs`` must already map int-tuple modes of arity ``dim`` to nonzero
+    ``GaussRational`` values; it is stored without copying.
+    """
+    f = _new(FourierScalar)
+    f.dim = dim
+    f.coeffs = coeffs
+    return f
 
 
 class Metric:
@@ -245,10 +344,10 @@ class Metric:
     def __init__(self, rows):
         mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
         n = len(mat)
-        assert all(len(row) == n for row in mat), "metric must be square"
-        assert all(mat[i][j] == mat[j][i] for i in range(n) for j in range(n)), (
-            "metric must be symmetric"
-        )
+        if not all(len(row) == n for row in mat):
+            raise ValueError("metric must be square")
+        if not all(mat[i][j] == mat[j][i] for i in range(n) for j in range(n)):
+            raise ValueError("metric must be symmetric")
         self.dim = n
         self.upper = mat
         self.lower, self.det_upper = _invert(mat)
@@ -318,8 +417,7 @@ def random_coefficient(rng) -> GaussRational:
         a = rng.randint(-2, 2)
         b = rng.randint(-2, 2)
         if a or b:
-            d = rng.choice((1, 2))
-            return GaussRational(Fraction(a, d), Fraction(b, d))
+            return _reduced(a, b, rng.choice((1, 2)))
 
 
 def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScalar:

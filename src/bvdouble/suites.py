@@ -117,16 +117,15 @@ class SuiteConfig:
         samples: int = 25,
         seed: int = 42,
     ):
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError(f"dimension must be a positive integer, got {dim!r}")
         for label, value in (
+            ("dimension", dim),
             ("mode_cutoff", mode_cutoff),
             ("matrix_rank", matrix_rank),
             ("samples", samples),
         ):
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(f"{label} must be a positive integer, got {value!r}")
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         if metric is None:
             metric = Metric.diagonal([1] * (dim - 1) + [-1]) if dim > 1 else Metric([[1]])
@@ -180,6 +179,11 @@ class SuiteConfig:
         )
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` must not pass for 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_metric(spec) -> Metric:
     if not isinstance(spec, list) or not spec:
         raise ConfigError("metric must be a non-empty list (diagonal or rows)")
@@ -191,7 +195,7 @@ def _parse_metric(spec) -> Metric:
         return Metric.diagonal(entries)
     except ConfigError:
         raise
-    except (ValueError, ZeroDivisionError, AssertionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid metric: {exc}") from exc
 
 

@@ -1,10 +1,15 @@
 """Command-line verification runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bvdouble
 from bvdouble.cli import main
+from bvdouble.suites import ConfigError, SuiteConfig
 
 FAST = {"dimension": 2, "metric": [1, -1], "mode_cutoff": 1, "samples": 2, "seed": 7}
 
@@ -97,6 +102,39 @@ def test_rejected_configuration_exits_two(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert "positive integer" in err
+
+
+@pytest.mark.parametrize("key", ["dimension", "mode_cutoff", "matrix_rank", "samples", "seed"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_is_not_an_integer(tmp_path, capsys, key, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: flag}), encoding="utf-8")
+    code = main(["verify", "--suite", "bvcomplex", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"error: {key}" in err
+    field = "dim" if key == "dimension" else key
+    with pytest.raises(ConfigError):
+        SuiteConfig(**{field: flag})
+
+
+def test_asymmetric_metric_exits_two_under_optimize(tmp_path):
+    # validation must not be an assert, which ``python -O`` strips
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": [[1, 2, 0], [0, 1, 0], [0, 0, -1]]}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bvdouble.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bvdouble.cli", "verify", "--suite", "courant",
+         "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "metric must be symmetric" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_exterior_gate_is_a_config_error(tmp_path, capsys):

@@ -124,6 +124,38 @@ def test_normalization_drops_zero_coefficients():
     assert (f - g).is_zero()
 
 
+def test_public_constructor_validates_without_assert():
+    with pytest.raises(ValueError, match="dimension"):
+        FourierScalar(0)
+    with pytest.raises(ValueError, match="arity"):
+        FourierScalar(2, {(1, 0, 0): GaussRational(1)})
+
+
+reals = st.one_of(st.integers(-6, 6), fractions)
+
+
+@given(reals, gauss, st.integers(1, 3))
+def test_equal_values_hash_equal(r, g, dim):
+    as_gauss = GaussRational(r)
+    assert as_gauss == r and hash(as_gauss) == hash(r)
+    assert GaussRational(r, 0) == as_gauss and hash(GaussRational(r, 0)) == hash(r)
+    for value in (r, as_gauss, g):
+        const = FourierScalar.const(dim, value)
+        assert const == value and hash(const) == hash(value)
+    if g == as_gauss:
+        assert hash(g) == hash(r)
+    rebuilt = GaussRational(g.re, g.im)
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+
+
+def test_hash_examples():
+    assert hash(GaussRational(3)) == hash(3)
+    assert hash(GaussRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(FourierScalar.const(3, 2)) == hash(2)
+    assert hash(FourierScalar.zero(2)) == hash(0)
+    assert {GaussRational(3): "x"}[3] == "x"
+
+
 # -- metrics ---------------------------------------------------------------
 
 
@@ -139,8 +171,10 @@ def test_metric_inverse_is_exact():
 def test_metric_rejects_singular_and_asymmetric():
     with pytest.raises(ValueError):
         Metric([[1, 1], [1, 1]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="symmetric"):
         Metric([[1, 2], [3, 1]])
+    with pytest.raises(ValueError, match="square"):
+        Metric([[1, 0], [0]])
 
 
 def test_laplacian_eigenvalue_on_harmonics():
