@@ -128,6 +128,16 @@ class BVElement:
 
     __rmul__ = __mul__
 
+    def derivative(self, j: int) -> "BVElement":
+        """Slotwise d/dx^j, the Lie derivative along the constant field e_j."""
+        section = None
+        if self.section is not None:
+            section = GenSection(
+                tuple(a.derivative(j) for a in self.section.vec),
+                tuple(a.derivative(j) for a in self.section.form),
+            )
+        return BVElement(self.degree, self.dim, section, self.scalar.derivative(j))
+
     def is_zero(self) -> bool:
         return (self.section is None or self.section.is_zero()) and self.scalar.is_zero()
 

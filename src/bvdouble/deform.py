@@ -4,12 +4,13 @@ A constant symmetric matrix eta deforms the differential by the second-order
 operator R = sum eta^{ij} mu(f_i, {f_j, .}) built from the coordinate vector
 fields f_i.  The module provides:
 
-  * R and the deformed differential Q + R, with a slotwise oracle for the
-    Delta / d-hat / div-hat arrow diagram they induce;
-  * the product correction mu_bar (defining composition and the closed slot
-    table), the deformed product, and the full list of deformed homotopy
-    residuals (derivation, commutativity with m, associativity with nu,
-    pentagon, shuffle);
+  * R built from double brackets, and the deformed differential Q + R, which
+    applies R through its closed-form Delta / d-hat / div-hat slot arrows;
+  * the product correction mu_bar in closed form ({f_j, .} is the slotwise
+    derivative d_j), the deformed product, and the full list of deformed
+    homotopy residuals (derivation, commutativity with m, associativity with
+    nu, pentagon, shuffle); the bracket-built R and the explicit slot table
+    for mu_bar stay as the oracles the deform suite compares against;
   * matrix-valued elements, the Maurer-Cartan residual of a degree-1 matrix
     element, its gauge variation, and the exact dictionary onto covariant
     Yang-Mills field equations for the pair (gauge field, adjoint scalars);
@@ -22,35 +23,33 @@ are rational numbers fitted once per run and then verified globally.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
-from .bvcomplex import BVElement, op_b, op_q, random_element
-from .bvops import brack, m_op, mu, musym, nu, nusym, sign
+from .bvcomplex import BVElement, op_b, op_q
+from .bvops import brack, m_op, mu, nu, nusym, sign
 from .exterior import DifferentialForm
 from .scalars import (
     FourierScalar,
     GaussRational,
     Metric,
     laplacian,
-    random_coefficient,
     random_scalar,
+    sum_of_products,
 )
-from .sections import GenSection, coordinate_section, divergence
+from .sections import GenSection, coordinate_section, divergence, pairing
 
 __all__ = [
     "flat_sections",
     "R_eta",
     "Q_eta",
-    "structure_check",
     "mu_bar_eta",
     "mu_bar_eta_table",
     "mu_eta",
     "musym_eta",
-    "deformed_ainf_residuals",
     "bracket_laplacian",
     "deformed_bracket",
-    "deformed_bracket_witness",
     "ym_embed",
-    "MatrixCoefficient",
     "MatrixFunction",
     "LieValuedBVElement",
     "tensor_bilinear",
@@ -70,18 +69,23 @@ _HALF = Fraction(1, 2)
 # -- scalar helpers --------------------------------------------------------
 
 
-def _d_hat(u: FourierScalar, eta: Metric):
-    """Raised gradient, (d-hat u)^j = eta^{ij} d_i u."""
-    dim = u.dim
+def _raise_index(ts, eta: Metric, zero):
+    """The list of eta^{ij} T_j over i; T_j = ts[j] is any additive value."""
     out = []
-    for j in range(dim):
-        s = FourierScalar.zero(dim)
-        for i in range(dim):
+    for i in range(eta.dim):
+        acc = zero
+        for j in range(eta.dim):
             w = eta.up(i, j)
             if w:
-                s = s + u.derivative(i) * w
-        out.append(s)
-    return tuple(out)
+                acc = acc + ts[j] * w
+        out.append(acc)
+    return out
+
+
+def _d_hat(u: FourierScalar, eta: Metric):
+    """Raised gradient, (d-hat u)^j = eta^{ij} d_i u."""
+    grad = [u.derivative(i) for i in range(u.dim)]
+    return tuple(_raise_index(grad, eta, FourierScalar.zero(u.dim)))
 
 
 def _div_hat(form, eta: Metric) -> FourierScalar:
@@ -105,7 +109,12 @@ def _lap_tuple(comps, eta: Metric):
 
 def flat_sections(eta: Metric):
     """The coordinate vector fields as degree-1 elements (one per direction)."""
-    return [BVElement.deg1(coordinate_section(eta.dim, i)) for i in range(eta.dim)]
+    return _coordinate_elements(eta.dim)
+
+
+@lru_cache(maxsize=None)
+def _coordinate_elements(dim: int):
+    return tuple(BVElement.deg1(coordinate_section(dim, i)) for i in range(dim))
 
 
 def _eta_pairs(eta: Metric):
@@ -151,23 +160,10 @@ def _r_eta_slotwise(x: BVElement, eta: Metric) -> BVElement:
 
 
 def Q_eta(x, eta: Metric):
-    """The deformed differential Q + R."""
+    """The deformed differential Q + R, with R in its closed slotwise form."""
     if isinstance(x, LieValuedBVElement):
         return x.apply(lambda e: Q_eta(e, eta))
-    return op_q(x) + R_eta(x, eta)
-
-
-def structure_check(eta: Metric, samples: int = 6, rng=None, cutoff: int = 2):
-    """Residuals of generic R against its slotwise arrow diagram."""
-    import random as _random
-
-    rng = rng or _random.Random(0)
-    out = []
-    for _ in range(samples):
-        for degree in range(4):
-            x = random_element(rng, eta.dim, cutoff, degree)
-            out.append(R_eta(x, eta) - _r_eta_slotwise(x, eta))
-    return out
+    return op_q(x) + _r_eta_slotwise(x, eta)
 
 
 def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
@@ -182,13 +178,66 @@ def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
 # -- deformed product ------------------------------------------------------
 
 
+def _raised_derivatives(x: BVElement, eta: Metric):
+    """The list of eta^{ij} d_j x over i, i.e. eta^{ij} {f_j, x}."""
+    grad = [x.derivative(j) for j in range(eta.dim)]
+    return _raise_index(grad, eta, BVElement.zero(x.degree, x.dim))
+
+
+def _weighted_sum(ss, zs) -> BVElement:
+    """sum_i s_i z_i, the scalar field s_i multiplying every slot of z_i."""
+    z0 = zs[0]
+    dim = z0.dim
+
+    def dot(parts):
+        return sum_of_products(dim, zip(ss, parts))
+
+    section = None
+    if z0.section is not None:
+        section = GenSection(
+            tuple(dot(z.section.vec[k] for z in zs) for k in range(dim)),
+            tuple(dot(z.section.form[k] for z in zs) for k in range(dim)),
+        )
+    return BVElement(z0.degree, dim, section, dot(z.scalar for z in zs))
+
+
+def _mu_scalar_slot(w: BVElement) -> BVElement:
+    """sum_i mu((0, s_i), z_i) from w = sum_i s_i z_i.
+
+    A degree-1 element (0, s) has no section, so mu((0, s), z) keeps only
+    s u on degree 0, -s At on degree 1 and -s vt on degree 2.
+    """
+    if w.degree == 0:
+        return BVElement.deg1(GenSection.zero(w.dim), w.scalar)
+    if w.degree == 1:
+        return BVElement.deg2(-w.section)
+    if w.degree == 2:
+        return BVElement.deg3(-w.scalar)
+    return BVElement.zero(w.degree + 1, w.dim)
+
+
 def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
-    """Product correction nu(f_i,{f_j,x},y) - mu(m(f_i,x),{f_j,y}), eta-traced."""
-    f = flat_sections(eta)
-    acc = BVElement.zero(x.degree + y.degree, x.dim)
-    for i, j, w in _eta_pairs(eta):
-        acc = acc + nu(f[i], brack(f[j], x), y) * w
-        acc = acc - mu(m_op(f[i], x), brack(f[j], y)) * w
+    """Product correction nu(f_i,{f_j,x},y) - mu(m(f_i,x),{f_j,y}), eta-traced.
+
+    In closed form: {f_j, .} is the slotwise d_j, so with X_i = eta^{ij} d_j x
+    and Y_i = eta^{ij} d_j y the sum runs over i alone.  m(f_i, a) = (0, a_i)
+    for a section a with one-form part (a_i), and nu(f_i, X_i, y) is
+    mu(m(f_i, y), X_i) + (<X_i, y> e_i, 0) on degrees (1, 1) and
+    -mu(m(f_i, y), X_i) on degrees (2, 1), zero elsewhere.
+    """
+    dx, dy = x.degree, y.degree
+    acc = BVElement.zero(dx + dy, x.dim)
+    if dy == 1 and dx in (1, 2):
+        xs = _raised_derivatives(x, eta)
+        part = _mu_scalar_slot(_weighted_sum(y.section.form, xs))
+        if dx == 1:
+            p = [pairing(xi.section, y.section) for xi in xs]
+            acc = acc + part + BVElement.deg2(GenSection.from_vec(p))
+        else:
+            acc = acc - part
+    if dx == 1:
+        ys = _raised_derivatives(y, eta)
+        acc = acc - _mu_scalar_slot(_weighted_sum(x.section.form, ys))
     return acc
 
 
@@ -348,29 +397,6 @@ def _ainf_identity_pool(eta: Metric):
     }
 
 
-def deformed_ainf_residuals(samples: int, eta: Metric, rng=None, cutoff: int = 2):
-    """Evaluate every deformed homotopy residual on random elements.
-
-    Returns a list of rows {"id", "samples", "passed"}; "passed" means every
-    sampled residual vanished exactly.
-    """
-    import random as _random
-
-    rng = rng or _random.Random(0)
-    rows = []
-    for name, (arity, fn) in _ainf_identity_pool(eta).items():
-        ok = True
-        for _ in range(samples):
-            args = [
-                random_element(rng, eta.dim, cutoff, rng.randint(0, 3))
-                for _ in range(arity)
-            ]
-            if not fn(*args).is_zero():
-                ok = False
-        rows.append({"id": f"deform-{name}", "samples": samples, "passed": ok})
-    return rows
-
-
 # -- deformed bracket: destroyed structure witness -------------------------
 
 
@@ -382,33 +408,6 @@ def deformed_bracket(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
         - mu_eta(op_b(x), y, eta)
         - s * mu_eta(x, op_b(y), eta)
     ) * s
-
-
-def deformed_bracket_witness(eta: Metric, rng=None, cutoff: int = 2):
-    """A pair of residuals: [Q+R, b] + Delta = 0, and a nonzero derivation defect.
-
-    Returns (commutator_residuals, derivation_defect) where the first list
-    must vanish exactly and the second element must be nonzero, witnessing
-    that the deformed differential is no longer compatible with b.
-    """
-    import random as _random
-
-    rng = rng or _random.Random(0)
-    comm = []
-    for degree in range(4):
-        x = random_element(rng, eta.dim, cutoff, degree)
-        comm.append(
-            Q_eta(op_b(x), eta) + op_b(Q_eta(x, eta)) + bracket_laplacian(x, eta)
-        )
-    # derivation defect of Q^eta over the deformed bracket on a fixed pair
-    x = random_element(rng, eta.dim, cutoff, 1)
-    y = random_element(rng, eta.dim, cutoff, 1)
-    defect = (
-        Q_eta(deformed_bracket(x, y, eta), eta)
-        - deformed_bracket(Q_eta(x, eta), y, eta)
-        - sign(x.degree - 1) * deformed_bracket(x, Q_eta(y, eta), eta)
-    )
-    return comm, defect
 
 
 # -- differential-form subcomplex embeddings -------------------------------
@@ -430,15 +429,7 @@ def ym_embed(kind: str, arg, eta: Metric) -> BVElement:
             raise ValueError(f"{kind} expects a one-form")
         comps = _one_form_components(arg)
         # raised vector (B*)^j = eta^{ij} B_i
-        star = []
-        for j in range(dim):
-            s = FourierScalar.zero(dim)
-            for i in range(dim):
-                w = eta.up(i, j)
-                if w:
-                    s = s + comps[i] * w
-            star.append(s)
-        star = tuple(star)
+        star = tuple(_raise_index(comps, eta, FourierScalar.zero(dim)))
         if kind == "f1":
             return BVElement.deg1(GenSection(star, comps), -_div_hat(comps, eta))
         if kind == "g1":
@@ -459,83 +450,6 @@ def ym_embed(kind: str, arg, eta: Metric) -> BVElement:
 
 
 # -- matrix-valued layer ---------------------------------------------------
-
-
-class MatrixCoefficient:
-    """A square matrix of Gaussian rationals (the associative tensor factor)."""
-
-    __slots__ = ("rank", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(GaussRational.coerce(x) for x in row) for row in rows)
-        n = len(rows)
-        assert all(len(r) == n for r in rows)
-        self.rank = n
-        self.rows = rows
-
-    @staticmethod
-    def zero(rank: int) -> "MatrixCoefficient":
-        return MatrixCoefficient([[0] * rank for _ in range(rank)])
-
-    @staticmethod
-    def identity(rank: int) -> "MatrixCoefficient":
-        return MatrixCoefficient(
-            [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        )
-
-    @staticmethod
-    def random(rng, rank: int) -> "MatrixCoefficient":
-        return MatrixCoefficient(
-            [[random_coefficient(rng) for _ in range(rank)] for _ in range(rank)]
-        )
-
-    def __add__(self, other):
-        assert isinstance(other, MatrixCoefficient) and other.rank == self.rank
-        return MatrixCoefficient(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatrixCoefficient([[-a for a in row] for row in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, MatrixCoefficient):
-            n = self.rank
-            return MatrixCoefficient(
-                [
-                    [
-                        sum(
-                            (self.rows[p][r] * other.rows[r][q] for r in range(n)),
-                            GaussRational(0),
-                        )
-                        for q in range(n)
-                    ]
-                    for p in range(n)
-                ]
-            )
-        return MatrixCoefficient([[a * other for a in row] for row in self.rows])
-
-    __rmul__ = __mul__
-
-    def commutator(self, other) -> "MatrixCoefficient":
-        return self * other - other * self
-
-    def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixCoefficient):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self):
-        return f"MatrixCoefficient({self.rows!r})"
 
 
 class MatrixFunction:
@@ -587,18 +501,11 @@ class MatrixFunction:
 
     def __mul__(self, other):
         if isinstance(other, MatrixFunction):
-            n = self.rank
-            z = FourierScalar.zero(self.dim)
+            cols = tuple(zip(*other.rows))
             return MatrixFunction(
                 [
-                    [
-                        sum(
-                            (self.rows[p][r] * other.rows[r][q] for r in range(n)),
-                            z,
-                        )
-                        for q in range(n)
-                    ]
-                    for p in range(n)
+                    [sum_of_products(self.dim, zip(row, col)) for col in cols]
+                    for row in self.rows
                 ]
             )
         return MatrixFunction([[a * other for a in row] for row in self.rows])
@@ -606,7 +513,17 @@ class MatrixFunction:
     __rmul__ = __mul__
 
     def commutator(self, other) -> "MatrixFunction":
-        return self * other - other * self
+        """self * other - other * self, each entry summed in one pass."""
+        cols, self_cols = tuple(zip(*other.rows)), tuple(zip(*self.rows))
+        return MatrixFunction(
+            [
+                [
+                    sum_of_products(self.dim, chain(zip(row, col), zip(neg, scol)))
+                    for col, scol in zip(cols, self_cols)
+                ]
+                for row, neg in zip(self.rows, (-other).rows)
+            ]
+        )
 
     def derivative(self, j: int) -> "MatrixFunction":
         return MatrixFunction([[a.derivative(j) for a in row] for row in self.rows])
@@ -812,25 +729,32 @@ def ym_field_residual(calA, phi, eta: Metric):
     eta^{ij}[nabla_i,[nabla_j,phi_k]] - eta^{ij}[phi_i,[phi_j,phi_k]].
     """
     dim = len(calA)
-    rank = calA[0].rank
-    fdim = calA[0].dim
+    zero = MatrixFunction.zero(calA[0].rank, calA[0].dim)
 
-    def curvature(j, k):
-        return (
-            calA[k].derivative(j)
-            - calA[j].derivative(k)
-            + calA[j].commutator(calA[k])
-        )
+    # F_jk = d_j A_k - d_k A_j + [A_j, A_k], once per pair (F_kj = -F_jk)
+    curv = [[zero] * dim for _ in range(dim)]
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            f = (
+                calA[k].derivative(j)
+                - calA[j].derivative(k)
+                + calA[j].commutator(calA[k])
+            )
+            curv[j][k], curv[k][j] = f, -f
+    nabla_phi = [[_cov_deriv(calA, j, p) for p in phi] for j in range(dim)]
+    phi_up = _raise_index(phi, eta, zero)
 
+    # eta is contracted first: eta^{ij} X_j once per i, then nabla_i once
     e1, e2 = [], []
     for k in range(dim):
-        r1 = MatrixFunction.zero(rank, fdim)
-        r2 = MatrixFunction.zero(rank, fdim)
-        for i, j, w in _eta_pairs(eta):
-            r1 = r1 + w * _cov_deriv(calA, i, curvature(j, k))
-            r1 = r1 - w * _cov_deriv(calA, k, phi[i]).commutator(phi[j])
-            r2 = r2 + w * _cov_deriv(calA, i, _cov_deriv(calA, j, phi[k]))
-            r2 = r2 - w * phi[i].commutator(phi[j].commutator(phi[k]))
+        curv_up = _raise_index([row[k] for row in curv], eta, zero)
+        nabla_up = _raise_index([row[k] for row in nabla_phi], eta, zero)
+        r1 = r2 = zero
+        for i in range(dim):
+            r1 = r1 + _cov_deriv(calA, i, curv_up[i])
+            r1 = r1 - nabla_phi[k][i].commutator(phi_up[i])
+            r2 = r2 + _cov_deriv(calA, i, nabla_up[i])
+            r2 = r2 - phi[i].commutator(phi_up[i].commutator(phi[k]))
         e1.append(r1)
         e2.append(r2)
     return e1, e2

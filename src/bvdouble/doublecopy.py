@@ -156,11 +156,13 @@ def pair_constraint(a, b, eta: Metric):
 def null_covector(eta: Metric, search: int = 6):
     """A small nonzero integer covector n with eta^{ij} n_i n_j = 0, or None.
 
-    Searched in order of increasing max-norm up to the bound; definite
-    metrics admit none.
+    Definite metrics admit none and return None at once; otherwise the
+    search runs in order of increasing max-norm up to the bound.
     """
     from itertools import product
 
+    if _is_definite(eta):
+        return None
     for s in range(1, search + 1):
         for n in product(range(-s, s + 1), repeat=eta.dim):
             if max(abs(v) for v in n) != s:
@@ -175,6 +177,21 @@ def null_covector(eta: Metric, search: int = 6):
             ):
                 return n
     return None
+
+
+def _is_definite(eta: Metric) -> bool:
+    """Exact LDL^T test on eta^{ij}: every pivot is nonzero and of one sign."""
+    a = [list(row) for row in eta.upper]
+    first = a[0][0] > 0
+    for k in range(eta.dim):
+        p = a[k][k]
+        if not p or (p > 0) != first:
+            return False
+        for r in range(k + 1, eta.dim):
+            f = a[r][k] / p
+            for c in range(k + 1, eta.dim):
+                a[r][c] -= f * a[k][c]
+    return True
 
 
 def null_family_field(rng, eta: Metric, direction, cutoff: int, aligned: bool = True):

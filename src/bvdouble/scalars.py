@@ -35,6 +35,7 @@ __all__ = [
     "laplacian",
     "random_coefficient",
     "random_scalar",
+    "sum_of_products",
 ]
 
 
@@ -269,11 +270,7 @@ class FourierScalar:
             return NotImplemented
         assert self.dim == other.dim
         coeffs = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mode = tuple(map(add, m1, m2))
-                acc = coeffs.get(mode)
-                coeffs[mode] = c1 * c2 if acc is None else acc + c1 * c2
+        _convolve_into(coeffs, self, other)
         return _scalar(self.dim, {m: c for m, c in coeffs.items() if c})
 
     __rmul__ = __mul__
@@ -318,6 +315,23 @@ class FourierScalar:
             return "0"
         terms = [f"{c}*e[{','.join(map(str, m))}]" for m, c in sorted(self.coeffs.items())]
         return " + ".join(terms)
+
+
+def _convolve_into(coeffs: dict, f: FourierScalar, g: FourierScalar) -> None:
+    """Add the coefficients of f*g into ``coeffs`` (zeros are kept)."""
+    for m1, c1 in f.coeffs.items():
+        for m2, c2 in g.coeffs.items():
+            mode = tuple(map(add, m1, m2))
+            acc = coeffs.get(mode)
+            coeffs[mode] = c1 * c2 if acc is None else acc + c1 * c2
+
+
+def sum_of_products(dim: int, pairs) -> FourierScalar:
+    """sum f*g over the (f, g) pairs, accumulated in one coefficient dict."""
+    coeffs = {}
+    for f, g in pairs:
+        _convolve_into(coeffs, f, g)
+    return _scalar(dim, {m: c for m, c in coeffs.items() if c})
 
 
 def _scalar(dim: int, coeffs: dict) -> FourierScalar:

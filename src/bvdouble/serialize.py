@@ -100,8 +100,6 @@ def to_jsonable(obj):
         }
     if name == "YMElement":
         return {"degree": obj.degree, "form": to_jsonable(obj.form)}
-    if name == "MatrixCoefficient":
-        return {"rows": [[_encode_gauss(x) for x in row] for row in obj.rows]}
     if name == "MatrixFunction":
         return {"rows": [[_encode_scalar(x) for x in row] for row in obj.rows]}
     if name == "LieValuedBVElement":

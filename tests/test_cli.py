@@ -137,6 +137,21 @@ def test_asymmetric_metric_exits_two_under_optimize(tmp_path):
     assert proc.stdout == ""
 
 
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bvdouble.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bvdouble", "verify", "--suite", "exterior",
+         "--samples", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_exterior_gate_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dimension": 2, "metric": [1, 2], "samples": 1}))

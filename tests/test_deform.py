@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -14,8 +15,6 @@ from bvdouble.deform import (
     R_eta,
     _ainf_identity_pool,
     bracket_laplacian,
-    deformed_ainf_residuals,
-    deformed_bracket_witness,
     dictionary_fields,
     gauge_variation,
     mc_from_fields,
@@ -23,9 +22,9 @@ from bvdouble.deform import (
     mc_vs_ym_compare,
     mu_bar_eta,
     mu_bar_eta_table,
-    structure_check,
 )
 from bvdouble.scalars import GaussRational, Metric
+from bvdouble.suites import SuiteConfig, run_suite
 
 LORENTZ = Metric.diagonal([1, 1, -1])
 DIM = 3
@@ -40,6 +39,12 @@ def rng():
 
 def elem(rng, degree, cutoff=1):
     return random_element(rng, DIM, cutoff, degree)
+
+
+@lru_cache(maxsize=None)
+def _deform_rows():
+    cfg = SuiteConfig(dim=DIM, metric=LORENTZ, mode_cutoff=1, samples=4, seed=3)
+    return {row["id"]: row for row in run_suite("deform", cfg)["identities"]}
 
 
 # -- the deformed homotopy relations ---------------------------------------
@@ -63,8 +68,10 @@ def test_identity_pool_member(name):
 
 
 def test_residual_driver_reports_all_clean():
-    rows = deformed_ainf_residuals(4, LORENTZ, random.Random(3), cutoff=1)
-    assert rows and all(r["passed"] for r in rows)
+    rows = _deform_rows()
+    for name in POOL:
+        row = rows[f"deform-{name}"]
+        assert row["passed"] and row["samples"] == 4, name
 
 
 def test_product_correction_graded_flip(rng):
@@ -90,8 +97,11 @@ def test_product_correction_matches_the_cell_table(rng):
 
 
 def test_deforming_operator_matches_slotwise_arrows():
-    residuals = structure_check(LORENTZ, samples=4, rng=random.Random(11))
-    assert residuals and all(r.is_zero() for r in residuals)
+    _, fn = POOL["r-slotwise-table"]
+    rng = random.Random(11)
+    for _ in range(4):
+        for degree in range(4):
+            assert fn(elem(rng, degree, 2)).is_zero(), degree
 
 
 def test_deforming_operator_squares_to_zero(rng):
@@ -114,9 +124,11 @@ def test_antibracket_generator_commutator_is_the_laplacian(rng):
 
 
 def test_deformed_bracket_loses_the_derivation_property():
-    comm, defect = deformed_bracket_witness(LORENTZ, random.Random(7), cutoff=1)
-    assert all(r.is_zero() for r in comm)
-    assert not defect.is_zero()
+    rows = _deform_rows()
+    comm = rows["deform-bracket-laplacian"]
+    assert comm["passed"] and comm["samples"] == 4 * 4  # every degree per sample
+    defect = rows["deform-derivation-defect-witness"]
+    assert defect["passed"] and defect["witness"] is not None
 
 
 def test_deformation_with_euclidean_signature(rng):

@@ -142,6 +142,25 @@ def test_null_covector_search():
     assert null_covector(Metric.diagonal([1, 1, 1])) is None
 
 
+def test_null_covector_on_named_metrics():
+    q = Fraction(1, 4)
+    dense = Metric([[5 * q, 3 * q, 0], [3 * q, 5 * q, 0], [0, 0, -1]])
+    assert null_covector(LORENTZ) == (-1, 0, -1)
+    assert null_covector(dense) == (-1, 1, -1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_definite_metrics_have_no_null_covector_without_a_search(sign):
+    # a D=6 search over max-norm <= 6 would visit 13^6 vectors; the exact
+    # definiteness test answers at once
+    tridiagonal = [
+        [sign * (2 if i == j else 1 if abs(i - j) == 1 else 0) for j in range(6)]
+        for i in range(6)
+    ]
+    assert null_covector(Metric(tridiagonal), search=10**6) is None
+    assert null_covector(Metric.diagonal([sign * Fraction(k, 3) for k in range(1, 7)])) is None
+
+
 def test_aligned_family_is_constrained_and_jacobi(rng):
     n = null_covector(LORENTZ)
     fields = [null_family_field(rng, LORENTZ, n, 2, aligned=True) for _ in range(3)]
