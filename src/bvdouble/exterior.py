@@ -17,6 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .bvops import sign
 from .scalars import FourierScalar, GaussRational, Metric, random_scalar
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "ym_q",
     "ym_mu_sym",
     "ym_nu_sym",
-    "ym_cinf_residuals",
     "random_form",
     "random_ym_element",
 ]
@@ -40,13 +40,7 @@ def _merge_sign(left: tuple, right: tuple):
     merged = left + right
     if len(set(merged)) != len(merged):
         return None, None
-    order = sorted(range(len(merged)), key=lambda t: merged[t])
-    inversions = 0
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                inversions += 1
-    return tuple(sorted(merged)), (-1 if inversions % 2 else 1)
+    return tuple(sorted(merged)), _perm_sign(merged)
 
 
 class DifferentialForm:
@@ -168,9 +162,8 @@ def dform(alpha: DifferentialForm) -> DifferentialForm:
             if k in idx:
                 continue
             pos = sum(1 for i in idx if i < k)
-            sgn = -1 if pos % 2 else 1
             new = tuple(sorted(idx + (k,)))
-            term = f.derivative(k) * sgn
+            term = f.derivative(k) * sign(pos)
             acc = comps.get(new)
             comps[new] = term if acc is None else acc + term
     return DifferentialForm(dim, alpha.degree + 1, comps)
@@ -186,12 +179,13 @@ def _sqrt_fraction(value: Fraction) -> Fraction:
 
 
 def _perm_sign(seq) -> int:
+    """Sign of the permutation sorting ``seq`` (distinct entries)."""
     inversions = 0
     for a in range(len(seq)):
         for b in range(a + 1, len(seq)):
             if seq[a] > seq[b]:
                 inversions += 1
-    return -1 if inversions % 2 else 1
+    return sign(inversions)
 
 
 def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
@@ -387,9 +381,6 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
             return (-det_sign) * ym_embed("g1", hodge(x.form, eta), eta)
         return det_sign * BVElement.deg3(hodge(x.form, eta).component(()))
 
-    def sgn(e):
-        return -1 if e % 2 else 1
-
     def _match(y, x):
         # pairing symmetry wants equal form degrees; re-roll y onto x's slot
         if y.form.degree == x.form.degree:
@@ -406,7 +397,7 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
         "exterior-star-square": (
             1,
             lambda x: hodge(hodge(x.form, eta), eta)
-            - det_sign * sgn(x.form.degree * (dim - x.form.degree)) * x.form,
+            - det_sign * sign(x.form.degree * (dim - x.form.degree)) * x.form,
         ),
         "exterior-pairing-symmetry": (
             2,
@@ -419,13 +410,13 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
         "ym-mu-commutativity": (
             2,
             lambda x, y: ym_mu_sym(x, y, eta)
-            - sgn(x.degree * y.degree) * ym_mu_sym(y, x, eta),
+            - sign(x.degree * y.degree) * ym_mu_sym(y, x, eta),
         ),
         "ym-q-derivation": (
             2,
             lambda x, y: ym_q(ym_mu_sym(x, y, eta), eta)
             - ym_mu_sym(ym_q(x, eta), y, eta)
-            - sgn(x.degree) * ym_mu_sym(x, ym_q(y, eta), eta),
+            - sign(x.degree) * ym_mu_sym(x, ym_q(y, eta), eta),
         ),
         "ym-homotopy-associativity": (
             3,
@@ -433,14 +424,14 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
             - ym_mu_sym(x, ym_mu_sym(y, z, eta), eta)
             - ym_q(ym_nu_sym(x, y, z, eta), eta)
             - ym_nu_sym(ym_q(x, eta), y, z, eta)
-            - sgn(x.degree) * ym_nu_sym(x, ym_q(y, eta), z, eta)
-            - sgn(x.degree + y.degree) * ym_nu_sym(x, y, ym_q(z, eta), eta),
+            - sign(x.degree) * ym_nu_sym(x, ym_q(y, eta), z, eta)
+            - sign(x.degree + y.degree) * ym_nu_sym(x, y, ym_q(z, eta), eta),
         ),
         "ym-shuffle": (
             3,
             lambda x, y, z: ym_nu_sym(x, y, z, eta)
-            - sgn(x.degree * y.degree) * ym_nu_sym(y, x, z, eta)
-            + sgn(x.degree * (y.degree + z.degree)) * ym_nu_sym(y, z, x, eta),
+            - sign(x.degree * y.degree) * ym_nu_sym(y, x, z, eta)
+            + sign(x.degree * (y.degree + z.degree)) * ym_nu_sym(y, z, x, eta),
         ),
         "ym-transport-q": (
             1,
@@ -457,35 +448,6 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
             - embed(ym_nu_sym(x, y, z, eta)),
         ),
     }
-
-
-def ym_cinf_residuals(samples: int, eta: Metric = None, rng=None, cutoff: int = 2):
-    """Residual battery for the four-slot complex and its transport dictionary.
-
-    Covers the calculus laws (d², star squared, pairing symmetry), the
-    homotopy-commutative-algebra relations of the complex, and the slotwise
-    comparison with the deformed product on the big graded complex through
-    the one-form embeddings and the Hodge identification of the top slots.
-    Returns rows {"id", "samples", "passed"}.
-    """
-    import random as _random
-
-    eta = eta or Metric.diagonal([1, 1, -1])
-    rng = rng or _random.Random(0)
-    rows = []
-    for name, (arity, fn) in _cinf_identity_pool(eta, rng, cutoff).items():
-        ok = True
-        for _ in range(samples):
-            args = [
-                random_ym_element(rng, eta.dim, cutoff, rng.randint(0, 3))
-                for _ in range(arity)
-            ]
-            out = fn(*args)
-            vanished = out.is_zero() if hasattr(out, "is_zero") else not out
-            if not vanished:
-                ok = False
-        rows.append({"id": name, "samples": samples, "passed": ok})
-    return rows
 
 
 def random_form(rng, dim: int, cutoff: int, degree: int) -> DifferentialForm:

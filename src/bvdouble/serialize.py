@@ -12,13 +12,22 @@ Exact numbers never pass through floats:
 
 Structured algebra elements (sections, graded elements, forms, matrices,
 bivectors) are encoded slot by slot with self-describing keys, which keeps
-failure witnesses in reports legible without any out-of-band schema.
+failure witnesses in reports legible without any out-of-band schema.  The
+encoders are keyed by the classes themselves, so an object of any other
+class is refused even when its class has the same name.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+
+from .bvcomplex import BVElement
+from .deform import LieValuedBVElement, MatrixFunction
+from .doublecopy import Bivector, DoubledScalar
+from .exterior import DifferentialForm, YMElement
+from .scalars import FourierScalar, GaussRational, Metric
+from .sections import GenSection
 
 __all__ = ["encode_fraction", "parse_fraction", "to_jsonable", "canonical_dumps"]
 
@@ -73,45 +82,48 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
 
-    name = type(obj).__name__
-    if name == "GaussRational":
-        return _encode_gauss(obj)
-    if name == "FourierScalar":
-        return _encode_scalar(obj)
-    if name == "DoubledScalar":
-        return _encode_doubled(obj)
-    if name == "GenSection":
-        return {
-            "vec": [_encode_scalar(c) for c in obj.vec],
-            "form": [_encode_scalar(c) for c in obj.form],
-        }
-    if name == "BVElement":
-        out = {"degree": obj.degree, "scalar": _encode_scalar(obj.scalar)}
-        if obj.section is not None:
-            out["section"] = to_jsonable(obj.section)
-        return out
-    if name == "DifferentialForm":
-        return {
-            "degree": obj.degree,
-            "components": [
-                {"index": list(idx), "value": _encode_scalar(comp)}
-                for idx, comp in sorted(obj.comps.items())
-            ],
-        }
-    if name == "YMElement":
-        return {"degree": obj.degree, "form": to_jsonable(obj.form)}
-    if name == "MatrixFunction":
-        return {"rows": [[_encode_scalar(x) for x in row] for row in obj.rows]}
-    if name == "LieValuedBVElement":
-        return {
-            "degree": obj.degree,
-            "grid": [[to_jsonable(e) for e in row] for row in obj.grid],
-        }
-    if name == "Bivector":
-        return {"entries": [[to_jsonable(e) for e in row] for row in obj.entries]}
-    if name == "Metric":
-        return [[encode_fraction(x) for x in row] for row in obj.upper]
-    raise TypeError(f"no canonical encoding for {type(obj)!r}")
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is None:
+        raise TypeError(f"no canonical encoding for {type(obj)!r}")
+    return encoder(obj)
+
+
+def _encode_element(x):
+    out = {"degree": x.degree, "scalar": _encode_scalar(x.scalar)}
+    if x.section is not None:
+        out["section"] = to_jsonable(x.section)
+    return out
+
+
+_ENCODERS = {
+    GaussRational: _encode_gauss,
+    FourierScalar: _encode_scalar,
+    DoubledScalar: _encode_doubled,
+    GenSection: lambda a: {
+        "vec": [_encode_scalar(c) for c in a.vec],
+        "form": [_encode_scalar(c) for c in a.form],
+    },
+    BVElement: _encode_element,
+    DifferentialForm: lambda a: {
+        "degree": a.degree,
+        "components": [
+            {"index": list(idx), "value": _encode_scalar(comp)}
+            for idx, comp in sorted(a.comps.items())
+        ],
+    },
+    YMElement: lambda x: {"degree": x.degree, "form": to_jsonable(x.form)},
+    MatrixFunction: lambda m: {
+        "rows": [[_encode_scalar(x) for x in row] for row in m.rows]
+    },
+    LieValuedBVElement: lambda x: {
+        "degree": x.degree,
+        "grid": [[to_jsonable(e) for e in row] for row in x.grid],
+    },
+    Bivector: lambda b: {
+        "entries": [[to_jsonable(e) for e in row] for row in b.entries]
+    },
+    Metric: lambda m: [[encode_fraction(x) for x in row] for row in m.upper],
+}
 
 
 def canonical_dumps(obj) -> str:

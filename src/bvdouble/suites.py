@@ -15,13 +15,21 @@ the same configuration produce byte-identical reports.  Binary identities
 sweep every degree pattern on each sample; ternary and quaternary ones draw
 a fresh random degree pattern per sample to keep runtime flat.
 
+Every suite, ``ym`` included, is a builder that maps the configuration to
+its identities plus any entries it adds to the report (the ``ym`` suite adds
+the ``calibration`` it fits once on a rank-1 field), and one driver,
+``_run_identities``, samples every identity, caps the stored failures and
+builds the rows.  Most samplers come from ``_sampler(res, *draws)``, which
+calls each draw function in order on every sample.
+
 ``run_suite(name, config)`` returns the report for one suite::
 
     {"suite": ..., "config": ..., "identities": [row, ...], "passed": ...}
 
 where each row is ``{"id", "statement", "samples", "failures", "passed"}``
 plus a ``"witness"`` entry for nonzero-expectation rows.  Failures carry the
-offending inputs and residual in canonical serialized form.
+offending inputs and residual in canonical serialized form; a row keeps at
+most three and is marked ``"failures_truncated"`` when it had more.
 """
 
 from __future__ import annotations
@@ -302,39 +310,46 @@ def _product_degrees(arity: int):
     return out
 
 
-def _random_degrees(res, arity: int):
-    """Sampler drawing one random degree pattern per sample."""
+def _sampler(res, *draws):
+    """Sampler calling each ``draw(rng, cfg)`` in order, once per sample."""
 
     def sampler(rng, cfg):
         for _ in range(cfg.samples):
-            args = tuple(
-                random_element(rng, cfg.dim, cfg.mode_cutoff, rng.randint(0, 3))
-                for _ in range(arity)
-            )
+            args = tuple(draw(rng, cfg) for draw in draws)
             yield args, res(cfg, *args)
 
     return sampler
 
 
-def _section_sampler(res, sections: int, scalars: int):
-    """Sampler for laws over generalized sections and torus scalars."""
+def _draw(random_fn, cutoff=None, **kwargs):
+    """Draw ``random_fn(rng, dim, cutoff, **kwargs)``; a ``None`` cutoff
+    means the configured one."""
 
-    def sampler(rng, cfg):
-        for _ in range(cfg.samples):
-            args = tuple(
-                random_section(rng, cfg.dim, cfg.mode_cutoff) for _ in range(sections)
-            ) + tuple(
-                random_scalar(rng, cfg.dim, cfg.mode_cutoff) for _ in range(scalars)
-            )
-            yield args, res(cfg, *args)
+    def draw(rng, cfg):
+        cut = cfg.mode_cutoff if cutoff is None else cutoff
+        return random_fn(rng, cfg.dim, cut, **kwargs)
 
-    return sampler
+    return draw
+
+
+def _any_degree(random_fn):
+    """Draw ``random_fn(rng, dim, cutoff, degree)`` at a random degree 0..3."""
+
+    def draw(rng, cfg):
+        return random_fn(rng, cfg.dim, cfg.mode_cutoff, rng.randint(0, 3))
+
+    return draw
+
+
+_SECTION = _draw(random_section)
+_SCALAR = _draw(random_scalar)
+_ELEMENT = _any_degree(random_element)
 
 
 # -- generalized-section suite ---------------------------------------------
 
 
-def _courant_identities():
+def _courant_identities(cfg: SuiteConfig):
     def module_leibniz(cfg, a1, a2, u):
         return dorfman(a1, a2 * u) - dorfman(a1, a2) * u - a2 * pairing(
             a1, d_scalar(u)
@@ -380,55 +395,55 @@ def _courant_identities():
         Identity(
             "courant-module-leibniz",
             "[A1, u A2] = u [A1, A2] + <A1, du> A2",
-            _section_sampler(module_leibniz, 2, 1),
+            _sampler(module_leibniz, _SECTION, _SECTION, _SCALAR),
         ),
         Identity(
             "courant-invariance",
             "<A1, d<A2, A3>> = <[A1, A2], A3> + <A2, [A1, A3]>",
-            _section_sampler(invariance, 3, 0),
+            _sampler(invariance, _SECTION, _SECTION, _SECTION),
         ),
         Identity(
             "courant-symmetric-part",
             "[A1, A2] + [A2, A1] = d<A1, A2>",
-            _section_sampler(symmetric_part, 2, 0),
+            _sampler(symmetric_part, _SECTION, _SECTION),
         ),
         Identity(
             "courant-leibniz-jacobi",
             "[A1, [A2, A3]] = [[A1, A2], A3] + [A2, [A1, A3]]",
-            _section_sampler(leibniz_jacobi, 3, 0),
+            _sampler(leibniz_jacobi, _SECTION, _SECTION, _SECTION),
         ),
         Identity(
             "courant-exact-left-action",
             "[du, A] = 0",
-            _section_sampler(exact_left_action, 1, 1),
+            _sampler(exact_left_action, _SECTION, _SCALAR),
         ),
         Identity(
             "courant-isotropic-gradients",
             "<du1, du2> = 0",
-            _section_sampler(isotropic_gradients, 0, 2),
+            _sampler(isotropic_gradients, _SCALAR, _SCALAR),
         ),
         Identity(
             "divergence-kills-gradients",
             "div du = 0",
-            _section_sampler(div_exact, 0, 1),
+            _sampler(div_exact, _SCALAR),
         ),
         Identity(
             "divergence-module-rule",
             "div(u A) = u div A + <du, A>",
-            _section_sampler(div_module, 1, 1),
+            _sampler(div_module, _SECTION, _SCALAR),
         ),
         Identity(
             "divergence-of-bracket",
             "div[A1, A2] = rho(A1) div A2 - rho(A2) div A1",
-            _section_sampler(div_bracket, 2, 0),
+            _sampler(div_bracket, _SECTION, _SECTION),
         ),
-    ]
+    ], {}
 
 
 # -- graded-complex suite --------------------------------------------------
 
 
-def _bvcomplex_identities():
+def _bvcomplex_identities(cfg: SuiteConfig):
     def q_squared(cfg, x):
         return op_q(op_q(x))
 
@@ -524,13 +539,13 @@ def _bvcomplex_identities():
             "<P x, (1 - P) y> = 0",
             _degree_sweep(half_orthogonal, 2, complementary),
         ),
-    ]
+    ], {}
 
 
 # -- homotopy-BV suite -----------------------------------------------------
 
 
-def _bvlz_identities():
+def _bvlz_identities(cfg: SuiteConfig):
     def q_derivation_product(cfg, x, y):
         return op_q(mu(x, y)) - mu(op_q(x), y) - sign(x.degree) * mu(x, op_q(y))
 
@@ -627,7 +642,7 @@ def _bvlz_identities():
         Identity(
             "homotopy-associativity",
             "mu's associator equals the Q-boundary of the trilinear homotopy",
-            _random_degrees(homotopy_associativity, 3),
+            _sampler(homotopy_associativity, *(_ELEMENT,) * 3),
         ),
         Identity(
             "q-derivation-of-bracket",
@@ -637,7 +652,7 @@ def _bvlz_identities():
         Identity(
             "bracket-leibniz-over-product",
             "{x, mu(y,z)} = mu({x,y},z) + (-1)^{(|x|-1)|y|} mu(y,{x,z})",
-            _random_degrees(first_slot_leibniz, 3),
+            _sampler(first_slot_leibniz, *(_ELEMENT,) * 3),
         ),
         Identity(
             "b-derivation-of-bracket",
@@ -652,12 +667,12 @@ def _bvlz_identities():
         Identity(
             "bracket-jacobi",
             "{{x,y},z} = {x,{y,z}} - (-1)^{(|x|-1)(|y|-1)} {y,{x,z}}",
-            _random_degrees(jacobi_leibniz, 3),
+            _sampler(jacobi_leibniz, *(_ELEMENT,) * 3),
         ),
         Identity(
             "mixed-derivation-homotopy",
             "the second-slot Leibniz defect of {.,.} over mu is [Q, n']-exact",
-            _random_degrees(mixed_derivation, 3),
+            _sampler(mixed_derivation, *(_ELEMENT,) * 3),
         ),
         Identity(
             "c-compatibility-product",
@@ -672,15 +687,15 @@ def _bvlz_identities():
         Identity(
             "bracket-matches-dorfman",
             "on degree-1 sections the derived bracket is the Dorfman bracket",
-            _section_sampler(bracket_matches_dorfman, 2, 0),
+            _sampler(bracket_matches_dorfman, _SECTION, _SECTION),
         ),
-    ]
+    ], {}
 
 
 # -- homotopy-commutative suite --------------------------------------------
 
 
-def _cinf_identities():
+def _cinf_identities(cfg: SuiteConfig):
     def commutativity(cfg, x, y):
         return musym(x, y) - sign(x.degree * y.degree) * musym(y, x)
 
@@ -731,25 +746,25 @@ def _cinf_identities():
         Identity(
             "sym-homotopy-associativity",
             "mu_s's associator equals the Q-boundary of nu_s",
-            _random_degrees(associativity, 3),
+            _sampler(associativity, *(_ELEMENT,) * 3),
         ),
         Identity(
             "trilinear-shuffle",
             "nu_s vanishes on 2-1 shuffles",
-            _random_degrees(shuffle, 3),
+            _sampler(shuffle, *(_ELEMENT,) * 3),
         ),
         Identity(
             "pentagon-compatibility",
             "mu_s and nu_s satisfy the pentagon compatibility law",
-            _random_degrees(pentagon, 4),
+            _sampler(pentagon, *(_ELEMENT,) * 4),
         ),
-    ]
+    ], {}
 
 
 # -- cyclic-form suite -----------------------------------------------------
 
 
-def _cyclic_identities():
+def _cyclic_identities(cfg: SuiteConfig):
     def form2(p1, p2):
         return odd_pairing(op_q(p1), p2)
 
@@ -788,13 +803,13 @@ def _cyclic_identities():
             "<nu_s(.,.,.),.> is cyclic on the half complex",
             _degree_sweep(cyc(form4, 4), 4, patterns(4, 4)),
         ),
-    ]
+    ], {}
 
 
 # -- homotopy-Lie suite ----------------------------------------------------
 
 
-def _linf_identities():
+def _linf_identities(cfg: SuiteConfig):
     def antisymmetry(cfg, x, y):
         return l2(x, y) + sign((x.degree - 1) * (y.degree - 1)) * l2(y, x)
 
@@ -806,15 +821,10 @@ def _linf_identities():
             - op_q(l3(a1, a2, a3))
         )
 
-    def jacobiator_sampler(rng, cfg):
+    def section_element(rng, cfg):
         # the homotopy-Lie structure lives on generalized sections: the
         # degree-1 scalar slot spans the acyclic complement and is excluded
-        for _ in range(cfg.samples):
-            args = tuple(
-                BVElement.deg1(random_section(rng, cfg.dim, cfg.mode_cutoff))
-                for _ in range(3)
-            )
-            yield args, jacobiator(cfg, *args)
+        return BVElement.deg1(_SECTION(rng, cfg))
 
     def b_derivation(cfg, x, y, zt):
         return op_b(l3(x, y, zt)) + l3(x, y, op_b(zt))
@@ -828,14 +838,14 @@ def _linf_identities():
         Identity(
             "jacobiator-is-exact",
             "the l2 Jacobiator on section triples is the Q-boundary of l3",
-            jacobiator_sampler,
+            _sampler(jacobiator, *(section_element,) * 3),
         ),
         Identity(
             "trilinear-b-derivation",
             "b kills l3 on (1,1,2) up to the interior action on the last slot",
             _degree_sweep(b_derivation, 3, [(1, 1, 2)]),
         ),
-    ]
+    ], {}
 
 
 # -- deformed-structure suite ----------------------------------------------
@@ -858,8 +868,8 @@ _DEFORM_STATEMENTS = {
 }
 
 
-def _deform_identities(eta: Metric):
-    pool = _ainf_identity_pool(eta)
+def _deform_identities(cfg: SuiteConfig):
+    pool = _ainf_identity_pool(cfg.metric)
     identities = []
     for name, (arity, fn) in pool.items():
         statement = _DEFORM_STATEMENTS.get(name, name)
@@ -867,7 +877,7 @@ def _deform_identities(eta: Metric):
             Identity(
                 f"deform-{name}",
                 statement,
-                _random_degrees(lambda cfg, *xs, fn=fn: fn(*xs), arity),
+                _sampler(lambda cfg, *xs, fn=fn: fn(*xs), *(_ELEMENT,) * arity),
             )
         )
 
@@ -898,7 +908,7 @@ def _deform_identities(eta: Metric):
             expect="nonzero",
         )
     )
-    return identities
+    return identities, {}
 
 
 # -- gauge-theory suite ----------------------------------------------------
@@ -926,62 +936,35 @@ def _encode_calibration(constants) -> dict:
     return out
 
 
-def _suite_ym(cfg: SuiteConfig):
+def _ym_identities(cfg: SuiteConfig):
     eta = cfg.metric
-    rows = []
-
-    # 1. fit the two comparison constants once, on a commutative rank-1 field
+    # fit the two comparison constants once, on a commutative rank-1 field;
+    # the calibration row reports this fit instead of drawing a second one
     rng = _random.Random(f"{cfg.seed}:ym:mc-calibration-rank-one")
-    psi = _random_gauge_fields(rng, cfg, 1, cfg.mode_cutoff)
-    rep = mc_vs_ym_compare(psi, eta)
-    constants = rep["calibration"]
-    fitted = (
-        constants[0] is not None
-        and constants[1] is not None
-        and rep["match"]
-        and rep["vtilde_zero"]
-    )
-    rows.append(
-        {
-            "id": "mc-calibration-rank-one",
-            "statement": "per-family constants fitted on a rank-1 field make both residual families match",
-            "samples": 1,
-            "failures": [] if fitted else [{"report": to_jsonable(dict(rep))}],
-            "passed": bool(fitted),
-        }
-    )
+    psi_one = _random_gauge_fields(rng, cfg, 1, cfg.mode_cutoff)
+    fit = mc_vs_ym_compare(psi_one, eta)
+    constants = fit["calibration"]
+    fitted = fit["match"] and fit["vtilde_zero"]
 
-    # 2. frozen constants transport to non-commuting rank-r fields
-    rng = _random.Random(f"{cfg.seed}:ym:mc-matches-field-equations")
+    def calibration(rng, cfg):
+        yield (psi_one,), True if fitted else fit
+
     cutoff = min(cfg.mode_cutoff, 1)  # matrix convolutions grow fast with modes
-    failures = []
-    count = 0
-    for _ in range(cfg.samples):
-        count += 1
-        psi = _random_gauge_fields(rng, cfg, cfg.matrix_rank, cutoff)
-        rep = mc_vs_ym_compare(psi, eta, calibration=constants)
-        if not (rep["match"] and rep["vtilde_zero"]):
-            if len(failures) < _FAILURE_CAP:
-                failures.append({"report": to_jsonable(dict(rep))})
-    rows.append(
-        {
-            "id": "mc-matches-field-equations",
-            "statement": "the Maurer-Cartan residual equals the covariant field equations under the slot dictionary",
-            "samples": count,
-            "failures": failures,
-            "passed": fitted and not failures,
-        }
-    )
 
-    # 3. gauge moves transport to covariant gauge transformations
-    rng = _random.Random(f"{cfg.seed}:ym:gauge-transport")
-    failures = []
-    count = 0
-    for _ in range(cfg.samples):
-        count += 1
+    def gauge_fields(rng, cfg):
+        return _random_gauge_fields(rng, cfg, cfg.matrix_rank, cutoff)
+
+    def gauge_parameter(rng, cfg):
+        return MatrixFunction.random(rng, cfg.matrix_rank, cfg.dim, cutoff)
+
+    def field_equations(cfg, psi):
+        # frozen constants transport to non-commuting rank-r fields; the
+        # comparison report is the residual of a failing sample
+        rep = mc_vs_ym_compare(psi, eta, calibration=constants)
+        return True if fitted and rep["match"] and rep["vtilde_zero"] else rep
+
+    def gauge_transport(cfg, psi, umat):
         rank = cfg.matrix_rank
-        psi = _random_gauge_fields(rng, cfg, rank, cutoff)
-        umat = MatrixFunction.random(rng, rank, cfg.dim, cutoff)
         ugrid = LieValuedBVElement(
             [
                 [BVElement.deg0(umat.entry(p, q)) for q in range(rank)]
@@ -991,27 +974,31 @@ def _suite_ym(cfg: SuiteConfig):
         delta = gauge_variation(psi, ugrid, eta)
         cala, phi = dictionary_fields(psi, eta)
         da, dp = dictionary_fields(delta, eta)
-        bad = []
-        for k in range(cfg.dim):
-            ra = da[k] - (umat.derivative(k) + cala[k].commutator(umat))
-            rp = dp[k] - phi[k].commutator(umat)
-            if not ra.is_zero():
-                bad.append({"slot": f"gauge:{k}", "residual": to_jsonable(ra)})
-            if not rp.is_zero():
-                bad.append({"slot": f"scalar:{k}", "residual": to_jsonable(rp)})
-        if bad and len(failures) < _FAILURE_CAP:
-            failures.append({"residuals": bad})
-    rows.append(
-        {
-            "id": "gauge-transport",
-            "statement": "gauge variations map to dA = du + [A,u] and dPhi = [Phi,u] slotwise",
-            "samples": count,
-            "failures": failures,
-            "passed": not failures,
-        }
-    )
+        return tuple(
+            (
+                da[k] - (umat.derivative(k) + cala[k].commutator(umat)),
+                dp[k] - phi[k].commutator(umat),
+            )
+            for k in range(cfg.dim)
+        )
 
-    return rows, {"calibration": _encode_calibration(constants)}
+    return [
+        Identity(
+            "mc-calibration-rank-one",
+            "per-family constants fitted on a rank-1 field make both residual families match",
+            calibration,
+        ),
+        Identity(
+            "mc-matches-field-equations",
+            "the Maurer-Cartan residual equals the covariant field equations under the slot dictionary",
+            _sampler(field_equations, gauge_fields),
+        ),
+        Identity(
+            "gauge-transport",
+            "gauge variations map to dA = du + [A,u] and dPhi = [Phi,u] slotwise",
+            _sampler(gauge_transport, gauge_fields, gauge_parameter),
+        ),
+    ], {"calibration": _encode_calibration(constants)}
 
 
 # -- differential-form suite -----------------------------------------------
@@ -1031,23 +1018,22 @@ _EXTERIOR_STATEMENTS = {
 }
 
 
-def _exterior_identities(eta: Metric):
-    identities = []
-    for name, (arity, fn) in _exterior_pool(eta, _random.Random(0), 1).items():
-        def sampler(rng, cfg, name=name, arity=arity):
-            # rebuild the pool on this row's stream so re-rolls stay local
-            row_fn = _exterior_pool(cfg.metric, rng, cfg.mode_cutoff)[name][1]
-            for _ in range(cfg.samples):
-                args = tuple(
-                    random_ym_element(rng, cfg.dim, cfg.mode_cutoff, rng.randint(0, 3))
-                    for _ in range(arity)
-                )
-                yield args, row_fn(*args)
+def _exterior_identities(cfg: SuiteConfig):
+    form_element = _any_degree(random_ym_element)
 
-        identities.append(
-            Identity(name, _EXTERIOR_STATEMENTS.get(name, name), sampler)
-        )
-    return identities
+    def row(name):
+        def sampler(rng, cfg):
+            # build the pool on this row's stream so its re-rolls stay local
+            arity, fn = _exterior_pool(cfg.metric, rng, cfg.mode_cutoff)[name]
+            residual = lambda cfg, *xs: fn(*xs)
+            return _sampler(residual, *(form_element,) * arity)(rng, cfg)
+
+        return sampler
+
+    return [
+        Identity(name, statement, row(name))
+        for name, statement in _EXTERIOR_STATEMENTS.items()
+    ], {}
 
 
 # -- doubled-geometry suites -----------------------------------------------
@@ -1077,7 +1063,7 @@ def _orthogonal_profiles(eta: Metric):
     return p, tuple(q)
 
 
-def _cbracket_identities():
+def _cbracket_identities(cfg: SuiteConfig):
     def antisymmetry(cfg, a, b):
         eta = cfg.metric
         return tuple(
@@ -1107,52 +1093,21 @@ def _cbracket_identities():
         b = tuple(g * qk for qk in q)
         return _tuple_sub(c_bracket(a, b, cfg.metric), lie_bracket_vec(a, b))
 
-    def _vector_sampler(count, constant_first=False):
-        def sampler(rng, cfg):
-            for _ in range(cfg.samples):
-                args = []
-                for slot in range(count):
-                    if constant_first and slot == 0:
-                        base = random_vector_field(rng, cfg.dim, 0)
-                    else:
-                        base = random_vector_field(rng, cfg.dim, cfg.mode_cutoff)
-                    args.append(base)
-                yield tuple(args), None
+    vector = _draw(random_vector_field)
 
-        return sampler
+    # null-direction families share one covector (None when eta has none)
+    direction = null_covector(cfg.metric)
 
-    def with_residual(sampler_factory, res):
-        base = sampler_factory
-
-        def sampler(rng, cfg):
-            for args, _ in base(rng, cfg):
-                yield args, res(cfg, *args)
-
-        return sampler
-
-    def _scalar_pair_sampler(res):
-        def sampler(rng, cfg):
-            for _ in range(cfg.samples):
-                f = random_scalar(rng, cfg.dim, cfg.mode_cutoff)
-                g = random_scalar(rng, cfg.dim, cfg.mode_cutoff)
-                yield (f, g), res(cfg, f, g)
-
-        return sampler
-
-    def _family_sampler(res, aligned: bool):
-        def sampler(rng, cfg):
+    def family(aligned: bool):
+        def draw(rng, cfg):
             eta = cfg.metric
-            direction = null_covector(eta)
-            for _ in range(cfg.samples):
-                triple = tuple(
-                    null_family_field(rng, eta, direction, cfg.mode_cutoff, aligned)
-                    for _ in range(3)
-                )
-                yield triple, res(cfg, direction, *triple)
+            return null_family_field(rng, eta, direction, cfg.mode_cutoff, aligned)
 
-        return sampler
+        return draw
 
-    def constrained_sector(cfg, direction, a, b, c):
+    polarized, unpolarized = family(True), family(False)
+
+    def constrained_sector(cfg, a, b, c):
         eta = cfg.metric
         residuals = [wave_constraint(x, eta) for x in (a, b, c)]
         residuals.extend(
@@ -1160,10 +1115,10 @@ def _cbracket_identities():
         )
         return tuple(residuals)
 
-    def constrained_jacobi(cfg, direction, a, b, c):
+    def jacobiator(cfg, a, b, c):
         return c_jacobiator(a, b, c, cfg.metric)
 
-    def null_directed(cfg, direction, a, b, c):
+    def null_directed(cfg, a, b, c):
         eta = cfg.metric
         jac = c_jacobiator(a, b, c, eta)
         if direction is None:
@@ -1178,9 +1133,6 @@ def _cbracket_identities():
                 out.append(jac[j] * sharp[k] - jac[k] * sharp[j])
         return tuple(out)
 
-    def generic_jacobiator(cfg, a, b, c):
-        return c_jacobiator(a, b, c, cfg.metric)
-
     def generic_pair_violation(cfg, a, b):
         return pair_constraint(a, b, cfg.metric)
 
@@ -1188,86 +1140,58 @@ def _cbracket_identities():
         Identity(
             "cbracket-antisymmetry",
             "the metric bracket of vector fields is antisymmetric",
-            with_residual(_vector_sampler(2), antisymmetry),
+            _sampler(antisymmetry, vector, vector),
         ),
         Identity(
             "cbracket-self-annihilation",
             "the metric bracket kills equal arguments",
-            with_residual(_vector_sampler(1), self_bracket),
+            _sampler(self_bracket, vector),
         ),
         Identity(
             "cbracket-constant-transport",
             "for constant first slot the one-sided bracket is the directional derivative",
-            with_residual(_vector_sampler(2, constant_first=True), constant_transport),
+            _sampler(constant_transport, _draw(random_vector_field, 0), vector),
         ),
         Identity(
             "cbracket-lie-reduction",
             "on metric-orthogonal profiles the bracket reduces to the Lie bracket",
-            _scalar_pair_sampler(lie_reduction),
+            _sampler(lie_reduction, _SCALAR, _SCALAR),
         ),
         Identity(
             "cbracket-constrained-sector",
             "null-direction families satisfy the wave and pair constraints",
-            _family_sampler(constrained_sector, aligned=True),
+            _sampler(constrained_sector, *(polarized,) * 3),
         ),
         Identity(
             "cbracket-constrained-jacobi",
             "the Jacobiator vanishes on null-polarized constrained triples",
-            _family_sampler(constrained_jacobi, aligned=True),
+            _sampler(jacobiator, *(polarized,) * 3),
         ),
         Identity(
             "cbracket-jacobiator-null-directed",
             "on constrained but unpolarized triples the Jacobiator points along the raised null direction",
-            _family_sampler(null_directed, aligned=False),
+            _sampler(null_directed, *(unpolarized,) * 3),
         ),
         Identity(
             "cbracket-jacobiator-witness",
             "generic triples violate Jacobi (counterexample stored)",
-            with_residual(_vector_sampler(3), generic_jacobiator),
+            _sampler(jacobiator, *(vector,) * 3),
             expect="nonzero",
         ),
         Identity(
             "cbracket-pair-constraint-witness",
             "generic pairs violate the pair constraint (counterexample stored)",
-            with_residual(_vector_sampler(2), generic_pair_violation),
+            _sampler(generic_pair_violation, vector, vector),
             expect="nonzero",
         ),
-    ]
+    ], {}
 
 
-def _doublecopy_identities():
-    def _doubled_sampler(res, count, sector="both", cutoff=None):
-        def sampler(rng, cfg):
-            cut = cfg.mode_cutoff if cutoff is None else cutoff
-            for _ in range(cfg.samples):
-                args = tuple(
-                    random_doubled_scalar(rng, cfg.dim, cut, sector=sector)
-                    for _ in range(count)
-                )
-                yield args, res(cfg, *args)
-
-        return sampler
-
-    def _bivector_sampler(res, count, sector="both", cutoff=None):
-        def sampler(rng, cfg):
-            cut = cfg.mode_cutoff if cutoff is None else cutoff
-            for _ in range(cfg.samples):
-                args = tuple(
-                    random_bivector(rng, cfg.dim, cut, sector=sector)
-                    for _ in range(count)
-                )
-                yield args, res(cfg, *args)
-
-        return sampler
+def _doublecopy_identities(cfg: SuiteConfig):
+    doubled = _draw(random_doubled_scalar)
 
     def sector_annihilation(cfg, fx, ft):
         return (delta_minus(fx), delta_minus(ft))
-
-    def sector_sampler(rng, cfg):
-        for _ in range(cfg.samples):
-            fx = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector="x")
-            ft = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector="xt")
-            yield (fx, ft), sector_annihilation(cfg, fx, ft)
 
     def modewise_eigenvalue(cfg, f):
         h = f.halfdim
@@ -1319,21 +1243,18 @@ def _doublecopy_identities():
         tensor, scalar = bivector_mc_residual(g, phi)
         return (double_bracket(g, h), tensor, scalar)
 
-    def divergence_free_sampler(rng, cfg):
+    def divergence_free_bivector(rng, cfg):
         h = cfg.dim
-        for _ in range(cfg.samples):
-            if h == 1:
-                # one doubled direction: only constants are divergence-free
-                g = random_bivector(rng, h, 0)
-            else:
-                seedf = random_doubled_scalar(rng, h, cfg.mode_cutoff, sector="x")
-                zero = DoubledScalar.zero(h)
-                rows = [[zero] * h for _ in range(h)]
-                for col in range(h):
-                    rows[0][col] = seedf.dx(1)
-                    rows[1][col] = -seedf.dx(0)
-                g = Bivector(tuple(tuple(r) for r in rows))
-            yield (g,), None
+        if h == 1:
+            # one doubled direction: only constants are divergence-free
+            return random_bivector(rng, h, 0)
+        seedf = random_doubled_scalar(rng, h, cfg.mode_cutoff, sector="x")
+        zero = DoubledScalar.zero(h)
+        rows = [[zero] * h for _ in range(h)]
+        for col in range(h):
+            rows[0][col] = seedf.dx(1)
+            rows[1][col] = -seedf.dx(0)
+        return Bivector(tuple(tuple(r) for r in rows))
 
     def divergence_free_reduction(cfg, g):
         phi = DoubledScalar.zero(cfg.dim)
@@ -1345,38 +1266,29 @@ def _doublecopy_identities():
             scalar,
         )
 
-    def with_residual(base, res):
-        def sampler(rng, cfg):
-            for args, _ in base(rng, cfg):
-                yield args, res(cfg, *args)
-
-        return sampler
-
     def generic_residual_witness(cfg, g, phi):
         tensor, scalar = bivector_mc_residual(g, phi)
         return (tensor, scalar)
-
-    def generic_sampler(rng, cfg):
-        for _ in range(cfg.samples):
-            g = random_bivector(rng, cfg.dim, cfg.mode_cutoff)
-            phi = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff)
-            yield (g, phi), generic_residual_witness(cfg, g, phi)
 
     return [
         Identity(
             "doubled-laplacian-kills-sectors",
             "the cross Laplacian annihilates both single-sector algebras",
-            sector_sampler,
+            _sampler(
+                sector_annihilation,
+                _draw(random_doubled_scalar, sector="x"),
+                _draw(random_doubled_scalar, sector="xt"),
+            ),
         ),
         Identity(
             "doubled-laplacian-eigenvalue",
             "the cross Laplacian scales each mode by minus twice the mode dot product",
-            _doubled_sampler(modewise_eigenvalue, 1),
+            _sampler(modewise_eigenvalue, doubled),
         ),
         Identity(
             "pair-constraint-symmetry",
             "the two-argument constraint is symmetric",
-            _doubled_sampler(constraint_symmetry, 2),
+            _sampler(constraint_symmetry, doubled, doubled),
         ),
         Identity(
             "same-sector-constrained",
@@ -1392,61 +1304,49 @@ def _doublecopy_identities():
         Identity(
             "double-bracket-symmetry",
             "the bivector bracket is symmetric",
-            _bivector_sampler(bracket_symmetry, 2, cutoff=1),
+            _sampler(bracket_symmetry, *(_draw(random_bivector, 1),) * 2),
         ),
         Identity(
             "double-bracket-bilinearity",
             "the bivector bracket is bilinear",
-            _bivector_sampler(bracket_bilinearity, 3, cutoff=1),
+            _sampler(bracket_bilinearity, *(_draw(random_bivector, 1),) * 3),
         ),
         Identity(
             "constant-bivector-flat",
             "constant bivectors bracket to zero and solve the background equation",
-            _bivector_sampler(constant_case, 2, cutoff=0),
+            _sampler(constant_case, *(_draw(random_bivector, 0),) * 2),
         ),
         Identity(
             "divergence-free-reduction",
             "for divergence-free bivectors the tensor residual is the self-bracket alone",
-            with_residual(divergence_free_sampler, divergence_free_reduction),
+            _sampler(divergence_free_reduction, divergence_free_bivector),
         ),
         Identity(
             "generic-residual-witness",
             "a generic bivector/dilaton pair fails the background equation (witness stored)",
-            generic_sampler,
+            _sampler(generic_residual_witness, _draw(random_bivector), doubled),
             expect="nonzero",
         ),
-    ]
+    ], {}
 
 
 # -- registry and entry point ----------------------------------------------
 
 
-def _generic_suite(name, builder):
-    def run(cfg: SuiteConfig):
-        return _run_identities(name, builder(), cfg), {}
-
-    return run
-
-
-def _metric_suite(name, builder):
-    def run(cfg: SuiteConfig):
-        return _run_identities(name, builder(cfg.metric), cfg), {}
-
-    return run
-
-
+# Each builder maps the run configuration to the suite's identities and the
+# entries it adds to the report beside them (the ym calibration).
 _SUITES = {
-    "courant": _generic_suite("courant", _courant_identities),
-    "bvcomplex": _generic_suite("bvcomplex", _bvcomplex_identities),
-    "bvlz": _generic_suite("bvlz", _bvlz_identities),
-    "cinf": _generic_suite("cinf", _cinf_identities),
-    "cyclic": _generic_suite("cyclic", _cyclic_identities),
-    "linf": _generic_suite("linf", _linf_identities),
-    "deform": _metric_suite("deform", _deform_identities),
-    "ym": _suite_ym,
-    "exterior": _metric_suite("exterior", _exterior_identities),
-    "cbracket": _generic_suite("cbracket", _cbracket_identities),
-    "doublecopy": _generic_suite("doublecopy", _doublecopy_identities),
+    "courant": _courant_identities,
+    "bvcomplex": _bvcomplex_identities,
+    "bvlz": _bvlz_identities,
+    "cinf": _cinf_identities,
+    "cyclic": _cyclic_identities,
+    "linf": _linf_identities,
+    "deform": _deform_identities,
+    "ym": _ym_identities,
+    "exterior": _exterior_identities,
+    "cbracket": _cbracket_identities,
+    "doublecopy": _doublecopy_identities,
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -1462,7 +1362,8 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ConfigError(
             "the exterior suite needs |det metric| to be a rational square"
         )
-    rows, extras = _SUITES[name](config)
+    identities, extras = _SUITES[name](config)
+    rows = _run_identities(name, identities, config)
     report = {
         "suite": name,
         "config": config.echo(),

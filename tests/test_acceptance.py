@@ -208,7 +208,7 @@ def test_criterion_09_double_copy_sector():
                "doubled bivector residuals", ok)
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path):
+def test_criterion_10_byte_identical_reruns(subprocess_env):
     args = [
         sys.executable,
         "-m",
@@ -221,8 +221,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         "--seed",
         "2024",
     ]
-    first = subprocess.run(args, capture_output=True)
-    second = subprocess.run(args, capture_output=True)
+    first = subprocess.run(args, capture_output=True, env=subprocess_env)
+    second = subprocess.run(args, capture_output=True, env=subprocess_env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

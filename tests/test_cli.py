@@ -1,13 +1,11 @@
 """Command-line verification runner."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import bvdouble
 from bvdouble.cli import main
 from bvdouble.suites import ConfigError, SuiteConfig
 
@@ -118,18 +116,16 @@ def test_boolean_is_not_an_integer(tmp_path, capsys, key, flag):
         SuiteConfig(**{field: flag})
 
 
-def test_asymmetric_metric_exits_two_under_optimize(tmp_path):
+def test_asymmetric_metric_exits_two_under_optimize(tmp_path, subprocess_env):
     # validation must not be an assert, which ``python -O`` strips
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"metric": [[1, 2, 0], [0, 1, 0], [0, 0, -1]]}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bvdouble.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "bvdouble.cli", "verify", "--suite", "courant",
          "--config", str(cfg)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env,
         timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
@@ -137,15 +133,13 @@ def test_asymmetric_metric_exits_two_under_optimize(tmp_path):
     assert proc.stdout == ""
 
 
-def test_package_runs_as_a_module():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bvdouble.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def test_package_runs_as_a_module(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "bvdouble", "verify", "--suite", "exterior",
          "--samples", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import pytest
 
 from bvdouble.exterior import (
     DifferentialForm,
+    _cinf_identity_pool,
     YMElement,
     dform,
     form_integral,
@@ -14,12 +15,12 @@ from bvdouble.exterior import (
     random_form,
     random_ym_element,
     wedge,
-    ym_cinf_residuals,
     ym_mu_sym,
     ym_nu_sym,
     ym_q,
 )
 from bvdouble.scalars import FourierScalar, GaussRational, Metric
+from bvdouble.suites import SuiteConfig, run_suite
 
 DIM = 3
 LORENTZ = Metric.diagonal([1, 1, -1])
@@ -199,10 +200,12 @@ def test_trilinear_homotopy_supported_on_one_forms(rng):
 
 
 def test_residual_battery_is_clean():
-    rows = ym_cinf_residuals(6, LORENTZ, random.Random(5), cutoff=1)
+    cfg = SuiteConfig(metric=LORENTZ, mode_cutoff=1, samples=6, seed=5)
+    rows = run_suite("exterior", cfg)["identities"]
     assert [r["passed"] for r in rows] == [True] * len(rows)
-    names = {r["id"] for r in rows}
-    assert {
+    assert {r["samples"] for r in rows} == {6}
+    ids = [r["id"] for r in rows]
+    assert ids == [
         "exterior-d-squared",
         "exterior-star-square",
         "exterior-pairing-symmetry",
@@ -214,4 +217,6 @@ def test_residual_battery_is_clean():
         "ym-transport-q",
         "ym-transport-mu",
         "ym-transport-nu",
-    } <= names
+    ]
+    # every residual in the pool has its row
+    assert ids == list(_cinf_identity_pool(LORENTZ, None, 1))

@@ -92,6 +92,15 @@ def test_unknown_types_are_rejected():
         to_jsonable(Strange())
 
 
+def test_a_borrowed_class_name_is_not_an_encoding():
+    # dispatch is on the class itself, not on its name
+    class FourierScalar:
+        coeffs = {(0,): GaussRational(1)}
+
+    with pytest.raises(TypeError):
+        to_jsonable(FourierScalar())
+
+
 def test_canonical_dumps_is_insensitive_to_key_order():
     rng = random.Random(4)
     payload_a = {"b": to_jsonable(random_section(rng, 2, 1)), "a": 1}

@@ -1,7 +1,11 @@
 """Suite runner: configuration validation, report shape, determinism."""
 
+import json
+
 import pytest
 
+from bvdouble import suites
+from bvdouble.cli import main
 from bvdouble.scalars import Metric
 from bvdouble.serialize import canonical_dumps
 from bvdouble.suites import SUITE_NAMES, ConfigError, SuiteConfig, run_suite
@@ -118,6 +122,39 @@ def test_ym_report_carries_the_calibration():
     report = run_suite("ym", cfg)
     assert report["passed"]
     assert report["calibration"] == {"field_strength": "2", "scalar_potential": "2"}
+
+
+def test_ym_failures_are_capped_and_marked(monkeypatch, tmp_path, capsys):
+    real_compare = suites.mc_vs_ym_compare
+    monkeypatch.setattr(
+        suites,
+        "mc_vs_ym_compare",
+        lambda *args, **kwargs: {**real_compare(*args, **kwargs), "match": False},
+    )
+    # the unchanged fields stand in for their own gauge variation
+    monkeypatch.setattr(suites, "gauge_variation", lambda psi, u, eta: psi)
+    cfg = SuiteConfig(
+        dim=2, metric=Metric.diagonal([1, -1]), mode_cutoff=1, matrix_rank=1,
+        samples=5, seed=3,
+    )
+    report = run_suite("ym", cfg)
+    rows = {r["id"]: r for r in report["identities"]}
+    assert report["passed"] is False
+    assert not any(r["passed"] for r in rows.values())
+    calibration = rows["mc-calibration-rank-one"]
+    assert calibration["samples"] == 1 and len(calibration["failures"]) == 1
+    assert "failures_truncated" not in calibration
+    for ident in ("mc-matches-field-equations", "gauge-transport"):
+        row = rows[ident]
+        assert row["samples"] == 5 and len(row["failures"]) == 3
+        assert row["failures_truncated"] is True
+        assert all(set(f) == {"args", "residual"} for f in row["failures"])
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.echo()), encoding="utf-8")
+    code = main(["verify", "--suite", "ym", "--config", str(path)])
+    out, _ = capsys.readouterr()
+    assert code == 1 and json.loads(out)["passed"] is False
 
 
 def test_reports_are_deterministic_per_seed():
