@@ -29,6 +29,7 @@ onto the first summand.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .scalars import FourierScalar, GaussRational, Metric
 from .sections import GenSection, d_scalar, divergence, pairing, random_section
@@ -59,7 +60,8 @@ class BVElement:
         # Degrees outside 0..3 only ever hold the zero element; they appear
         # transiently when operators walk off the end of the complex.
         if degree in (1, 2):
-            assert section is None or isinstance(section, GenSection)
+            if section is not None and not isinstance(section, GenSection):
+                raise TypeError(f"a degree-{degree} section must be a GenSection")
             section = GenSection.zero(dim) if section is None else section
         else:
             assert section is None or section.is_zero()
@@ -67,7 +69,8 @@ class BVElement:
         scalar = FourierScalar.zero(dim) if scalar is None else scalar
         if degree not in (0, 1, 2, 3):
             assert scalar.is_zero(), f"degree {degree} space is zero"
-        assert isinstance(scalar, FourierScalar) and scalar.dim == dim
+        if not isinstance(scalar, FourierScalar) or scalar.dim != dim:
+            raise TypeError(f"the scalar slot must be a FourierScalar on T^{dim}")
         self.degree = degree
         self.dim = dim
         self.section = section
@@ -97,24 +100,24 @@ class BVElement:
 
     # -- linear structure --------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, BVElement):
             return NotImplemented
         assert self.dim == other.dim
         if self.is_zero() and self.degree != other.degree:
-            return other
+            return other if op is add else -other
         if other.is_zero() and self.degree != other.degree:
             return self
         assert self.degree == other.degree, (
-            f"cannot add degrees {self.degree} and {other.degree}"
+            f"cannot combine degrees {self.degree} and {other.degree}"
         )
         section = None
         if self.section is not None:
-            section = self.section + other.section
-        return BVElement(self.degree, self.dim, section, self.scalar + other.scalar)
+            section = op(self.section, other.section)
+        return BVElement(self.degree, self.dim, section, op(self.scalar, other.scalar))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, sub)
 
     def __neg__(self):
         section = None if self.section is None else -self.section
@@ -122,7 +125,12 @@ class BVElement:
 
     def __mul__(self, const):
         """Multiplication by a constant from Q(i) (not by a scalar field)."""
-        assert isinstance(const, (int, Fraction, GaussRational))
+        if not isinstance(const, (int, Fraction, GaussRational)):
+            raise TypeError(f"cannot scale a BVElement by {const!r}")
+        if const == 1:
+            return self
+        if const == -1:
+            return -self
         section = None if self.section is None else self.section * const
         return BVElement(self.degree, self.dim, section, self.scalar * const)
 

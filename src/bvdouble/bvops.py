@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .bvcomplex import BVElement, op_b
 from .scalars import FourierScalar
-from .sections import GenSection, anchor, divergence, dorfman, pairing
+from .sections import GenSection, _dorfman_terms, _section_from_terms, anchor, pairing
 
 __all__ = [
     "sign",
@@ -77,14 +77,22 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
         if d1 == 2:
             return _scale_section_pair(y.scalar, x, 2)
     if d1 == 1 and d2 == 1:
-        at = (
-            dorfman(x.section, y.section)
-            + y.scalar * x.section
-            - x.scalar * y.section
-        )
-        vt = pairing(x.section, y.section) * _HALF
-        return BVElement.deg2(at, vt)
+        # Closed forms when one section vanishes, as it does for m_op values.
+        if x.section.is_zero():
+            return BVElement.deg2(y.section * -x.scalar)
+        if y.section.is_zero():
+            return BVElement.deg2(x.section * y.scalar)
+        # [A, B] + v_B A - v_A B, each component summed in one pass.
+        a, b = x.section, y.section
+        terms = _dorfman_terms(a, b)
+        for (plus, minus), fa, fb in zip(terms, a.vec + a.form, b.vec + b.form):
+            plus.append((y.scalar, fa))
+            minus.append((x.scalar, fb))
+        vt = pairing(a, b) * _HALF
+        return BVElement.deg2(_section_from_terms(dim, terms), vt)
     if d1 == 1 and d2 == 2:
+        if x.section.is_zero():
+            return BVElement.deg3(-(x.scalar * y.scalar))
         ut = (
             -(pairing(x.section, y.section) * _HALF)
             + anchor(x.section, y.scalar)
@@ -92,6 +100,8 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
         )
         return BVElement.deg3(ut)
     if d1 == 2 and d2 == 1:
+        if y.section.is_zero():
+            return BVElement.deg3(-(x.scalar * y.scalar))
         ut = (
             -(pairing(x.section, y.section) * _HALF)
             + anchor(y.section, x.scalar)

@@ -28,15 +28,17 @@ residuals  [[g, g]] + L_{div_Omega(g)} g  and  div_Omega(div_Omega(g)).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import (
     FourierScalar,
-    GaussRational,
     Metric,
     laplacian,
     random_coefficient,
     random_scalar,
+    sum_of_products,
 )
+from .sections import _jacobian
 
 __all__ = [
     "c_half_bracket",
@@ -68,8 +70,14 @@ __all__ = [
 # components A^j; all index raising/lowering uses the constant metric eta.
 
 
-def _zsum(terms, dim):
-    return sum(terms, FourierScalar.zero(dim))
+def _constants(rows, dim: int):
+    """The nonzero entries of a metric matrix as constant scalars, else None."""
+    return [[FourierScalar.const(dim, w) if w else None for w in row] for row in rows]
+
+
+def _contract(dim: int, consts, comps):
+    """sum_l consts[l] comps[l] over the nonzero constants, in one pass."""
+    return sum_of_products(dim, ((w, f) for w, f in zip(consts, comps) if w is not None))
 
 
 def c_half_bracket(a, b, eta: Metric):
@@ -79,28 +87,22 @@ def c_half_bracket(a, b, eta: Metric):
     n = len(a)
     assert len(b) == n == eta.dim
     dim = a[0].dim
-    # eta_{kl} d_r A^k B^l for each r, shared across output components.
-    graded = [
-        _zsum(
-            (
-                a[k].derivative(r) * b[l] * eta.down(k, l)
-                for k in range(n)
-                for l in range(n)
-                if eta.down(k, l)
-            ),
+    upper = _constants(eta.upper, dim)
+    da, db = _jacobian(a), _jacobian(b)
+    # eta_{kl} d_r A^k B^l = d_r A^k B_k for each r, shared across components.
+    b_low = [_contract(dim, row, b) for row in _constants(eta.lower, dim)]
+    graded = [sum_of_products(dim, ((da[k][r], b_low[k]) for k in range(n))) for r in range(n)]
+    return tuple(
+        sum_of_products(
             dim,
+            chain(
+                ((a[i], db[j][i]) for i in range(n)),
+                ((upper[r][j], graded[r]) for r in range(n) if upper[r][j] is not None),
+            ),
+            ((da[j][i], b[i]) for i in range(n)),
         )
-        for r in range(n)
-    ]
-    out = []
-    for j in range(n):
-        transport = _zsum((a[i] * b[j].derivative(i) for i in range(n)), dim)
-        backreact = _zsum((a[j].derivative(i) * b[i] for i in range(n)), dim)
-        correction = _zsum(
-            (graded[r] * eta.up(r, j) for r in range(n) if eta.up(r, j)), dim
-        )
-        out.append(transport - backreact + correction)
-    return tuple(out)
+        for j in range(n)
+    )
 
 
 def c_bracket(a, b, eta: Metric):
@@ -135,21 +137,13 @@ def pair_constraint(a, b, eta: Metric):
     """Gradient-product residuals eta^{ij} d_i A^k d_j B^l for all k, l."""
     a, b = tuple(a), tuple(b)
     dim = a[0].dim
-    n = eta.dim
+    upper = _constants(eta.upper, dim)
+    da = _jacobian(a)
+    # eta^{ij} d_j B^l, the raised gradient of each component of B
+    b_up = [[_contract(dim, row, grad) for row in upper] for grad in _jacobian(b)]
     return tuple(
-        tuple(
-            _zsum(
-                (
-                    a[k].derivative(i) * b[l].derivative(j) * eta.up(i, j)
-                    for i in range(n)
-                    for j in range(n)
-                    if eta.up(i, j)
-                ),
-                dim,
-            )
-            for l in range(n)
-        )
-        for k in range(n)
+        tuple(sum_of_products(dim, zip(da[k], b_up[l])) for l in range(len(b)))
+        for k in range(len(a))
     )
 
 

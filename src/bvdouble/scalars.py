@@ -20,6 +20,12 @@ parts as exact Fractions.  The ring operations of ``FourierScalar`` build
 their results through a trusted constructor that skips the public one's
 coercion and validation; they keep its invariant that no zero coefficient is
 ever stored.
+
+Reduce once per output coefficient: products, sums, differences and whole
+signed sums of products (``sum_of_products``) accumulate raw ``(a, b, d)``
+int triples per mode, with no gcd and no intermediate ``GaussRational``, and
+bring each surviving coefficient to canonical form once, as the result is
+built.
 """
 
 from __future__ import annotations
@@ -230,48 +236,39 @@ class FourierScalar:
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = FourierScalar.const(self.dim, other)
+    def __add__(self, other, sign=1):
         if not isinstance(other, FourierScalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussRational)):
+                return NotImplemented
+            other = FourierScalar.const(self.dim, other)
         assert self.dim == other.dim
-        coeffs = dict(self.coeffs)
-        for mode, c in other.coeffs.items():
-            acc = coeffs.get(mode)
-            if acc is None:
-                coeffs[mode] = c
-            else:
-                acc = acc + c
-                if acc:
-                    coeffs[mode] = acc
-                else:
-                    del coeffs[mode]
-        return _scalar(self.dim, coeffs)
+        return _scalar(self.dim, _merge(self.coeffs, other.coeffs, sign))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _scalar(self.dim, {m: -c for m, c in self.coeffs.items()})
+        return _scalar(self.dim, {m: _gauss(-c._a, -c._b, c._d) for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            s = GaussRational.coerce(other)
-            if not s:
-                return _scalar(self.dim, {})
-            return _scalar(self.dim, {m: c * s for m, c in self.coeffs.items()})
-        if not isinstance(other, FourierScalar):
+        if isinstance(other, FourierScalar):
+            assert self.dim == other.dim
+            return sum_of_products(self.dim, ((self, other),))
+        if not isinstance(other, (int, Fraction, GaussRational)):
             return NotImplemented
-        assert self.dim == other.dim
-        coeffs = {}
-        _convolve_into(coeffs, self, other)
-        return _scalar(self.dim, {m: c for m, c in coeffs.items() if c})
+        if other == 1:
+            return self
+        if other == -1:
+            return -self
+        s = GaussRational.coerce(other)
+        if not s:
+            return _scalar(self.dim, {})
+        return _scalar(self.dim, {m: c * s for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -317,21 +314,76 @@ class FourierScalar:
         return " + ".join(terms)
 
 
-def _convolve_into(coeffs: dict, f: FourierScalar, g: FourierScalar) -> None:
-    """Add the coefficients of f*g into ``coeffs`` (zeros are kept)."""
+def _convolve_into(acc: dict, f: FourierScalar, g: FourierScalar, sign: int) -> None:
+    """Add ``sign * f * g`` into ``acc`` as unreduced ``(a, b, d)`` triples.
+
+    ``acc`` maps modes to triples with ``d > 0``; sums over a shared
+    denominator (or one that divides the other) add the numerators only.
+    """
+    right = [(m, c._a, c._b, c._d) for m, c in g.coeffs.items()]
+    if not right:
+        return
+    get = acc.get
     for m1, c1 in f.coeffs.items():
-        for m2, c2 in g.coeffs.items():
+        a1, b1, d1 = sign * c1._a, sign * c1._b, c1._d
+        for m2, a2, b2, d2 in right:
             mode = tuple(map(add, m1, m2))
-            acc = coeffs.get(mode)
-            coeffs[mode] = c1 * c2 if acc is None else acc + c1 * c2
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            t = get(mode)
+            if t is None:
+                acc[mode] = (a, b, d)
+                continue
+            p, q, e = t
+            if e == d:
+                acc[mode] = (p + a, q + b, d)
+            elif e % d == 0:
+                k = e // d
+                acc[mode] = (p + a * k, q + b * k, e)
+            elif d % e == 0:
+                k = d // e
+                acc[mode] = (p * k + a, q * k + b, d)
+            else:
+                acc[mode] = (p * d + a * e, q * d + b * e, e * d)
 
 
-def sum_of_products(dim: int, pairs) -> FourierScalar:
-    """sum f*g over the (f, g) pairs, accumulated in one coefficient dict."""
-    coeffs = {}
+def _reduce_all(acc: dict) -> dict:
+    """Canonical coefficients of the nonzero triples in ``acc``."""
+    return {m: _reduced(a, b, d) for m, (a, b, d) in acc.items() if a or b}
+
+
+def _merge(p: dict, q: dict, sign: int) -> dict:
+    """Coefficients of p + sign*q (sign +1 or -1); only shared modes reduce."""
+    out = dict(p)
+    get = out.get
+    for mode, c in q.items():
+        acc = get(mode)
+        if acc is None:
+            out[mode] = c if sign == 1 else _gauss(-c._a, -c._b, c._d)
+            continue
+        a, b, d, e = acc._a, acc._b, acc._d, c._d
+        if d == e:
+            a, b = a + sign * c._a, b + sign * c._b
+        else:
+            a, b, d = a * e + sign * c._a * d, b * e + sign * c._b * d, d * e
+        if a or b:
+            out[mode] = _reduced(a, b, d)
+        else:
+            del out[mode]
+    return out
+
+
+def sum_of_products(dim: int, pairs, negated=()) -> FourierScalar:
+    """sum f*g over ``pairs`` minus sum f*g over ``negated``.
+
+    Every product accumulates into one dict of unreduced triples, and each
+    mode of the result is reduced once.
+    """
+    acc = {}
     for f, g in pairs:
-        _convolve_into(coeffs, f, g)
-    return _scalar(dim, {m: c for m, c in coeffs.items() if c})
+        _convolve_into(acc, f, g, 1)
+    for f, g in negated:
+        _convolve_into(acc, f, g, -1)
+    return _scalar(dim, _reduce_all(acc))
 
 
 def _scalar(dim: int, coeffs: dict) -> FourierScalar:
@@ -425,20 +477,28 @@ def _invert(mat):
 # contractions all mix modes).
 
 
+# ``rng.choice`` over a range draws exactly what ``rng.randint`` over the same
+# bounds draws (one ``_randbelow`` of the range's length), at less cost.
+_PARTS = range(-2, 3)
+
+
 def random_coefficient(rng) -> GaussRational:
     """A small nonzero Gaussian rational with denominator 1 or 2."""
+    choice = rng.choice
     while True:
-        a = rng.randint(-2, 2)
-        b = rng.randint(-2, 2)
+        a = choice(_PARTS)
+        b = choice(_PARTS)
         if a or b:
-            return _reduced(a, b, rng.choice((1, 2)))
+            return _reduced(a, b, choice((1, 2)))
 
 
 def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScalar:
     """A sparse random scalar with 1..max_modes modes in [-cutoff, cutoff]^dim."""
+    choice = rng.choice
+    axes = (range(-cutoff, cutoff + 1),) * dim
     coeffs = {}
-    for _ in range(rng.randint(1, max_modes)):
-        mode = tuple(rng.randint(-cutoff, cutoff) for _ in range(dim))
+    for _ in range(choice(range(1, max_modes + 1))):
+        mode = tuple(map(choice, axes))
         c = random_coefficient(rng)
         coeffs[mode] = coeffs.get(mode, _ZERO) + c
-    return FourierScalar(dim, coeffs)
+    return _scalar(dim, {m: c for m, c in coeffs.items() if c})

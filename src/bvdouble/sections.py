@@ -14,9 +14,10 @@ together with randomized section generators for identity checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 
-from .scalars import FourierScalar, GaussRational, random_scalar
+from .scalars import FourierScalar, random_scalar, sum_of_products
 
 __all__ = [
     "GenSection",
@@ -39,9 +40,11 @@ class GenSection:
     def __init__(self, vec, form):
         vec = tuple(vec)
         form = tuple(form)
-        assert vec and len(vec) == len(form)
+        if not vec or len(vec) != len(form):
+            raise ValueError(f"{len(vec)} vector and {len(form)} form components")
         dim = vec[0].dim
-        assert all(s.dim == dim for s in vec + form)
+        if any(s.dim != dim for s in vec + form):
+            raise ValueError("section components live on tori of different dimensions")
         self.dim = dim
         self.vec = vec
         self.form = form
@@ -63,15 +66,12 @@ class GenSection:
         z = FourierScalar.zero(form[0].dim)
         return GenSection((z,) * len(form), form)
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         assert isinstance(other, GenSection) and other.dim == self.dim
-        return GenSection(
-            tuple(a + b for a, b in zip(self.vec, other.vec)),
-            tuple(a + b for a, b in zip(self.form, other.form)),
-        )
+        return GenSection(map(op, self.vec, other.vec), map(op, self.form, other.form))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return GenSection(tuple(-a for a in self.vec), tuple(-a for a in self.form))
@@ -99,64 +99,61 @@ class GenSection:
         return f"GenSection(vec={self.vec!r}, form={self.form!r})"
 
 
+def _jacobian(comps):
+    """Every first derivative of every component: ``jac[c][k] = d_k comps[c]``."""
+    return [[f.derivative(k) for k in range(f.dim)] for f in comps]
+
+
 def lie_bracket_vec(x, y):
     """Lie bracket of two vector fields, [X, Y]^j = X^i d_i Y^j - Y^i d_i X^j."""
-    dim = len(x)
-    return tuple(
-        sum(
-            (x[i] * y[j].derivative(i) - y[i] * x[j].derivative(i) for i in range(dim)),
-            FourierScalar.zero(x[0].dim),
+    return dorfman(GenSection.from_vec(x), GenSection.from_vec(y)).vec
+
+
+def _dorfman_terms(a: GenSection, b: GenSection):
+    """The (plus, minus) product pairs of each component of the Dorfman bracket.
+
+    Vector part ``L_X Y``; form part ``L_X eta - i_Y d xi``, i.e.
+    ``X^i d_i eta_j + eta_i d_j X^i + Y^i d_j xi_i - Y^i d_i xi_j``.
+    Components come vector first, then form.
+    """
+    assert a.dim == b.dim
+    x, xi, y, eta = a.vec, a.form, b.vec, b.form
+    dx, dxi, dy, deta = _jacobian(x), _jacobian(xi), _jacobian(y), _jacobian(eta)
+    r = range(len(x))
+    vec = [([(x[i], dy[j][i]) for i in r], [(y[i], dx[j][i]) for i in r]) for j in r]
+    form = [
+        (
+            [(x[i], deta[j][i]) for i in r]
+            + [(eta[i], dx[i][j]) for i in r]
+            + [(y[i], dxi[i][j]) for i in r],
+            [(y[i], dxi[j][i]) for i in r],
         )
-        for j in range(dim)
-    )
+        for j in r
+    ]
+    return vec + form
 
 
-def _lie_form(x, zeta):
-    """Lie derivative of a one-form: (L_X zeta)_j = X^i d_i zeta_j + zeta_i d_j X^i."""
-    dim = len(x)
-    return tuple(
-        sum(
-            (x[i] * zeta[j].derivative(i) + zeta[i] * x[i].derivative(j) for i in range(dim)),
-            FourierScalar.zero(x[0].dim),
-        )
-        for j in range(dim)
-    )
-
-
-def _contract_dform(y, zeta):
-    """(i_Y d zeta)_j = Y^i (d_i zeta_j - d_j zeta_i)."""
-    dim = len(y)
-    return tuple(
-        sum(
-            (y[i] * (zeta[j].derivative(i) - zeta[i].derivative(j)) for i in range(dim)),
-            FourierScalar.zero(y[0].dim),
-        )
-        for j in range(dim)
-    )
+def _section_from_terms(dim: int, terms) -> GenSection:
+    """The section whose components are the signed sums of products ``terms``."""
+    comps = [sum_of_products(dim, plus, minus) for plus, minus in terms]
+    half = len(comps) // 2
+    return GenSection(comps[:half], comps[half:])
 
 
 def dorfman(a: GenSection, b: GenSection) -> GenSection:
     """Dorfman bracket (A, B) -> (L_X Y, L_X eta_B - i_Y d xi_A)."""
-    assert a.dim == b.dim
-    lie_form = _lie_form(a.vec, b.form)
-    corr = _contract_dform(b.vec, a.form)
-    return GenSection(
-        lie_bracket_vec(a.vec, b.vec), tuple(p - q for p, q in zip(lie_form, corr))
-    )
+    return _section_from_terms(a.dim, _dorfman_terms(a, b))
 
 
 def pairing(a: GenSection, b: GenSection) -> FourierScalar:
     """Canonical symmetric pairing <A, B> = X_A . xi_B + X_B . xi_A."""
     assert a.dim == b.dim
-    return sum(
-        (a.vec[i] * b.form[i] + b.vec[i] * a.form[i] for i in range(a.dim)),
-        FourierScalar.zero(a.dim),
-    )
+    return sum_of_products(a.dim, chain(zip(a.vec, b.form), zip(b.vec, a.form)))
 
 
 def anchor(a: GenSection, u: FourierScalar) -> FourierScalar:
     """Anchor action A.u = X^i d_i u (one-form part is inert)."""
-    return sum((a.vec[i] * u.derivative(i) for i in range(a.dim)), FourierScalar.zero(a.dim))
+    return sum_of_products(a.dim, ((a.vec[i], u.derivative(i)) for i in range(a.dim)))
 
 
 def d_scalar(u: FourierScalar) -> GenSection:

@@ -133,10 +133,12 @@ class SuiteConfig:
         ):
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{label} must be a positive integer, got {value!r}")
+        if dim < 2:
+            raise ConfigError(f"dimension must be at least 2, got {dim}")
         if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         if metric is None:
-            metric = Metric.diagonal([1] * (dim - 1) + [-1]) if dim > 1 else Metric([[1]])
+            metric = Metric.diagonal([1] * (dim - 1) + [-1])
         if metric.dim != dim:
             raise ConfigError(
                 f"metric is {metric.dim}x{metric.dim} but dimension is {dim}"

@@ -204,3 +204,21 @@ def test_scalar_multiple_and_negation(rng):
     two_x = x * GaussRational(2)
     assert (two_x - x - x).is_zero()
     assert (x + (-x)).is_zero()
+
+
+def test_malformed_elements_raise_type_error(rng):
+    # validation, not an assert: it must hold under ``python -O`` too
+    with pytest.raises(TypeError):
+        BVElement(1, DIM, random_scalar(rng, DIM, 2), None)
+    with pytest.raises(TypeError):
+        BVElement(0, DIM, None, Fraction(1))
+    with pytest.raises(TypeError):
+        elem(rng, 1) * random_scalar(rng, DIM, 2)
+
+
+def test_unit_scaling_returns_equal_elements(rng):
+    for degree in range(4):
+        x = elem(rng, degree)
+        assert x * 1 is x and x * Fraction(1) is x
+        assert x * -1 == -x and (x * -1).degree == degree
+        assert x - x == BVElement.zero(degree, DIM)

@@ -172,3 +172,15 @@ def test_all_aggregates_every_suite(tmp_path, capsys):
     names = [r["suite"] for r in report["suites"]]
     assert len(names) == 11 and names[0] == "courant"
     assert err.count("ok") == 11
+
+
+@pytest.mark.parametrize("suite", ["exterior", "all"])
+def test_one_dimensional_torus_is_a_config_error(tmp_path, capsys, suite):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimension": 1, "metric": [1]}))
+    code = main(["verify", "--suite", suite, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "dimension must be at least 2" in err
+    with pytest.raises(ConfigError):
+        SuiteConfig(dim=1)

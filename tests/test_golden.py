@@ -11,6 +11,8 @@ is new report content may update them, and says why.
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -38,9 +40,23 @@ def _sha256(capsys, argv):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
+GOLDEN_ARGV = ["verify", "--suite", "all", "--samples", "1", "--seed", "101"]
+
+
 def test_verify_all_report_is_byte_identical(capsys):
-    argv = ["verify", "--suite", "all", "--samples", "1", "--seed", "101"]
-    assert _sha256(capsys, argv) == GOLDEN_SHA256
+    assert _sha256(capsys, GOLDEN_ARGV) == GOLDEN_SHA256
+
+
+def test_verify_all_report_is_byte_identical_under_optimize(subprocess_env):
+    # ``python -O`` strips asserts; no check the report depends on may be one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bvdouble", *GOLDEN_ARGV],
+        capture_output=True,
+        env=subprocess_env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("suite", sorted(OFF_DIAGONAL_SHA256))

@@ -176,3 +176,14 @@ def test_dorfman_on_crafted_pair():
         assert (got - want).is_zero()
     # the anchor action is e^{i x0} * i e^{i x1}
     assert anchor(a, u) == e(DIM, (1, 1, 0), GaussRational(0, 1))
+
+
+def test_malformed_sections_raise_value_error():
+    # validation, not an assert: it must hold under ``python -O`` too
+    f2, f3 = FourierScalar.zero(2), FourierScalar.zero(3)
+    with pytest.raises(ValueError):
+        GenSection((), ())
+    with pytest.raises(ValueError):
+        GenSection((f3,) * 3, (f3,) * 2)
+    with pytest.raises(ValueError):
+        GenSection((f3, f3, f2), (f3,) * 3)
