@@ -31,13 +31,11 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import FourierScalar, GaussRational, Metric
+from .scalars import FourierScalar, GaussRational, random_scalar
 from .sections import GenSection, d_scalar, divergence, pairing, random_section
-from .scalars import random_scalar
 
 __all__ = [
     "BVElement",
-    "Metric",
     "op_b",
     "op_c",
     "op_q",

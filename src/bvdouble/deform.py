@@ -69,35 +69,14 @@ _HALF = Fraction(1, 2)
 # -- scalar helpers --------------------------------------------------------
 
 
-def _raise_index(ts, eta: Metric, zero):
-    """The list of eta^{ij} T_j over i; T_j = ts[j] is any additive value."""
-    out = []
-    for i in range(eta.dim):
-        acc = zero
-        for j in range(eta.dim):
-            w = eta.up(i, j)
-            if w:
-                acc = acc + ts[j] * w
-        out.append(acc)
-    return out
-
-
 def _d_hat(u: FourierScalar, eta: Metric):
     """Raised gradient, (d-hat u)^j = eta^{ij} d_i u."""
-    grad = [u.derivative(i) for i in range(u.dim)]
-    return tuple(_raise_index(grad, eta, FourierScalar.zero(u.dim)))
+    return tuple(eta.raise_index([u.derivative(i) for i in range(u.dim)]))
 
 
 def _div_hat(form, eta: Metric) -> FourierScalar:
     """Raised divergence of one-form components, eta^{ij} d_i B_j."""
-    dim = len(form)
-    s = FourierScalar.zero(dim)
-    for i in range(dim):
-        for j in range(dim):
-            w = eta.up(i, j)
-            if w:
-                s = s + form[j].derivative(i) * w
-    return s
+    return divergence(GenSection.from_vec(eta.raise_index(form)))
 
 
 def _lap_tuple(comps, eta: Metric):
@@ -117,21 +96,13 @@ def _coordinate_elements(dim: int):
     return tuple(BVElement.deg1(coordinate_section(dim, i)) for i in range(dim))
 
 
-def _eta_pairs(eta: Metric):
-    for i in range(eta.dim):
-        for j in range(eta.dim):
-            w = eta.up(i, j)
-            if w:
-                yield i, j, w
-
-
 def R_eta(x, eta: Metric):
     """The deforming operator sum eta^{ij} mu(f_i, {f_j, x}); raises degree."""
     if isinstance(x, LieValuedBVElement):
         return x.apply(lambda e: R_eta(e, eta))
     f = flat_sections(eta)
     acc = BVElement.zero(x.degree + 1, x.dim)
-    for i, j, w in _eta_pairs(eta):
+    for i, j, w in eta.pairs():
         acc = acc + mu(f[i], brack(f[j], x)) * w
     return acc
 
@@ -170,7 +141,7 @@ def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
     """Delta as the double bracket sum eta^{ij} {f_i, {f_j, x}}."""
     f = flat_sections(eta)
     acc = BVElement.zero(x.degree, x.dim)
-    for i, j, w in _eta_pairs(eta):
+    for i, j, w in eta.pairs():
         acc = acc + brack(f[i], brack(f[j], x)) * w
     return acc
 
@@ -180,8 +151,7 @@ def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
 
 def _raised_derivatives(x: BVElement, eta: Metric):
     """The list of eta^{ij} d_j x over i, i.e. eta^{ij} {f_j, x}."""
-    grad = [x.derivative(j) for j in range(eta.dim)]
-    return _raise_index(grad, eta, BVElement.zero(x.degree, x.dim))
+    return eta.raise_index([x.derivative(j) for j in range(eta.dim)])
 
 
 def _weighted_sum(ss, zs) -> BVElement:
@@ -266,7 +236,7 @@ def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     def cell_mm(a_elt, other):
         # common cell shape: -eta^{ij} mu(m(f_i, a_elt), {f_j, other})
         s = BVElement.zero(a_elt.degree + other.degree, dim)
-        for i, j, w in _eta_pairs(eta):
+        for i, j, w in eta.pairs():
             s = s - mu(m_op(f[i], a_elt), brack(f[j], other)) * w
         return s
 
@@ -277,7 +247,7 @@ def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
             if lab1 == "A" and lab2 == "u":
                 acc = acc + cell_mm(p1, p2)
             elif lab1 == "A" and lab2 == "A":
-                for i, j, w in _eta_pairs(eta):
+                for i, j, w in eta.pairs():
                     acc = acc - mu(m_op(f[i], p1), brack(f[j], p2)) * w
                     acc = acc - mu(m_op(brack(f[j], p1), p2), f[i]) * w
                     acc = acc + mu(m_op(f[i], p2), brack(f[j], p1)) * w
@@ -413,11 +383,6 @@ def deformed_bracket(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
 # -- differential-form subcomplex embeddings -------------------------------
 
 
-def _one_form_components(arg: DifferentialForm):
-    assert arg.degree == 1, "expected a one-form"
-    return arg.one_form_components()
-
-
 def ym_embed(kind: str, arg, eta: Metric) -> BVElement:
     """Embed a form-complex slot into the graded complex.
 
@@ -427,9 +392,9 @@ def ym_embed(kind: str, arg, eta: Metric) -> BVElement:
     if kind in ("f1", "g1", "f2", "g2"):
         if not (isinstance(arg, DifferentialForm) and arg.degree == 1):
             raise ValueError(f"{kind} expects a one-form")
-        comps = _one_form_components(arg)
+        comps = arg.one_form_components()
         # raised vector (B*)^j = eta^{ij} B_i
-        star = tuple(_raise_index(comps, eta, FourierScalar.zero(dim)))
+        star = tuple(eta.raise_index(comps))
         if kind == "f1":
             return BVElement.deg1(GenSection(star, comps), -_div_hat(comps, eta))
         if kind == "g1":
@@ -686,34 +651,33 @@ def gauge_variation(
     )
 
 
+def _slot_split(x: LieValuedBVElement, eta: Metric):
+    """Per direction k, the matrices of B_k + eta_{kj} A^j and B_k - eta_{kj} A^j.
+
+    (A, B) is the section of each entry of x, zero when the entry has none.
+    """
+    dim, rank = x.dim, x.rank
+    plus = [[[None] * rank for _ in range(rank)] for _ in range(dim)]
+    minus = [[[None] * rank for _ in range(rank)] for _ in range(dim)]
+    for p in range(rank):
+        for q in range(rank):
+            e = x.entry(p, q)
+            sec = e.section if e.section is not None else GenSection.zero(dim)
+            lowered = eta.lower_index(sec.vec)
+            for k in range(dim):
+                plus[k][p][q] = sec.form[k] + lowered[k]
+                minus[k][p][q] = sec.form[k] - lowered[k]
+    return [MatrixFunction(m) for m in plus], [MatrixFunction(m) for m in minus]
+
+
 def dictionary_fields(psi: LieValuedBVElement, eta: Metric):
     """Slot dictionary to the gauge field and adjoint scalar components.
 
     Returns (calA, phi): length-dim lists of MatrixFunction with
     calA_k = (B_k + eta_{kj} A^j)/2 and phi_k = (B_k - eta_{kj} A^j)/2.
     """
-    dim, rank = psi.dim, psi.rank
-    calA, phi = [], []
-    for k in range(dim):
-        arows, prows = [], []
-        for p in range(rank):
-            arow, prow = [], []
-            for q in range(rank):
-                e = psi.entry(p, q)
-                sec = e.section if e.section is not None else GenSection.zero(dim)
-                lowered = FourierScalar.zero(dim)
-                for j in range(dim):
-                    w = eta.down(k, j)
-                    if w:
-                        lowered = lowered + sec.vec[j] * w
-                b = sec.form[k]
-                arow.append((b + lowered) * _HALF)
-                prow.append((b - lowered) * _HALF)
-            arows.append(arow)
-            prows.append(prow)
-        calA.append(MatrixFunction(arows))
-        phi.append(MatrixFunction(prows))
-    return calA, phi
+    plus, minus = _slot_split(psi, eta)
+    return [m * _HALF for m in plus], [m * _HALF for m in minus]
 
 
 def _cov_deriv(calA, i: int, t: MatrixFunction) -> MatrixFunction:
@@ -742,13 +706,13 @@ def ym_field_residual(calA, phi, eta: Metric):
             )
             curv[j][k], curv[k][j] = f, -f
     nabla_phi = [[_cov_deriv(calA, j, p) for p in phi] for j in range(dim)]
-    phi_up = _raise_index(phi, eta, zero)
+    phi_up = eta.raise_index(phi)
 
     # eta is contracted first: eta^{ij} X_j once per i, then nabla_i once
     e1, e2 = [], []
     for k in range(dim):
-        curv_up = _raise_index([row[k] for row in curv], eta, zero)
-        nabla_up = _raise_index([row[k] for row in nabla_phi], eta, zero)
+        curv_up = eta.raise_index([row[k] for row in curv])
+        nabla_up = eta.raise_index([row[k] for row in nabla_phi])
         r1 = r2 = zero
         for i in range(dim):
             r1 = r1 + _cov_deriv(calA, i, curv_up[i])
@@ -791,35 +755,14 @@ def mc_vs_ym_compare(psi: LieValuedBVElement, eta: Metric, calibration=None):
     ``calibration`` when given, otherwise fitted on this sample; the report
     carries them under "calibration" as exact rationals.
     """
-    dim, rank = psi.dim, psi.rank
+    dim = psi.dim
     res = mc_residual(psi, eta)
     calA, phi = dictionary_fields(psi, eta)
     e1, e2 = ym_field_residual(calA, phi, eta)
 
     # unpack residual slots into per-direction matrix functions
-    aslot, pslot = [], []
-    vtilde_zero = True
-    for k in range(dim):
-        arows, prows = [], []
-        for p in range(rank):
-            arow, prow = [], []
-            for q in range(rank):
-                e = res.entry(p, q)
-                if not e.scalar.is_zero():
-                    vtilde_zero = False
-                sec = e.section if e.section is not None else GenSection.zero(dim)
-                lowered = FourierScalar.zero(dim)
-                for j in range(dim):
-                    w = eta.down(k, j)
-                    if w:
-                        lowered = lowered + sec.vec[j] * w
-                xi = sec.form[k]
-                arow.append(xi + lowered)
-                prow.append(xi - lowered)
-            arows.append(arow)
-            prows.append(prow)
-        aslot.append(MatrixFunction(arows))
-        pslot.append(MatrixFunction(prows))
+    aslot, pslot = _slot_split(res, eta)
+    vtilde_zero = all(e.scalar.is_zero() for row in res.grid for e in row)
 
     if calibration is None:
         c1 = _fit_constant(aslot, e1)

@@ -28,7 +28,6 @@ residuals  [[g, g]] + L_{div_Omega(g)} g  and  div_Omega(div_Omega(g)).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .scalars import (
     FourierScalar,
@@ -70,16 +69,6 @@ __all__ = [
 # components A^j; all index raising/lowering uses the constant metric eta.
 
 
-def _constants(rows, dim: int):
-    """The nonzero entries of a metric matrix as constant scalars, else None."""
-    return [[FourierScalar.const(dim, w) if w else None for w in row] for row in rows]
-
-
-def _contract(dim: int, consts, comps):
-    """sum_l consts[l] comps[l] over the nonzero constants, in one pass."""
-    return sum_of_products(dim, ((w, f) for w, f in zip(consts, comps) if w is not None))
-
-
 def c_half_bracket(a, b, eta: Metric):
     """The one-sided expression F(A,B)^j = A^i d_i B^j - d_i A^j B^i
     + eta^{rj} eta_{kl} d_r A^k B^l (not antisymmetric on its own)."""
@@ -87,20 +76,18 @@ def c_half_bracket(a, b, eta: Metric):
     n = len(a)
     assert len(b) == n == eta.dim
     dim = a[0].dim
-    upper = _constants(eta.upper, dim)
     da, db = _jacobian(a), _jacobian(b)
     # eta_{kl} d_r A^k B^l = d_r A^k B_k for each r, shared across components.
-    b_low = [_contract(dim, row, b) for row in _constants(eta.lower, dim)]
+    b_low = eta.lower_index(b)
     graded = [sum_of_products(dim, ((da[k][r], b_low[k]) for k in range(n))) for r in range(n)]
+    graded_up = eta.raise_index(graded)
     return tuple(
         sum_of_products(
             dim,
-            chain(
-                ((a[i], db[j][i]) for i in range(n)),
-                ((upper[r][j], graded[r]) for r in range(n) if upper[r][j] is not None),
-            ),
+            ((a[i], db[j][i]) for i in range(n)),
             ((da[j][i], b[i]) for i in range(n)),
         )
+        + graded_up[j]
         for j in range(n)
     )
 
@@ -137,10 +124,9 @@ def pair_constraint(a, b, eta: Metric):
     """Gradient-product residuals eta^{ij} d_i A^k d_j B^l for all k, l."""
     a, b = tuple(a), tuple(b)
     dim = a[0].dim
-    upper = _constants(eta.upper, dim)
     da = _jacobian(a)
     # eta^{ij} d_j B^l, the raised gradient of each component of B
-    b_up = [[_contract(dim, row, grad) for row in upper] for grad in _jacobian(b)]
+    b_up = [eta.raise_index(grad) for grad in _jacobian(b)]
     return tuple(
         tuple(sum_of_products(dim, zip(da[k], b_up[l])) for l in range(len(b)))
         for k in range(len(a))
@@ -155,37 +141,13 @@ def null_covector(eta: Metric, search: int = 6):
     """
     from itertools import product
 
-    if _is_definite(eta):
+    if eta.is_definite():
         return None
     for s in range(1, search + 1):
         for n in product(range(-s, s + 1), repeat=eta.dim):
-            if max(abs(v) for v in n) != s:
-                continue
-            if (
-                sum(
-                    eta.up(i, j) * n[i] * n[j]
-                    for i in range(eta.dim)
-                    for j in range(eta.dim)
-                )
-                == 0
-            ):
+            if max(abs(v) for v in n) == s and eta.norm2(n) == 0:
                 return n
     return None
-
-
-def _is_definite(eta: Metric) -> bool:
-    """Exact LDL^T test on eta^{ij}: every pivot is nonzero and of one sign."""
-    a = [list(row) for row in eta.upper]
-    first = a[0][0] > 0
-    for k in range(eta.dim):
-        p = a[k][k]
-        if not p or (p > 0) != first:
-            return False
-        for r in range(k + 1, eta.dim):
-            f = a[r][k] / p
-            for c in range(k + 1, eta.dim):
-                a[r][c] -= f * a[k][c]
-    return True
 
 
 def null_family_field(rng, eta: Metric, direction, cutoff: int, aligned: bool = True):
@@ -205,14 +167,13 @@ def null_family_field(rng, eta: Metric, direction, cutoff: int, aligned: bool = 
     const = [random_coefficient(rng) for _ in range(n)]
     if direction is None:
         return tuple(FourierScalar.const(n, c) for c in const)
+    sharp = eta.raise_index(direction)
     profiles = []
     for _ in range(rng.randint(1, 2)):
         m = rng.choice([s for s in range(-cutoff, cutoff + 1) if s])
         mode = tuple(m * d for d in direction)
         if aligned:
-            pol = tuple(
-                sum(eta.up(j, r) * direction[r] for r in range(n)) for j in range(n)
-            )
+            pol = sharp
         else:
             pol = tuple(random_coefficient(rng) for _ in range(n))
         profiles.append((mode, random_coefficient(rng), pol))

@@ -14,7 +14,6 @@ and the trilinear homotopy for associativity acting on one-form triples.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .bvops import sign
@@ -169,15 +168,6 @@ def dform(alpha: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(dim, alpha.degree + 1, comps)
 
 
-def _sqrt_fraction(value: Fraction) -> Fraction:
-    """Exact square root of a nonnegative rational, or raise."""
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"|det eta| = {value} is not a perfect rational square")
-    return Fraction(rn, rd)
-
-
 def _perm_sign(seq) -> int:
     """Sign of the permutation sorting ``seq`` (distinct entries)."""
     inversions = 0
@@ -195,8 +185,10 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
     ** = sgn(det) * (-1)^{p(D-p)}.
     """
     dim, p = alpha.dim, alpha.degree
-    det_lower = 1 / metric.det_upper
-    root = _sqrt_fraction(abs(det_lower))
+    root = metric.volume_root()
+    if root is None:
+        det = abs(1 / metric.det_upper)
+        raise ValueError(f"|det eta| = {det} is not a perfect rational square")
     comps = {}
     for raised in itertools.combinations(range(dim), p):
         # alpha with all indices raised, component on the increasing tuple
@@ -372,13 +364,16 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
     det_sign = 1 if 1 / eta.det_upper > 0 else -1
 
     def embed(x: YMElement) -> BVElement:
-        # degree (D-1) and D slots enter the big complex through the star
+        # The (D-1)- and D-form slots enter the big complex through the
+        # inverse star: beta -> -g1(*^{-1} beta) and omega -> *^{-1} omega.
+        # On p-forms ** = det_sign * (-1)^{p(D-p)}, so *^{-1} is
+        # det_sign * (-1)^{D-1} * on (D-1)-forms and det_sign * on top forms.
         if x.degree == 0:
             return BVElement.deg0(x.form.component(()))
         if x.degree == 1:
             return ym_embed("f1", x.form, eta)
         if x.degree == 2:
-            return (-det_sign) * ym_embed("g1", hodge(x.form, eta), eta)
+            return (-det_sign * sign(dim - 1)) * ym_embed("g1", hodge(x.form, eta), eta)
         return det_sign * BVElement.deg3(hodge(x.form, eta).component(()))
 
     def _match(y, x):

@@ -31,7 +31,7 @@ built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import add
 
 __all__ = [
@@ -401,11 +401,15 @@ def _scalar(dim: int, coeffs: dict) -> FourierScalar:
 class Metric:
     """A constant symmetric invertible matrix with exact rational entries.
 
-    ``upper`` holds the contravariant components eta^{ij} used in all index
-    contractions; ``lower`` is the exact matrix inverse eta_{ij}.
+    ``upper`` holds the contravariant components eta^{ij}; ``lower`` is the
+    exact matrix inverse eta_{ij}.  Every index contraction of the package
+    goes through the methods below.  ``raise_index`` and ``lower_index`` take
+    any values that add and scale by a rational (ints, scalars, graded and
+    matrix-valued elements); each row of an invertible matrix has a nonzero
+    entry, so no zero value is needed to start a sum.
     """
 
-    __slots__ = ("dim", "upper", "lower", "det_upper")
+    __slots__ = ("dim", "upper", "lower", "det_upper", "_up_rows", "_down_rows")
 
     def __init__(self, rows):
         mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -417,6 +421,8 @@ class Metric:
         self.dim = n
         self.upper = mat
         self.lower, self.det_upper = _invert(mat)
+        self._up_rows = _nonzero_rows(self.upper)
+        self._down_rows = _nonzero_rows(self.lower)
 
     @staticmethod
     def diagonal(entries) -> "Metric":
@@ -431,16 +437,64 @@ class Metric:
     def down(self, i: int, j: int) -> Fraction:
         return self.lower[i][j]
 
+    def pairs(self):
+        """The nonzero entries (i, j, eta^{ij}), row by row."""
+        return [(i, j, w) for i, row in enumerate(self._up_rows) for j, w in row]
+
+    def raise_index(self, ts) -> list:
+        """The list of eta^{ij} t_j over i."""
+        return [_row_sum(row, ts) for row in self._up_rows]
+
+    def lower_index(self, ts) -> list:
+        """The list of eta_{ij} t^j over i."""
+        return [_row_sum(row, ts) for row in self._down_rows]
+
+    def norm2(self, n):
+        """The quadratic form eta^{ij} n_i n_j."""
+        return sum(x * y for x, y in zip(n, self.raise_index(n)))
+
+    def is_definite(self) -> bool:
+        """Exact LDL^T test on eta^{ij}: every pivot is nonzero and of one sign."""
+        a = [list(row) for row in self.upper]
+        first = a[0][0] > 0
+        for k in range(self.dim):
+            p = a[k][k]
+            if not p or (p > 0) != first:
+                return False
+            for r in range(k + 1, self.dim):
+                f = a[r][k] / p
+                for c in range(k + 1, self.dim):
+                    a[r][c] -= f * a[k][c]
+        return True
+
+    def volume_root(self):
+        """sqrt|det eta_{ij}| when it is rational, else None."""
+        det = abs(1 / self.det_upper)
+        num, den = det.numerator, det.denominator
+        rn, rd = isqrt(num), isqrt(den)
+        if rn * rn != num or rd * rd != den:
+            return None
+        return Fraction(rn, rd)
+
+
+def _nonzero_rows(mat):
+    """Per row, the (column, entry) pairs of the nonzero entries."""
+    return tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in mat)
+
+
+def _row_sum(row, ts):
+    """sum_j w t_j over the (j, w) pairs of one nonempty metric row."""
+    (j, w), *rest = row
+    acc = ts[j] * w
+    for j, w in rest:
+        acc = acc + ts[j] * w
+    return acc
+
 
 def laplacian(f: FourierScalar, metric: Metric) -> FourierScalar:
-    """The constant-coefficient Laplacian sum_{ij} eta^{ij} d_i d_j f."""
-    out = FourierScalar.zero(f.dim)
-    for i in range(f.dim):
-        for j in range(f.dim):
-            w = metric.up(i, j)
-            if w:
-                out = out + f.derivative(i).derivative(j) * w
-    return out
+    """The constant-coefficient Laplacian eta^{ij} d_i d_j f."""
+    raised = metric.raise_index([f.derivative(j) for j in range(f.dim)])
+    return sum((g.derivative(i) for i, g in enumerate(raised)), FourierScalar.zero(f.dim))
 
 
 def _invert(mat):

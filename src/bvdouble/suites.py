@@ -34,7 +34,6 @@ most three and is marked ``"failures_truncated"`` when it had more.
 
 from __future__ import annotations
 
-import math
 import random as _random
 from fractions import Fraction
 
@@ -207,12 +206,6 @@ def _parse_metric(spec) -> Metric:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid metric: {exc}") from exc
-
-
-def _has_square_determinant(metric: Metric) -> bool:
-    det = abs(Fraction(metric.det_upper))
-    num, den = det.numerator, det.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
 # -- identity framework ----------------------------------------------------
@@ -1046,14 +1039,10 @@ def _tuple_sub(a, b):
 
 
 def _orthogonal_profiles(eta: Metric):
-    """Two nonzero rational vectors p, q with eta_{kl} p^k q^l = 0, or None."""
-    if eta.dim < 2:
-        return None
+    """Two nonzero rational vectors p, q with eta_{kl} p^k q^l = 0 (D >= 2)."""
     p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(eta.dim))
-    row = [eta.down(0, j) for j in range(eta.dim)]
+    row = eta.lower[0]
     nonzero = [j for j, r in enumerate(row) if r]
-    if not nonzero:
-        return None  # cannot happen for an invertible metric
     if len(nonzero) == 1:
         k = nonzero[0]
         m = 0 if k != 0 else 1
@@ -1087,10 +1076,7 @@ def _cbracket_identities(cfg: SuiteConfig):
         return _tuple_sub(c_half_bracket(a, b, cfg.metric), expected)
 
     def lie_reduction(cfg, f, g):
-        profiles = _orthogonal_profiles(cfg.metric)
-        if profiles is None:
-            return True
-        p, q = profiles
+        p, q = _orthogonal_profiles(cfg.metric)
         a = tuple(f * pk for pk in p)
         b = tuple(g * qk for qk in q)
         return _tuple_sub(c_bracket(a, b, cfg.metric), lie_bracket_vec(a, b))
@@ -1125,10 +1111,7 @@ def _cbracket_identities(cfg: SuiteConfig):
         jac = c_jacobiator(a, b, c, eta)
         if direction is None:
             return jac
-        sharp = tuple(
-            sum(eta.up(j, r) * direction[r] for r in range(eta.dim))
-            for j in range(eta.dim)
-        )
+        sharp = eta.raise_index(direction)
         out = []
         for j in range(eta.dim):
             for k in range(j + 1, eta.dim):
@@ -1247,9 +1230,6 @@ def _doublecopy_identities(cfg: SuiteConfig):
 
     def divergence_free_bivector(rng, cfg):
         h = cfg.dim
-        if h == 1:
-            # one doubled direction: only constants are divergence-free
-            return random_bivector(rng, h, 0)
         seedf = random_doubled_scalar(rng, h, cfg.mode_cutoff, sector="x")
         zero = DoubledScalar.zero(h)
         rows = [[zero] * h for _ in range(h)]
@@ -1360,7 +1340,7 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ConfigError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}"
         )
-    if name == "exterior" and not _has_square_determinant(config.metric):
+    if name == "exterior" and config.metric.volume_root() is None:
         raise ConfigError(
             "the exterior suite needs |det metric| to be a rational square"
         )

@@ -10,10 +10,15 @@ term-by-term definitions those forms replaced; the tests compare the two
 exactly.
 """
 
+from fractions import Fraction
+
 from bvdouble.bvcomplex import BVElement, op_q
 from bvdouble.bvops import brack, m_op, mu, nu
-from bvdouble.deform import MatrixFunction, R_eta, _eta_pairs, flat_sections
+from bvdouble.deform import MatrixFunction, R_eta, flat_sections
 from bvdouble.scalars import FourierScalar, Metric
+from bvdouble.sections import GenSection
+
+_HALF = Fraction(1, 2)
 
 
 def q_eta(x: BVElement, eta: Metric) -> BVElement:
@@ -25,7 +30,7 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     """sum eta^{ij} [nu(f_i, {f_j, x}, y) - mu(m(f_i, x), {f_j, y})]."""
     f = flat_sections(eta)
     acc = BVElement.zero(x.degree + y.degree, x.dim)
-    for i, j, w in _eta_pairs(eta):
+    for i, j, w in eta.pairs():
         acc = acc + nu(f[i], brack(f[j], x), y) * w
         acc = acc - mu(m_op(f[i], x), brack(f[j], y)) * w
     return acc
@@ -68,7 +73,7 @@ def ym_field_residual(calA, phi, eta: Metric):
     for k in range(dim):
         r1 = MatrixFunction.zero(rank, fdim)
         r2 = MatrixFunction.zero(rank, fdim)
-        for i, j, w in _eta_pairs(eta):
+        for i, j, w in eta.pairs():
             r1 = r1 + w * _cov_deriv(calA, i, curvature(j, k))
             r1 = r1 - w * commutator(_cov_deriv(calA, k, phi[i]), phi[j])
             r2 = r2 + w * _cov_deriv(calA, i, _cov_deriv(calA, j, phi[k]))
@@ -76,3 +81,30 @@ def ym_field_residual(calA, phi, eta: Metric):
         e1.append(r1)
         e2.append(r2)
     return e1, e2
+
+
+def dictionary_fields(psi, eta: Metric):
+    """calA_k = (B_k + eta_{kj} A^j)/2 and phi_k = (B_k - eta_{kj} A^j)/2,
+    lowered entry by entry and direction by direction."""
+    dim, rank = psi.dim, psi.rank
+    calA, phi = [], []
+    for k in range(dim):
+        arows, prows = [], []
+        for p in range(rank):
+            arow, prow = [], []
+            for q in range(rank):
+                e = psi.entry(p, q)
+                sec = e.section if e.section is not None else GenSection.zero(dim)
+                lowered = FourierScalar.zero(dim)
+                for j in range(dim):
+                    w = eta.down(k, j)
+                    if w:
+                        lowered = lowered + sec.vec[j] * w
+                b = sec.form[k]
+                arow.append((b + lowered) * _HALF)
+                prow.append((b - lowered) * _HALF)
+            arows.append(arow)
+            prows.append(prow)
+        calA.append(MatrixFunction(arows))
+        phi.append(MatrixFunction(prows))
+    return calA, phi

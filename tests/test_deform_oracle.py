@@ -12,11 +12,13 @@ from fractions import Fraction
 import deform_oracle as oracle
 import pytest
 
-from bvdouble.bvcomplex import random_element
+from bvdouble.bvcomplex import BVElement, random_element
 from bvdouble.bvops import brack
 from bvdouble.deform import (
+    LieValuedBVElement,
     MatrixFunction,
     Q_eta,
+    _slot_split,
     dictionary_fields,
     flat_sections,
     mc_from_fields,
@@ -103,3 +105,27 @@ def test_matrix_product_and_commutator_match_the_entrywise_sums(rank):
         same(a * b, oracle.matrix_product(a, b))
         same(a.commutator(b), oracle.commutator(a, b))
         same(a.commutator(a), MatrixFunction.zero(rank, DIM))
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_slot_split_matches_the_entrywise_lowering(name):
+    eta = METRICS[name]
+    rng = random.Random(f"slots:{name}")
+    for rank in (1, 2):
+        avec = [MatrixFunction.random(rng, rank, DIM, 2) for _ in range(DIM)]
+        bform = [MatrixFunction.random(rng, rank, DIM, 2) for _ in range(DIM)]
+        psi = mc_from_fields(avec, bform, eta)
+        cal_a, phi = dictionary_fields(psi, eta)
+        o_a, o_phi = oracle.dictionary_fields(psi, eta)
+        same(cal_a, o_a)
+        same(phi, o_phi)
+        # degree-2 entries, and a zero of another degree, which has no section
+        grid = [
+            [random_element(rng, DIM, 2, 2) for _ in range(rank)] for _ in range(rank)
+        ]
+        grid[-1][-1] = BVElement.zero(3, DIM)
+        x = LieValuedBVElement(grid)
+        plus, minus = _slot_split(x, eta)
+        o_plus, o_minus = oracle.dictionary_fields(x, eta)
+        same(plus, [m * 2 for m in o_plus])
+        same(minus, [m * 2 for m in o_minus])

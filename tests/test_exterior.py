@@ -220,3 +220,16 @@ def test_residual_battery_is_clean():
     ]
     # every residual in the pool has its row
     assert ids == list(_cinf_identity_pool(LORENTZ, None, 1))
+
+
+@pytest.mark.parametrize(
+    "diagonal", [[1, -1], [1, 1], [1, 1, 1, -1], [1, 1, -1, -1]], ids=str
+)
+def test_residual_battery_is_clean_in_even_dimensions(diagonal):
+    # ** on (D-1)-forms is det_sign * (-1)^(D-1); at even D that sign is the
+    # one the transport rows need from the (D-1)-form slot's embedding
+    cfg = SuiteConfig(
+        dim=len(diagonal), metric=Metric.diagonal(diagonal), mode_cutoff=1, samples=4, seed=9
+    )
+    rows = run_suite("exterior", cfg)["identities"]
+    assert [r["id"] for r in rows if not r["passed"]] == []

@@ -1,0 +1,30 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import pathlib
+import sys
+
+import bvdouble
+
+SOURCES = sorted(pathlib.Path(bvdouble.__file__).parent.glob("*.py"))
+
+
+def _absolute_imports(path):
+    """(line, top-level module) for every absolute import in one file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_every_import_is_stdlib_or_package_relative():
+    assert SOURCES
+    outside = [
+        f"{path.name}:{line}: {module}"
+        for path in SOURCES
+        for line, module in _absolute_imports(path)
+        if module not in sys.stdlib_module_names
+    ]
+    assert outside == []

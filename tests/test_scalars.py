@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvdouble.bvcomplex import random_element
+from bvdouble.deform import MatrixFunction
 from bvdouble.scalars import (
     FourierScalar,
     GaussRational,
@@ -175,6 +177,93 @@ def test_metric_rejects_singular_and_asymmetric():
         Metric([[1, 2], [3, 1]])
     with pytest.raises(ValueError, match="square"):
         Metric([[1, 0], [0]])
+
+
+LORENTZ = Metric.diagonal([1, 1, -1])
+DENSE = Metric(
+    [
+        [Fraction(5, 4), Fraction(3, 4), 0],
+        [Fraction(3, 4), Fraction(5, 4), 0],
+        [0, 0, -1],
+    ]
+)
+# positive definite, off-diagonal: 2 on the diagonal, 1/2 beside it
+DEFINITE6 = Metric(
+    [[2 if i == j else Fraction(1, 2) if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
+)
+METRICS = {"lorentz": LORENTZ, "dense": DENSE, "definite6": DEFINITE6}
+
+
+def _index_values(kind, rng, dim):
+    if kind == "scalar":
+        return [random_scalar(rng, dim, 2) for _ in range(dim)]
+    if kind == "element":
+        degree = rng.choice(range(4))
+        return [random_element(rng, dim, 1, degree) for _ in range(dim)]
+    return [MatrixFunction.random(rng, 2, dim, 1) for _ in range(dim)]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "element", "matrix"])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_lower_index_inverts_raise_index(name, kind):
+    eta = METRICS[name]
+    rng = random.Random(f"index:{name}:{kind}")
+    for _ in range(3):
+        ts = _index_values(kind, rng, eta.dim)
+        assert eta.lower_index(eta.raise_index(ts)) == ts
+        assert eta.raise_index(eta.lower_index(ts)) == ts
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_raise_index_and_pairs_follow_the_matrix(name):
+    eta = METRICS[name]
+    n = eta.dim
+    rng = random.Random(f"raise:{name}")
+    ts = [random_scalar(rng, n, 2) for _ in range(n)]
+    for i, t in enumerate(eta.raise_index(ts)):
+        expected = sum((ts[j] * eta.up(i, j) for j in range(n)), FourierScalar.zero(n))
+        assert t == expected
+    assert eta.pairs() == [
+        (i, j, eta.up(i, j)) for i in range(n) for j in range(n) if eta.up(i, j)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_norm2_is_the_double_sum(name):
+    eta = METRICS[name]
+    n = eta.dim
+    rng = random.Random(f"norm2:{name}")
+    for _ in range(20):
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        expected = sum(eta.up(i, j) * v[i] * v[j] for i in range(n) for j in range(n))
+        assert eta.norm2(v) == expected
+    assert LORENTZ.norm2((1, 0, 1)) == 0
+
+
+def test_definiteness():
+    assert DEFINITE6.is_definite()
+    assert Metric.diagonal([-1, -2]).is_definite()
+    assert not LORENTZ.is_definite()
+    assert not DENSE.is_definite()
+
+
+def test_volume_root():
+    # eta^{ij} = diag(1/4, 9, -1): |det eta_{ij}| = 4/9, a rational square
+    assert Metric.diagonal([Fraction(1, 4), 9, -1]).volume_root() == Fraction(2, 3)
+    assert DENSE.volume_root() == 1
+    assert Metric.diagonal([1, 2]).volume_root() is None
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_laplacian_is_the_double_sum(name):
+    eta = METRICS[name]
+    n = eta.dim
+    f = random_scalar(random.Random(f"lap:{name}"), n, 2, max_modes=4)
+    expected = FourierScalar.zero(n)
+    for i in range(n):
+        for j in range(n):
+            expected = expected + f.derivative(i).derivative(j) * eta.up(i, j)
+    assert laplacian(f, eta) == expected
 
 
 def test_laplacian_eigenvalue_on_harmonics():
