@@ -268,9 +268,7 @@ class YMElement:
                 return other
             if other.is_zero():
                 return self
-            raise AssertionError(
-                f"degree mismatch {self.degree} vs {other.degree}"
-            )
+            raise TypeError(f"cannot add degrees {self.degree} and {other.degree}")
         return YMElement(self.degree, self.form + other.form)
 
     def __sub__(self, other):

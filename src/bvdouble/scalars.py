@@ -5,7 +5,7 @@ Scalars are finite Fourier sums
     f(x) = sum_k  c_k  e^{i k.x},      k in Z^D,
 
 with coefficients c_k in Q(i), stored sparsely as a dict mapping the integer
-mode vector (a tuple) to a Gaussian rational.  In this model
+mode vector to a Gaussian rational.  In this model
 
   * the product of two scalars is the convolution of their coefficient dicts,
   * the partial derivative d/dx^j multiplies the coefficient of mode k by i*k_j,
@@ -21,6 +21,19 @@ their results through a trusted constructor that skips the public one's
 coercion and validation; they keep its invariant that no zero coefficient is
 ever stored.
 
+Packed modes: a mode k is stored as the one int  sum_j k_j * 2^(W*j),  its
+components being signed digits of the fixed width W = 32 (Kronecker
+substitution).  The map is linear, so the mode of a convolution term is one
+int addition, and a dict lookup hashes a small int instead of a tuple.  It is
+injective while every |k_j| < 2^(W-1); ``derivative`` reads k_j back by
+adding 2^(W-1) to each digit up to j (so no lower digit borrows), then a
+shift and a mask.  Each scalar carries ``reach``, an upper bound on every
+|k_j|: the public constructor sets it, sums and derivatives keep the larger
+one, and a product's reach is the sum of its factors'.  A product whose reach
+would leave the digit range raises ``OverflowError`` instead of aliasing
+modes.  The read-only property ``coeffs`` unpacks the modes into a new dict
+keyed by mode tuples, in storage order.
+
 Reduce once per output coefficient: products, sums, differences and whole
 signed sums of products (``sum_of_products``) accumulate raw ``(a, b, d)``
 int triples per mode, with no gcd and no intermediate ``GaussRational``, and
@@ -30,9 +43,11 @@ built.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
-from operator import add
+from operator import lshift
 
 __all__ = [
     "GaussRational",
@@ -196,25 +211,65 @@ _new = object.__new__
 
 _ZERO = GaussRational(0)
 
+# Packed modes: digit width (the width of the ``struct`` format "i" that
+# ``_digits`` reads), the bound every |k_j| stays below, and the digit mask.
+_W = 32
+_HALF = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+
+
+def _shifts(dim: int) -> range:
+    """The bit offset of each digit of a packed mode on T^dim."""
+    return range(0, _W * dim, _W)
+
+
+@cache
+def _digits(n: int):
+    """The bias, byte length and signed-digit reader of n packed digits.
+
+    The bias is 2^(W-1) in each digit: added to a packed mode, it makes every
+    digit nonnegative, so none borrows from the next.  XOR with the bias then
+    leaves each digit as its 32-bit two's complement, which ``struct`` reads.
+    """
+    bias = _HALF * (((1 << (_W * n)) - 1) // _MASK)
+    return bias, _W // 8 * n, struct.Struct(f"<{n}i").unpack
+
 
 class FourierScalar:
     """A finite Fourier sum on the torus T^dim with Q(i) coefficients."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "_terms", "reach")
 
     def __init__(self, dim: int, coeffs=None):
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
         self.dim = dim
         clean = {}
+        reach = 0
         if coeffs:
             for mode, c in coeffs.items():
                 c = GaussRational.coerce(c)
                 if c:
                     if len(mode) != dim:
                         raise ValueError(f"mode {mode} has wrong arity")
-                    clean[tuple(int(m) for m in mode)] = c
-        self.coeffs = clean
+                    mode = tuple(int(m) for m in mode)
+                    top = max(map(abs, mode))
+                    if top >= _HALF:
+                        raise ValueError(
+                            f"mode {mode} has a component outside (-2**{_W - 1}, 2**{_W - 1})"
+                        )
+                    reach = max(reach, top)
+                    clean[sum(map(lshift, mode, _shifts(dim)))] = c
+        self._terms = clean
+        self.reach = reach
+
+    @property
+    def coeffs(self) -> dict:
+        """A new dict from mode tuples to coefficients, in storage order."""
+        bias, size, read = _digits(self.dim)
+        return {
+            read(((m + bias) ^ bias).to_bytes(size, "little")): c for m, c in self._terms.items()
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -241,8 +296,10 @@ class FourierScalar:
             if not isinstance(other, (int, Fraction, GaussRational)):
                 return NotImplemented
             other = FourierScalar.const(self.dim, other)
-        assert self.dim == other.dim
-        return _scalar(self.dim, _merge(self.coeffs, other.coeffs, sign))
+        elif other.dim != self.dim:
+            raise ValueError(f"cannot add scalars on T^{self.dim} and T^{other.dim}")
+        r, s = self.reach, other.reach
+        return _scalar(self.dim, _merge(self._terms, other._terms, sign), r if r >= s else s)
 
     __radd__ = __add__
 
@@ -253,11 +310,12 @@ class FourierScalar:
         return (-self) + other
 
     def __neg__(self):
-        return _scalar(self.dim, {m: _gauss(-c._a, -c._b, c._d) for m, c in self.coeffs.items()})
+        return _scalar(
+            self.dim, {m: _gauss(-c._a, -c._b, c._d) for m, c in self._terms.items()}, self.reach
+        )
 
     def __mul__(self, other):
         if isinstance(other, FourierScalar):
-            assert self.dim == other.dim
             return sum_of_products(self.dim, ((self, other),))
         if not isinstance(other, (int, Fraction, GaussRational)):
             return NotImplemented
@@ -267,8 +325,8 @@ class FourierScalar:
             return -self
         s = GaussRational.coerce(other)
         if not s:
-            return _scalar(self.dim, {})
-        return _scalar(self.dim, {m: c * s for m, c in self.coeffs.items()})
+            return _scalar(self.dim, {}, 0)
+        return _scalar(self.dim, {m: c * s for m, c in self._terms.items()}, self.reach)
 
     __rmul__ = __mul__
 
@@ -276,39 +334,47 @@ class FourierScalar:
 
     def derivative(self, j: int) -> "FourierScalar":
         """d/dx^j: the coefficient of mode k picks up a factor i*k_j."""
-        assert 0 <= j < self.dim
+        if not 0 <= j < self.dim:
+            raise ValueError(f"no axis {j} on a torus of dimension {self.dim}")
+        bias, shift = _digits(j + 1)[0], _W * j
         return _scalar(
-            self.dim, {m: _times_i(c, m[j]) for m, c in self.coeffs.items() if m[j]}
+            self.dim,
+            {
+                m: _times_i(c, k)
+                for m, c in self._terms.items()
+                if (k := (((m + bias) >> shift) & _MASK) - _HALF)
+            },
+            self.reach,
         )
 
     def integral(self) -> GaussRational:
         """Normalised integral over the torus (the mode-0 coefficient)."""
-        return self.coeffs.get((0,) * self.dim, _ZERO)
+        return self._terms.get(0, _ZERO)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = FourierScalar.const(self.dim, other)
         if not isinstance(other, FourierScalar):
             return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
+        return self.dim == other.dim and self._terms == other._terms
 
     def __hash__(self):
         # a constant scalar equals its coefficient, so it hashes like it
-        zero = (0,) * self.dim
-        if not self.coeffs.keys() - {zero}:
-            return hash(self.coeffs.get(zero, _ZERO))
-        return hash((self.dim, frozenset(self.coeffs.items())))
+        terms = self._terms
+        if not terms.keys() - {0}:
+            return hash(terms.get(0, _ZERO))
+        return hash((self.dim, frozenset(terms.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._terms:
             return "0"
         terms = [f"{c}*e[{','.join(map(str, m))}]" for m, c in sorted(self.coeffs.items())]
         return " + ".join(terms)
@@ -317,17 +383,17 @@ class FourierScalar:
 def _convolve_into(acc: dict, f: FourierScalar, g: FourierScalar, sign: int) -> None:
     """Add ``sign * f * g`` into ``acc`` as unreduced ``(a, b, d)`` triples.
 
-    ``acc`` maps modes to triples with ``d > 0``; sums over a shared
+    ``acc`` maps packed modes to triples with ``d > 0``; sums over a shared
     denominator (or one that divides the other) add the numerators only.
     """
-    right = [(m, c._a, c._b, c._d) for m, c in g.coeffs.items()]
+    right = [(m, c._a, c._b, c._d) for m, c in g._terms.items()]
     if not right:
         return
     get = acc.get
-    for m1, c1 in f.coeffs.items():
+    for m1, c1 in f._terms.items():
         a1, b1, d1 = sign * c1._a, sign * c1._b, c1._d
         for m2, a2, b2, d2 in right:
-            mode = tuple(map(add, m1, m2))
+            mode = m1 + m2
             a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
             t = get(mode)
             if t is None:
@@ -376,25 +442,36 @@ def sum_of_products(dim: int, pairs, negated=()) -> FourierScalar:
     """sum f*g over ``pairs`` minus sum f*g over ``negated``.
 
     Every product accumulates into one dict of unreduced triples, and each
-    mode of the result is reduced once.
+    mode of the result is reduced once.  Raises ``ValueError`` if a factor
+    is not on T^dim and ``OverflowError`` if a product's reach would leave
+    the packed digit range.
     """
     acc = {}
-    for f, g in pairs:
-        _convolve_into(acc, f, g, 1)
-    for f, g in negated:
-        _convolve_into(acc, f, g, -1)
-    return _scalar(dim, _reduce_all(acc))
+    reach = 0
+    for sign, group in ((1, pairs), (-1, negated)):
+        for f, g in group:
+            if f.dim != dim or g.dim != dim:
+                raise ValueError(f"cannot multiply T^{f.dim} and T^{g.dim} scalars on T^{dim}")
+            r = f.reach + g.reach
+            if r > reach:
+                if r >= _HALF:
+                    raise OverflowError(f"a product may reach mode component {r} >= 2**{_W - 1}")
+                reach = r
+            _convolve_into(acc, f, g, sign)
+    return _scalar(dim, _reduce_all(acc), reach)
 
 
-def _scalar(dim: int, coeffs: dict) -> FourierScalar:
+def _scalar(dim: int, terms: dict, reach: int) -> FourierScalar:
     """Trusted constructor for the ring operations.
 
-    ``coeffs`` must already map int-tuple modes of arity ``dim`` to nonzero
-    ``GaussRational`` values; it is stored without copying.
+    ``terms`` must already map packed modes on T^dim to nonzero
+    ``GaussRational`` values, each component within ``reach``; it is stored
+    without copying.
     """
     f = _new(FourierScalar)
     f.dim = dim
-    f.coeffs = coeffs
+    f._terms = terms
+    f.reach = reach
     return f
 
 
@@ -548,11 +625,14 @@ def random_coefficient(rng) -> GaussRational:
 
 def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScalar:
     """A sparse random scalar with 1..max_modes modes in [-cutoff, cutoff]^dim."""
+    if cutoff >= _HALF:
+        raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
     choice = rng.choice
     axes = (range(-cutoff, cutoff + 1),) * dim
+    shifts = _shifts(dim)
     coeffs = {}
     for _ in range(choice(range(1, max_modes + 1))):
-        mode = tuple(map(choice, axes))
+        mode = sum(map(lshift, map(choice, axes), shifts))
         c = random_coefficient(rng)
         coeffs[mode] = coeffs.get(mode, _ZERO) + c
-    return _scalar(dim, {m: c for m, c in coeffs.items() if c})
+    return _scalar(dim, {m: c for m, c in coeffs.items() if c}, cutoff)

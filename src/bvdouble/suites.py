@@ -98,6 +98,9 @@ from .serialize import parse_fraction, to_jsonable
 __all__ = ["ConfigError", "SuiteConfig", "SUITE_NAMES", "run_suite"]
 
 _FAILURE_CAP = 3  # at most this many serialized witnesses per failing row
+# Scalars pack each mode component into a digit that holds |k| < 2**31, so
+# this cap leaves 2**11 of headroom for the modes that products reach.
+_MAX_MODE_CUTOFF = 2**20
 
 
 class ConfigError(ValueError):
@@ -134,6 +137,8 @@ class SuiteConfig:
                 raise ConfigError(f"{label} must be a positive integer, got {value!r}")
         if dim < 2:
             raise ConfigError(f"dimension must be at least 2, got {dim}")
+        if mode_cutoff > _MAX_MODE_CUTOFF:
+            raise ConfigError(f"mode_cutoff must be at most 2**20, got {mode_cutoff}")
         if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         if metric is None:
@@ -217,7 +222,8 @@ class Identity:
     __slots__ = ("ident", "statement", "sampler", "expect")
 
     def __init__(self, ident: str, statement: str, sampler, expect: str = "zero"):
-        assert expect in ("zero", "nonzero")
+        if expect not in ("zero", "nonzero"):
+            raise ValueError(f"expect must be 'zero' or 'nonzero', got {expect!r}")
         self.ident = ident
         self.statement = statement
         self.sampler = sampler

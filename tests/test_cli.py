@@ -184,3 +184,16 @@ def test_one_dimensional_torus_is_a_config_error(tmp_path, capsys, suite):
     assert "dimension must be at least 2" in err
     with pytest.raises(ConfigError):
         SuiteConfig(dim=1)
+
+
+def test_mode_cutoff_above_the_packed_bound_exits_two(tmp_path, capsys):
+    # scalars pack mode components into 32-bit digits; the cap keeps headroom
+    assert SuiteConfig(mode_cutoff=2**20).mode_cutoff == 2**20
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode_cutoff": 2**20 + 1}), encoding="utf-8")
+    code = main(["verify", "--suite", "courant", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "mode_cutoff must be at most 2**20" in err
+    with pytest.raises(ConfigError):
+        SuiteConfig(mode_cutoff=2**40)

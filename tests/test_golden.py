@@ -4,9 +4,12 @@ The sha256 of ``bvdouble verify --suite all --samples 1 --seed 101`` at the
 default configuration, and of the ``deform`` and ``ym`` suites at seed 101
 on the off-diagonal metric [[5/4,3/4,0],[3/4,5/4,0],[0,0,-1]] with rank-2
 matrices, which exercises the non-diagonal index contractions of the
-deformation.  A change that is meant to leave behaviour alone (a refactor or
-a speedup) must leave these hashes as they are; only a change whose purpose
-is new report content may update them, and says why.
+deformation.  The same ``--suite all`` run is also pinned at D=4
+(Lorentzian) and at D=2 (``[1, -1]``), so the mode arithmetic is locked at
+axis counts other than the default 3 and the 6-axis doubled torus.  A change
+that is meant to leave behaviour alone (a refactor or a speedup) must leave
+these hashes as they are; only a change whose purpose is new report content
+may update them, and says why.
 """
 
 import hashlib
@@ -30,6 +33,18 @@ OFF_DIAGONAL_CONFIG = {
 OFF_DIAGONAL_SHA256 = {
     "deform": "f61599cf16f2d9b267a1787151e5bce409d0b0d9efd486289f36716d0a0d23c4",
     "ym": "a3124b2a2a4bdd709a5ec0a319ace3c9bff6d9ba8ca9c1ba7c0497469d5c3b89",
+}
+
+
+OTHER_AXIS_COUNTS = {
+    "D4": (
+        {"dimension": 4, "metric": [1, 1, 1, -1]},
+        "bf256b64dc36ce5fa1eb3f1c59fa6dd9ef8a16de29f8dda47eb84a760bebc23d",
+    ),
+    "D2": (
+        {"dimension": 2, "metric": [1, -1]},
+        "8faa9b0d8dbaddadc37efe9e86e4809b3e5e0cdb11bc93798ebbdede74c3cfcd",
+    ),
 }
 
 
@@ -65,3 +80,11 @@ def test_off_diagonal_deform_report_is_byte_identical(suite, tmp_path, capsys):
     cfg.write_text(json.dumps(OFF_DIAGONAL_CONFIG))
     argv = ["verify", "--suite", suite, "--seed", "101", "--config", str(cfg)]
     assert _sha256(capsys, argv) == OFF_DIAGONAL_SHA256[suite]
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_AXIS_COUNTS))
+def test_other_axis_counts_report_is_byte_identical(name, tmp_path, capsys):
+    config, digest = OTHER_AXIS_COUNTS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert _sha256(capsys, [*GOLDEN_ARGV, "--config", str(cfg)]) == digest

@@ -275,11 +275,13 @@ def test_laplacian_eigenvalue_on_harmonics():
 
 def test_random_scalar_respects_cutoff():
     rng = random.Random(0)
-    for _ in range(50):
-        f = random_scalar(rng, 3, 2)
-        for mode in f.coeffs:
-            assert all(abs(k) <= 2 for k in mode)
-        assert f.coeffs  # never silently zero
+    for dim in (3, 1, 8):
+        for _ in range(50):
+            f = random_scalar(rng, dim, 2)
+            for mode in f.coeffs:
+                assert len(mode) == dim and all(abs(k) <= 2 for k in mode)
+            assert f.coeffs  # never silently zero
+            assert f.reach == 2  # the packed-mode bound is the cutoff
 
 
 def test_random_coefficient_is_nonzero():

@@ -8,7 +8,7 @@ from bvdouble import suites
 from bvdouble.cli import main
 from bvdouble.scalars import Metric
 from bvdouble.serialize import canonical_dumps
-from bvdouble.suites import SUITE_NAMES, ConfigError, SuiteConfig, run_suite
+from bvdouble.suites import SUITE_NAMES, ConfigError, Identity, SuiteConfig, run_suite
 
 
 def test_default_configuration():
@@ -86,6 +86,12 @@ def test_suite_names_are_stable():
 def test_unknown_suite_is_rejected():
     with pytest.raises(ConfigError, match="unknown suite"):
         run_suite("nonsense", SuiteConfig())
+
+
+def test_identity_rejects_an_unknown_expectation():
+    # a ValueError, not an assert, so ``python -O`` keeps the check
+    with pytest.raises(ValueError, match="expect"):
+        Identity("x", "statement", sampler=None, expect="zeros")
 
 
 def test_exterior_requires_a_square_volume():
