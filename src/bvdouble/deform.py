@@ -14,6 +14,9 @@ fields f_i.  The module provides:
   * matrix-valued elements, the Maurer-Cartan residual of a degree-1 matrix
     element, its gauge variation, and the exact dictionary onto covariant
     Yang-Mills field equations for the pair (gauge field, adjoint scalars);
+    the matrix-tensored sums are fused kernels that read per-entry jets
+    (components, derivatives, pairings) and sum each output component in
+    one pass, with musym_eta and nusym in closed form on degree 1;
   * the embeddings of the three differential-form subcomplexes.
 
 Everything is exact; calibration constants for the Maurer-Cartan comparison
@@ -37,7 +40,7 @@ from .scalars import (
     random_scalar,
     sum_of_products,
 )
-from .sections import GenSection, coordinate_section, divergence, pairing
+from .sections import GenSection, _jacobian, coordinate_section, divergence, pairing
 
 __all__ = [
     "flat_sections",
@@ -52,9 +55,6 @@ __all__ = [
     "ym_embed",
     "MatrixFunction",
     "LieValuedBVElement",
-    "tensor_bilinear",
-    "tensor_trilinear",
-    "lie_q_eta",
     "mc_from_fields",
     "mc_residual",
     "gauge_variation",
@@ -425,9 +425,13 @@ class MatrixFunction:
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
         n = len(rows)
-        assert n and all(len(r) == n for r in rows)
+        if not n or any(len(r) != n for r in rows):
+            raise ValueError("a matrix function needs a nonempty square grid of entries")
+        if not all(isinstance(e, FourierScalar) for row in rows for e in row):
+            raise TypeError("matrix function entries must be FourierScalars")
         dim = rows[0][0].dim
-        assert all(e.dim == dim for row in rows for e in row)
+        if any(e.dim != dim for row in rows for e in row):
+            raise ValueError("matrix function entries live on tori of different dimensions")
         self.rank = n
         self.dim = dim
         self.rows = rows
@@ -450,7 +454,10 @@ class MatrixFunction:
         return self.rows[p][q]
 
     def __add__(self, other):
-        assert isinstance(other, MatrixFunction) and other.rank == self.rank
+        if not isinstance(other, MatrixFunction):
+            return NotImplemented
+        if other.rank != self.rank:
+            raise ValueError(f"cannot add matrices of rank {self.rank} and {other.rank}")
         return MatrixFunction(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -479,16 +486,7 @@ class MatrixFunction:
 
     def commutator(self, other) -> "MatrixFunction":
         """self * other - other * self, each entry summed in one pass."""
-        cols, self_cols = tuple(zip(*other.rows)), tuple(zip(*self.rows))
-        return MatrixFunction(
-            [
-                [
-                    sum_of_products(self.dim, chain(zip(row, col), zip(neg, scol)))
-                    for col, scol in zip(cols, self_cols)
-                ]
-                for row, neg in zip(self.rows, (-other).rows)
-            ]
-        )
+        return _matrix_sum((), (), [(self, other)])
 
     def derivative(self, j: int) -> "MatrixFunction":
         return MatrixFunction([[a.derivative(j) for a in row] for row in self.rows])
@@ -513,13 +511,18 @@ class LieValuedBVElement:
     def __init__(self, grid):
         grid = tuple(tuple(row) for row in grid)
         n = len(grid)
-        assert n and all(len(r) == n for r in grid)
+        if not n or any(len(r) != n for r in grid):
+            raise ValueError("a matrix-valued element needs a nonempty square grid")
+        if not all(isinstance(e, BVElement) for row in grid for e in row):
+            raise TypeError("matrix-valued element entries must be BVElements")
         degree = grid[0][0].degree
         dim = grid[0][0].dim
         for row in grid:
             for e in row:
-                assert e.dim == dim
-                assert e.degree == degree or e.is_zero()
+                if e.dim != dim:
+                    raise ValueError("entries live on tori of different dimensions")
+                if e.degree != degree and not e.is_zero():
+                    raise ValueError(f"a degree-{e.degree} entry in a degree-{degree} grid")
         self.rank = n
         self.degree = degree
         self.dim = dim
@@ -537,7 +540,10 @@ class LieValuedBVElement:
         return LieValuedBVElement([[fn(e) for e in row] for row in self.grid])
 
     def __add__(self, other):
-        assert isinstance(other, LieValuedBVElement) and other.rank == self.rank
+        if not isinstance(other, LieValuedBVElement):
+            return NotImplemented
+        if other.rank != self.rank:
+            raise ValueError(f"cannot add matrices of rank {self.rank} and {other.rank}")
         return LieValuedBVElement(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -561,45 +567,6 @@ class LieValuedBVElement:
 
     def __repr__(self):
         return f"LieValuedBVElement(rank={self.rank}, degree={self.degree})"
-
-
-def tensor_bilinear(op, x: LieValuedBVElement, y: LieValuedBVElement):
-    """Matrix-tensored bilinear operation: (p,q) -> sum_r op(x[p][r], y[r][q])."""
-    assert x.rank == y.rank
-    n = x.rank
-    grid = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            acc = op(x.entry(p, 0), y.entry(0, q))
-            for r in range(1, n):
-                acc = acc + op(x.entry(p, r), y.entry(r, q))
-            row.append(acc)
-        grid.append(row)
-    return LieValuedBVElement(grid)
-
-
-def tensor_trilinear(op, x, y, z):
-    """Matrix-tensored trilinear operation with a double internal sum."""
-    assert x.rank == y.rank == z.rank
-    n = x.rank
-    grid = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            acc = None
-            for r in range(n):
-                for s in range(n):
-                    term = op(x.entry(p, r), y.entry(r, s), z.entry(s, q))
-                    acc = term if acc is None else acc + term
-            row.append(acc)
-        grid.append(row)
-    return LieValuedBVElement(grid)
-
-
-def lie_q_eta(x: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
-    """Entrywise deformed differential on matrix-valued elements."""
-    return x.apply(lambda e: Q_eta(e, eta))
 
 
 # -- Maurer-Cartan theory --------------------------------------------------
@@ -627,28 +594,183 @@ def mc_from_fields(avec, bform, eta: Metric) -> LieValuedBVElement:
     return LieValuedBVElement(grid)
 
 
+def _entries(x: LieValuedBVElement, degree: int):
+    """The grid of x, with each (zero) entry of another degree read as the zero of ``degree``."""
+    zero = BVElement.zero(degree, x.dim)
+    return [[e if e.degree == degree else zero for e in row] for row in x.grid]
+
+
+@lru_cache(maxsize=None)
+def _one(dim: int) -> FourierScalar:
+    """The constant 1 on T^dim: a linear term f enters a sum of products as (1, f)."""
+    return FourierScalar.one(dim)
+
+
+class _Jet:
+    """The invariants of one degree-1 matrix entry x = (A, v), computed once.
+
+    ``comps`` holds the 2D section components, vector part a^k first, then
+    one-form part alpha_k; ``swapped`` holds the pairing partner of each
+    (alpha then a), so <x, y> = sum_m x.comps[m] y.swapped[m], and
+    ``half_swapped`` is it halved.  ``jac[m][k]`` = d_k comps[m],
+    ``up[m][j]`` = eta^{jk} d_k comps[m], ``plus[k]`` = a^k + eta^{kj}
+    alpha_j and ``scalar`` = v.
+    """
+
+    __slots__ = ("comps", "swapped", "half_swapped", "jac", "up", "plus", "scalar")
+
+    def __init__(self, e: BVElement, eta: Metric):
+        sec = e.section
+        self.comps = sec.vec + sec.form
+        self.swapped = sec.form + sec.vec
+        self.half_swapped = tuple(c * _HALF for c in self.swapped)
+        self.jac = _jacobian(self.comps)
+        self.up = [eta.raise_index(row) for row in self.jac]
+        self.plus = [a + b for a, b in zip(sec.vec, eta.raise_index(sec.form))]
+        self.scalar = e.scalar
+
+
+def _musym_terms(x: _Jet, y: _Jet, c: int, plus: list, minus: list) -> None:
+    """Append the signed product pairs of component c of musym_eta(x, y).
+
+    On degree-1 entries x = (A, v), y = (B, w), with A = (a, alpha) and
+    B = (b, beta), musym_eta(x, y) = (S, 0) with
+
+        S_c = plus_x^k d_k y_c - plus_y^k d_k x_c + w x_c - v y_c
+              + (1/2) sum_m (y.swapped[m] D_c x_m - x.swapped[m] D_c y_m),
+
+    where D_c = d_j on the one-form component c = alpha_j and
+    D_c = eta^{jk} d_k on the vector component c = a^j.
+
+    Derivation.  musym_eta(x, y) = (mu_eta(x, y) - mu_eta(y, x)) / 2.  On
+    degree (1, 1), mu(x, y) = ([A, B] + w A - v B, <A, B>/2), so the scalar
+    slots cancel and mu contributes ([A, B] - [B, A])/2 + w A - v B.  That
+    Dorfman half difference is a^k d_k b^j - b^k d_k a^j on vectors and
+    a^k d_k beta_j - b^k d_k alpha_j plus the last term with D_c = d_j on
+    forms.  mu_bar_eta(x, y) = (alpha_i d-hat^i B - beta_i d-hat^i A
+    + <d-hat^j A, B> e_j, 0) with d-hat^i = eta^{ik} d_k, whose half
+    difference adds alpha_i d-hat^i B - beta_i d-hat^i A and, on vectors,
+    (<d-hat^j A, B> - <d-hat^j B, A>)/2: the last term with D_c = d-hat^j.
+    Since alpha_i d-hat^i = (eta^{ki} alpha_i) d_k, the derivative terms
+    join into plus_x^k d_k y_c - plus_y^k d_k x_c.
+    """
+    dim = len(x.plus)
+    plus.extend(zip(x.plus, y.jac[c]))
+    minus.extend(zip(y.plus, x.jac[c]))
+    plus.append((y.scalar, x.comps[c]))
+    minus.append((x.scalar, y.comps[c]))
+    j = c % dim
+    xd, yd = (x.up, y.up) if c < dim else (x.jac, y.jac)
+    plus.extend((h, row[j]) for h, row in zip(y.half_swapped, xd))
+    minus.extend((h, row[j]) for h, row in zip(x.half_swapped, yd))
+
+
 def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
-    """Left side of the generalized field equation for a degree-1 element."""
+    """Left side of the generalized field equation for a degree-1 element.
+
+    Q^eta psi + sum_r musym_eta(psi_pr, psi_rq)
+    + sum_{r,s} nusym(psi_pr, psi_rs, psi_sq), each section component of
+    each entry summed as one signed sum of products over r (and s); the
+    product terms have no scalar slot.  musym_eta is in closed form (see
+    ``_musym_terms``).  For nusym on degree (1, 1, 1), write A_x for the
+    section of x: every m value m(x, z) = (0, <x, z>) is section-free and
+    mu((0, s), y) = (-s A_y, 0), so
+
+        nusym(x, y, z) = mu(m(x, z), y) - mu(m(y, z), x)/2 - mu(m(x, y), z)/2
+                       = (-<x, z> A_y + <y, z> A_x / 2 + <x, y> A_z / 2, 0).
+
+    With G(e, f) = <psi_e, psi_f> the Gram matrix of entry pairings and
+    P(p, q) = sum_r G(pr, rq), the nu sum is
+    -sum_{r,s} G(pr, sq) A_rs + (1/2) sum_r (P(r, q) A_pr + P(p, r) A_rq).
+    """
     if psi.degree != 1:
         raise ValueError("Maurer-Cartan element must have degree 1")
-    qpart = lie_q_eta(psi, eta)
-    mupart = tensor_bilinear(lambda a, b: musym_eta(a, b, eta), psi, psi)
-    nupart = tensor_trilinear(nusym, psi, psi, psi)
-    return qpart + mupart + nupart
+    n, dim = psi.rank, psi.dim
+    entries = _entries(psi, 1)
+    jets = [[_Jet(e, eta) for e in row] for row in entries]
+    flat = [j for row in jets for j in row]
+    gram = [[None] * (n * n) for _ in range(n * n)]
+    for a, x in enumerate(flat):
+        for b in range(a, n * n):
+            gram[a][b] = gram[b][a] = sum_of_products(dim, zip(x.comps, flat[b].swapped))
+    half_p = [
+        [
+            sum_of_products(
+                dim,
+                chain.from_iterable(
+                    zip(jets[p][r].comps, jets[r][q].half_swapped) for r in range(n)
+                ),
+            )
+            for q in range(n)
+        ]
+        for p in range(n)
+    ]
+    one = _one(dim)
+    grid = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            qx = Q_eta(entries[p][q], eta)
+            comps = []
+            for c, qc in enumerate(qx.section.vec + qx.section.form):
+                plus, minus = [(one, qc)], []
+                for r in range(n):
+                    _musym_terms(jets[p][r], jets[r][q], c, plus, minus)
+                    plus.append((half_p[r][q], jets[p][r].comps[c]))
+                    plus.append((half_p[p][r], jets[r][q].comps[c]))
+                    g = gram[p * n + r]
+                    minus.extend((g[s * n + q], jets[r][s].comps[c]) for s in range(n))
+                comps.append(sum_of_products(dim, plus, minus))
+            row.append(BVElement.deg2(GenSection(comps[:dim], comps[dim:]), qx.scalar))
+        grid.append(row)
+    return LieValuedBVElement(grid)
 
 
 def gauge_variation(
     psi: LieValuedBVElement, u: LieValuedBVElement, eta: Metric
 ) -> LieValuedBVElement:
-    """Infinitesimal gauge move Q u + mu(psi,u) - mu(u,psi) (matrix-tensored)."""
+    """Infinitesimal gauge move Q u + mu(psi,u) - mu(u,psi) (matrix-tensored).
+
+    For x = (A, v) of degree 1 and u of degree 0, mu_bar_eta(u, x) = 0 and
+    musym_eta(x, u) = musym_eta(u, x) = (u A, u v - (1/2) plus_x^k d_k u),
+    so entry (p, q) is Q^eta u_pq plus sum_r (u_rq A_pr - u_pr A_rq) on the
+    section and sum_r (u_rq v_pr - u_pr v_rq - (1/2) plus_pr.d u_rq
+    + (1/2) plus_rq.d u_pr) on the scalar slot, each summed in one pass.
+    """
     if u.degree != 0:
         raise ValueError("gauge parameter must have degree 0")
-    me = lambda a, b: musym_eta(a, b, eta)
-    return (
-        lie_q_eta(u, eta)
-        + tensor_bilinear(me, psi, u)
-        - tensor_bilinear(me, u, psi)
-    )
+    if u.rank != psi.rank:
+        raise ValueError(f"gauge parameter of rank {u.rank} for a rank-{psi.rank} field")
+    n, dim = psi.rank, psi.dim
+    jets = [[_Jet(e, eta) for e in row] for row in _entries(psi, 1)]
+    params = _entries(u, 0)
+    us = [[e.scalar for e in row] for row in params]
+    half_grad = [[[f.derivative(k) * _HALF for k in range(dim)] for f in row] for row in us]
+    one = _one(dim)
+    grid = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            qu = Q_eta(params[p][q], eta)
+            comps = [
+                sum_of_products(
+                    dim,
+                    [(one, qc)] + [(us[r][q], jets[p][r].comps[c]) for r in range(n)],
+                    [(us[p][r], jets[r][q].comps[c]) for r in range(n)],
+                )
+                for c, qc in enumerate(qu.section.vec + qu.section.form)
+            ]
+            plus, minus = [(one, qu.scalar)], []
+            for r in range(n):
+                x, y = jets[p][r], jets[r][q]
+                plus.append((us[r][q], x.scalar))
+                minus.append((us[p][r], y.scalar))
+                minus.extend(zip(x.plus, half_grad[r][q]))
+                plus.extend(zip(y.plus, half_grad[p][r]))
+            scalar = sum_of_products(dim, plus, minus)
+            row.append(BVElement.deg1(GenSection(comps[:dim], comps[dim:]), scalar))
+        grid.append(row)
+    return LieValuedBVElement(grid)
 
 
 def _slot_split(x: LieValuedBVElement, eta: Metric):
@@ -680,9 +802,30 @@ def dictionary_fields(psi: LieValuedBVElement, eta: Metric):
     return [m * _HALF for m in plus], [m * _HALF for m in minus]
 
 
-def _cov_deriv(calA, i: int, t: MatrixFunction) -> MatrixFunction:
-    """[nabla_i, T] = d_i T + [calA_i, T]."""
-    return t.derivative(i) + calA[i].commutator(t)
+def _matrix_sum(added, subtracted, brackets) -> MatrixFunction:
+    """sum(added) - sum(subtracted) + the sum of [a, b] over ``brackets``.
+
+    ``brackets`` is a nonempty list of matrix pairs.  Each entry is one
+    signed sum of products reduced once: a matrix in ``added`` or
+    ``subtracted`` enters as its product with the constant 1, and the minus
+    half of each commutator goes into the negated pairs.
+    """
+    first = brackets[0][0]
+    n, dim = first.rank, first.dim
+    one = _one(dim)
+    rows = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            plus = [(one, m.rows[p][q]) for m in added]
+            minus = [(one, m.rows[p][q]) for m in subtracted]
+            for a, b in brackets:
+                ap, bp = a.rows[p], b.rows[p]
+                plus.extend((ap[r], b.rows[r][q]) for r in range(n))
+                minus.extend((bp[r], a.rows[r][q]) for r in range(n))
+            row.append(sum_of_products(dim, plus, minus))
+        rows.append(row)
+    return MatrixFunction(rows)
 
 
 def ym_field_residual(calA, phi, eta: Metric):
@@ -691,6 +834,9 @@ def ym_field_residual(calA, phi, eta: Metric):
     Returns (e1, e2): per-direction matrix residuals of
     eta^{ij}[nabla_i,[nabla_j,nabla_k]] - eta^{ij}[[nabla_k,phi_i],phi_j] and
     eta^{ij}[nabla_i,[nabla_j,phi_k]] - eta^{ij}[phi_i,[phi_j,phi_k]].
+    Each field strength F_jk and covariant derivative nabla_j phi_k is built
+    once, eta is contracted before nabla_i is applied, and each entry of
+    each result is one signed sum of products.
     """
     dim = len(calA)
     zero = MatrixFunction.zero(calA[0].rank, calA[0].dim)
@@ -699,28 +845,37 @@ def ym_field_residual(calA, phi, eta: Metric):
     curv = [[zero] * dim for _ in range(dim)]
     for j in range(dim):
         for k in range(j + 1, dim):
-            f = (
-                calA[k].derivative(j)
-                - calA[j].derivative(k)
-                + calA[j].commutator(calA[k])
+            f = _matrix_sum(
+                [calA[k].derivative(j)], [calA[j].derivative(k)], [(calA[j], calA[k])]
             )
             curv[j][k], curv[k][j] = f, -f
-    nabla_phi = [[_cov_deriv(calA, j, p) for p in phi] for j in range(dim)]
+    nabla_phi = [
+        [_matrix_sum([p.derivative(j)], (), [(calA[j], p)]) for p in phi] for j in range(dim)
+    ]
     phi_up = eta.raise_index(phi)
 
-    # eta is contracted first: eta^{ij} X_j once per i, then nabla_i once
+    # [nabla_i, T] = d_i T + [A_i, T]; -[X, Y] enters as [Y, X]
     e1, e2 = [], []
     for k in range(dim):
         curv_up = eta.raise_index([row[k] for row in curv])
         nabla_up = eta.raise_index([row[k] for row in nabla_phi])
-        r1 = r2 = zero
-        for i in range(dim):
-            r1 = r1 + _cov_deriv(calA, i, curv_up[i])
-            r1 = r1 - nabla_phi[k][i].commutator(phi_up[i])
-            r2 = r2 + _cov_deriv(calA, i, nabla_up[i])
-            r2 = r2 - phi[i].commutator(phi_up[i].commutator(phi[k]))
-        e1.append(r1)
-        e2.append(r2)
+        r = range(dim)
+        e1.append(
+            _matrix_sum(
+                [curv_up[i].derivative(i) for i in r],
+                (),
+                [(calA[i], curv_up[i]) for i in r]
+                + [(phi_up[i], nabla_phi[k][i]) for i in r],
+            )
+        )
+        e2.append(
+            _matrix_sum(
+                [nabla_up[i].derivative(i) for i in r],
+                (),
+                [(calA[i], nabla_up[i]) for i in r]
+                + [(phi_up[i].commutator(phi[k]), phi[i]) for i in r],
+            )
+        )
     return e1, e2
 
 
@@ -772,9 +927,7 @@ def mc_vs_ym_compare(psi: LieValuedBVElement, eta: Metric, calibration=None):
     match = c1 is not None and c2 is not None
     if match:
         for k in range(dim):
-            if not (aslot[k] - c1 * e1[k]).is_zero():
-                match = False
-            if not (pslot[k] - c2 * e2[k]).is_zero():
+            if aslot[k] != c1 * e1[k] or pslot[k] != c2 * e2[k]:
                 match = False
     return {
         "calibration": (c1, c2),

@@ -47,7 +47,7 @@ import struct
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from operator import lshift
+from operator import index, lshift
 
 __all__ = [
     "GaussRational",
@@ -235,6 +235,13 @@ def _digits(n: int):
     return bias, _W // 8 * n, struct.Struct(f"<{n}i").unpack
 
 
+def _component(k) -> int:
+    """A mode component as an int; bools and non-integers raise ``TypeError``."""
+    if isinstance(k, bool):
+        raise TypeError(f"mode component {k!r} is a bool, not an integer")
+    return index(k)
+
+
 class FourierScalar:
     """A finite Fourier sum on the torus T^dim with Q(i) coefficients."""
 
@@ -252,7 +259,7 @@ class FourierScalar:
                 if c:
                     if len(mode) != dim:
                         raise ValueError(f"mode {mode} has wrong arity")
-                    mode = tuple(int(m) for m in mode)
+                    mode = tuple(map(_component, mode))
                     top = max(map(abs, mode))
                     if top >= _HALF:
                         raise ValueError(

@@ -4,17 +4,25 @@
 differential and the covariant field equations through closed forms: the
 bracket with a coordinate section is the slotwise derivative, eta is
 contracted before the homotopies are applied, each field strength and
-covariant derivative is computed once, and each entry of a matrix product or
-commutator is summed in one coefficient dict.  The functions below are the
-term-by-term definitions those forms replaced; the tests compare the two
-exactly.
+covariant derivative is computed once, each entry of a matrix product or
+commutator is summed in one coefficient dict, and the matrix-tensored
+Maurer-Cartan kernels sum each output entry from per-entry jets.  The
+functions below are the term-by-term definitions those forms replaced; the
+tests compare the two exactly.
 """
 
 from fractions import Fraction
 
 from bvdouble.bvcomplex import BVElement, op_q
-from bvdouble.bvops import brack, m_op, mu, nu
-from bvdouble.deform import MatrixFunction, R_eta, flat_sections
+from bvdouble.bvops import brack, m_op, mu, nu, nusym
+from bvdouble.deform import (
+    LieValuedBVElement,
+    MatrixFunction,
+    Q_eta,
+    R_eta,
+    flat_sections,
+    musym_eta,
+)
 from bvdouble.scalars import FourierScalar, Metric
 from bvdouble.sections import GenSection
 
@@ -108,3 +116,79 @@ def dictionary_fields(psi, eta: Metric):
         calA.append(MatrixFunction(arows))
         phi.append(MatrixFunction(prows))
     return calA, phi
+
+
+# -- matrix-tensored Maurer-Cartan kernels ----------------------------------
+
+
+def tensor_bilinear(op, x: LieValuedBVElement, y: LieValuedBVElement):
+    """Matrix-tensored bilinear operation: (p,q) -> sum_r op(x[p][r], y[r][q])."""
+    n = x.rank
+    grid = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            acc = op(x.entry(p, 0), y.entry(0, q))
+            for r in range(1, n):
+                acc = acc + op(x.entry(p, r), y.entry(r, q))
+            row.append(acc)
+        grid.append(row)
+    return LieValuedBVElement(grid)
+
+
+def tensor_trilinear(op, x, y, z):
+    """Matrix-tensored trilinear operation with a double internal sum."""
+    n = x.rank
+    grid = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            acc = None
+            for r in range(n):
+                for s in range(n):
+                    term = op(x.entry(p, r), y.entry(r, s), z.entry(s, q))
+                    acc = term if acc is None else acc + term
+            row.append(acc)
+        grid.append(row)
+    return LieValuedBVElement(grid)
+
+
+def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
+    """Q^eta psi + musym_eta(psi, psi) + nusym(psi, psi, psi), matrix-tensored."""
+    qpart = Q_eta(psi, eta)
+    mupart = tensor_bilinear(lambda a, b: musym_eta(a, b, eta), psi, psi)
+    nupart = tensor_trilinear(nusym, psi, psi, psi)
+    return qpart + mupart + nupart
+
+
+def gauge_variation(psi, u, eta: Metric) -> LieValuedBVElement:
+    """Q^eta u + musym_eta(psi, u) - musym_eta(u, psi), matrix-tensored."""
+    me = lambda a, b: musym_eta(a, b, eta)
+    return Q_eta(u, eta) + tensor_bilinear(me, psi, u) - tensor_bilinear(me, u, psi)
+
+
+def ym_field_residual_raised(calA, phi, eta: Metric):
+    """The field equations with eta contracted first and each F_jk, nabla_j phi_k
+    built once, every matrix product summed term by term."""
+    dim = len(calA)
+    zero = MatrixFunction.zero(calA[0].rank, calA[0].dim)
+    curv = [[zero] * dim for _ in range(dim)]
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            f = calA[k].derivative(j) - calA[j].derivative(k) + commutator(calA[j], calA[k])
+            curv[j][k], curv[k][j] = f, -f
+    nabla_phi = [[_cov_deriv(calA, j, p) for p in phi] for j in range(dim)]
+    phi_up = eta.raise_index(phi)
+    e1, e2 = [], []
+    for k in range(dim):
+        curv_up = eta.raise_index([row[k] for row in curv])
+        nabla_up = eta.raise_index([row[k] for row in nabla_phi])
+        r1 = r2 = zero
+        for i in range(dim):
+            r1 = r1 + _cov_deriv(calA, i, curv_up[i])
+            r1 = r1 - commutator(nabla_phi[k][i], phi_up[i])
+            r2 = r2 + _cov_deriv(calA, i, nabla_up[i])
+            r2 = r2 - commutator(phi[i], commutator(phi_up[i], phi[k]))
+        e1.append(r1)
+        e2.append(r2)
+    return e1, e2

@@ -23,7 +23,7 @@ from bvdouble.deform import (
     mu_bar_eta,
     mu_bar_eta_table,
 )
-from bvdouble.scalars import GaussRational, Metric
+from bvdouble.scalars import GaussRational, Metric, random_scalar
 from bvdouble.suites import SuiteConfig, run_suite
 
 LORENTZ = Metric.diagonal([1, 1, -1])
@@ -195,3 +195,46 @@ def test_degree_constraints_on_field_and_parameter(rng):
         gauge_variation(psi, psi, LORENTZ)
     with pytest.raises(ValueError):
         mc_residual(u, LORENTZ)
+    with pytest.raises(ValueError):
+        gauge_variation(_random_psi(rng, 1, 1), u, LORENTZ)
+
+
+def test_matrix_inputs_are_validated_without_assert(rng):
+    # only pytest.raises below, so the test means the same under python -O
+    f2, f3 = random_scalar(rng, 2, 1), random_scalar(rng, 3, 1)
+    for rows, error in [
+        ([], ValueError),
+        ([[f3, f3]], ValueError),
+        ([[f3, f3], [f3]], ValueError),
+        ([[f3, f2], [f3, f3]], ValueError),
+        ([[f3, 1], [f3, f3]], TypeError),
+    ]:
+        with pytest.raises(error):
+            MatrixFunction(rows)
+    one, two = MatrixFunction([[f3]]), MatrixFunction.zero(2, 3)
+    with pytest.raises(ValueError):
+        one + two
+    with pytest.raises(ValueError):
+        one - two
+    with pytest.raises(TypeError):
+        one + f3
+
+
+def test_lie_valued_inputs_are_validated_without_assert(rng):
+    x1, x0 = elem(rng, 1), elem(rng, 0)
+    for grid, error in [
+        ([], ValueError),
+        ([[x1, x1]], ValueError),
+        ([[x1, x0], [x1, x1]], ValueError),
+        ([[x1, random_element(rng, 2, 1, 1)], [x1, x1]], ValueError),
+        ([[x1, x0.scalar], [x1, x1]], TypeError),
+    ]:
+        with pytest.raises(error):
+            LieValuedBVElement(grid)
+    # a zero entry of another degree is accepted
+    LieValuedBVElement([[x1, BVElement.zero(0, DIM)], [x1, x1]])
+    one, two = LieValuedBVElement([[x1]]), LieValuedBVElement.zero(1, DIM, 2)
+    with pytest.raises(ValueError):
+        one + two
+    with pytest.raises(TypeError):
+        one + x1

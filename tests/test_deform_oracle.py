@@ -13,19 +13,25 @@ import deform_oracle as oracle
 import pytest
 
 from bvdouble.bvcomplex import BVElement, random_element
-from bvdouble.bvops import brack
+from bvdouble.bvops import brack, nusym
 from bvdouble.deform import (
     LieValuedBVElement,
     MatrixFunction,
     Q_eta,
+    _Jet,
+    _musym_terms,
     _slot_split,
     dictionary_fields,
     flat_sections,
+    gauge_variation,
     mc_from_fields,
+    mc_residual,
     mu_bar_eta,
+    musym_eta,
     ym_field_residual,
 )
-from bvdouble.scalars import Metric
+from bvdouble.scalars import Metric, random_scalar, sum_of_products
+from bvdouble.sections import GenSection, pairing
 from bvdouble.serialize import canonical_dumps
 
 DIM = 3
@@ -44,7 +50,10 @@ PAIRS = [(d1, d2) for d1 in DEGREES for d2 in DEGREES]
 
 
 def same(a, b):
-    assert a == b
+    if isinstance(a, LieValuedBVElement):
+        assert a.grid == b.grid
+    else:
+        assert a == b
     assert canonical_dumps(a) == canonical_dumps(b)
 
 
@@ -80,20 +89,116 @@ def test_mu_bar_eta_matches_the_bracket_loop(name):
             same(mu_bar_eta(x, y, eta), oracle.mu_bar_eta(x, y, eta))
 
 
-@pytest.mark.parametrize("rank", [1, 2])
+def random_matrices(rng, rank, modes):
+    """DIM random matrix functions, each entry with 1..modes modes."""
+    return [
+        MatrixFunction([[random_scalar(rng, DIM, 1, modes) for _ in range(rank)] for _ in range(rank)])
+        for _ in range(DIM)
+    ]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_ym_field_residual_matches_the_triple_loop(name, rank):
     eta = METRICS[name]
     rng = random.Random(f"ym:{name}:{rank}")
-    for _ in range(2):
-        avec = [MatrixFunction.random(rng, rank, DIM, 1) for _ in range(DIM)]
-        bform = [MatrixFunction.random(rng, rank, DIM, 1) for _ in range(DIM)]
+    for _ in range(2 if rank < 3 else 1):
+        # one mode per entry at rank 3 keeps the triple loop near a second
+        modes = 2 if rank < 3 else 1
+        avec = random_matrices(rng, rank, modes)
+        bform = random_matrices(rng, rank, modes)
         cal_a, phi = dictionary_fields(mc_from_fields(avec, bform, eta), eta)
         e1, e2 = ym_field_residual(cal_a, phi, eta)
         o1, o2 = oracle.ym_field_residual(cal_a, phi, eta)
         same(e1, o1)
         same(e2, o2)
+        r1, r2 = oracle.ym_field_residual_raised(cal_a, phi, eta)
+        same(e1, r1)
+        same(e2, r2)
         assert not all(r.is_zero() for r in e1 + e2)
+
+
+# -- the matrix-tensored Maurer-Cartan kernels ------------------------------
+
+
+def degree_one(rng, section=True):
+    """A random degree-1 element; without ``section`` it is (0, v)."""
+    x = random_element(rng, DIM, 1, 1)
+    return x if section else BVElement.deg1(GenSection.zero(DIM), x.scalar)
+
+
+def random_psi(rng, rank, zeros=True):
+    """A degree-1 matrix element off the gauge slice.  With ``zeros``, the last
+    entry is (0, v) and, from rank 2 on, the last entry of the first row is 0."""
+    grid = [[degree_one(rng) for _ in range(rank)] for _ in range(rank)]
+    if zeros:
+        grid[-1][-1] = degree_one(rng, section=False)
+        if rank > 1:
+            grid[0][-1] = BVElement.zero(1, DIM)
+    return LieValuedBVElement(grid)
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_musym_closed_form_matches_musym_eta(name):
+    eta = METRICS[name]
+    rng = random.Random(f"musym:{name}")
+    for sx, sy in [(True, True), (True, False), (False, True), (False, False)]:
+        for _ in range(3):
+            x, y = degree_one(rng, sx), degree_one(rng, sy)
+            jx, jy = _Jet(x, eta), _Jet(y, eta)
+            comps = []
+            for c in range(2 * DIM):
+                plus, minus = [], []
+                _musym_terms(jx, jy, c, plus, minus)
+                comps.append(sum_of_products(DIM, plus, minus))
+            closed = BVElement.deg2(GenSection(comps[:DIM], comps[DIM:]))
+            same(closed, musym_eta(x, y, eta))
+
+
+def test_nusym_closed_form_matches_nusym():
+    # on (1, 1, 1): nusym(x, y, z) = (-<x,z> B + <y,z> A / 2 + <x,y> C / 2, 0)
+    rng = random.Random("nusym")
+    half = Fraction(1, 2)
+    for sections in [(True, True, True), (True, False, True), (False, True, False)]:
+        for _ in range(3):
+            x, y, z = (degree_one(rng, s) for s in sections)
+            a, b, c = x.section, y.section, z.section
+            closed = BVElement.deg2(
+                b * -pairing(a, c) + a * (pairing(b, c) * half) + c * (pairing(a, b) * half)
+            )
+            same(closed, nusym(x, y, z))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_mc_residual_matches_the_tensored_operators(name, rank):
+    eta = METRICS[name]
+    rng = random.Random(f"mc:{name}:{rank}")
+    for zeros in (False, True) if rank < 3 else (True,):
+        psi = random_psi(rng, rank, zeros)
+        same(mc_residual(psi, eta), oracle.mc_residual(psi, eta))
+    avec = [MatrixFunction.random(rng, rank, DIM, 1) for _ in range(DIM)]
+    bform = [MatrixFunction.random(rng, rank, DIM, 1) for _ in range(DIM)]
+    psi = mc_from_fields(avec, bform, eta)
+    res = mc_residual(psi, eta)
+    same(res, oracle.mc_residual(psi, eta))
+    assert not res.is_zero()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_gauge_variation_matches_the_tensored_operators(name, rank):
+    eta = METRICS[name]
+    rng = random.Random(f"gauge:{name}:{rank}")
+    for zeros in (False, True):
+        psi = random_psi(rng, rank, zeros)
+        grid = [[BVElement.deg0(random_scalar(rng, DIM, 1)) for _ in range(rank)] for _ in range(rank)]
+        if rank > 1:
+            grid[0][-1] = BVElement.zero(0, DIM)
+        u = LieValuedBVElement(grid)
+        delta = gauge_variation(psi, u, eta)
+        same(delta, oracle.gauge_variation(psi, u, eta))
+        assert not delta.is_zero()
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -129,3 +234,21 @@ def test_slot_split_matches_the_entrywise_lowering(name):
         o_plus, o_minus = oracle.dictionary_fields(x, eta)
         same(plus, [m * 2 for m in o_plus])
         same(minus, [m * 2 for m in o_minus])
+
+
+@pytest.mark.parametrize("degree", [0, 2, 3])
+def test_zero_entries_of_another_degree_read_as_zeros(degree):
+    # the tensored operators cannot sum such grids; the kernels read the zero
+    # as the zero of the grid's degree
+    eta = LORENTZ
+    rng = random.Random(f"zeros:{degree}")
+    psi = random_psi(rng, 2)
+    u = LieValuedBVElement(
+        [[BVElement.deg0(random_scalar(rng, DIM, 1)) for _ in range(2)] for _ in range(2)]
+    )
+    other = BVElement.zero(degree, DIM)
+    psi_other = LieValuedBVElement([[psi.entry(0, 0), other], list(psi.grid[1])])
+    u_other = LieValuedBVElement([[u.entry(0, 0), other], list(u.grid[1])])
+    u_zero = LieValuedBVElement([[u.entry(0, 0), BVElement.zero(0, DIM)], list(u.grid[1])])
+    same(mc_residual(psi_other, eta), mc_residual(psi, eta))
+    same(gauge_variation(psi_other, u_other, eta), gauge_variation(psi, u_zero, eta))

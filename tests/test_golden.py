@@ -4,12 +4,15 @@ The sha256 of ``bvdouble verify --suite all --samples 1 --seed 101`` at the
 default configuration, and of the ``deform`` and ``ym`` suites at seed 101
 on the off-diagonal metric [[5/4,3/4,0],[3/4,5/4,0],[0,0,-1]] with rank-2
 matrices, which exercises the non-diagonal index contractions of the
-deformation.  The same ``--suite all`` run is also pinned at D=4
-(Lorentzian) and at D=2 (``[1, -1]``), so the mode arithmetic is locked at
-axis counts other than the default 3 and the 6-axis doubled torus.  A change
-that is meant to leave behaviour alone (a refactor or a speedup) must leave
-these hashes as they are; only a change whose purpose is new report content
-may update them, and says why.
+deformation.  ``verify --suite ym`` is pinned at rank 3 on the default
+Lorentzian metric (mode cutoff 2, one sample, seed 101), where every
+matrix-tensored sum has three terms.  The same ``--suite all`` run is also
+pinned at D=4 (Lorentzian) and at D=2 (``[1, -1]``), so the mode arithmetic
+is locked at axis counts other than the default 3 and the 6-axis doubled
+torus.  The default run and the rank-3 run are also pinned under
+``python -O``.  A change that is meant to leave behaviour alone (a refactor
+or a speedup) must leave these hashes as they are; only a change whose
+purpose is new report content may update them, and says why.
 """
 
 import hashlib
@@ -34,6 +37,15 @@ OFF_DIAGONAL_SHA256 = {
     "deform": "f61599cf16f2d9b267a1787151e5bce409d0b0d9efd486289f36716d0a0d23c4",
     "ym": "a3124b2a2a4bdd709a5ec0a319ace3c9bff6d9ba8ca9c1ba7c0497469d5c3b89",
 }
+
+RANK_THREE_CONFIG = {
+    "dimension": 3,
+    "metric": [1, 1, -1],
+    "mode_cutoff": 2,
+    "matrix_rank": 3,
+    "samples": 1,
+}
+RANK_THREE_SHA256 = "33812518c270e399086cf333749c23c0376830b018dcb58d8c281489ac767264"
 
 
 OTHER_AXIS_COUNTS = {
@@ -62,16 +74,20 @@ def test_verify_all_report_is_byte_identical(capsys):
     assert _sha256(capsys, GOLDEN_ARGV) == GOLDEN_SHA256
 
 
-def test_verify_all_report_is_byte_identical_under_optimize(subprocess_env):
+def test_verify_all_report_is_byte_identical_under_optimize(subprocess_env, tmp_path):
     # ``python -O`` strips asserts; no check the report depends on may be one
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "bvdouble", *GOLDEN_ARGV],
-        capture_output=True,
-        env=subprocess_env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
+    cfg = tmp_path / "rank3.json"
+    cfg.write_text(json.dumps(RANK_THREE_CONFIG))
+    rank_three = ["verify", "--suite", "ym", "--seed", "101", "--config", str(cfg)]
+    for argv, digest in [(GOLDEN_ARGV, GOLDEN_SHA256), (rank_three, RANK_THREE_SHA256)]:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "bvdouble", *argv],
+            capture_output=True,
+            env=subprocess_env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("suite", sorted(OFF_DIAGONAL_SHA256))
@@ -80,6 +96,13 @@ def test_off_diagonal_deform_report_is_byte_identical(suite, tmp_path, capsys):
     cfg.write_text(json.dumps(OFF_DIAGONAL_CONFIG))
     argv = ["verify", "--suite", suite, "--seed", "101", "--config", str(cfg)]
     assert _sha256(capsys, argv) == OFF_DIAGONAL_SHA256[suite]
+
+
+def test_rank_three_ym_report_is_byte_identical(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RANK_THREE_CONFIG))
+    argv = ["verify", "--suite", "ym", "--seed", "101", "--config", str(cfg)]
+    assert _sha256(capsys, argv) == RANK_THREE_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_AXIS_COUNTS))

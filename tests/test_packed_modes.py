@@ -108,6 +108,15 @@ def test_constructor_refuses_components_outside_the_range():
             FourierScalar.harmonic(2, mode)
 
 
+@pytest.mark.parametrize("component", [1.5, -0.7, 2.0, Fraction(1, 2), Fraction(2), True, False])
+def test_constructor_refuses_non_integer_components(component):
+    # int() would truncate 1.5 to 1 and read True as 1, aliasing another mode
+    with pytest.raises(TypeError):
+        FourierScalar(2, {(component, 0): 1})
+    with pytest.raises(TypeError):
+        FourierScalar.harmonic(2, (0, component))
+
+
 def test_product_past_the_digit_range_overflows():
     half = LIMIT // 2
     near = FourierScalar.harmonic(2, (half - 1, 0)) * FourierScalar.harmonic(2, (half, 0))
