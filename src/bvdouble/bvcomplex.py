@@ -62,11 +62,12 @@ class BVElement:
                 raise TypeError(f"a degree-{degree} section must be a GenSection")
             section = GenSection.zero(dim) if section is None else section
         else:
-            assert section is None or section.is_zero()
+            if section is not None and not section.is_zero():
+                raise ValueError(f"degree {degree} has no section slot")
             section = None
         scalar = FourierScalar.zero(dim) if scalar is None else scalar
-        if degree not in (0, 1, 2, 3):
-            assert scalar.is_zero(), f"degree {degree} space is zero"
+        if degree not in (0, 1, 2, 3) and not scalar.is_zero():
+            raise ValueError(f"degree {degree} space is zero")
         if not isinstance(scalar, FourierScalar) or scalar.dim != dim:
             raise TypeError(f"the scalar slot must be a FourierScalar on T^{dim}")
         self.degree = degree
@@ -101,14 +102,14 @@ class BVElement:
     def __add__(self, other, op=add):
         if not isinstance(other, BVElement):
             return NotImplemented
-        assert self.dim == other.dim
+        if self.dim != other.dim:
+            raise ValueError(f"elements on T^{self.dim} and T^{other.dim}")
         if self.is_zero() and self.degree != other.degree:
             return other if op is add else -other
         if other.is_zero() and self.degree != other.degree:
             return self
-        assert self.degree == other.degree, (
-            f"cannot combine degrees {self.degree} and {other.degree}"
-        )
+        if self.degree != other.degree:
+            raise TypeError(f"cannot combine degrees {self.degree} and {other.degree}")
         section = None
         if self.section is not None:
             section = op(self.section, other.section)
@@ -244,7 +245,8 @@ def odd_pairing(x: BVElement, y: BVElement) -> GaussRational:
     (u, ut) = -2 int u ut;   ((A, v), (At, vt)) = int <A, At> - 2 int v vt;
     zero unless the degrees sum to 3.
     """
-    assert x.dim == y.dim
+    if x.dim != y.dim:
+        raise ValueError(f"elements on T^{x.dim} and T^{y.dim}")
     if x.degree + y.degree != 3:
         return GaussRational(0)
     if x.degree > y.degree:

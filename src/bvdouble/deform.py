@@ -565,6 +565,12 @@ class LieValuedBVElement:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.grid for e in row)
 
+    def __eq__(self, other):
+        # entrywise BVElement equality: zero grids of any degrees are equal
+        if not isinstance(other, LieValuedBVElement):
+            return NotImplemented
+        return self.rank == other.rank and self.dim == other.dim and self.grid == other.grid
+
     def __repr__(self):
         return f"LieValuedBVElement(rank={self.rank}, degree={self.degree})"
 

@@ -67,7 +67,10 @@ class GenSection:
         return GenSection((z,) * len(form), form)
 
     def __add__(self, other, op=add):
-        assert isinstance(other, GenSection) and other.dim == self.dim
+        if not isinstance(other, GenSection):
+            raise TypeError(f"cannot combine a GenSection with {type(other).__name__}")
+        if other.dim != self.dim:
+            raise ValueError(f"sections on T^{self.dim} and T^{other.dim}")
         return GenSection(map(op, self.vec, other.vec), map(op, self.form, other.form))
 
     def __sub__(self, other):
@@ -116,7 +119,8 @@ def _dorfman_terms(a: GenSection, b: GenSection):
     ``X^i d_i eta_j + eta_i d_j X^i + Y^i d_j xi_i - Y^i d_i xi_j``.
     Components come vector first, then form.
     """
-    assert a.dim == b.dim
+    if a.dim != b.dim:
+        raise ValueError(f"sections on T^{a.dim} and T^{b.dim}")
     x, xi, y, eta = a.vec, a.form, b.vec, b.form
     dx, dxi, dy, deta = _jacobian(x), _jacobian(xi), _jacobian(y), _jacobian(eta)
     r = range(len(x))
@@ -147,7 +151,8 @@ def dorfman(a: GenSection, b: GenSection) -> GenSection:
 
 def pairing(a: GenSection, b: GenSection) -> FourierScalar:
     """Canonical symmetric pairing <A, B> = X_A . xi_B + X_B . xi_A."""
-    assert a.dim == b.dim
+    if a.dim != b.dim:
+        raise ValueError(f"sections on T^{a.dim} and T^{b.dim}")
     return sum_of_products(a.dim, chain(zip(a.vec, b.form), zip(b.vec, a.form)))
 
 

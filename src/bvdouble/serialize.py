@@ -1,8 +1,13 @@
 """Canonical JSON encoding for reports and failure witnesses.
 
-Every report is rendered through :func:`to_jsonable` and then dumped with
-sorted keys, so equal data structures serialize to byte-identical text.
-Exact numbers never pass through floats:
+:func:`canonical_dumps` writes the text of
+``json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=True)``
+plus one newline, so equal data structures serialize to byte-identical text.
+It writes that text in one recursive pass instead of calling ``json.dumps``:
+with ``indent`` set, the standard library skips its C encoder and runs a
+pure-Python generator chain, which cost more than the rest of a report's
+rendering.  Strings and keys still go through the C string encoder.  Exact
+numbers never pass through floats:
 
 * ``Fraction`` -> ``"p/q"`` (or ``"p"`` when the denominator is 1),
 * ``GaussRational`` -> ``{"re": "p/q", "im": "p/q"}``,
@@ -19,8 +24,9 @@ class is refused even when its class has the same name.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .bvcomplex import BVElement
 from .deform import LieValuedBVElement, MatrixFunction
@@ -32,11 +38,19 @@ from .sections import GenSection
 __all__ = ["encode_fraction", "parse_fraction", "to_jsonable", "canonical_dumps"]
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """``"p/q"``, or ``"p"`` when the reduced denominator is 1, for n/d with d > 0."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
+
+
 def encode_fraction(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio_text(value.numerator, value.denominator)
 
 
 def parse_fraction(text) -> Fraction:
@@ -51,7 +65,8 @@ def parse_fraction(text) -> Fraction:
 
 
 def _encode_gauss(g):
-    return {"re": encode_fraction(g.re), "im": encode_fraction(g.im)}
+    # from the canonical ints (a + b*i)/d; each part reduces on its own
+    return {"re": _ratio_text(g._a, g._d), "im": _ratio_text(g._b, g._d)}
 
 
 def _encode_scalar(f):
@@ -127,8 +142,70 @@ _ENCODERS = {
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, one newline."""
-    return (
-        json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=True)
-        + "\n"
-    )
+    """Deterministic JSON text: sorted keys, two-space indent, one newline."""
+    parts = []
+    _write(obj, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, emit, nl):
+    """Emit the text of ``obj``; ``nl`` is a newline plus the current indent.
+
+    Values mean what :func:`to_jsonable` makes of them, dict keys are
+    stringified and then sorted (a later key that stringifies alike wins),
+    and str and int items of containers are written without a nested call.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            t = type(value)
+            if t is str:
+                emit(f"{sep}{_quote(key)}: {_quote(value)}")
+            elif t is int:
+                emit(f"{sep}{_quote(key)}: {int.__repr__(value)}")
+            else:
+                emit(f"{sep}{_quote(key)}: ")
+                _write(value, emit, inner)
+            sep = comma
+        emit(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for value in obj:
+            t = type(value)
+            if t is str:
+                emit(sep + _quote(value))
+            elif t is int:
+                emit(sep + int.__repr__(value))
+            else:
+                emit(sep)
+                _write(value, emit, inner)
+            sep = comma
+        emit(nl + "]")
+    elif isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, Fraction):
+        emit(_quote(encode_fraction(obj)))
+    elif isinstance(obj, float):
+        raise TypeError("refusing to serialize a float in an exact report")
+    else:
+        encoder = _ENCODERS.get(type(obj))
+        if encoder is None:
+            raise TypeError(f"no canonical encoding for {type(obj)!r}")
+        _write(encoder(obj), emit, nl)

@@ -1,6 +1,8 @@
 """The four-term complex: odd operators, pairing, and the half splitting."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,8 +197,10 @@ def test_zero_tolerant_addition_rejects_degree_mixing(rng):
     x = elem(rng, 1)
     z3 = BVElement.zero(3, DIM)
     assert ((x + z3) - x).is_zero()
-    with pytest.raises(AssertionError):
+    with pytest.raises(TypeError):
         _ = x + elem(rng, 2)
+    with pytest.raises(TypeError):
+        _ = x - elem(rng, 2)
 
 
 def test_scalar_multiple_and_negation(rng):
@@ -222,3 +226,45 @@ def test_unit_scaling_returns_equal_elements(rng):
         assert x * 1 is x and x * Fraction(1) is x
         assert x * -1 == -x and (x * -1).degree == degree
         assert x - x == BVElement.zero(degree, DIM)
+
+
+def test_inconsistent_elements_raise_value_error(rng):
+    # validation, not an assert: it must hold under ``python -O`` too
+    a, u = random_section(rng, DIM, 2), random_scalar(rng, DIM, 2)
+    for degree in (-1, 0, 3, 4):
+        with pytest.raises(ValueError):
+            BVElement(degree, DIM, a, None)
+        BVElement(degree, DIM, GenSection.zero(DIM), None)
+    for degree in (-1, 4):
+        with pytest.raises(ValueError):
+            BVElement(degree, DIM, None, u)
+    x, y = elem(rng, 1), random_element(rng, 2, 2, 1)
+    for op in (lambda p, q: p + q, lambda p, q: p - q):
+        with pytest.raises(ValueError):
+            op(x, y)
+        with pytest.raises(ValueError):
+            op(BVElement.zero(0, DIM), y)
+    with pytest.raises(ValueError):
+        odd_pairing(x, random_element(rng, 2, 2, 2))
+
+
+def test_slot_check_survives_optimize(subprocess_env):
+    # with the check stripped, the section would be dropped without a word
+    code = (
+        "import random\n"
+        "from bvdouble.bvcomplex import BVElement\n"
+        "from bvdouble.sections import random_section\n"
+        "try:\n"
+        "    BVElement(0, 3, random_section(random.Random(1), 3, 1), None)\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"

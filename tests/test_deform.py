@@ -238,3 +238,25 @@ def test_lie_valued_inputs_are_validated_without_assert(rng):
         one + two
     with pytest.raises(TypeError):
         one + x1
+
+
+def test_lie_valued_equality_is_entrywise():
+    def residual():
+        return mc_residual(_random_psi(random.Random(606), 2, 1), LORENTZ)
+
+    r1, r2 = residual(), residual()
+    assert r1 is not r2 and r1.grid[0][0] is not r2.grid[0][0]
+    assert r1 == r2 and not r1 != r2
+    entry = r1.entry(0, 1)
+    changed = LieValuedBVElement(
+        [[r1.entry(0, 0), entry + entry], list(r1.grid[1])]
+    )
+    assert not entry.is_zero() and changed != r1 and r1 != changed
+    assert r1.__eq__(r1.entry(0, 0)) is NotImplemented and r1 != r1.entry(0, 0)
+
+
+def test_lie_valued_zero_grids_of_any_degree_are_equal():
+    # as for BVElement: a zero carries no degree worth comparing
+    assert LieValuedBVElement.zero(1, DIM, 2) == LieValuedBVElement.zero(2, DIM, 2)
+    assert LieValuedBVElement.zero(1, DIM, 2) != LieValuedBVElement.zero(1, DIM, 3)
+    assert LieValuedBVElement.zero(1, DIM, 2) != LieValuedBVElement.zero(1, 2, 2)

@@ -187,3 +187,17 @@ def test_malformed_sections_raise_value_error():
         GenSection((f3,) * 3, (f3,) * 2)
     with pytest.raises(ValueError):
         GenSection((f3, f3, f2), (f3,) * 3)
+
+
+def test_mismatched_operands_raise_without_assert(rng):
+    # validation, not an assert: it must hold under ``python -O`` too
+    a, b = sec(rng), random_section(rng, 2, 2)
+    with pytest.raises(TypeError):
+        a + scl(rng)
+    with pytest.raises(TypeError):
+        a - scl(rng)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, dorfman, pairing):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
