@@ -90,21 +90,14 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
             minus.append((x.scalar, fb))
         vt = pairing(a, b) * _HALF
         return BVElement.deg2(_section_from_terms(dim, terms), vt)
-    if d1 == 1 and d2 == 2:
-        if x.section.is_zero():
+    if (d1, d2) in ((1, 2), (2, 1)):
+        # the degree-1 section is anchored on the other scalar
+        one, two = (x, y) if d1 == 1 else (y, x)
+        if one.section.is_zero():
             return BVElement.deg3(-(x.scalar * y.scalar))
         ut = (
             -(pairing(x.section, y.section) * _HALF)
-            + anchor(x.section, y.scalar)
-            - x.scalar * y.scalar
-        )
-        return BVElement.deg3(ut)
-    if d1 == 2 and d2 == 1:
-        if y.section.is_zero():
-            return BVElement.deg3(-(x.scalar * y.scalar))
-        ut = (
-            -(pairing(x.section, y.section) * _HALF)
-            + anchor(y.section, x.scalar)
+            + anchor(one.section, two.scalar)
             - x.scalar * y.scalar
         )
         return BVElement.deg3(ut)

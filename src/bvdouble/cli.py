@@ -70,11 +70,7 @@ def _load_config(args) -> SuiteConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from exc
         cfg = SuiteConfig.from_dict(data)
-    if args.seed is not None or args.samples is not None:
-        if args.samples is not None and args.samples < 1:
-            raise ConfigError(f"samples must be a positive integer, got {args.samples}")
-        cfg = cfg.with_overrides(seed=args.seed, samples=args.samples)
-    return cfg
+    return cfg.with_overrides(seed=args.seed, samples=args.samples)
 
 
 def _verify(args) -> int:

@@ -17,7 +17,8 @@ fields f_i.  The module provides:
     the matrix-tensored sums are fused kernels that read per-entry jets
     (components, derivatives, pairings) and sum each output component in
     one pass, with musym_eta and nusym in closed form on degree 1;
-  * the embeddings of the three differential-form subcomplexes.
+  * the embedding of the four-slot Yang-Mills complex of differential forms,
+    and the residuals of its transport of d, the product and the homotopy.
 
 Everything is exact; calibration constants for the Maurer-Cartan comparison
 are rational numbers fitted once per run and then verified globally.
@@ -31,7 +32,7 @@ from itertools import chain
 
 from .bvcomplex import BVElement, op_b, op_q
 from .bvops import brack, m_op, mu, nu, nusym, sign
-from .exterior import DifferentialForm
+from .exterior import YMElement, hodge, ym_mu_sym, ym_nu_sym, ym_q
 from .scalars import (
     FourierScalar,
     GaussRational,
@@ -380,38 +381,55 @@ def deformed_bracket(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     ) * s
 
 
-# -- differential-form subcomplex embeddings -------------------------------
+# -- the four-slot complex inside the graded complex ----------------------
 
 
-def ym_embed(kind: str, arg, eta: Metric) -> BVElement:
-    """Embed a form-complex slot into the graded complex.
+def ym_embed(x: YMElement, eta: Metric) -> BVElement:
+    """Embed an element of the four-slot complex into the graded complex.
 
-    kind f1|g1|f2|g2 takes a one-form; f3|g3 take a scalar function.
+    A function u enters as deg0(u) and a one-form B as f1(B) =
+    deg1((B*, B), -div-hat B), with (B*)^j = eta^{ij} B_i.  The (D-1)- and
+    D-form slots enter through the inverse star: beta -> -g1(*^{-1} beta)
+    with g1(B) = deg2((B*, B)), and omega -> deg3(*^{-1} omega).  On p-forms
+    ** = det_sign * (-1)^{p(D-p)}, so *^{-1} is det_sign * (-1)^{D-1} * on
+    (D-1)-forms and det_sign * on top forms.
     """
-    dim = eta.dim
-    if kind in ("f1", "g1", "f2", "g2"):
-        if not (isinstance(arg, DifferentialForm) and arg.degree == 1):
-            raise ValueError(f"{kind} expects a one-form")
-        comps = arg.one_form_components()
-        # raised vector (B*)^j = eta^{ij} B_i
-        star = tuple(eta.raise_index(comps))
-        if kind == "f1":
-            return BVElement.deg1(GenSection(star, comps), -_div_hat(comps, eta))
-        if kind == "g1":
-            return BVElement.deg2(GenSection(star, comps))
-        if kind == "f2":
-            return BVElement.deg1(GenSection(tuple(-s for s in star), comps))
-        return BVElement.deg2(GenSection(tuple(-s for s in star), comps))
-    if kind == "f3":
-        if not isinstance(arg, FourierScalar):
-            raise ValueError("f3 expects a scalar function")
-        return BVElement.deg1(GenSection.zero(dim), arg)
-    if kind == "g3":
-        if not isinstance(arg, FourierScalar):
-            raise ValueError("g3 expects a scalar function")
-        dv = tuple(arg.derivative(j) for j in range(dim))
-        return BVElement.deg2(GenSection(_d_hat(arg, eta), dv), arg)
-    raise ValueError(f"unknown embedding kind {kind!r}")
+    if x.degree == 0:
+        return BVElement.deg0(x.form.component(()))
+    det_sign = 1 if eta.det_upper > 0 else -1
+    if x.degree == 3:
+        return det_sign * BVElement.deg3(hodge(x.form, eta).component(()))
+    form = x.form if x.degree == 1 else hodge(x.form, eta)
+    comps = form.one_form_components()
+    section = GenSection(tuple(eta.raise_index(comps)), comps)
+    if x.degree == 1:
+        return BVElement.deg1(section, -_div_hat(comps, eta))
+    return (-det_sign * sign(eta.dim - 1)) * BVElement.deg2(section)
+
+
+def _transport_pool(eta: Metric):
+    """The embedding transports d, the product and the homotopy: name ->
+    (arity, fn), with fn mapping YMElements to a residual that must vanish."""
+
+    def embed(x):
+        return ym_embed(x, eta)
+
+    return {
+        "ym-transport-q": (
+            1,
+            lambda x: Q_eta(embed(x), eta) - embed(ym_q(x, eta)),
+        ),
+        "ym-transport-mu": (
+            2,
+            lambda x, y: musym_eta(embed(x), embed(y), eta)
+            - embed(ym_mu_sym(x, y, eta)),
+        ),
+        "ym-transport-nu": (
+            3,
+            lambda x, y, z: nusym(embed(x), embed(y), embed(z))
+            - embed(ym_nu_sym(x, y, z, eta)),
+        ),
+    }
 
 
 # -- matrix-valued layer ---------------------------------------------------

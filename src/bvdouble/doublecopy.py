@@ -28,6 +28,7 @@ residuals  [[g, g]] + L_{div_Omega(g)} g  and  div_Omega(div_Omega(g)).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .scalars import (
     FourierScalar,
@@ -139,8 +140,6 @@ def null_covector(eta: Metric, search: int = 6):
     Definite metrics admit none and return None at once; otherwise the
     search runs in order of increasing max-norm up to the bound.
     """
-    from itertools import product
-
     if eta.is_definite():
         return None
     for s in range(1, search + 1):
@@ -211,10 +210,6 @@ class DoubledScalar:
     @staticmethod
     def zero(halfdim: int) -> "DoubledScalar":
         return DoubledScalar(halfdim, FourierScalar.zero(2 * halfdim))
-
-    @staticmethod
-    def const(halfdim: int, value) -> "DoubledScalar":
-        return DoubledScalar(halfdim, FourierScalar.const(2 * halfdim, value))
 
     @staticmethod
     def harmonic(halfdim: int, k, ktilde, coeff=1) -> "DoubledScalar":
@@ -304,11 +299,6 @@ class Bivector:
         )
         self.halfdim = halfdim
         self.entries = rows
-
-    @staticmethod
-    def zero(halfdim: int) -> "Bivector":
-        z = DoubledScalar.zero(halfdim)
-        return Bivector(((z,) * halfdim,) * halfdim)
 
     def entry(self, k: int, l: int) -> DoubledScalar:
         return self.entries[k][l]
@@ -442,7 +432,8 @@ def random_doubled_scalar(
     rng, halfdim: int, cutoff: int, sector: str = "both"
 ) -> DoubledScalar:
     """A sparse random doubled scalar; sector limits modes to "x", "xt" or "both"."""
-    assert sector in ("x", "xt", "both"), f"unknown sector {sector!r}"
+    if sector not in ("x", "xt", "both"):
+        raise ValueError(f"unknown sector {sector!r}")
     coeffs = {}
     for _ in range(rng.randint(1, 2)):
         k = tuple(rng.randint(-cutoff, cutoff) for _ in range(halfdim))

@@ -48,15 +48,18 @@ class DifferentialForm:
     __slots__ = ("dim", "degree", "comps")
 
     def __init__(self, dim: int, degree: int, comps=None):
-        assert 0 <= degree <= dim
+        if not 0 <= degree <= dim:
+            raise ValueError(f"form degree {degree} outside 0..{dim}")
         self.dim = dim
         self.degree = degree
         clean = {}
         if comps:
             for idx, f in comps.items():
                 idx = tuple(idx)
-                assert len(idx) == degree and list(idx) == sorted(set(idx))
-                assert all(0 <= i < dim for i in idx)
+                if len(idx) != degree or list(idx) != sorted(set(idx)):
+                    raise ValueError(f"{idx} is not an increasing {degree}-index")
+                if not all(0 <= i < dim for i in idx):
+                    raise ValueError(f"index {idx} outside 0..{dim - 1}")
                 if not f.is_zero():
                     clean[idx] = f
         self.comps = clean
@@ -79,13 +82,17 @@ class DifferentialForm:
         return self.comps.get(tuple(idx), FourierScalar.zero(self.dim))
 
     def one_form_components(self):
-        assert self.degree == 1
+        if self.degree != 1:
+            raise ValueError(f"expected a one-form, got degree {self.degree}")
         return tuple(self.component((j,)) for j in range(self.dim))
 
     def __add__(self, other):
         if not isinstance(other, DifferentialForm):
             return NotImplemented
-        assert self.dim == other.dim and self.degree == other.degree
+        if self.dim != other.dim:
+            raise ValueError(f"forms on T^{self.dim} and T^{other.dim}")
+        if self.degree != other.degree:
+            raise TypeError(f"cannot add degrees {self.degree} and {other.degree}")
         comps = dict(self.comps)
         for idx, f in other.comps.items():
             comps[idx] = comps.get(idx, FourierScalar.zero(self.dim)) + f
@@ -133,7 +140,8 @@ class DifferentialForm:
 
 def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
     """Exterior product; degree overflow gives the zero top-degree form."""
-    assert alpha.dim == beta.dim
+    if alpha.dim != beta.dim:
+        raise ValueError(f"forms on T^{alpha.dim} and T^{beta.dim}")
     dim = alpha.dim
     degree = alpha.degree + beta.degree
     if degree > dim:
@@ -202,9 +210,7 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
             continue
         rest = tuple(i for i in range(dim) if i not in raised)
         sgn = _perm_sign(raised + rest)
-        comps[rest] = comps.get(rest, FourierScalar.zero(dim)) + lifted * (
-            root * sgn
-        )
+        comps[rest] = lifted * (root * sgn)
     return DifferentialForm(dim, dim - p, comps)
 
 
@@ -227,7 +233,8 @@ def _det_fraction(rows) -> Fraction:
 
 def form_integral(alpha: DifferentialForm) -> GaussRational:
     """Normalised integral of a top form (coefficient of the volume basis)."""
-    assert alpha.degree == alpha.dim
+    if alpha.degree != alpha.dim:
+        raise ValueError(f"only top forms integrate, got degree {alpha.degree}")
     return alpha.component(tuple(range(alpha.dim))).integral()
 
 
@@ -244,8 +251,10 @@ class YMElement:
     )
 
     def __init__(self, degree: int, form: DifferentialForm):
-        assert 0 <= degree <= 3
-        assert form.degree == YMElement._FORM_DEGREE(degree, form.dim)
+        if not 0 <= degree <= 3:
+            raise ValueError(f"slot degree {degree} outside 0..3")
+        if form.degree != YMElement._FORM_DEGREE(degree, form.dim):
+            raise ValueError(f"slot {degree} cannot hold a {form.degree}-form")
         self.degree = degree
         self.form = form
 
@@ -308,7 +317,8 @@ def ym_q(x: YMElement, metric: Metric) -> YMElement:
 
 def ym_mu_sym(x: YMElement, y: YMElement, metric: Metric) -> YMElement:
     """The graded-commutative product of the four-slot complex."""
-    assert x.dim == y.dim
+    if x.dim != y.dim:
+        raise ValueError(f"elements on T^{x.dim} and T^{y.dim}")
     dim = x.dim
     d1, d2 = x.degree, y.degree
     if d1 + d2 > 3:
@@ -334,7 +344,8 @@ def ym_mu_sym(x: YMElement, y: YMElement, metric: Metric) -> YMElement:
 
 def ym_nu_sym(x: YMElement, y: YMElement, z: YMElement, metric: Metric) -> YMElement:
     """Trilinear homotopy; nonzero only on three degree-1 arguments."""
-    assert x.dim == y.dim == z.dim
+    if not x.dim == y.dim == z.dim:
+        raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
     dim = x.dim
     if (x.degree, y.degree, z.degree) != (1, 1, 1):
         out = x.degree + y.degree + z.degree - 1
@@ -346,47 +357,17 @@ def ym_nu_sym(x: YMElement, y: YMElement, z: YMElement, metric: Metric) -> YMEle
     return YMElement(2, value)
 
 
-def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
+def _cinf_identity_pool(eta: Metric):
     """Named residual callables for the four-slot complex, keyed by identity.
 
     Each value is (arity, fn) where fn maps that many YMElements to an
-    object that must vanish exactly.  ``rng`` is only consulted by the
-    pairing-symmetry row, which re-rolls its second argument onto a matching
-    form degree.
+    object that must vanish exactly; the pairing-symmetry residual instead
+    takes two forms of equal degree.
     """
-    from .bvcomplex import BVElement
-    from .bvops import nusym
-    from .deform import Q_eta, musym_eta, ym_embed
-
     dim = eta.dim
-    det_sign = 1 if 1 / eta.det_upper > 0 else -1
-
-    def embed(x: YMElement) -> BVElement:
-        # The (D-1)- and D-form slots enter the big complex through the
-        # inverse star: beta -> -g1(*^{-1} beta) and omega -> *^{-1} omega.
-        # On p-forms ** = det_sign * (-1)^{p(D-p)}, so *^{-1} is
-        # det_sign * (-1)^{D-1} * on (D-1)-forms and det_sign * on top forms.
-        if x.degree == 0:
-            return BVElement.deg0(x.form.component(()))
-        if x.degree == 1:
-            return ym_embed("f1", x.form, eta)
-        if x.degree == 2:
-            return (-det_sign * sign(dim - 1)) * ym_embed("g1", hodge(x.form, eta), eta)
-        return det_sign * BVElement.deg3(hodge(x.form, eta).component(()))
-
-    def _match(y, x):
-        # pairing symmetry wants equal form degrees; re-roll y onto x's slot
-        if y.form.degree == x.form.degree:
-            return y
-        return YMElement(x.degree, random_form(rng, dim, cutoff, x.form.degree))
-
+    det_sign = 1 if eta.det_upper > 0 else -1
     return {
-        "exterior-d-squared": (
-            1,
-            lambda x: dform(dform(x.form))
-            if x.form.degree + 2 <= dim
-            else DifferentialForm.zero(dim, dim),
-        ),
+        "exterior-d-squared": (1, lambda x: dform(dform(x.form))),
         "exterior-star-square": (
             1,
             lambda x: hodge(hodge(x.form, eta), eta)
@@ -394,10 +375,8 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
         ),
         "exterior-pairing-symmetry": (
             2,
-            lambda x, y, _m=_match: (
-                lambda ym: form_integral(wedge(x.form, hodge(ym.form, eta)))
-                - form_integral(wedge(ym.form, hodge(x.form, eta)))
-            )(_m(y, x)),
+            lambda a, b: form_integral(wedge(a, hodge(b, eta)))
+            - form_integral(wedge(b, hodge(a, eta))),
         ),
         "ym-q-squared": (1, lambda x: ym_q(ym_q(x, eta), eta)),
         "ym-mu-commutativity": (
@@ -425,20 +404,6 @@ def _cinf_identity_pool(eta: Metric, rng, cutoff: int):
             lambda x, y, z: ym_nu_sym(x, y, z, eta)
             - sign(x.degree * y.degree) * ym_nu_sym(y, x, z, eta)
             + sign(x.degree * (y.degree + z.degree)) * ym_nu_sym(y, z, x, eta),
-        ),
-        "ym-transport-q": (
-            1,
-            lambda x: Q_eta(embed(x), eta) - embed(ym_q(x, eta)),
-        ),
-        "ym-transport-mu": (
-            2,
-            lambda x, y: musym_eta(embed(x), embed(y), eta)
-            - embed(ym_mu_sym(x, y, eta)),
-        ),
-        "ym-transport-nu": (
-            3,
-            lambda x, y, z: nusym(embed(x), embed(y), embed(z))
-            - embed(ym_nu_sym(x, y, z, eta)),
         ),
     }
 

@@ -54,6 +54,7 @@ from .deform import (
     MatrixFunction,
     Q_eta,
     _ainf_identity_pool,
+    _transport_pool,
     bracket_laplacian,
     deformed_bracket,
     dictionary_fields,
@@ -81,8 +82,7 @@ from .doublecopy import (
     strong_constraint_check,
     wave_constraint,
 )
-from .exterior import _cinf_identity_pool as _exterior_pool
-from .exterior import random_ym_element
+from .exterior import _cinf_identity_pool, random_form, random_ym_element
 from .scalars import FourierScalar, GaussRational, Metric, random_scalar
 from .sections import (
     anchor,
@@ -288,10 +288,7 @@ def _run_identities(suite: str, identities, cfg: SuiteConfig):
 def _degree_sweep(res, arity: int, patterns=None):
     """Sampler running ``res`` over every degree pattern on each sample."""
     if patterns is None:
-        patterns = [(d,) for d in range(4)] if arity == 1 else [
-            tuple(p)
-            for p in _product_degrees(arity)
-        ]
+        patterns = _product_degrees(arity)
 
     def sampler(rng, cfg):
         for _ in range(cfg.samples):
@@ -345,6 +342,20 @@ def _any_degree(random_fn):
 _SECTION = _draw(random_section)
 _SCALAR = _draw(random_scalar)
 _ELEMENT = _any_degree(random_element)
+_FORM_ELEMENT = _any_degree(random_ym_element)
+
+
+def _pool_identities(pool, statements, draw, prefix=""):
+    """One row per pool entry ``name -> (arity, fn)``, with id ``prefix +
+    name``: each sample makes ``arity`` draws and applies ``fn`` to them."""
+    return [
+        Identity(
+            prefix + name,
+            statements[name],
+            _sampler(lambda cfg, *xs, fn=fn: fn(*xs), *(draw,) * arity),
+        )
+        for name, (arity, fn) in pool.items()
+    ]
 
 
 # -- generalized-section suite ---------------------------------------------
@@ -870,17 +881,9 @@ _DEFORM_STATEMENTS = {
 
 
 def _deform_identities(cfg: SuiteConfig):
-    pool = _ainf_identity_pool(cfg.metric)
-    identities = []
-    for name, (arity, fn) in pool.items():
-        statement = _DEFORM_STATEMENTS.get(name, name)
-        identities.append(
-            Identity(
-                f"deform-{name}",
-                statement,
-                _sampler(lambda cfg, *xs, fn=fn: fn(*xs), *(_ELEMENT,) * arity),
-            )
-        )
+    identities = _pool_identities(
+        _ainf_identity_pool(cfg.metric), _DEFORM_STATEMENTS, _ELEMENT, "deform-"
+    )
 
     def laplacian_commutator(cfg, x):
         eta = cfg.metric
@@ -1019,22 +1022,33 @@ _EXTERIOR_STATEMENTS = {
 }
 
 
+def _pairing_sampler(pairing):
+    """Draw x, then y; when their form degrees differ, y's form is re-rolled
+    onto x's on the row's stream.  The row stores the drawn (x, y)."""
+
+    def sampler(rng, cfg):
+        for _ in range(cfg.samples):
+            x, y = _FORM_ELEMENT(rng, cfg), _FORM_ELEMENT(rng, cfg)
+            form = y.form
+            if form.degree != x.form.degree:
+                form = random_form(rng, cfg.dim, cfg.mode_cutoff, x.form.degree)
+            yield (x, y), pairing(x.form, form)
+
+    return sampler
+
+
 def _exterior_identities(cfg: SuiteConfig):
-    form_element = _any_degree(random_ym_element)
-
-    def row(name):
-        def sampler(rng, cfg):
-            # build the pool on this row's stream so its re-rolls stay local
-            arity, fn = _exterior_pool(cfg.metric, rng, cfg.mode_cutoff)[name]
-            residual = lambda cfg, *xs: fn(*xs)
-            return _sampler(residual, *(form_element,) * arity)(rng, cfg)
-
-        return sampler
-
-    return [
-        Identity(name, statement, row(name))
-        for name, statement in _EXTERIOR_STATEMENTS.items()
-    ], {}
+    pool = _cinf_identity_pool(cfg.metric)
+    identities = [
+        *_pool_identities(pool, _EXTERIOR_STATEMENTS, _FORM_ELEMENT),
+        *_pool_identities(
+            _transport_pool(cfg.metric), _EXTERIOR_STATEMENTS, _FORM_ELEMENT
+        ),
+    ]
+    for identity in identities:
+        if identity.ident == "exterior-pairing-symmetry":
+            identity.sampler = _pairing_sampler(pool[identity.ident][1])
+    return identities, {}
 
 
 # -- doubled-geometry suites -----------------------------------------------

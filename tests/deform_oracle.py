@@ -8,13 +8,15 @@ covariant derivative is computed once, each entry of a matrix product or
 commutator is summed in one coefficient dict, and the matrix-tensored
 Maurer-Cartan kernels sum each output entry from per-entry jets.  The
 functions below are the term-by-term definitions those forms replaced; the
-tests compare the two exactly.
+tests compare the two exactly.  The embedding of the four-slot complex is
+kept as the exterior suite once wrote it: per slot, through the one-form
+embeddings f1 and g1.
 """
 
 from fractions import Fraction
 
 from bvdouble.bvcomplex import BVElement, op_q
-from bvdouble.bvops import brack, m_op, mu, nu, nusym
+from bvdouble.bvops import brack, m_op, mu, nu, nusym, sign
 from bvdouble.deform import (
     LieValuedBVElement,
     MatrixFunction,
@@ -23,6 +25,7 @@ from bvdouble.deform import (
     flat_sections,
     musym_eta,
 )
+from bvdouble.exterior import DifferentialForm, YMElement, hodge
 from bvdouble.scalars import FourierScalar, Metric
 from bvdouble.sections import GenSection
 
@@ -192,3 +195,34 @@ def ym_field_residual_raised(calA, phi, eta: Metric):
         e1.append(r1)
         e2.append(r2)
     return e1, e2
+
+
+def ym_embed_one_form(kind: str, form: DifferentialForm, eta: Metric) -> BVElement:
+    """f1(B) = deg1((B*, B), -eta^{ij} d_j B_i) and g1(B) = deg2((B*, B)),
+    with (B*)^j = eta^{ij} B_i."""
+    dim = eta.dim
+    comps = form.one_form_components()
+    star = tuple(eta.raise_index(comps))
+    if kind == "f1":
+        div = FourierScalar.zero(dim)
+        for i in range(dim):
+            for j in range(dim):
+                div = div + comps[i].derivative(j) * eta.up(i, j)
+        return BVElement.deg1(GenSection(star, comps), -div)
+    return BVElement.deg2(GenSection(star, comps))
+
+
+def ym_embed(x: YMElement, eta: Metric) -> BVElement:
+    """Slotwise: u -> deg0(u), B -> f1(B), beta -> -g1(*^{-1} beta) and
+    omega -> deg3(*^{-1} omega), with *^{-1} = det_sign * (-1)^{D-1} * on
+    (D-1)-forms and det_sign * on top forms."""
+    dim = eta.dim
+    det_sign = 1 if 1 / eta.det_upper > 0 else -1
+    if x.degree == 0:
+        return BVElement.deg0(x.form.component(()))
+    if x.degree == 1:
+        return ym_embed_one_form("f1", x.form, eta)
+    if x.degree == 2:
+        g1 = ym_embed_one_form("g1", hodge(x.form, eta), eta)
+        return (-det_sign * sign(dim - 1)) * g1
+    return det_sign * BVElement.deg3(hodge(x.form, eta).component(()))

@@ -102,6 +102,13 @@ def test_rejected_configuration_exits_two(tmp_path, capsys):
     assert "positive integer" in err
 
 
+def test_zero_samples_override_exits_two(capsys):
+    code = main(["verify", "--suite", "bvcomplex", "--samples", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "error: samples must be a positive integer, got 0" in err
+
+
 @pytest.mark.parametrize("key", ["dimension", "mode_cutoff", "matrix_rank", "samples", "seed"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_boolean_is_not_an_integer(tmp_path, capsys, key, flag):

@@ -28,8 +28,10 @@ from bvdouble.deform import (
     mc_residual,
     mu_bar_eta,
     musym_eta,
+    ym_embed,
     ym_field_residual,
 )
+from bvdouble.exterior import random_ym_element
 from bvdouble.scalars import Metric, random_scalar, sum_of_products
 from bvdouble.sections import GenSection, pairing
 from bvdouble.serialize import canonical_dumps
@@ -249,3 +251,24 @@ def test_zero_entries_of_another_degree_read_as_zeros(degree):
     u_zero = LieValuedBVElement([[u.entry(0, 0), BVElement.zero(0, DIM)], list(u.grid[1])])
     same(mc_residual(psi_other, eta), mc_residual(psi, eta))
     same(gauge_variation(psi_other, u_other, eta), gauge_variation(psi, u_zero, eta))
+
+
+EMBED_METRICS = {
+    "D2-lorentz": Metric.diagonal([1, -1]),
+    "D2-euclid": Metric.diagonal([1, 1]),
+    "D3-lorentz": LORENTZ,
+    "D3-euclid": Metric.diagonal([1, 1, 1]),
+    "D3-dense": DENSE,
+    "D4-lorentz": Metric.diagonal([1, 1, 1, -1]),
+    "D4-split": Metric.diagonal([1, 1, -1, -1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_METRICS))
+@pytest.mark.parametrize("degree", range(4))
+def test_ym_embed_matches_the_one_form_embeddings(name, degree):
+    eta = EMBED_METRICS[name]
+    rng = random.Random(f"embed:{name}:{degree}")
+    for _ in range(3):
+        x = random_ym_element(rng, eta.dim, 2, degree)
+        same(ym_embed(x, eta), oracle.ym_embed(x, eta))

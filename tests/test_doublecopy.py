@@ -210,7 +210,7 @@ def test_single_sector_functions_are_wave_closed(rng):
     ft = random_doubled_scalar(rng, 2, 2, sector="xt")
     assert delta_minus(fx).is_zero()
     assert delta_minus(ft).is_zero()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         random_doubled_scalar(rng, 2, 2, sector="t")
 
 

@@ -1,10 +1,16 @@
 """Exterior calculus with exact coefficients and the four-slot complex."""
 
+import hashlib
+import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from bvdouble import exterior
+from bvdouble.deform import _transport_pool
 from bvdouble.exterior import (
     DifferentialForm,
     _cinf_identity_pool,
@@ -20,6 +26,7 @@ from bvdouble.exterior import (
     ym_q,
 )
 from bvdouble.scalars import FourierScalar, GaussRational, Metric
+from bvdouble.serialize import canonical_dumps
 from bvdouble.suites import SuiteConfig, run_suite
 
 DIM = 3
@@ -152,8 +159,55 @@ def test_pairing_symmetry_on_equal_degrees(rng):
 def test_slot_degrees(degree, form_degree):
     x = YMElement.zero(degree, DIM)
     assert x.form.degree == form_degree
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         YMElement(degree, DifferentialForm.zero(DIM, (form_degree + 1) % (DIM + 1)))
+
+
+def test_malformed_forms_raise(rng):
+    one, two = random_form(rng, DIM, 1, 1), random_form(rng, DIM, 1, 2)
+    flat = DifferentialForm.zero(2, 1)
+    for make in (
+        lambda: DifferentialForm(DIM, DIM + 1),
+        lambda: DifferentialForm(DIM, 2, {(1, 0): _harm((1, 0, 0))}),
+        lambda: DifferentialForm(DIM, 1, {(DIM,): _harm((1, 0, 0))}),
+        lambda: two.one_form_components(),
+        lambda: one + flat,
+        lambda: wedge(one, flat),
+        lambda: form_integral(two),
+        lambda: YMElement(4, DifferentialForm.zero(DIM, DIM)),
+        lambda: ym_mu_sym(YMElement(1, one), YMElement(1, flat), LORENTZ),
+        lambda: ym_nu_sym(*[YMElement(1, one)] * 2, YMElement(1, flat), LORENTZ),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    with pytest.raises(TypeError, match="degree"):
+        one + two
+
+
+def test_slot_and_sector_checks_survive_optimize(subprocess_env):
+    # with the checks stripped, both would be accepted without a word
+    code = (
+        "import random\n"
+        "from bvdouble.doublecopy import random_doubled_scalar\n"
+        "from bvdouble.exterior import DifferentialForm, YMElement\n"
+        "for make in (\n"
+        "    lambda: YMElement(1, DifferentialForm.zero(3, 2)),\n"
+        "    lambda: random_doubled_scalar(random.Random(1), 2, 2, sector='t'),\n"
+        "):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\nrefused\n"
 
 
 def test_degree_mismatch_add_raises(rng):
@@ -218,8 +272,8 @@ def test_residual_battery_is_clean():
         "ym-transport-mu",
         "ym-transport-nu",
     ]
-    # every residual in the pool has its row
-    assert ids == list(_cinf_identity_pool(LORENTZ, None, 1))
+    # every residual in the two pools has its row
+    assert ids == list(_cinf_identity_pool(LORENTZ)) + list(_transport_pool(LORENTZ))
 
 
 @pytest.mark.parametrize(
@@ -233,3 +287,25 @@ def test_residual_battery_is_clean_in_even_dimensions(diagonal):
     )
     rows = run_suite("exterior", cfg)["identities"]
     assert [r["id"] for r in rows if not r["passed"]] == []
+
+
+PAIRING_FAILURES_SHA256 = "d62dc0d4da32e03835bdb4c5678c7e8ec01cd67a2fa151b793fcf5ebda04bd7f"
+
+
+def test_pairing_row_stores_the_drawn_arguments(monkeypatch):
+    # every integral is offset by a call count, so each sample's residual is
+    # -1 and the row stores its args; at seed 1 the three stored pairs all
+    # have unequal form degrees, so y was re-rolled on the row's stream
+    # before the next pair was drawn, and the row keeps the drawn y
+    calls = itertools.count()
+    integral = exterior.form_integral
+    monkeypatch.setattr(exterior, "form_integral", lambda a: integral(a) + next(calls))
+    cfg = SuiteConfig(metric=LORENTZ, mode_cutoff=1, samples=4, seed=1)
+    rows = run_suite("exterior", cfg)["identities"]
+    (row,) = [r for r in rows if r["id"] == "exterior-pairing-symmetry"]
+    assert row["failures_truncated"]
+    degrees = [[arg["degree"] for arg in f["args"]] for f in row["failures"]]
+    assert degrees == [[0, 2], [3, 1], [2, 0]]
+    text = canonical_dumps(row["failures"]).encode("utf-8")
+    assert len(text) == 7727
+    assert hashlib.sha256(text).hexdigest() == PAIRING_FAILURES_SHA256

@@ -1,10 +1,11 @@
 """Byte-identity locks on the canonical report.
 
 The sha256 of ``bvdouble verify --suite all --samples 1 --seed 101`` at the
-default configuration, and of the ``deform``, ``ym``, ``cbracket`` and
-``doublecopy`` suites at seed 101 on the off-diagonal metric
+default configuration, and of the ``deform``, ``ym``, ``cbracket``,
+``doublecopy`` and ``exterior`` suites at seed 101 on the off-diagonal metric
 [[5/4,3/4,0],[3/4,5/4,0],[0,0,-1]] with rank-2 matrices, which exercises the
-non-diagonal index contractions of the deformation and the C-bracket; the
+non-diagonal index contractions of the deformation, the C-bracket, the
+Hodge star and the embedding of the four-slot complex; the
 ``doublecopy`` report (357,539 bytes of stored witnesses) is the largest
 text the canonical writer produces.  ``verify --suite ym`` is pinned at rank 3 on the default
 Lorentzian metric (mode cutoff 2, one sample, seed 101), where every
@@ -39,6 +40,7 @@ OFF_DIAGONAL_SHA256 = {
     "cbracket": "b9edaf050456b563f4839589041fba9be6111ed63d2e5cbc7949e26c59452446",
     "deform": "f61599cf16f2d9b267a1787151e5bce409d0b0d9efd486289f36716d0a0d23c4",
     "doublecopy": "74f7e834f238c4541e6eb3f7a3a1191cd5647222b4b478cce914fda6b55c2671",
+    "exterior": "a943ce9ca713ca60225aebeae40f4db4a4aaa113c3914b10060618b9fcb68b75",
     "ym": "a3124b2a2a4bdd709a5ec0a319ace3c9bff6d9ba8ca9c1ba7c0497469d5c3b89",
 }
 

@@ -28,3 +28,16 @@ def test_every_import_is_stdlib_or_package_relative():
         if module not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_no_function_imports():
+    # imports sit at module top, where an import cycle shows at once
+    inside = [
+        f"{path.name}:{node.lineno}: in {fn.name}"
+        for path in SOURCES
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert SOURCES and inside == []
