@@ -55,7 +55,8 @@ def _scale_section_pair(u: FourierScalar, x: BVElement, degree: int) -> BVElemen
 
 def mu(x: BVElement, y: BVElement) -> BVElement:
     """The degree-0 product."""
-    assert x.dim == y.dim
+    if x.dim != y.dim:
+        raise ValueError(f"elements on T^{x.dim} and T^{y.dim}")
     d1, d2 = x.degree, y.degree
     dim = x.dim
 
@@ -106,7 +107,8 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
 
 def m_op(x: BVElement, y: BVElement) -> BVElement:
     """Homotopy for commutativity; nonzero only on two degree-1 sections."""
-    assert x.dim == y.dim
+    if x.dim != y.dim:
+        raise ValueError(f"elements on T^{x.dim} and T^{y.dim}")
     if x.degree == 1 and y.degree == 1:
         return BVElement.deg1(GenSection.zero(x.dim), pairing(x.section, y.section))
     return BVElement.zero(x.degree + y.degree - 1, x.dim)
@@ -128,7 +130,8 @@ def nu(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     second slot paired with two degree-1 arguments; in the latter cases only
     the scalar slot of the degree-2 argument contributes.
     """
-    assert x.dim == y.dim == z.dim
+    if not x.dim == y.dim == z.dim:
+        raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
     pattern = (x.degree, y.degree, z.degree)
     if pattern == (1, 1, 1):
         return mu(m_op(x, z), y) - mu(m_op(y, z), x)
@@ -154,7 +157,8 @@ def musym(x: BVElement, y: BVElement) -> BVElement:
 
 def nusym(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     """Trilinear operation of the commutative (shuffle-vanishing) structure."""
-    assert x.dim == y.dim == z.dim
+    if not x.dim == y.dim == z.dim:
+        raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
     pattern = (x.degree, y.degree, z.degree)
     if pattern == (1, 1, 1):
         return (
@@ -205,7 +209,8 @@ def l3(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     the cyclic sum of n paired with the bracket of the other two) and for
     (degree 1, degree 1, degree 2) (value in degree 1); zero elsewhere.
     """
-    assert x.dim == y.dim == z.dim
+    if not x.dim == y.dim == z.dim:
+        raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
     sixth = Fraction(1, 6)
     pattern = (x.degree, y.degree, z.degree)
     if pattern == (1, 1, 1):

@@ -37,6 +37,7 @@ from .scalars import (
     FourierScalar,
     GaussRational,
     Metric,
+    SquareGrid,
     laplacian,
     random_scalar,
     sum_of_products,
@@ -435,24 +436,18 @@ def _transport_pool(eta: Metric):
 # -- matrix-valued layer ---------------------------------------------------
 
 
-class MatrixFunction:
-    """A square matrix of torus scalars with convolution matrix product."""
+class MatrixFunction(SquareGrid):
+    """A square grid of scalars on one torus, with the convolution matrix product."""
 
-    __slots__ = ("rank", "dim", "rows")
+    __slots__ = ("dim",)
+    ENTRY = FourierScalar
 
     def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
-        n = len(rows)
-        if not n or any(len(r) != n for r in rows):
-            raise ValueError("a matrix function needs a nonempty square grid of entries")
-        if not all(isinstance(e, FourierScalar) for row in rows for e in row):
-            raise TypeError("matrix function entries must be FourierScalars")
-        dim = rows[0][0].dim
-        if any(e.dim != dim for row in rows for e in row):
+        super().__init__(rows)
+        dim = self.rows[0][0].dim
+        if any(e.dim != dim for row in self.rows for e in row):
             raise ValueError("matrix function entries live on tori of different dimensions")
-        self.rank = n
         self.dim = dim
-        self.rows = rows
 
     @staticmethod
     def zero(rank: int, dim: int) -> "MatrixFunction":
@@ -468,27 +463,6 @@ class MatrixFunction:
             ]
         )
 
-    def entry(self, p: int, q: int) -> FourierScalar:
-        return self.rows[p][q]
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixFunction):
-            return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError(f"cannot add matrices of rank {self.rank} and {other.rank}")
-        return MatrixFunction(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatrixFunction([[-a for a in row] for row in self.rows])
-
     def __mul__(self, other):
         if isinstance(other, MatrixFunction):
             cols = tuple(zip(*other.rows))
@@ -498,7 +472,7 @@ class MatrixFunction:
                     for row in self.rows
                 ]
             )
-        return MatrixFunction([[a * other for a in row] for row in self.rows])
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 
@@ -507,90 +481,37 @@ class MatrixFunction:
         return _matrix_sum((), (), [(self, other)])
 
     def derivative(self, j: int) -> "MatrixFunction":
-        return MatrixFunction([[a.derivative(j) for a in row] for row in self.rows])
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixFunction):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self):
-        return f"MatrixFunction({self.rows!r})"
+        return self.apply(lambda a: a.derivative(j))
 
 
-class LieValuedBVElement:
-    """A square matrix of degree-homogeneous BVElements (one per Lie slot)."""
+class LieValuedBVElement(SquareGrid):
+    """A square grid of BVElements of one degree and torus (one per Lie slot)."""
 
-    __slots__ = ("rank", "degree", "dim", "grid")
+    __slots__ = ("degree", "dim")
+    ENTRY = BVElement
 
-    def __init__(self, grid):
-        grid = tuple(tuple(row) for row in grid)
-        n = len(grid)
-        if not n or any(len(r) != n for r in grid):
-            raise ValueError("a matrix-valued element needs a nonempty square grid")
-        if not all(isinstance(e, BVElement) for row in grid for e in row):
-            raise TypeError("matrix-valued element entries must be BVElements")
-        degree = grid[0][0].degree
-        dim = grid[0][0].dim
-        for row in grid:
+    def __init__(self, rows):
+        super().__init__(rows)
+        degree = self.rows[0][0].degree
+        dim = self.rows[0][0].dim
+        for row in self.rows:
             for e in row:
                 if e.dim != dim:
                     raise ValueError("entries live on tori of different dimensions")
                 if e.degree != degree and not e.is_zero():
                     raise ValueError(f"a degree-{e.degree} entry in a degree-{degree} grid")
-        self.rank = n
         self.degree = degree
         self.dim = dim
-        self.grid = grid
 
     @staticmethod
     def zero(degree: int, dim: int, rank: int) -> "LieValuedBVElement":
         z = BVElement.zero(degree, dim)
         return LieValuedBVElement([[z] * rank for _ in range(rank)])
 
-    def entry(self, p: int, q: int) -> BVElement:
-        return self.grid[p][q]
-
-    def apply(self, fn) -> "LieValuedBVElement":
-        return LieValuedBVElement([[fn(e) for e in row] for row in self.grid])
-
-    def __add__(self, other):
-        if not isinstance(other, LieValuedBVElement):
-            return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError(f"cannot add matrices of rank {self.rank} and {other.rank}")
-        return LieValuedBVElement(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.grid, other.grid)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.apply(lambda e: -e)
-
-    def __mul__(self, const):
-        return self.apply(lambda e: e * const)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.grid for e in row)
-
     def __eq__(self, other):
-        # entrywise BVElement equality: zero grids of any degrees are equal
-        if not isinstance(other, LieValuedBVElement):
-            return NotImplemented
-        return self.rank == other.rank and self.dim == other.dim and self.grid == other.grid
-
-    def __repr__(self):
-        return f"LieValuedBVElement(rank={self.rank}, degree={self.degree})"
+        # entrywise BVElement equality holds for zeros of any degree and dim
+        eq = super().__eq__(other)
+        return eq if eq is NotImplemented else eq and self.dim == other.dim
 
 
 # -- Maurer-Cartan theory --------------------------------------------------
@@ -621,7 +542,7 @@ def mc_from_fields(avec, bform, eta: Metric) -> LieValuedBVElement:
 def _entries(x: LieValuedBVElement, degree: int):
     """The grid of x, with each (zero) entry of another degree read as the zero of ``degree``."""
     zero = BVElement.zero(degree, x.dim)
-    return [[e if e.degree == degree else zero for e in row] for row in x.grid]
+    return [[e if e.degree == degree else zero for e in row] for row in x.rows]
 
 
 @lru_cache(maxsize=None)
@@ -941,7 +862,7 @@ def mc_vs_ym_compare(psi: LieValuedBVElement, eta: Metric, calibration=None):
 
     # unpack residual slots into per-direction matrix functions
     aslot, pslot = _slot_split(res, eta)
-    vtilde_zero = all(e.scalar.is_zero() for row in res.grid for e in row)
+    vtilde_zero = all(e.scalar.is_zero() for row in res.rows for e in row)
 
     if calibration is None:
         c1 = _fit_constant(aslot, e1)

@@ -33,6 +33,7 @@ from itertools import product
 from .scalars import (
     FourierScalar,
     Metric,
+    SquareGrid,
     laplacian,
     random_coefficient,
     random_scalar,
@@ -75,7 +76,8 @@ def c_half_bracket(a, b, eta: Metric):
     + eta^{rj} eta_{kl} d_r A^k B^l (not antisymmetric on its own)."""
     a, b = tuple(a), tuple(b)
     n = len(a)
-    assert len(b) == n == eta.dim
+    if not len(b) == n == eta.dim:
+        raise ValueError(f"fields of {n} and {len(b)} components on a {eta.dim}-dim metric")
     dim = a[0].dim
     da, db = _jacobian(a), _jacobian(b)
     # eta_{kl} d_r A^k B^l = d_r A^k B_k for each r, shared across components.
@@ -203,7 +205,8 @@ class DoubledScalar:
     __slots__ = ("halfdim", "fun")
 
     def __init__(self, halfdim: int, fun: FourierScalar):
-        assert fun.dim == 2 * halfdim
+        if fun.dim != 2 * halfdim:
+            raise ValueError(f"a doubled scalar on T^{fun.dim} with half-dimension {halfdim}")
         self.halfdim = halfdim
         self.fun = fun
 
@@ -213,7 +216,8 @@ class DoubledScalar:
 
     @staticmethod
     def harmonic(halfdim: int, k, ktilde, coeff=1) -> "DoubledScalar":
-        assert len(k) == len(ktilde) == halfdim
+        if not len(k) == len(ktilde) == halfdim:
+            raise ValueError(f"a harmonic on T^{2 * halfdim} needs two modes of length {halfdim}")
         return DoubledScalar(
             halfdim, FourierScalar.harmonic(2 * halfdim, tuple(k) + tuple(ktilde), coeff)
         )
@@ -227,7 +231,9 @@ class DoubledScalar:
         return DoubledScalar(self.halfdim, self.fun.derivative(self.halfdim + i))
 
     def __add__(self, other):
-        assert isinstance(other, DoubledScalar) and other.halfdim == self.halfdim
+        if not isinstance(other, DoubledScalar):
+            return NotImplemented
+        _same_halfdim(self, other)
         return DoubledScalar(self.halfdim, self.fun + other.fun)
 
     def __sub__(self, other):
@@ -238,7 +244,7 @@ class DoubledScalar:
 
     def __mul__(self, other):
         if isinstance(other, DoubledScalar):
-            assert other.halfdim == self.halfdim
+            _same_halfdim(self, other)
             return DoubledScalar(self.halfdim, self.fun * other.fun)
         return DoubledScalar(self.halfdim, self.fun * other)
 
@@ -259,6 +265,16 @@ class DoubledScalar:
         return f"DoubledScalar({self.halfdim}, {self.fun!r})"
 
 
+def _same_halfdim(a, b) -> None:
+    if a.halfdim != b.halfdim:
+        raise ValueError(f"doubled tori of half-dimensions {a.halfdim} and {b.halfdim}")
+
+
+def _split_vector(vec, tvec, n: int) -> None:
+    if not len(vec) == len(tvec) == n:
+        raise ValueError(f"a split vector on T^{2 * n} needs {n} components per sector")
+
+
 def delta_minus(f: DoubledScalar) -> DoubledScalar:
     """The cross-sector wave operator 2 sum_i d_i dt^i; modewise -2 k.kt."""
     out = DoubledScalar.zero(f.halfdim)
@@ -269,7 +285,7 @@ def delta_minus(f: DoubledScalar) -> DoubledScalar:
 
 def section_pair_residual(f: DoubledScalar, g: DoubledScalar) -> DoubledScalar:
     """The strong-constraint residual sum_i (d_i f dt^i g + dt^i f d_i g)."""
-    assert f.halfdim == g.halfdim
+    _same_halfdim(f, g)
     out = DoubledScalar.zero(f.halfdim)
     for i in range(f.halfdim):
         out = out + f.dx(i) * g.dt(i) + f.dt(i) * g.dx(i)
@@ -285,60 +301,26 @@ def strong_constraint_check(f: DoubledScalar, g: DoubledScalar):
 # -- bivectors on the doubled torus ----------------------------------------
 
 
-class Bivector:
-    """A D x D matrix g^{kl} of doubled scalars, one leg per sector."""
+class Bivector(SquareGrid):
+    """A D x D grid g^{kl} of scalars on T^{2D}, one leg per sector."""
 
-    __slots__ = ("halfdim", "entries")
+    __slots__ = ()
+    ENTRY = DoubledScalar
 
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        halfdim = len(rows)
-        assert halfdim >= 1 and all(len(row) == halfdim for row in rows)
-        assert all(
-            isinstance(s, DoubledScalar) and s.halfdim == halfdim for row in rows for s in row
-        )
-        self.halfdim = halfdim
-        self.entries = rows
+    def __init__(self, rows):
+        super().__init__(rows)
+        if any(s.halfdim != self.rank for row in self.rows for s in row):
+            raise ValueError(f"a rank-{self.rank} bivector needs entries on T^{2 * self.rank}")
 
-    def entry(self, k: int, l: int) -> DoubledScalar:
-        return self.entries[k][l]
-
-    def __add__(self, other):
-        assert isinstance(other, Bivector) and other.halfdim == self.halfdim
-        return Bivector(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Bivector(tuple(tuple(-s for s in row) for row in self.entries))
-
-    def __mul__(self, scalar):
-        return Bivector(tuple(tuple(s * scalar for s in row) for row in self.entries))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for row in self.entries for s in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, Bivector):
-            return NotImplemented
-        return self.halfdim == other.halfdim and self.entries == other.entries
-
-    def __repr__(self):
-        return f"Bivector({self.entries!r})"
+    @property
+    def halfdim(self) -> int:
+        return self.rank
 
 
 def double_bracket(g: Bivector, h: Bivector) -> Bivector:
     """[[g,h]]^{kl} = sum_{ij} ( g^{ij} d_i dt_j h^{kl} + h^{ij} d_i dt_j g^{kl}
     - d_i g^{kj} dt_j h^{il} - d_i h^{kj} dt_j g^{il} );  symmetric in g, h."""
-    assert g.halfdim == h.halfdim
+    _same_halfdim(g, h)
     n = g.halfdim
     out = []
     for k in range(n):
@@ -364,7 +346,7 @@ def div_omega(g: Bivector, phi: DoubledScalar):
 
     the divergence against the weighted volume e^{-2 phi} vol."""
     n = g.halfdim
-    assert phi.halfdim == n
+    _same_halfdim(g, phi)
     vec = []
     for k in range(n):
         acc = DoubledScalar.zero(n)
@@ -383,7 +365,7 @@ def div_omega(g: Bivector, phi: DoubledScalar):
 def div_omega_vector(vec, tvec, phi: DoubledScalar) -> DoubledScalar:
     """Weighted divergence of a split vector field (one component per sector)."""
     n = phi.halfdim
-    assert len(vec) == len(tvec) == n
+    _split_vector(vec, tvec, n)
     acc = DoubledScalar.zero(n)
     for i in range(n):
         acc = acc + vec[i].dx(i) - vec[i] * phi.dx(i) * 2
@@ -395,7 +377,7 @@ def lie_derivative_bivector(vec, tvec, g: Bivector) -> Bivector:
     """(L_w g)^{kl} = w.d g^{kl} - g^{il} d_i v^k - g^{kj} dt_j vt^l for the
     split vector field w = (vec, tvec)."""
     n = g.halfdim
-    assert len(vec) == len(tvec) == n
+    _split_vector(vec, tvec, n)
     out = []
     for k in range(n):
         row = []

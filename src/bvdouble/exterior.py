@@ -68,16 +68,6 @@ class DifferentialForm:
     def zero(dim: int, degree: int) -> "DifferentialForm":
         return DifferentialForm(dim, degree)
 
-    @staticmethod
-    def from_scalar(u: FourierScalar) -> "DifferentialForm":
-        return DifferentialForm(u.dim, 0, {(): u})
-
-    @staticmethod
-    def one_form(comps) -> "DifferentialForm":
-        comps = tuple(comps)
-        dim = comps[0].dim
-        return DifferentialForm(dim, 1, {(j,): comps[j] for j in range(dim)})
-
     def component(self, idx) -> FourierScalar:
         return self.comps.get(tuple(idx), FourierScalar.zero(self.dim))
 

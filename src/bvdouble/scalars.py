@@ -47,12 +47,13 @@ import struct
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from operator import index, lshift
+from operator import index, lshift, neg
 
 __all__ = [
     "GaussRational",
     "FourierScalar",
     "Metric",
+    "SquareGrid",
     "laplacian",
     "random_coefficient",
     "random_scalar",
@@ -145,9 +146,6 @@ class GaussRational:
 
     def __neg__(self):
         return _gauss(-self._a, -self._b, self._d)
-
-    def conjugate(self):
-        return _gauss(self._a, -self._b, self._d)
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -518,9 +516,6 @@ class Metric:
     def up(self, i: int, j: int) -> Fraction:
         return self.upper[i][j]
 
-    def down(self, i: int, j: int) -> Fraction:
-        return self.lower[i][j]
-
     def pairs(self):
         """The nonzero entries (i, j, eta^{ij}), row by row."""
         return [(i, j, w) for i, row in enumerate(self._up_rows) for j, w in row]
@@ -605,6 +600,65 @@ def _invert(mat):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(row) for row in inv), det
+
+
+class SquareGrid:
+    """A nonempty square grid of ``ENTRY`` values under entrywise arithmetic.
+
+    Subclasses name the entry type and add the checks of their own; every
+    result of the arithmetic is built through the subclass constructor.
+    """
+
+    __slots__ = ("rank", "rows")
+    ENTRY = object
+
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
+        n = len(rows)
+        if not n or any(len(r) != n for r in rows):
+            raise ValueError(f"a {type(self).__name__} needs a nonempty square grid of entries")
+        entry = self.ENTRY
+        if not all(isinstance(e, entry) for row in rows for e in row):
+            raise TypeError(f"{type(self).__name__} entries must be {entry.__name__}s")
+        self.rank = n
+        self.rows = rows
+
+    def entry(self, p: int, q: int):
+        return self.rows[p][q]
+
+    def apply(self, fn):
+        return type(self)([[fn(e) for e in row] for row in self.rows])
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.rank != self.rank:
+            raise ValueError(f"cannot add grids of rank {self.rank} and {other.rank}")
+        return type(self)(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.apply(neg)
+
+    def __mul__(self, const):
+        return self.apply(lambda e: e * const)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.rows for e in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.rows!r})"
 
 
 # -- randomised inputs -----------------------------------------------------

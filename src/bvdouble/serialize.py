@@ -132,10 +132,10 @@ _ENCODERS = {
     },
     LieValuedBVElement: lambda x: {
         "degree": x.degree,
-        "grid": [[to_jsonable(e) for e in row] for row in x.grid],
+        "grid": [[to_jsonable(e) for e in row] for row in x.rows],
     },
     Bivector: lambda b: {
-        "entries": [[to_jsonable(e) for e in row] for row in b.entries]
+        "entries": [[to_jsonable(e) for e in row] for row in b.rows]
     },
     Metric: lambda m: [[encode_fraction(x) for x in row] for row in m.upper],
 }

@@ -108,7 +108,7 @@ def dictionary_fields(psi, eta: Metric):
                 sec = e.section if e.section is not None else GenSection.zero(dim)
                 lowered = FourierScalar.zero(dim)
                 for j in range(dim):
-                    w = eta.down(k, j)
+                    w = eta.lower[k][j]
                     if w:
                         lowered = lowered + sec.vec[j] * w
                 b = sec.form[k]

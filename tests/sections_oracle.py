@@ -148,10 +148,10 @@ def c_half_bracket(a, b, eta: Metric):
     graded = [
         zsum(
             (
-                convolve(a[k].derivative(r), b[l]) * eta.down(k, l)
+                convolve(a[k].derivative(r), b[l]) * eta.lower[k][l]
                 for k in range(n)
                 for l in range(n)
-                if eta.down(k, l)
+                if eta.lower[k][l]
             ),
             dim,
         )

@@ -203,6 +203,15 @@ def test_zero_tolerant_addition_rejects_degree_mixing(rng):
         _ = x - elem(rng, 2)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_zero_of_another_degree_is_the_additive_identity(rng, degree):
+    y = elem(rng, degree)
+    zero = BVElement.zero(0, DIM)
+    assert not y.is_zero()
+    assert zero + y == y
+    assert zero - y == -y
+
+
 def test_scalar_multiple_and_negation(rng):
     x = elem(rng, 2)
     two_x = x * GaussRational(2)

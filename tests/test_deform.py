@@ -245,11 +245,11 @@ def test_lie_valued_equality_is_entrywise():
         return mc_residual(_random_psi(random.Random(606), 2, 1), LORENTZ)
 
     r1, r2 = residual(), residual()
-    assert r1 is not r2 and r1.grid[0][0] is not r2.grid[0][0]
+    assert r1 is not r2 and r1.rows[0][0] is not r2.rows[0][0]
     assert r1 == r2 and not r1 != r2
     entry = r1.entry(0, 1)
     changed = LieValuedBVElement(
-        [[r1.entry(0, 0), entry + entry], list(r1.grid[1])]
+        [[r1.entry(0, 0), entry + entry], list(r1.rows[1])]
     )
     assert not entry.is_zero() and changed != r1 and r1 != changed
     assert r1.__eq__(r1.entry(0, 0)) is NotImplemented and r1 != r1.entry(0, 0)

@@ -246,9 +246,9 @@ def test_zero_entries_of_another_degree_read_as_zeros(degree):
         [[BVElement.deg0(random_scalar(rng, DIM, 1)) for _ in range(2)] for _ in range(2)]
     )
     other = BVElement.zero(degree, DIM)
-    psi_other = LieValuedBVElement([[psi.entry(0, 0), other], list(psi.grid[1])])
-    u_other = LieValuedBVElement([[u.entry(0, 0), other], list(u.grid[1])])
-    u_zero = LieValuedBVElement([[u.entry(0, 0), BVElement.zero(0, DIM)], list(u.grid[1])])
+    psi_other = LieValuedBVElement([[psi.entry(0, 0), other], list(psi.rows[1])])
+    u_other = LieValuedBVElement([[u.entry(0, 0), other], list(u.rows[1])])
+    u_zero = LieValuedBVElement([[u.entry(0, 0), BVElement.zero(0, DIM)], list(u.rows[1])])
     same(mc_residual(psi_other, eta), mc_residual(psi, eta))
     same(gauge_variation(psi_other, u_other, eta), gauge_variation(psi, u_zero, eta))
 

@@ -1,6 +1,8 @@
 """C-bracket kinematics and the doubled-torus bivector sector."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -225,6 +227,69 @@ def test_strong_constraint_same_and_cross_sector(rng):
 
 
 # -- bivectors -------------------------------------------------------------
+
+
+def test_bivector_inputs_are_validated_without_assert(rng):
+    # only pytest.raises below, so the test means the same under python -O
+    f2, f3 = random_doubled_scalar(rng, 2, 1), random_doubled_scalar(rng, 3, 1)
+    for rows, error in [
+        ([], ValueError),
+        ([[f2, f2]], ValueError),
+        ([[f2, f2], [f2]], ValueError),
+        ([[f2, f2.fun], [f2, f2]], TypeError),
+        ([[f3, f3], [f3, f3]], ValueError),
+    ]:
+        with pytest.raises(error):
+            Bivector(rows)
+    two, three = random_bivector(rng, 2, 1), random_bivector(rng, 3, 1)
+    with pytest.raises(ValueError):
+        two + three
+    with pytest.raises(ValueError):
+        two - three
+    with pytest.raises(TypeError):
+        two + f2
+    with pytest.raises(ValueError):
+        double_bracket(two, three)
+
+
+def test_doubled_scalar_arithmetic_checks_its_operands(rng):
+    f2, f3 = random_doubled_scalar(rng, 2, 1), random_doubled_scalar(rng, 3, 1)
+    assert f2.__add__(f2.fun) is NotImplemented
+    with pytest.raises(TypeError):
+        f2 + 1
+    for op in (lambda a, b: a + b, lambda a, b: a * b, section_pair_residual):
+        with pytest.raises(ValueError):
+            op(f2, f3)
+    with pytest.raises(ValueError):
+        DoubledScalar(2, f3.fun)
+    with pytest.raises(ValueError):
+        DoubledScalar.harmonic(2, (1, 0), (0, 0, 1))
+
+
+def test_operand_checks_survive_optimize(subprocess_env):
+    # under ``python -O`` a stripped check would let both calls run on
+    code = (
+        "from bvdouble.bvcomplex import BVElement\n"
+        "from bvdouble.bvops import mu\n"
+        "from bvdouble.doublecopy import Bivector, DoubledScalar\n"
+        "for call in (\n"
+        "    lambda: mu(BVElement.zero(0, 2), BVElement.zero(0, 3)),\n"
+        "    lambda: Bivector([[DoubledScalar.zero(3)]]),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\nrefused\n"
 
 
 def test_double_bracket_symmetry_and_bilinearity(rng):

@@ -44,9 +44,7 @@ def _harm(mode, coeff=1):
 
 
 def _basis_one_form(slot, value):
-    comps = [FourierScalar.zero(DIM) for _ in range(DIM)]
-    comps[slot] = value
-    return DifferentialForm.one_form(comps)
+    return DifferentialForm(DIM, 1, {(slot,): value})
 
 
 # -- wedge and d -----------------------------------------------------------
@@ -90,7 +88,7 @@ def test_d_is_a_graded_derivation_of_wedge(rng, p, q):
 
 def test_d_of_function_collects_partials():
     f = _harm((1, 2, 0))
-    df = dform(DifferentialForm.from_scalar(f))
+    df = dform(DifferentialForm(DIM, 0, {(): f}))
     assert df.component((0,)) == _harm((1, 2, 0), GaussRational(0, 1))
     assert df.component((1,)) == _harm((1, 2, 0), GaussRational(0, 2))
     assert df.component((2,)).is_zero()
@@ -102,7 +100,7 @@ def test_d_of_function_collects_partials():
 def test_star_on_basis_forms_signature_two_one():
     one = FourierScalar.one(DIM)
     vol = DifferentialForm(DIM, 3, {(0, 1, 2): one})
-    assert hodge(DifferentialForm.from_scalar(one), LORENTZ) == vol
+    assert hodge(DifferentialForm(DIM, 0, {(): one}), LORENTZ) == vol
     # spacelike direction keeps its sign, timelike flips it
     assert hodge(_basis_one_form(0, one), LORENTZ) == DifferentialForm(
         DIM, 2, {(1, 2): one}
@@ -124,14 +122,14 @@ def test_star_squared_sign_law(rng, metric, det_sign, p):
 def test_star_uses_the_metric_volume_weight():
     stretched = Metric.diagonal([1, 4])
     one = FourierScalar.one(2)
-    out = hodge(DifferentialForm.from_scalar(one), stretched)
+    out = hodge(DifferentialForm(2, 0, {(): one}), stretched)
     assert out == DifferentialForm(2, 2, {(0, 1): one * Fraction(1, 2)})
 
 
 def test_star_rejects_non_square_volume():
     with pytest.raises(ValueError, match="square"):
         hodge(
-            DifferentialForm.from_scalar(FourierScalar.one(2)),
+            DifferentialForm(2, 0, {(): FourierScalar.one(2)}),
             Metric.diagonal([1, 2]),
         )
 

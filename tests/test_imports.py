@@ -41,3 +41,14 @@ def test_no_function_imports():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert SOURCES and inside == []
+
+
+def test_no_assert_statements():
+    # ``python -O`` strips asserts, so no check of the package may be one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and found == []

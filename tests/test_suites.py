@@ -25,7 +25,7 @@ def test_from_dict_happy_paths():
     assert cfg.dim == 2 and cfg.samples == 4 and cfg.seed == 0
     assert cfg.metric.up(0, 0) * 2 == 1 and cfg.metric.up(1, 1) == 3
     rows = SuiteConfig.from_dict({"dimension": 2, "metric": [[2, 1], [1, 1]]})
-    assert rows.metric.down(0, 0) == 1  # exact inverse of the given rows
+    assert rows.metric.lower[0][0] == 1  # exact inverse of the given rows
 
 
 def test_echo_roundtrips_through_from_dict():
