@@ -1,34 +1,19 @@
 """Double-copy structures: the C-bracket and the doubled-torus bivector system.
 
-Two related constructions live here.
-
-The first is the C-bracket on vector fields over T^D,
-
-    [A, B]^{eta, j} = antisym of  A^i d_i B^j - d_i A^j B^i
-                                  + eta^{rj} eta_{kl} d_r A^k B^l,
-
-an eta-corrected antisymmetric bracket.  It fails the Jacobi identity for
-generic fields; the Jacobiator vanishes exactly when every participating
-field is annihilated by the eta-wave operator and every pair has vanishing
-eta-contracted gradient product.  Fields built from Fourier modes along a
-single eta-null covector satisfy both constraints, and this module provides
-a generator for that family.
-
-The second lives on the doubled torus T^{2D}, whose function algebra carries
-two derivative families: d_i along the first D coordinates and dt^i along
-the last D.  On doubled scalars we implement the cross-sector wave operator
-Delta_- = 2 sum_i d_i dt^i and the section (strong-constraint) residual
-sum_i (d_i f dt^i g + dt^i f d_i g).  On bivectors g^{kl} with one leg in
-each sector we implement the symmetric second-order double bracket [[g, h]],
-the volume-weighted divergence div_Omega with weight e^{-2 phi}, the Lie
-derivative along the resulting vector field, and the two Maurer-Cartan
-residuals  [[g, g]] + L_{div_Omega(g)} g  and  div_Omega(div_Omega(g)).
+The C-bracket of vector fields on T^D is Jacobi only on constrained fields,
+such as the family along one eta-null covector that ``null_family_field``
+draws.  On the doubled torus T^{2D}, with d_i along the first D coordinates
+and dt^i along the last D, live the doubled scalars with their cross-sector
+wave operator and strong-constraint residual, and the bivectors g^{kl}, one
+leg per sector, with the double bracket [[g, h]], the divergence div_Omega
+against e^{-2 phi} vol, the Lie derivative along it and the Maurer-Cartan
+residuals [[g, g]] + L_{div_Omega(g)} g and div_Omega(div_Omega(g)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .scalars import (
     FourierScalar,
@@ -74,33 +59,39 @@ __all__ = [
 def c_half_bracket(a, b, eta: Metric):
     """The one-sided expression F(A,B)^j = A^i d_i B^j - d_i A^j B^i
     + eta^{rj} eta_{kl} d_r A^k B^l (not antisymmetric on its own)."""
+    return _c_form(a, b, eta, 1, 0)
+
+
+def c_bracket(a, b, eta: Metric):
+    """The C-bracket (F(A,B) - F(B,A)) / 2 in closed form.  F(A,B) and -F(B,A)
+    share the transport part A^i d_i B^j - B^i d_i A^j, which the halving keeps
+    whole; their eta-corrections differ, so that
+
+        [A,B]^j = A^i d_i B^j - B^i d_i A^j + 1/2 eta^{rj} (d_r A^k B_k - d_r B^k A_k).
+    """
+    half = Fraction(1, 2)
+    return _c_form(a, b, eta, half, half)
+
+
+def _c_form(a, b, eta: Metric, p, q):
+    """A^i d_i B^j - B^i d_i A^j + eta^{rj} (p d_r A^k B_k - q d_r B^k A_k): one
+    sum of products per component plus the raised correction, itself one sum."""
     a, b = tuple(a), tuple(b)
     n = len(a)
     if not len(b) == n == eta.dim:
         raise ValueError(f"fields of {n} and {len(b)} components on a {eta.dim}-dim metric")
-    dim = a[0].dim
+    dim, r = a[0].dim, range(n)
     da, db = _jacobian(a), _jacobian(b)
-    # eta_{kl} d_r A^k B^l = d_r A^k B_k for each r, shared across components.
-    b_low = eta.lower_index(b)
-    graded = [sum_of_products(dim, ((da[k][r], b_low[k]) for k in range(n))) for r in range(n)]
-    graded_up = eta.raise_index(graded)
+    a_low, b_low = ([x * w for x in eta.lower_index(f)] for f, w in ((a, q), (b, p)))
+    graded = [
+        sum_of_products(dim, [(da[k][s], b_low[k]) for k in r], [(db[k][s], a_low[k]) for k in r])
+        for s in r
+    ]
+    up = eta.raise_index(graded)
     return tuple(
-        sum_of_products(
-            dim,
-            ((a[i], db[j][i]) for i in range(n)),
-            ((da[j][i], b[i]) for i in range(n)),
-        )
-        + graded_up[j]
-        for j in range(n)
+        sum_of_products(dim, [(a[i], db[j][i]) for i in r], [(b[i], da[j][i]) for i in r]) + up[j]
+        for j in r
     )
-
-
-def c_bracket(a, b, eta: Metric):
-    """The C-bracket: the antisymmetrization (F(A,B) - F(B,A)) / 2."""
-    fwd = c_half_bracket(a, b, eta)
-    rev = c_half_bracket(b, a, eta)
-    half = Fraction(1, 2)
-    return tuple((p - q) * half for p, q in zip(fwd, rev))
 
 
 def c_jacobiator(a, b, c, eta: Metric):
@@ -230,14 +221,14 @@ class DoubledScalar:
         """Derivative along the i-th second-sector coordinate."""
         return DoubledScalar(self.halfdim, self.fun.derivative(self.halfdim + i))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if not isinstance(other, DoubledScalar):
             return NotImplemented
         _same_halfdim(self, other)
-        return DoubledScalar(self.halfdim, self.fun + other.fun)
+        return DoubledScalar(self.halfdim, self.fun.__add__(other.fun, sign))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return DoubledScalar(self.halfdim, -self.fun)
@@ -270,26 +261,35 @@ def _same_halfdim(a, b) -> None:
         raise ValueError(f"doubled tori of half-dimensions {a.halfdim} and {b.halfdim}")
 
 
-def _split_vector(vec, tvec, n: int) -> None:
-    if not len(vec) == len(tvec) == n:
-        raise ValueError(f"a split vector on T^{2 * n} needs {n} components per sector")
+class _Jet:
+    """A scalar f on T^{2n} with its d_i f, dt^i f and (if mixed) d_i dt^j f."""
+
+    __slots__ = ("f", "x", "t", "xt")
+
+    def __init__(self, f: FourierScalar, n: int, mixed: bool = False):
+        self.f = f
+        self.x = [f.derivative(i) for i in range(n)]
+        self.t = [f.derivative(n + i) for i in range(n)]
+        self.xt = [[d.derivative(n + j) for j in range(n)] for d in self.x] if mixed else None
+
+
+def _doubled(n: int, pairs, negated=()) -> DoubledScalar:
+    """The doubled scalar sum f*g over ``pairs`` minus sum f*g over ``negated``."""
+    return DoubledScalar(n, sum_of_products(2 * n, pairs, negated))
 
 
 def delta_minus(f: DoubledScalar) -> DoubledScalar:
     """The cross-sector wave operator 2 sum_i d_i dt^i; modewise -2 k.kt."""
-    out = DoubledScalar.zero(f.halfdim)
-    for i in range(f.halfdim):
-        out = out + f.dx(i).dt(i)
-    return out * 2
+    n, d = f.halfdim, f.fun.derivative
+    two = FourierScalar.const(2 * n, 2)
+    return _doubled(n, ((d(i).derivative(n + i), two) for i in range(n)))
 
 
 def section_pair_residual(f: DoubledScalar, g: DoubledScalar) -> DoubledScalar:
     """The strong-constraint residual sum_i (d_i f dt^i g + dt^i f d_i g)."""
     _same_halfdim(f, g)
-    out = DoubledScalar.zero(f.halfdim)
-    for i in range(f.halfdim):
-        out = out + f.dx(i) * g.dt(i) + f.dt(i) * g.dx(i)
-    return out
+    fj, gj = _Jet(f.fun, f.halfdim), _Jet(g.fun, f.halfdim)
+    return _doubled(f.halfdim, chain(zip(fj.x, gj.t), zip(fj.t, gj.x)))
 
 
 def strong_constraint_check(f: DoubledScalar, g: DoubledScalar):
@@ -317,25 +317,80 @@ class Bivector(SquareGrid):
         return self.rank
 
 
+# Each kernel takes the jet of each input entry once and writes each output
+# entry as one ``sum_of_products``; the ``_*_terms`` helpers return its
+# (plus, minus) product pairs from grids or lists of ``_Jet``.
+
+
+def _jets(g: Bivector, mixed: bool = False):
+    return [[_Jet(s.fun, g.halfdim, mixed) for s in row] for row in g.rows]
+
+
+def _bracket_terms(g, h):
+    """The pairs of each entry of [[g, h]], row-major, from mixed jets; each
+    term comes once with (a, b) = (g, h) and once with (h, g)."""
+    r, both = range(len(g)), ((g, h), (h, g))
+    return [
+        (
+            [(a[i][j].f, b[k][l].xt[i][j]) for a, b in both for i in r for j in r],
+            [(a[k][j].x[i], b[i][l].t[j]) for a, b in both for i in r for j in r],
+        )
+        for k in r
+        for l in r
+    ]
+
+
+def _lie_terms(v, vt, g):
+    """The pairs of each entry of L_w g, row-major, for w = (v, vt)."""
+    r = range(len(g))
+    return [
+        (
+            [(v[i].f, g[k][l].x[i]) for i in r] + [(vt[i].f, g[k][l].t[i]) for i in r],
+            [(g[i][l].f, v[k].x[i]) for i in r] + [(g[k][i].f, vt[l].t[i]) for i in r],
+        )
+        for k in r
+        for l in r
+    ]
+
+
+def _div_terms(fs, dfs, dphi):
+    """The pairs of sum (df - 2 f dphi) over matching entries of the three lists."""
+    one = FourierScalar.one(fs[0].dim)
+    return [(d, one) for d in dfs], [(f, d * 2) for f, d in zip(fs, dphi)]
+
+
+def _omega_terms(g, phi: _Jet):
+    """The pairs of each component of div_Omega g, v then vt."""
+    r = range(len(g))
+    v = [_div_terms([g[k][j].f for j in r], [g[k][j].t[j] for j in r], phi.t) for k in r]
+    return v + [_div_terms([g[i][l].f for i in r], [g[i][l].x[i] for i in r], phi.x) for l in r]
+
+
+def _vector_terms(v, vt, phi: _Jet):
+    """The pairs of the weighted divergence of the split vector field (v, vt)."""
+    dfs = [s.x[i] for i, s in enumerate(v)] + [s.t[i] for i, s in enumerate(vt)]
+    return _div_terms([s.f for s in v + vt], dfs, phi.x + phi.t)
+
+
+def _split_jets(vec, tvec, n: int):
+    """The jets of a split vector field's components, n in each sector."""
+    if not len(vec) == len(tvec) == n:
+        raise ValueError(f"a split vector on T^{2 * n} needs {n} components per sector")
+    return [_Jet(s.fun, n) for s in vec], [_Jet(s.fun, n) for s in tvec]
+
+
+def _bivector(n: int, terms) -> Bivector:
+    """The bivector whose row-major entries are the signed sums of ``terms``."""
+    entries = [_doubled(n, *t) for t in terms]
+    return Bivector([entries[k * n : (k + 1) * n] for k in range(n)])
+
+
 def double_bracket(g: Bivector, h: Bivector) -> Bivector:
     """[[g,h]]^{kl} = sum_{ij} ( g^{ij} d_i dt_j h^{kl} + h^{ij} d_i dt_j g^{kl}
     - d_i g^{kj} dt_j h^{il} - d_i h^{kj} dt_j g^{il} );  symmetric in g, h."""
     _same_halfdim(g, h)
-    n = g.halfdim
-    out = []
-    for k in range(n):
-        row = []
-        for l in range(n):
-            acc = DoubledScalar.zero(n)
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + g.entry(i, j) * h.entry(k, l).dx(i).dt(j)
-                    acc = acc + h.entry(i, j) * g.entry(k, l).dx(i).dt(j)
-                    acc = acc - g.entry(k, j).dx(i) * h.entry(i, l).dt(j)
-                    acc = acc - h.entry(k, j).dx(i) * g.entry(i, l).dt(j)
-            row.append(acc)
-        out.append(tuple(row))
-    return Bivector(tuple(out))
+    gj = _jets(g, True)
+    return _bivector(g.halfdim, _bracket_terms(gj, gj if h is g else _jets(h, True)))
 
 
 def div_omega(g: Bivector, phi: DoubledScalar):
@@ -347,50 +402,23 @@ def div_omega(g: Bivector, phi: DoubledScalar):
     the divergence against the weighted volume e^{-2 phi} vol."""
     n = g.halfdim
     _same_halfdim(g, phi)
-    vec = []
-    for k in range(n):
-        acc = DoubledScalar.zero(n)
-        for j in range(n):
-            acc = acc + g.entry(k, j).dt(j) - g.entry(k, j) * phi.dt(j) * 2
-        vec.append(acc)
-    tvec = []
-    for l in range(n):
-        acc = DoubledScalar.zero(n)
-        for i in range(n):
-            acc = acc + g.entry(i, l).dx(i) - g.entry(i, l) * phi.dx(i) * 2
-        tvec.append(acc)
-    return tuple(vec), tuple(tvec)
+    comps = [_doubled(n, *t) for t in _omega_terms(_jets(g), _Jet(phi.fun, n))]
+    return tuple(comps[:n]), tuple(comps[n:])
 
 
 def div_omega_vector(vec, tvec, phi: DoubledScalar) -> DoubledScalar:
     """Weighted divergence of a split vector field (one component per sector)."""
     n = phi.halfdim
-    _split_vector(vec, tvec, n)
-    acc = DoubledScalar.zero(n)
-    for i in range(n):
-        acc = acc + vec[i].dx(i) - vec[i] * phi.dx(i) * 2
-        acc = acc + tvec[i].dt(i) - tvec[i] * phi.dt(i) * 2
-    return acc
+    v, vt = _split_jets(vec, tvec, n)
+    return _doubled(n, *_vector_terms(v, vt, _Jet(phi.fun, n)))
 
 
 def lie_derivative_bivector(vec, tvec, g: Bivector) -> Bivector:
     """(L_w g)^{kl} = w.d g^{kl} - g^{il} d_i v^k - g^{kj} dt_j vt^l for the
     split vector field w = (vec, tvec)."""
     n = g.halfdim
-    _split_vector(vec, tvec, n)
-    out = []
-    for k in range(n):
-        row = []
-        for l in range(n):
-            acc = DoubledScalar.zero(n)
-            for i in range(n):
-                acc = acc + vec[i] * g.entry(k, l).dx(i)
-                acc = acc + tvec[i] * g.entry(k, l).dt(i)
-                acc = acc - g.entry(i, l) * vec[k].dx(i)
-                acc = acc - g.entry(k, i) * tvec[l].dt(i)
-            row.append(acc)
-        out.append(tuple(row))
-    return Bivector(tuple(out))
+    v, vt = _split_jets(vec, tvec, n)
+    return _bivector(n, _lie_terms(v, vt, _jets(g)))
 
 
 def bivector_mc_residual(g: Bivector, phi: DoubledScalar):
@@ -400,11 +428,16 @@ def bivector_mc_residual(g: Bivector, phi: DoubledScalar):
         div_Omega(div_Omega(g))            (a scalar)
 
     Both vanish for constant g with phi = 0; for divergence-free g the first
-    reduces to [[g, g]] alone."""
-    vec, tvec = div_omega(g, phi)
-    tensor = double_bracket(g, g) + lie_derivative_bivector(vec, tvec, g)
-    scalar = div_omega_vector(vec, tvec, phi)
-    return tensor, scalar
+    reduces to [[g, g]] alone.  Each entry of the first is one sum over its
+    bracket and Lie pairs; the jets of g and of div_Omega(g) are taken once."""
+    n = g.halfdim
+    _same_halfdim(g, phi)
+    gj, pj = _jets(g, True), _Jet(phi.fun, n)
+    div = [_Jet(sum_of_products(2 * n, *t), n) for t in _omega_terms(gj, pj)]
+    v, vt = div[:n], div[n:]
+    pairs = zip(_bracket_terms(gj, gj), _lie_terms(v, vt, gj))
+    tensor = _bivector(n, [(bp + lp, bm + lm) for (bp, bm), (lp, lm) in pairs])
+    return tensor, _doubled(n, *_vector_terms(v, vt, pj))
 
 
 # -- randomised inputs -----------------------------------------------------

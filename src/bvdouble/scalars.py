@@ -312,7 +312,7 @@ class FourierScalar:
         return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __neg__(self):
         return _scalar(

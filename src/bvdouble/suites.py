@@ -219,15 +219,18 @@ def _parse_metric(spec) -> Metric:
 class Identity:
     """One named residual law with its own deterministic sampling recipe."""
 
-    __slots__ = ("ident", "statement", "sampler", "expect")
+    __slots__ = ("ident", "statement", "sampler", "expect", "vacuous")
 
-    def __init__(self, ident: str, statement: str, sampler, expect: str = "zero"):
+    def __init__(
+        self, ident: str, statement: str, sampler, expect: str = "zero", vacuous: bool = False
+    ):
         if expect not in ("zero", "nonzero"):
             raise ValueError(f"expect must be 'zero' or 'nonzero', got {expect!r}")
         self.ident = ident
         self.statement = statement
         self.sampler = sampler
         self.expect = expect
+        self.vacuous = vacuous  # the draws cannot falsify the law (constant fields only)
 
 
 def _vanishes(value) -> bool:
@@ -276,6 +279,8 @@ def _run_identities(suite: str, identities, cfg: SuiteConfig):
         }
         if truncated:
             row["failures_truncated"] = True
+        if identity.vacuous:
+            row["vacuous"] = True
         if identity.expect == "nonzero":
             row["witness"] = witness
         rows.append(row)
@@ -1166,16 +1171,19 @@ def _cbracket_identities(cfg: SuiteConfig):
             "cbracket-constrained-sector",
             "null-direction families satisfy the wave and pair constraints",
             _sampler(constrained_sector, *(polarized,) * 3),
+            vacuous=direction is None,
         ),
         Identity(
             "cbracket-constrained-jacobi",
             "the Jacobiator vanishes on null-polarized constrained triples",
             _sampler(jacobiator, *(polarized,) * 3),
+            vacuous=direction is None,
         ),
         Identity(
             "cbracket-jacobiator-null-directed",
             "on constrained but unpolarized triples the Jacobiator points along the raised null direction",
             _sampler(null_directed, *(unpolarized,) * 3),
+            vacuous=direction is None,
         ),
         Identity(
             "cbracket-jacobiator-witness",

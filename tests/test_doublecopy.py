@@ -16,6 +16,7 @@ from bvdouble.doublecopy import (
     c_jacobiator,
     delta_minus,
     div_omega,
+    div_omega_vector,
     double_bracket,
     null_covector,
     null_family_field,
@@ -266,6 +267,17 @@ def test_doubled_scalar_arithmetic_checks_its_operands(rng):
         DoubledScalar.harmonic(2, (1, 0), (0, 0, 1))
 
 
+def test_doubled_scalar_subtraction_is_native(rng):
+    f, g = random_doubled_scalar(rng, 2, 2), random_doubled_scalar(rng, 2, 2)
+    assert f - g == DoubledScalar(2, f.fun - g.fun)
+    assert f.__sub__(g.fun) is NotImplemented
+    for other in (1, g.fun):
+        with pytest.raises(TypeError, match="for -"):
+            f - other
+    with pytest.raises(ValueError):
+        f - random_doubled_scalar(rng, 3, 1)
+
+
 def test_operand_checks_survive_optimize(subprocess_env):
     # under ``python -O`` a stripped check would let both calls run on
     code = (
@@ -355,3 +367,81 @@ def test_generic_profile_has_a_nonzero_residual(rng):
         if not tensor.is_zero() or not scalar.is_zero():
             seen = True
     assert seen
+
+
+# -- the weighted divergences against their closed forms -------------------
+#
+# On single harmonics g^{ab} = c_ab e^{i m_ab} and phi = p e^{i q}, with
+# m = (k, kt) and q = (q, qt), each derivative is a factor i k and each
+# product shifts the mode by q:
+#
+#   v^a  = sum_j ( i kt_j(m_aj) c_aj e^{i m_aj} - 2 i p qt_j c_aj e^{i (m_aj + q)} ),
+#   vt^b = sum_i ( i k_i(m_ib) c_ib e^{i m_ib} - 2 i p q_i c_ib e^{i (m_ib + q)} ),
+#
+# and the divergence of a split vector (a_i e^{i m_i}, b_i e^{i mt_i}) is the
+# same sum over the x-sector components plus the one over the x~-sector ones.
+
+
+def _nonzero_mode(rng, n):
+    return tuple(rng.choice((-2, -1, 1, 2)) for _ in range(2 * n))
+
+
+def _gauss(rng):
+    return GaussRational(rng.randint(1, 3), rng.choice((-2, -1, 1, 2)))
+
+
+def _modewise(n, terms):
+    """The doubled scalar sum of c e^{i mode} over the (mode, c) terms."""
+    coeffs = {}
+    for mode, c in terms:
+        coeffs[mode] = coeffs.get(mode, GaussRational(0)) + c
+    return DoubledScalar(n, FourierScalar(2 * n, coeffs))
+
+
+def _divergence_terms(harmonics, axes, phi_mode, p):
+    """The closed-form (mode, coefficient) terms of sum (d f - 2 f d phi) over
+    the (mode, coeff) harmonics f, each differentiated along its axis."""
+    out = []
+    for (mode, c), axis in zip(harmonics, axes):
+        shifted = tuple(x + y for x, y in zip(mode, phi_mode))
+        out.append((mode, I * mode[axis] * c))
+        out.append((shifted, I * (-2 * phi_mode[axis]) * p * c))
+    return out
+
+
+def _harmonic(n, mode, c):
+    return DoubledScalar(n, FourierScalar.harmonic(2 * n, mode, c))
+
+
+def _dilaton(rng, n):
+    q, p = _nonzero_mode(rng, n), _gauss(rng)
+    return q, p, _harmonic(n, q, p)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_div_omega_is_its_closed_form_on_single_harmonics(n):
+    rng = random.Random(f"div-omega:{n}")
+    q, p, phi = _dilaton(rng, n)
+    cells = [[(_nonzero_mode(rng, n), _gauss(rng)) for _ in range(n)] for _ in range(n)]
+    g = Bivector([[_harmonic(n, *c) for c in row] for row in cells])
+    r = range(n)
+    vec = [_divergence_terms(cells[a], [n + j for j in r], q, p) for a in r]
+    tvec = [_divergence_terms([cells[i][b] for i in r], list(r), q, p) for b in r]
+    expected = tuple(_modewise(n, t) for t in vec), tuple(_modewise(n, t) for t in tvec)
+    assert div_omega(g, phi) == expected
+    assert not any(v.is_zero() for v in expected[0] + expected[1])
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_div_omega_vector_is_its_closed_form_on_single_harmonics(n):
+    rng = random.Random(f"div-omega-vector:{n}")
+    q, p, phi = _dilaton(rng, n)
+    xs = [(_nonzero_mode(rng, n), _gauss(rng)) for _ in range(n)]
+    ts = [(_nonzero_mode(rng, n), _gauss(rng)) for _ in range(n)]
+    vec = [_harmonic(n, *c) for c in xs]
+    tvec = [_harmonic(n, *c) for c in ts]
+    x_part = _divergence_terms(xs, range(n), q, p)
+    t_part = _divergence_terms(ts, range(n, 2 * n), q, p)
+    assert div_omega_vector(vec, tvec, phi) == _modewise(n, x_part + t_part)
+    # both sectors contribute, so a sign between them shows
+    assert not _modewise(n, x_part).is_zero() and not _modewise(n, t_part).is_zero()

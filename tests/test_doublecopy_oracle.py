@@ -1,0 +1,165 @@
+"""The fused doubled-torus and C-bracket kernels against their loop oracles.
+
+Every comparison is exact and also byte-level: the canonical encodings must
+agree, because reports and failure witnesses are written from these values.
+Bivectors are drawn at half-dimensions 2, 3 and 4 in each sector family,
+with zero and constant entries mixed in, and with the dilaton zero or not.
+"""
+
+import random
+from fractions import Fraction
+
+import doublecopy_oracle as oracle
+import pytest
+
+from bvdouble import doublecopy
+from bvdouble.doublecopy import (
+    Bivector,
+    DoubledScalar,
+    bivector_mc_residual,
+    c_bracket,
+    delta_minus,
+    div_omega,
+    div_omega_vector,
+    double_bracket,
+    lie_derivative_bivector,
+    random_bivector,
+    random_doubled_scalar,
+    random_vector_field,
+    section_pair_residual,
+)
+from bvdouble.scalars import FourierScalar, GaussRational, Metric
+from bvdouble.serialize import canonical_dumps
+
+HALFDIMS = (2, 3, 4)
+SECTORS = ("both", "x", "xt")
+SHAPES = ("random", "sparse", "constant")
+METRICS = {
+    "lorentz": Metric.diagonal([1, 1, -1]),
+    "dense": Metric(
+        [
+            [Fraction(5, 4), Fraction(3, 4), 0],
+            [Fraction(3, 4), Fraction(5, 4), 0],
+            [0, 0, -1],
+        ]
+    ),
+    "euclidean": Metric.diagonal([1, 1, 1]),
+}
+
+
+def same(a, b):
+    assert a == b
+    assert canonical_dumps(a) == canonical_dumps(b)
+
+
+def draw_bivector(rng, n, sector, shape):
+    """A random bivector; "sparse" zeroes about half of the entries and
+    "constant" makes about half of them mode-0 constants."""
+    g = random_bivector(rng, n, 2, sector)
+    if shape == "random":
+        return g
+    rows = []
+    for row in g.rows:
+        out = []
+        for s in row:
+            if rng.random() < 0.5:
+                zero = DoubledScalar.zero(n)
+                s = zero if shape == "sparse" else random_doubled_scalar(rng, n, 0)
+            out.append(s)
+        rows.append(out)
+    return Bivector(rows)
+
+
+def draw_phi(rng, n, zero):
+    return DoubledScalar.zero(n) if zero else random_doubled_scalar(rng, n, 2)
+
+
+def draw_case(n, sector, shape, zero_phi):
+    rng = random.Random(f"{n}:{sector}:{shape}:{zero_phi}")
+    g = draw_bivector(rng, n, sector, shape)
+    h = draw_bivector(rng, n, sector, shape)
+    return g, h, draw_phi(rng, n, zero_phi)
+
+
+@pytest.mark.parametrize("zero_phi", (True, False))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("sector", SECTORS)
+@pytest.mark.parametrize("n", HALFDIMS)
+def test_bivector_kernels_match_the_loops(n, sector, shape, zero_phi):
+    g, h, phi = draw_case(n, sector, shape, zero_phi)
+    same(double_bracket(g, h), oracle.double_bracket(g, h))
+    same(double_bracket(g, g), oracle.double_bracket(g, g))
+    same(div_omega(g, phi), oracle.div_omega(g, phi))
+    vec, tvec = oracle.div_omega(h, phi)
+    same(div_omega_vector(vec, tvec, phi), oracle.div_omega_vector(vec, tvec, phi))
+    same(lie_derivative_bivector(vec, tvec, g), oracle.lie_derivative_bivector(vec, tvec, g))
+    same(bivector_mc_residual(g, phi), oracle.bivector_mc_residual(g, phi))
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+@pytest.mark.parametrize("n", HALFDIMS)
+def test_doubled_scalar_kernels_match_the_loops(n, sector):
+    rng = random.Random(f"scalars:{n}:{sector}")
+    for _ in range(4):
+        f = random_doubled_scalar(rng, n, 2, sector)
+        g = random_doubled_scalar(rng, n, 2, rng.choice(SECTORS))
+        same(section_pair_residual(f, g), oracle.section_pair_residual(f, g))
+        same(section_pair_residual(f, f), oracle.section_pair_residual(f, f))
+        same(delta_minus(f), oracle.delta_minus(f))
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_c_bracket_matches_the_antisymmetrized_half_brackets(name):
+    eta = METRICS[name]
+    rng = random.Random(name)
+    zero = FourierScalar.zero(3)
+    for _ in range(4):
+        a, b = random_vector_field(rng, 3, 2), random_vector_field(rng, 3, 2)
+        same(c_bracket(a, b, eta), oracle.c_bracket(a, b, eta))
+        same(c_bracket(a, a, eta), oracle.c_bracket(a, a, eta))
+        sparse = (zero, b[1], FourierScalar.const(3, GaussRational(2, -1)))
+        same(c_bracket(a, sparse, eta), oracle.c_bracket(a, sparse, eta))
+
+
+def test_c_bracket_keeps_the_size_checks():
+    eta = METRICS["lorentz"]
+    a = random_vector_field(random.Random(0), 3, 1)
+    for x, y in ((a, a[:2]), (a[:2], a[:2])):
+        with pytest.raises(ValueError, match="components"):
+            c_bracket(x, y, eta)
+
+
+def test_fused_kernels_make_no_doubled_or_fourier_sums(monkeypatch):
+    # Every output entry must come out of sum_of_products: the kernels may
+    # neither add, subtract nor negate a DoubledScalar or FourierScalar, nor
+    # multiply two DoubledScalars.
+    calls = []
+    for n in (2, 3):
+        g, h, phi = draw_case(n, "both", "random", False)
+        vec, tvec = oracle.div_omega(h, phi)
+        f, k = g.entry(0, 1), h.entry(1, 0)
+        calls += [
+            ("double_bracket", (g, h)),
+            ("double_bracket", (g, g)),
+            ("lie_derivative_bivector", (vec, tvec, g)),
+            ("div_omega", (g, phi)),
+            ("div_omega_vector", (vec, tvec, phi)),
+            ("section_pair_residual", (f, k)),
+            ("delta_minus", (f,)),
+            ("bivector_mc_residual", (g, phi)),
+        ]
+    want = [getattr(oracle, name)(*args) for name, args in calls]
+
+    def banned(*args):
+        raise AssertionError("a fused kernel must not sum through this operator")
+
+    for cls, names in (
+        (DoubledScalar, ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__")),
+        (FourierScalar, ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__")),
+    ):
+        for name in names:
+            monkeypatch.setattr(cls, name, banned)
+    got = [getattr(doublecopy, name)(*args) for name, args in calls]
+    monkeypatch.undo()
+    for value, expected in zip(got, want):
+        same(value, expected)

@@ -6,6 +6,7 @@ import pytest
 
 from bvdouble import suites
 from bvdouble.cli import main
+from bvdouble.doublecopy import null_covector
 from bvdouble.scalars import Metric
 from bvdouble.serialize import canonical_dumps
 from bvdouble.suites import SUITE_NAMES, ConfigError, Identity, SuiteConfig, run_suite
@@ -121,6 +122,34 @@ def test_witness_rows_store_their_evidence():
     witness_row = rows["cbracket-jacobiator-witness"]
     assert witness_row["passed"] and witness_row["witness"] is not None
     assert set(witness_row["witness"]) == {"args", "value"}
+
+
+CONSTANT_ONLY_ROWS = {
+    "cbracket-constrained-sector",
+    "cbracket-constrained-jacobi",
+    "cbracket-jacobiator-null-directed",
+}
+
+
+@pytest.mark.parametrize("entries", ([1, 1, -3, -3], [1, 2, 1]))
+def test_rows_without_a_null_direction_are_marked_vacuous(entries):
+    # no rational null covector: the null-family draws are constant fields
+    metric = Metric.diagonal(entries)
+    assert null_covector(metric) is None
+    cfg = SuiteConfig(dim=len(entries), metric=metric, mode_cutoff=1, samples=2, seed=5)
+    report = run_suite("cbracket", cfg)
+    marked = {row["id"]: row["vacuous"] for row in report["identities"] if "vacuous" in row}
+    assert marked == dict.fromkeys(CONSTANT_ONLY_ROWS, True)
+    assert report["passed"]
+    assert canonical_dumps(run_suite("cbracket", cfg)) == canonical_dumps(report)
+
+
+def test_rows_with_a_null_direction_carry_no_vacuous_key():
+    cfg = SuiteConfig(samples=2, seed=5)
+    assert null_covector(cfg.metric) is not None
+    rows = run_suite("cbracket", cfg)["identities"]
+    assert CONSTANT_ONLY_ROWS <= {row["id"] for row in rows}
+    assert not any("vacuous" in row for row in rows)
 
 
 def test_ym_report_carries_the_calibration():
