@@ -8,7 +8,7 @@ homotopy:
 
   * ``m``  (degree -1) repairs commutativity,
   * ``nu`` (degree -1, trilinear) repairs associativity,
-  * ``brack`` is the odd bracket derived from mu and b,
+  * ``brack`` is the odd bracket derived from mu and b, in closed form,
   * ``n_op = [b, m]`` is the symmetric pairing appearing in the bracket's
     homotopy-symmetry relation.
 
@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bvcomplex import BVElement, op_b
-from .scalars import FourierScalar
-from .sections import GenSection, _dorfman_terms, _section_from_terms, anchor, pairing
+from .sections import GenSection, _dorfman_terms, _section_from_terms, anchor, dorfman, pairing
 
 __all__ = [
     "sign",
@@ -48,11 +47,6 @@ def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _scale_section_pair(u: FourierScalar, x: BVElement, degree: int) -> BVElement:
-    """(section, scalar) slots of x both multiplied by the scalar u."""
-    return BVElement(degree, x.dim, x.section * u, x.scalar * u)
-
-
 def mu(x: BVElement, y: BVElement) -> BVElement:
     """The degree-0 product."""
     if x.dim != y.dim:
@@ -65,7 +59,7 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
         if d2 == 0 or d2 == 3:
             return BVElement(d2, dim, None, x.scalar * y.scalar)
         if d2 in (1, 2):
-            return _scale_section_pair(x.scalar, y, d2)
+            return BVElement(d2, dim, y.section * x.scalar, y.scalar * x.scalar)
     if d2 == 0:
         if d1 == 3:
             return BVElement.deg3(x.scalar * y.scalar)
@@ -76,7 +70,7 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
                 x.section * u, x.scalar * u - anchor(x.section, u)
             )
         if d1 == 2:
-            return _scale_section_pair(y.scalar, x, 2)
+            return BVElement(2, dim, x.section * y.scalar, x.scalar * y.scalar)
     if d1 == 1 and d2 == 1:
         # Closed forms when one section vanishes, as it does for m_op values.
         if x.section.is_zero():
@@ -143,11 +137,38 @@ def nu(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
 
 
 def brack(x: BVElement, y: BVElement) -> BVElement:
-    """The odd bracket derived from the product and the operator b."""
-    s = sign(x.degree)
-    return s * (
-        op_b(mu(x, y)) - mu(op_b(x), y) - s * mu(x, op_b(y))
-    )
+    """The odd bracket s (b mu(x, y) - mu(bx, y) - s mu(x, by)), s = (-1)^|x|.
+
+    With sections A, B (At, Bt) and scalars v, w (vt, wt) in degree 1 (2), u
+    (ut) in degree 0 (3), A.f the anchor and P the pairing of the sections,
+    the table of ``mu`` gives b mu(x, y); mu(bx, y); mu(x, by) -> {x, y}:
+
+      (1,1) s=-1: (vB - wA - [A,B], 0); (vB, vw); (wA, vw - A.w) -> ([A,B], A.w)
+      (1,2) s=-1: (0, P/2 - A.wt + v wt); (vBt, v wt); (vBt - [A,Bt], -P/2) -> ([A,Bt], A.wt)
+      (1,0) s=-1: vu - A.u; vu; 0 -> A.u
+      (1,3) s=-1: 0; v ut; v ut - A.ut -> A.ut
+      (2,1) s=+1: (0, P/2 - B.vt + vt w); (-[At,B] - wAt, -P/2); (wAt, vt w) -> ([At,B], P - B.vt)
+      (2,2) s=+1: 0; P/2 - At.wt; P/2 - Bt.vt -> At.wt + Bt.vt - P
+      (2,0) s=+1: (-uAt, 0); (-uAt, At.u); 0 -> (0, -At.u)
+      (3,1) s=-1: 0; ut w - B.ut; ut w -> -B.ut
+
+    A degree-1 x is the Lie derivative along A on every slot.  On (0,d) and
+    (3,0) the two nonzero terms cancel; elsewhere all three are zero.
+    """
+    if x.dim != y.dim:
+        raise ValueError(f"elements on T^{x.dim} and T^{y.dim}")
+    d1, d2, a, b = x.degree, y.degree, x.section, y.section
+    if d1 == 1 and 0 <= d2 <= 3:
+        return BVElement(d2, x.dim, None if b is None else dorfman(a, b), anchor(a, y.scalar))
+    if d1 == 2 and d2 == 1:
+        return BVElement.deg2(dorfman(a, b), pairing(a, b) - anchor(b, x.scalar))
+    if d1 == 2 and d2 == 2:
+        return BVElement.deg3(anchor(a, y.scalar) + anchor(b, x.scalar) - pairing(a, b))
+    if d1 == 2 and d2 == 0:
+        return BVElement.deg1(GenSection.zero(x.dim), -anchor(a, y.scalar))
+    if d1 == 3 and d2 == 1:
+        return BVElement.deg3(-anchor(b, x.scalar))
+    return BVElement.zero(d1 + d2 - 1, x.dim)
 
 
 def musym(x: BVElement, y: BVElement) -> BVElement:

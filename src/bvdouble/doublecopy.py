@@ -20,6 +20,7 @@ from .scalars import (
     Metric,
     SquareGrid,
     laplacian,
+    randbelow,
     random_coefficient,
     random_scalar,
     sum_of_products,
@@ -160,9 +161,10 @@ def null_family_field(rng, eta: Metric, direction, cutoff: int, aligned: bool = 
     if direction is None:
         return tuple(FourierScalar.const(n, c) for c in const)
     sharp = eta.raise_index(direction)
+    nonzero = [s for s in range(-cutoff, cutoff + 1) if s]
     profiles = []
-    for _ in range(rng.randint(1, 2)):
-        m = rng.choice([s for s in range(-cutoff, cutoff + 1) if s])
+    for _ in range(1 + randbelow(rng.getrandbits, 2)):
+        m = nonzero[randbelow(rng.getrandbits, len(nonzero))]
         mode = tuple(m * d for d in direction)
         if aligned:
             pol = sharp
@@ -449,10 +451,11 @@ def random_doubled_scalar(
     """A sparse random doubled scalar; sector limits modes to "x", "xt" or "both"."""
     if sector not in ("x", "xt", "both"):
         raise ValueError(f"unknown sector {sector!r}")
+    bits = rng.getrandbits
     coeffs = {}
-    for _ in range(rng.randint(1, 2)):
-        k = tuple(rng.randint(-cutoff, cutoff) for _ in range(halfdim))
-        kt = tuple(rng.randint(-cutoff, cutoff) for _ in range(halfdim))
+    for _ in range(1 + randbelow(bits, 2)):
+        k = tuple(randbelow(bits, 2 * cutoff + 1) - cutoff for _ in range(halfdim))
+        kt = tuple(randbelow(bits, 2 * cutoff + 1) - cutoff for _ in range(halfdim))
         if sector == "x":
             kt = (0,) * halfdim
         elif sector == "xt":

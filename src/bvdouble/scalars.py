@@ -47,7 +47,7 @@ import struct
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from operator import index, lshift, neg
+from operator import add, index, lshift, neg, sub
 
 __all__ = [
     "GaussRational",
@@ -55,6 +55,7 @@ __all__ = [
     "Metric",
     "SquareGrid",
     "laplacian",
+    "randbelow",
     "random_coefficient",
     "random_scalar",
     "sum_of_products",
@@ -629,17 +630,17 @@ class SquareGrid:
     def apply(self, fn):
         return type(self)([[fn(e) for e in row] for row in self.rows])
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, type(self)):
             return NotImplemented
         if other.rank != self.rank:
-            raise ValueError(f"cannot add grids of rank {self.rank} and {other.rank}")
+            raise ValueError(f"cannot combine grids of rank {self.rank} and {other.rank}")
         return type(self)(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return self.apply(neg)
@@ -669,31 +670,40 @@ class SquareGrid:
 # contractions all mix modes).
 
 
-# ``rng.choice`` over a range draws exactly what ``rng.randint`` over the same
-# bounds draws (one ``_randbelow`` of the range's length), at less cost.
-_PARTS = range(-2, 3)
+def randbelow(bits, n: int) -> int:
+    """The ``Random._randbelow(n)`` behind ``rng.choice`` and ``rng.randint``, on
+    ``bits = rng.getrandbits``: ``choice(seq)`` is ``seq[randbelow(bits, len(seq))]``."""
+    if n < 1:
+        raise ValueError(f"no int in [0, {n})")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def random_coefficient(rng) -> GaussRational:
     """A small nonzero Gaussian rational with denominator 1 or 2."""
-    choice = rng.choice
+    bits = rng.getrandbits
     while True:
-        a = choice(_PARTS)
-        b = choice(_PARTS)
+        a = randbelow(bits, 5) - 2
+        b = randbelow(bits, 5) - 2
         if a or b:
-            return _reduced(a, b, choice((1, 2)))
+            return _reduced(a, b, randbelow(bits, 2) + 1)
 
 
 def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScalar:
     """A sparse random scalar with 1..max_modes modes in [-cutoff, cutoff]^dim."""
     if cutoff >= _HALF:
         raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
-    choice = rng.choice
-    axes = (range(-cutoff, cutoff + 1),) * dim
+    bits = rng.getrandbits
+    width = 2 * cutoff + 1
     shifts = _shifts(dim)
     coeffs = {}
-    for _ in range(choice(range(1, max_modes + 1))):
-        mode = sum(map(lshift, map(choice, axes), shifts))
+    for _ in range(randbelow(bits, max_modes) + 1):
+        mode = 0
+        for shift in shifts:
+            mode += (randbelow(bits, width) - cutoff) << shift
         c = random_coefficient(rng)
         coeffs[mode] = coeffs.get(mode, _ZERO) + c
     return _scalar(dim, {m: c for m, c in coeffs.items() if c}, cutoff)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random as _random
 from fractions import Fraction
+from itertools import product
 
 from .bvcomplex import (
     BVElement,
@@ -83,7 +84,7 @@ from .doublecopy import (
     wave_constraint,
 )
 from .exterior import _cinf_identity_pool, random_form, random_ym_element
-from .scalars import FourierScalar, GaussRational, Metric, random_scalar
+from .scalars import FourierScalar, GaussRational, Metric, randbelow, random_scalar
 from .sections import (
     anchor,
     d_scalar,
@@ -293,7 +294,7 @@ def _run_identities(suite: str, identities, cfg: SuiteConfig):
 def _degree_sweep(res, arity: int, patterns=None):
     """Sampler running ``res`` over every degree pattern on each sample."""
     if patterns is None:
-        patterns = _product_degrees(arity)
+        patterns = list(product(range(4), repeat=arity))
 
     def sampler(rng, cfg):
         for _ in range(cfg.samples):
@@ -304,13 +305,6 @@ def _degree_sweep(res, arity: int, patterns=None):
                 yield args, res(cfg, *args)
 
     return sampler
-
-
-def _product_degrees(arity: int):
-    out = [()]
-    for _ in range(arity):
-        out = [p + (d,) for p in out for d in range(4)]
-    return out
 
 
 def _sampler(res, *draws):
@@ -339,7 +333,7 @@ def _any_degree(random_fn):
     """Draw ``random_fn(rng, dim, cutoff, degree)`` at a random degree 0..3."""
 
     def draw(rng, cfg):
-        return random_fn(rng, cfg.dim, cfg.mode_cutoff, rng.randint(0, 3))
+        return random_fn(rng, cfg.dim, cfg.mode_cutoff, randbelow(rng.getrandbits, 4))
 
     return draw
 
@@ -802,7 +796,7 @@ def _cyclic_identities(cfg: SuiteConfig):
         return res
 
     def patterns(k, total):
-        return [p for p in _product_degrees(k) if sum(p) == total]
+        return [p for p in product(range(4), repeat=k) if sum(p) == total]
 
     return [
         Identity(
@@ -1224,7 +1218,7 @@ def _doublecopy_identities(cfg: SuiteConfig):
 
     def same_sector_sampler(rng, cfg):
         for _ in range(cfg.samples):
-            sector = rng.choice(["x", "xt"])
+            sector = ("x", "xt")[randbelow(rng.getrandbits, 2)]
             f = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector=sector)
             g = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector=sector)
             yield (f, g), same_sector_constrained(cfg, f, g)

@@ -52,3 +52,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def test_every_draw_goes_through_randbelow():
+    # ``scalars.randbelow`` is the one int draw; a stray ``rng.choice`` or
+    # ``rng.randint`` would be slower and could drift off the locked stream
+    found = [
+        f"{path.name}:{node.lineno}: .{node.func.attr}("
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("choice", "randint", "randrange")
+    ]
+    assert SOURCES and found == []

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdouble.bvcomplex import random_element
-from bvdouble.deform import MatrixFunction
+from bvdouble.deform import LieValuedBVElement, MatrixFunction
+from bvdouble.doublecopy import random_bivector
+from bvdouble.serialize import canonical_dumps
 from bvdouble.scalars import (
     FourierScalar,
     GaussRational,
@@ -288,3 +290,38 @@ def test_random_coefficient_is_nonzero():
     rng = random.Random(1)
     for _ in range(100):
         assert random_coefficient(rng)
+
+
+# -- square grids ----------------------------------------------------------
+
+
+def _grids(rng, rank):
+    """One random grid of each SquareGrid type, all of one rank."""
+    return [
+        MatrixFunction.random(rng, rank, 2, 2),
+        LieValuedBVElement(
+            [[random_element(rng, 2, 2, 1) for _ in range(rank)] for _ in range(rank)]
+        ),
+        random_bivector(rng, rank, 2),
+    ]
+
+
+@pytest.mark.parametrize("kind", range(3))
+def test_grid_difference_is_the_sum_with_the_negation(kind):
+    rng = random.Random(kind)
+    for rank in (1, 2, 3):
+        for _ in range(5):
+            g, h = _grids(rng, rank)[kind], _grids(rng, rank)[kind]
+            assert g - h == g + (-h)
+            assert canonical_dumps(g - h) == canonical_dumps(g + (-h))
+            assert (g - g).is_zero() and type(g - h) is type(g)
+
+
+@pytest.mark.parametrize("kind", range(3))
+def test_grid_difference_checks_the_rank_and_the_type(kind):
+    rng = random.Random(kind)
+    g, h = _grids(rng, 2)[kind], _grids(rng, 3)[kind]
+    with pytest.raises(ValueError, match="rank 2 and 3"):
+        g - h
+    with pytest.raises(TypeError, match="-"):
+        g - 1
