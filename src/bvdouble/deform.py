@@ -7,18 +7,19 @@ fields f_i.  The module provides:
   * R built from double brackets, and the deformed differential Q + R, which
     applies R through its closed-form Delta / d-hat / div-hat slot arrows;
   * the product correction mu_bar in closed form ({f_j, .} is the slotwise
-    derivative d_j), the deformed product, and the full list of deformed
-    homotopy residuals (derivation, commutativity with m, associativity with
-    nu, pentagon, shuffle); the bracket-built R and the explicit slot table
-    for mu_bar stay as the oracles the deform suite compares against;
+    derivative d_j) and the deformed product; the bracket-built R and the
+    explicit slot table for mu_bar stay as the oracles the deform suite
+    compares against;
   * matrix-valued elements, the Maurer-Cartan residual of a degree-1 matrix
     element, its gauge variation, and the exact dictionary onto covariant
     Yang-Mills field equations for the pair (gauge field, adjoint scalars);
     the matrix-tensored sums are fused kernels that read per-entry jets
     (components, derivatives, pairings) and sum each output component in
     one pass, with musym_eta and nusym in closed form on degree 1;
-  * the embedding of the four-slot Yang-Mills complex of differential forms,
-    and the residuals of its transport of d, the product and the homotopy.
+  * the embedding of the four-slot Yang-Mills complex of differential forms.
+
+The laws these operations obey (the deformed homotopy relations and the
+transport by the embedding) are stated and checked in ``suites``.
 
 Everything is exact; calibration constants for the Maurer-Cartan comparison
 are rational numbers fitted once per run and then verified globally.
@@ -31,8 +32,8 @@ from functools import lru_cache
 from itertools import chain
 
 from .bvcomplex import BVElement, op_b, op_q
-from .bvops import brack, m_op, mu, nu, nusym, sign
-from .exterior import YMElement, hodge, ym_mu_sym, ym_nu_sym, ym_q
+from .bvops import brack, m_op, mu, sign
+from .exterior import YMElement, hodge
 from .scalars import (
     FourierScalar,
     GaussRational,
@@ -271,104 +272,6 @@ def musym_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     return (mu_eta(x, y, eta) + sign(x.degree * y.degree) * mu_eta(y, x, eta)) * half
 
 
-# -- deformed homotopy residuals -------------------------------------------
-
-
-def _ainf_identity_pool(eta: Metric):
-    """Named residual callables for the deformed structure.
-
-    Each entry maps a tuple of random degree-homogeneous elements to a
-    residual that must vanish exactly.
-    """
-
-    def qe(v):
-        return Q_eta(v, eta)
-
-    def me(a, b):
-        return mu_eta(a, b, eta)
-
-    def mbar(a, b):
-        return mu_bar_eta(a, b, eta)
-
-    def d(v):
-        return v.degree
-
-    return {
-        "q-eta-squared": (1, lambda x: qe(qe(x))),
-        "r-eta-squared": (1, lambda x: R_eta(R_eta(x, eta), eta)),
-        "q-r-anticommute": (
-            1,
-            lambda x: op_q(R_eta(x, eta)) + R_eta(op_q(x), eta),
-        ),
-        "r-slotwise-table": (1, lambda x: R_eta(x, eta) - _r_eta_slotwise(x, eta)),
-        "mu-bar-table": (2, lambda x, y: mbar(x, y) - mu_bar_eta_table(x, y, eta)),
-        "q-eta-derivation": (
-            2,
-            lambda x, y: qe(me(x, y)) - me(qe(x), y) - sign(d(x)) * me(x, qe(y)),
-        ),
-        "homotopy-commutativity": (
-            2,
-            lambda x, y: me(x, y)
-            - sign(d(x) * d(y)) * me(y, x)
-            - qe(m_op(x, y))
-            - m_op(qe(x), y)
-            - sign(d(x)) * m_op(x, qe(y)),
-        ),
-        "mu-bar-antisymmetry": (
-            2,
-            lambda x, y: mbar(x, y)
-            - sign(d(x) * d(y)) * mbar(y, x)
-            - R_eta(m_op(x, y), eta)
-            - m_op(R_eta(x, eta), y)
-            - sign(d(x)) * m_op(x, R_eta(y, eta)),
-        ),
-        "r-derivation-of-mu-bar": (
-            2,
-            lambda x, y: R_eta(mbar(x, y), eta)
-            - mbar(R_eta(x, eta), y)
-            - sign(d(x)) * mbar(x, R_eta(y, eta)),
-        ),
-        "q-mu-bar-plus-r-mu": (
-            2,
-            lambda x, y: R_eta(mu(x, y), eta)
-            - mu(R_eta(x, eta), y)
-            - sign(d(x)) * mu(x, R_eta(y, eta))
-            + op_q(mbar(x, y))
-            - mbar(op_q(x), y)
-            - sign(d(x)) * mbar(x, op_q(y)),
-        ),
-        "homotopy-associativity": (
-            3,
-            lambda x, y, z: me(me(x, y), z)
-            - me(x, me(y, z))
-            - qe(nu(x, y, z))
-            - nu(qe(x), y, z)
-            - sign(d(x)) * nu(x, qe(y), z)
-            - sign(d(x) + d(y)) * nu(x, y, qe(z)),
-        ),
-        "c-inf-shuffle": (
-            3,
-            lambda x, y, z: nusym(x, y, z)
-            - sign(d(x) * d(y)) * nusym(y, x, z)
-            + sign(d(x) * (d(y) + d(z))) * nusym(y, z, x),
-        ),
-        "q-eta-derivation-sym": (
-            2,
-            lambda x, y: qe(musym_eta(x, y, eta))
-            - musym_eta(qe(x), y, eta)
-            - sign(d(x)) * musym_eta(x, qe(y), eta),
-        ),
-        "pentagon": (
-            4,
-            lambda a1, a2, a3, a4: sign(d(a1)) * me(a1, nu(a2, a3, a4))
-            + me(nu(a1, a2, a3), a4)
-            - nu(me(a1, a2), a3, a4)
-            + nu(a1, me(a2, a3), a4)
-            - nu(a1, a2, me(a3, a4)),
-        ),
-    }
-
-
 # -- deformed bracket: destroyed structure witness -------------------------
 
 
@@ -406,31 +309,6 @@ def ym_embed(x: YMElement, eta: Metric) -> BVElement:
     if x.degree == 1:
         return BVElement.deg1(section, -_div_hat(comps, eta))
     return (-det_sign * sign(eta.dim - 1)) * BVElement.deg2(section)
-
-
-def _transport_pool(eta: Metric):
-    """The embedding transports d, the product and the homotopy: name ->
-    (arity, fn), with fn mapping YMElements to a residual that must vanish."""
-
-    def embed(x):
-        return ym_embed(x, eta)
-
-    return {
-        "ym-transport-q": (
-            1,
-            lambda x: Q_eta(embed(x), eta) - embed(ym_q(x, eta)),
-        ),
-        "ym-transport-mu": (
-            2,
-            lambda x, y: musym_eta(embed(x), embed(y), eta)
-            - embed(ym_mu_sym(x, y, eta)),
-        ),
-        "ym-transport-nu": (
-            3,
-            lambda x, y, z: nusym(embed(x), embed(y), embed(z))
-            - embed(ym_nu_sym(x, y, z, eta)),
-        ),
-    }
 
 
 # -- matrix-valued layer ---------------------------------------------------
@@ -825,25 +703,17 @@ def ym_field_residual(calA, phi, eta: Metric):
 
 
 def _fit_constant(lhs, rhs):
-    """Fit lhs == c * rhs over matched matrix-function lists; None if failed."""
-    c = None
+    """Fit lhs == c * rhs over matched matrix-function lists at the first
+    nonzero entry of rhs; None if rhs vanishes or lhs misses that mode."""
     for l, r in zip(lhs, rhs):
         for p in range(l.rank):
             for q in range(l.rank):
                 f = r.entry(p, q)
-                if f.is_zero():
-                    continue
-                mode, coeff = next(iter(f.coeffs.items()))
-                target = l.entry(p, q).coeffs.get(mode)
-                if target is None:
-                    return None
-                c = target / coeff
-                break
-            if c is not None:
-                break
-        if c is not None:
-            break
-    return c
+                if not f.is_zero():
+                    mode, coeff = next(iter(f.coeffs.items()))
+                    target = l.entry(p, q).coeffs.get(mode)
+                    return None if target is None else target / coeff
+    return None
 
 
 def mc_vs_ym_compare(psi: LieValuedBVElement, eta: Metric, calibration=None):

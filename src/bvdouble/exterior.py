@@ -1,9 +1,10 @@
 """Exact exterior calculus on the torus for a constant metric.
 
 Differential forms carry Fourier-sum components on strictly increasing index
-tuples.  The module provides wedge, the de Rham differential, and a Hodge
-star for any symmetric invertible rational metric whose determinant has a
-rational square root.  On top of these it realizes the four-slot complex
+tuples.  The module provides wedge, the de Rham differential, a Hodge star
+for any symmetric invertible rational metric whose determinant has a
+rational square root, and the star pairing of two forms.  On top of these
+it realizes the four-slot complex
 
     W0 = functions, W1 = one-forms, W2 = (D-1)-forms, W3 = top forms,
 
@@ -26,6 +27,7 @@ __all__ = [
     "dform",
     "hodge",
     "form_integral",
+    "star_pairing",
     "ym_q",
     "ym_mu_sym",
     "ym_nu_sym",
@@ -228,6 +230,15 @@ def form_integral(alpha: DifferentialForm) -> GaussRational:
     return alpha.component(tuple(range(alpha.dim))).integral()
 
 
+def star_pairing(
+    alpha: DifferentialForm, beta: DifferentialForm, metric: Metric
+) -> GaussRational:
+    """The star pairing, the integral of alpha ^ *beta; zero across degrees."""
+    if alpha.degree != beta.degree:
+        return GaussRational(0)
+    return form_integral(wedge(alpha, hodge(beta, metric)))
+
+
 # -- the four-slot complex -------------------------------------------------
 
 
@@ -345,57 +356,6 @@ def ym_nu_sym(x: YMElement, y: YMElement, z: YMElement, metric: Metric) -> YMEle
         c, hodge(wedge(a, b), metric)
     )
     return YMElement(2, value)
-
-
-def _cinf_identity_pool(eta: Metric):
-    """Named residual callables for the four-slot complex, keyed by identity.
-
-    Each value is (arity, fn) where fn maps that many YMElements to an
-    object that must vanish exactly; the pairing-symmetry residual instead
-    takes two forms of equal degree.
-    """
-    dim = eta.dim
-    det_sign = 1 if eta.det_upper > 0 else -1
-    return {
-        "exterior-d-squared": (1, lambda x: dform(dform(x.form))),
-        "exterior-star-square": (
-            1,
-            lambda x: hodge(hodge(x.form, eta), eta)
-            - det_sign * sign(x.form.degree * (dim - x.form.degree)) * x.form,
-        ),
-        "exterior-pairing-symmetry": (
-            2,
-            lambda a, b: form_integral(wedge(a, hodge(b, eta)))
-            - form_integral(wedge(b, hodge(a, eta))),
-        ),
-        "ym-q-squared": (1, lambda x: ym_q(ym_q(x, eta), eta)),
-        "ym-mu-commutativity": (
-            2,
-            lambda x, y: ym_mu_sym(x, y, eta)
-            - sign(x.degree * y.degree) * ym_mu_sym(y, x, eta),
-        ),
-        "ym-q-derivation": (
-            2,
-            lambda x, y: ym_q(ym_mu_sym(x, y, eta), eta)
-            - ym_mu_sym(ym_q(x, eta), y, eta)
-            - sign(x.degree) * ym_mu_sym(x, ym_q(y, eta), eta),
-        ),
-        "ym-homotopy-associativity": (
-            3,
-            lambda x, y, z: ym_mu_sym(ym_mu_sym(x, y, eta), z, eta)
-            - ym_mu_sym(x, ym_mu_sym(y, z, eta), eta)
-            - ym_q(ym_nu_sym(x, y, z, eta), eta)
-            - ym_nu_sym(ym_q(x, eta), y, z, eta)
-            - sign(x.degree) * ym_nu_sym(x, ym_q(y, eta), z, eta)
-            - sign(x.degree + y.degree) * ym_nu_sym(x, y, ym_q(z, eta), eta),
-        ),
-        "ym-shuffle": (
-            3,
-            lambda x, y, z: ym_nu_sym(x, y, z, eta)
-            - sign(x.degree * y.degree) * ym_nu_sym(y, x, z, eta)
-            + sign(x.degree * (y.degree + z.degree)) * ym_nu_sym(y, z, x, eta),
-        ),
-    }
 
 
 def random_form(rng, dim: int, cutoff: int, degree: int) -> DifferentialForm:

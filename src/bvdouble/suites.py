@@ -20,7 +20,19 @@ its identities plus any entries it adds to the report (the ``ym`` suite adds
 the ``calibration`` it fits once on a rank-1 field), and one driver,
 ``_run_identities``, samples every identity, caps the stored failures and
 builds the rows.  Most samplers come from ``_sampler(res, *draws)``, which
-calls each draw function in order on every sample.
+calls each draw function in order on every sample and applies the residual
+``res`` to the drawn arguments.
+
+The homotopy laws that several structures obey have one residual builder
+each: ``_square`` (an operator squares to zero), ``_derivation``, the Koszul
+boundary ``_boundary`` of a homotopy h on any arity (``[Q, h] = Q h + h Q``
+for an odd h, ``Q h - h Q`` for an even one), commutativity and
+associativity up to such a boundary
+(``_commutative``, ``_associative``), ``_shuffle``, ``_pentagon`` and
+``_transport`` (an embedding intertwines two operations).  The bvcomplex,
+bvlz, cinf, deform and exterior rows instantiate them with their own
+operations; the deform and exterior suites keep theirs in the law tables
+``_deform_laws`` and ``_exterior_laws``.
 
 ``run_suite(name, config)`` returns the report for one suite::
 
@@ -36,6 +48,7 @@ from __future__ import annotations
 
 import random as _random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .bvcomplex import (
@@ -54,14 +67,19 @@ from .deform import (
     LieValuedBVElement,
     MatrixFunction,
     Q_eta,
-    _ainf_identity_pool,
-    _transport_pool,
+    R_eta,
+    _r_eta_slotwise,
     bracket_laplacian,
     deformed_bracket,
     dictionary_fields,
     gauge_variation,
     mc_from_fields,
     mc_vs_ym_compare,
+    mu_bar_eta,
+    mu_bar_eta_table,
+    mu_eta,
+    musym_eta,
+    ym_embed,
 )
 from .doublecopy import (
     Bivector,
@@ -83,7 +101,15 @@ from .doublecopy import (
     strong_constraint_check,
     wave_constraint,
 )
-from .exterior import _cinf_identity_pool, random_form, random_ym_element
+from .exterior import (
+    dform,
+    hodge,
+    random_ym_element,
+    star_pairing,
+    ym_mu_sym,
+    ym_nu_sym,
+    ym_q,
+)
 from .scalars import FourierScalar, GaussRational, Metric, randbelow, random_scalar
 from .sections import (
     anchor,
@@ -302,7 +328,7 @@ def _degree_sweep(res, arity: int, patterns=None):
                 args = tuple(
                     random_element(rng, cfg.dim, cfg.mode_cutoff, d) for d in degs
                 )
-                yield args, res(cfg, *args)
+                yield args, res(*args)
 
     return sampler
 
@@ -313,7 +339,7 @@ def _sampler(res, *draws):
     def sampler(rng, cfg):
         for _ in range(cfg.samples):
             args = tuple(draw(rng, cfg) for draw in draws)
-            yield args, res(cfg, *args)
+            yield args, res(*args)
 
     return sampler
 
@@ -344,58 +370,114 @@ _ELEMENT = _any_degree(random_element)
 _FORM_ELEMENT = _any_degree(random_ym_element)
 
 
-def _pool_identities(pool, statements, draw, prefix=""):
-    """One row per pool entry ``name -> (arity, fn)``, with id ``prefix +
-    name``: each sample makes ``arity`` draws and applies ``fn`` to them."""
-    return [
-        Identity(
-            prefix + name,
-            statements[name],
-            _sampler(lambda cfg, *xs, fn=fn: fn(*xs), *(draw,) * arity),
-        )
-        for name, (arity, fn) in pool.items()
-    ]
+# -- homotopy laws ---------------------------------------------------------
+# Each builder takes one structure's operations and returns the residual
+# ``res(*xs)`` of a law; signs are Koszul signs in the argument degrees.
+
+
+def _square(op):
+    """op op = 0."""
+    return lambda x: op(op(x))
+
+
+def _derivation(d, p, shift=0):
+    """d p(x, y) = p(dx, y) + (-1)^{|x| + shift} p(x, dy)."""
+    return lambda x, y: d(p(x, y)) - p(d(x), y) - sign(x.degree + shift) * p(x, d(y))
+
+
+def _boundary(q, h, xs, odd):
+    """[q, h](xs) = q h(xs) +- sum_i (-1)^{|x_1| + ... + |x_{i-1}|} h(.., q x_i, ..),
+    with + for an odd homotopy h and - for an even one."""
+    acc = q(h(*xs))
+    shift = 0 if odd else 1  # odd exactly when the next term enters with a minus
+    for i, x in enumerate(xs):
+        term = h(*xs[:i], q(x), *xs[i + 1 :])
+        acc = acc - term if shift % 2 else acc + term
+        shift += x.degree
+    return acc
+
+
+def _commutative(p, q=None, m=None):
+    """p(x, y) - (-1)^{|x||y|} p(y, x) = [q, m](x, y) for an odd m, or 0 without m."""
+
+    def res(x, y):
+        flip = p(x, y) - sign(x.degree * y.degree) * p(y, x)
+        return flip if m is None else flip - _boundary(q, m, (x, y), True)
+
+    return res
+
+
+def _associative(p, q, nu):
+    """p(p(x, y), z) - p(x, p(y, z)) = [q, nu](x, y, z) for an odd nu."""
+    return lambda x, y, z: (
+        p(p(x, y), z) - p(x, p(y, z)) - _boundary(q, nu, (x, y, z), True)
+    )
+
+
+def _shuffle(nu):
+    """nu vanishes on 2-1 shuffles."""
+    return lambda x, y, z: (
+        nu(x, y, z)
+        - sign(x.degree * y.degree) * nu(y, x, z)
+        + sign(x.degree * (y.degree + z.degree)) * nu(y, z, x)
+    )
+
+
+def _pentagon(p, nu):
+    """The pentagon law of a product p with its associativity homotopy nu."""
+    return lambda a1, a2, a3, a4: (
+        sign(a1.degree) * p(a1, nu(a2, a3, a4))
+        + p(nu(a1, a2, a3), a4)
+        - nu(p(a1, a2), a3, a4)
+        + nu(a1, p(a2, a3), a4)
+        - nu(a1, a2, p(a3, a4))
+    )
+
+
+def _transport(embed, src, dst):
+    """dst(embed x_1, ..., embed x_n) = embed src(x_1, ..., x_n)."""
+    return lambda *xs: dst(*map(embed, xs)) - embed(src(*xs))
 
 
 # -- generalized-section suite ---------------------------------------------
 
 
 def _courant_identities(cfg: SuiteConfig):
-    def module_leibniz(cfg, a1, a2, u):
+    def module_leibniz(a1, a2, u):
         return dorfman(a1, a2 * u) - dorfman(a1, a2) * u - a2 * pairing(
             a1, d_scalar(u)
         )
 
-    def invariance(cfg, a1, a2, a3):
+    def invariance(a1, a2, a3):
         return (
             pairing(a1, d_scalar(pairing(a2, a3)))
             - pairing(dorfman(a1, a2), a3)
             - pairing(a2, dorfman(a1, a3))
         )
 
-    def symmetric_part(cfg, a1, a2):
+    def symmetric_part(a1, a2):
         return dorfman(a1, a2) + dorfman(a2, a1) - d_scalar(pairing(a1, a2))
 
-    def leibniz_jacobi(cfg, a1, a2, a3):
+    def leibniz_jacobi(a1, a2, a3):
         return (
             dorfman(a1, dorfman(a2, a3))
             - dorfman(dorfman(a1, a2), a3)
             - dorfman(a2, dorfman(a1, a3))
         )
 
-    def exact_left_action(cfg, a, u):
+    def exact_left_action(a, u):
         return dorfman(d_scalar(u), a)
 
-    def isotropic_gradients(cfg, u1, u2):
+    def isotropic_gradients(u1, u2):
         return pairing(d_scalar(u1), d_scalar(u2))
 
-    def div_exact(cfg, u):
+    def div_exact(u):
         return divergence(d_scalar(u))
 
-    def div_module(cfg, a, u):
+    def div_module(a, u):
         return divergence(a * u) - divergence(a) * u - pairing(d_scalar(u), a)
 
-    def div_bracket(cfg, a1, a2):
+    def div_bracket(a1, a2):
         return (
             divergence(dorfman(a1, a2))
             - anchor(a1, divergence(a2))
@@ -455,85 +537,64 @@ def _courant_identities(cfg: SuiteConfig):
 
 
 def _bvcomplex_identities(cfg: SuiteConfig):
-    def q_squared(cfg, x):
-        return op_q(op_q(x))
-
-    def b_squared(cfg, x):
-        return op_b(op_b(x))
-
-    def c_squared(cfg, x):
-        return op_c(op_c(x))
-
-    def qb_anticommute(cfg, x):
-        return op_q(op_b(x)) + op_b(op_q(x))
-
-    def bc_unit(cfg, x):
-        return op_b(op_c(x)) + op_c(op_b(x)) - x
-
-    def pair_sym(cfg, x, y):
+    def pair_sym(x, y):
         return odd_pairing(x, y) - odd_pairing(y, x)
 
-    def pair_support(cfg, x, y):
-        return odd_pairing(x, y)
+    def covariance(op, s):
+        """<op x, y> + s (-1)^{|x||y|} <op y, x> = 0."""
+        return lambda x, y: odd_pairing(op(x), y) + s * sign(
+            x.degree * y.degree
+        ) * odd_pairing(op(y), x)
 
-    def cov_q(cfg, x, y):
-        return odd_pairing(op_q(x), y) + sign(x.degree * y.degree) * odd_pairing(
-            op_q(y), x
-        )
-
-    def cov_b(cfg, x, y):
-        return odd_pairing(op_b(x), y) - sign(x.degree * y.degree) * odd_pairing(
-            op_b(y), x
-        )
-
-    def cov_c(cfg, x, y):
-        return odd_pairing(op_c(x), y) + sign(x.degree * y.degree) * odd_pairing(
-            op_c(y), x
-        )
-
-    def half_idempotent(cfg, x):
+    def half_idempotent(x):
         px = project_half(x)
         return project_half(px) - px
 
-    def half_splitting(cfg, x):
+    def half_splitting(x):
         px = project_half(x)
         return in_half(px) and in_complement(x - px) and in_half(op_q(px))
 
-    def half_orthogonal(cfg, x, y):
+    def half_orthogonal(x, y):
         return odd_pairing(project_half(x), y - project_half(y))
 
     offdiag = [(d1, d2) for d1 in range(4) for d2 in range(4) if d1 + d2 != 3]
     complementary = [(d, 3 - d) for d in range(4)]
     return [
-        Identity("complex-q-squared", "Q Q = 0", _degree_sweep(q_squared, 1)),
-        Identity("complex-b-squared", "b b = 0", _degree_sweep(b_squared, 1)),
-        Identity("complex-c-squared", "c c = 0", _degree_sweep(c_squared, 1)),
+        Identity("complex-q-squared", "Q Q = 0", _degree_sweep(_square(op_q), 1)),
+        Identity("complex-b-squared", "b b = 0", _degree_sweep(_square(op_b), 1)),
+        Identity("complex-c-squared", "c c = 0", _degree_sweep(_square(op_c), 1)),
         Identity(
-            "complex-qb-anticommute", "Q b + b Q = 0", _degree_sweep(qb_anticommute, 1)
+            "complex-qb-anticommute",
+            "Q b + b Q = 0",
+            _degree_sweep(lambda x: _boundary(op_q, op_b, (x,), True), 1),
         ),
-        Identity("complex-bc-unit", "b c + c b = id", _degree_sweep(bc_unit, 1)),
+        Identity(
+            "complex-bc-unit",
+            "b c + c b = id",
+            _degree_sweep(lambda x: _boundary(op_b, op_c, (x,), True) - x, 1),
+        ),
         Identity(
             "pairing-symmetry", "<x, y> = <y, x>", _degree_sweep(pair_sym, 2)
         ),
         Identity(
             "pairing-degree-support",
             "<x, y> = 0 unless |x| + |y| = 3",
-            _degree_sweep(pair_support, 2, offdiag),
+            _degree_sweep(odd_pairing, 2, offdiag),
         ),
         Identity(
             "pairing-covariance-q",
             "<Qx, y> + (-1)^{|x||y|} <Qy, x> = 0",
-            _degree_sweep(cov_q, 2),
+            _degree_sweep(covariance(op_q, 1), 2),
         ),
         Identity(
             "pairing-covariance-b",
             "<bx, y> - (-1)^{|x||y|} <by, x> = 0",
-            _degree_sweep(cov_b, 2),
+            _degree_sweep(covariance(op_b, -1), 2),
         ),
         Identity(
             "pairing-covariance-c",
             "<cx, y> + (-1)^{|x||y|} <cy, x> = 0",
-            _degree_sweep(cov_c, 2),
+            _degree_sweep(covariance(op_c, 1), 2),
         ),
         Identity(
             "half-projection-idempotent",
@@ -557,84 +618,41 @@ def _bvcomplex_identities(cfg: SuiteConfig):
 
 
 def _bvlz_identities(cfg: SuiteConfig):
-    def q_derivation_product(cfg, x, y):
-        return op_q(mu(x, y)) - mu(op_q(x), y) - sign(x.degree) * mu(x, op_q(y))
-
-    def homotopy_commutativity(cfg, x, y):
-        return (
-            mu(x, y)
-            - sign(x.degree * y.degree) * mu(y, x)
-            - op_q(m_op(x, y))
-            - m_op(op_q(x), y)
-            - sign(x.degree) * m_op(x, op_q(y))
-        )
-
-    def homotopy_associativity(cfg, x, y, z):
-        return (
-            mu(mu(x, y), z)
-            - mu(x, mu(y, z))
-            - op_q(nu(x, y, z))
-            - nu(op_q(x), y, z)
-            - sign(x.degree) * nu(x, op_q(y), z)
-            - sign(x.degree + y.degree) * nu(x, y, op_q(z))
-        )
-
-    def q_derivation_bracket(cfg, x, y):
-        return (
-            op_q(brack(x, y))
-            - brack(op_q(x), y)
-            - sign(x.degree - 1) * brack(x, op_q(y))
-        )
-
-    def first_slot_leibniz(cfg, x, y, z):
+    def first_slot_leibniz(x, y, z):
         return (
             brack(x, mu(y, z))
             - mu(brack(x, y), z)
             - sign((x.degree - 1) * y.degree) * mu(y, brack(x, z))
         )
 
-    def b_derivation_bracket(cfg, x, y):
-        return (
-            op_b(brack(x, y))
-            - brack(op_b(x), y)
-            - sign(x.degree - 1) * brack(x, op_b(y))
-        )
-
-    def homotopy_antisymmetry(cfg, x, y):
+    def homotopy_antisymmetry(x, y):
         return brack(x, y) + sign((x.degree - 1) * (y.degree - 1)) * brack(
             y, x
-        ) - sign(x.degree - 1) * (
-            op_q(n_op(x, y)) - n_op(op_q(x), y) - sign(x.degree) * n_op(x, op_q(y))
-        )
+        ) - sign(x.degree - 1) * _boundary(op_q, n_op, (x, y), False)
 
-    def jacobi_leibniz(cfg, x, y, z):
+    def jacobi_leibniz(x, y, z):
         return (
             brack(brack(x, y), z)
             - brack(x, brack(y, z))
             + sign((x.degree - 1) * (y.degree - 1)) * brack(y, brack(x, z))
         )
 
-    def mixed_derivation(cfg, x, y, z):
+    def mixed_derivation(x, y, z):
         lhs = (
             brack(mu(x, y), z)
             - mu(x, brack(y, z))
             - sign((z.degree - 1) * y.degree) * mu(brack(x, z), y)
         )
-        homotopy = (
-            op_q(nprime(x, y, z))
-            - nprime(op_q(x), y, z)
-            - sign(x.degree) * nprime(x, op_q(y), z)
-            - sign(x.degree + y.degree) * nprime(x, y, op_q(z))
-        )
+        homotopy = _boundary(op_q, nprime, (x, y, z), False)
         return lhs - sign(x.degree + y.degree - 1) * homotopy
 
-    def c_compat_product(cfg, x, y):
+    def c_compat_product(x, y):
         return op_c(mu(x, y)) - sign(x.degree) * mu(x, op_c(y))
 
-    def c_compat_bracket(cfg, x, y):
+    def c_compat_bracket(x, y):
         return op_c(brack(x, y)) - sign(x.degree - 1) * brack(x, op_c(y))
 
-    def bracket_matches_dorfman(cfg, a, b):
+    def bracket_matches_dorfman(a, b):
         x = BVElement.deg1(a)
         y = BVElement.deg1(b)
         return brack(x, y) - BVElement.deg1(dorfman(a, b))
@@ -643,22 +661,22 @@ def _bvlz_identities(cfg: SuiteConfig):
         Identity(
             "q-derivation-of-product",
             "Q mu(x,y) = mu(Qx,y) + (-1)^{|x|} mu(x,Qy)",
-            _degree_sweep(q_derivation_product, 2),
+            _degree_sweep(_derivation(op_q, mu), 2),
         ),
         Identity(
             "homotopy-commutativity",
             "mu(x,y) - (-1)^{|x||y|} mu(y,x) = [Q, m](x,y)",
-            _degree_sweep(homotopy_commutativity, 2),
+            _degree_sweep(_commutative(mu, op_q, m_op), 2),
         ),
         Identity(
             "homotopy-associativity",
             "mu's associator equals the Q-boundary of the trilinear homotopy",
-            _sampler(homotopy_associativity, *(_ELEMENT,) * 3),
+            _sampler(_associative(mu, op_q, nu), *(_ELEMENT,) * 3),
         ),
         Identity(
             "q-derivation-of-bracket",
             "Q {x,y} = {Qx,y} + (-1)^{|x|-1} {x,Qy}",
-            _degree_sweep(q_derivation_bracket, 2),
+            _degree_sweep(_derivation(op_q, brack, -1), 2),
         ),
         Identity(
             "bracket-leibniz-over-product",
@@ -668,7 +686,7 @@ def _bvlz_identities(cfg: SuiteConfig):
         Identity(
             "b-derivation-of-bracket",
             "b {x,y} = {bx,y} + (-1)^{|x|-1} {x,by}",
-            _degree_sweep(b_derivation_bracket, 2),
+            _degree_sweep(_derivation(op_b, brack, -1), 2),
         ),
         Identity(
             "homotopy-antisymmetry",
@@ -707,67 +725,31 @@ def _bvlz_identities(cfg: SuiteConfig):
 
 
 def _cinf_identities(cfg: SuiteConfig):
-    def commutativity(cfg, x, y):
-        return musym(x, y) - sign(x.degree * y.degree) * musym(y, x)
-
-    def q_derivation(cfg, x, y):
-        return (
-            op_q(musym(x, y))
-            - musym(op_q(x), y)
-            - sign(x.degree) * musym(x, op_q(y))
-        )
-
-    def associativity(cfg, x, y, z):
-        return (
-            musym(musym(x, y), z)
-            - musym(x, musym(y, z))
-            - op_q(nusym(x, y, z))
-            - nusym(op_q(x), y, z)
-            - sign(x.degree) * nusym(x, op_q(y), z)
-            - sign(x.degree + y.degree) * nusym(x, y, op_q(z))
-        )
-
-    def shuffle(cfg, x, y, z):
-        return (
-            nusym(x, y, z)
-            - sign(x.degree * y.degree) * nusym(y, x, z)
-            + sign(x.degree * (y.degree + z.degree)) * nusym(y, z, x)
-        )
-
-    def pentagon(cfg, a1, a2, a3, a4):
-        return (
-            sign(a1.degree) * musym(a1, nusym(a2, a3, a4))
-            + musym(nusym(a1, a2, a3), a4)
-            - nusym(musym(a1, a2), a3, a4)
-            + nusym(a1, musym(a2, a3), a4)
-            - nusym(a1, a2, musym(a3, a4))
-        )
-
     return [
         Identity(
             "sym-product-commutativity",
             "mu_s(x,y) = (-1)^{|x||y|} mu_s(y,x)",
-            _degree_sweep(commutativity, 2),
+            _degree_sweep(_commutative(musym), 2),
         ),
         Identity(
             "sym-product-q-derivation",
             "Q is a derivation of the symmetrized product",
-            _degree_sweep(q_derivation, 2),
+            _degree_sweep(_derivation(op_q, musym), 2),
         ),
         Identity(
             "sym-homotopy-associativity",
             "mu_s's associator equals the Q-boundary of nu_s",
-            _sampler(associativity, *(_ELEMENT,) * 3),
+            _sampler(_associative(musym, op_q, nusym), *(_ELEMENT,) * 3),
         ),
         Identity(
             "trilinear-shuffle",
             "nu_s vanishes on 2-1 shuffles",
-            _sampler(shuffle, *(_ELEMENT,) * 3),
+            _sampler(_shuffle(nusym), *(_ELEMENT,) * 3),
         ),
         Identity(
             "pentagon-compatibility",
             "mu_s and nu_s satisfy the pentagon compatibility law",
-            _sampler(pentagon, *(_ELEMENT,) * 4),
+            _sampler(_pentagon(musym, nusym), *(_ELEMENT,) * 4),
         ),
     ], {}
 
@@ -786,7 +768,7 @@ def _cyclic_identities(cfg: SuiteConfig):
         return odd_pairing(nusym(p1, p2, p3), p4)
 
     def cyc(form, k):
-        def res(cfg, *xs):
+        def res(*xs):
             ps = [project_half(x) for x in xs]
             rotated = [ps[-1]] + ps[:-1]
             last = xs[-1].degree
@@ -821,10 +803,10 @@ def _cyclic_identities(cfg: SuiteConfig):
 
 
 def _linf_identities(cfg: SuiteConfig):
-    def antisymmetry(cfg, x, y):
+    def antisymmetry(x, y):
         return l2(x, y) + sign((x.degree - 1) * (y.degree - 1)) * l2(y, x)
 
-    def jacobiator(cfg, a1, a2, a3):
+    def jacobiator(a1, a2, a3):
         return (
             l2(l2(a1, a2), a3)
             + l2(l2(a3, a1), a2)
@@ -837,7 +819,7 @@ def _linf_identities(cfg: SuiteConfig):
         # degree-1 scalar slot spans the acyclic complement and is excluded
         return BVElement.deg1(_SECTION(rng, cfg))
 
-    def b_derivation(cfg, x, y, zt):
+    def b_derivation(x, y, zt):
         return op_b(l3(x, y, zt)) + l3(x, y, op_b(zt))
 
     return [
@@ -861,57 +843,80 @@ def _linf_identities(cfg: SuiteConfig):
 
 # -- deformed-structure suite ----------------------------------------------
 
-_DEFORM_STATEMENTS = {
-    "q-eta-squared": "the deformed differential squares to zero",
-    "r-eta-squared": "the deformation operator squares to zero",
-    "q-r-anticommute": "Q and the deformation operator anticommute",
-    "r-slotwise-table": "the deformation operator matches its slotwise table",
-    "mu-bar-table": "the product correction matches its four-cell table",
-    "q-eta-derivation": "the deformed differential is a derivation of the deformed product",
-    "homotopy-commutativity": "the deformed product is commutative up to the [Q^eta, m] homotopy",
-    "mu-bar-antisymmetry": "the correction's antisymmetric part is the [R, m] homotopy",
-    "r-derivation-of-mu-bar": "the deformation operator is a derivation of the correction",
-    "q-mu-bar-plus-r-mu": "the cross terms of (Q + R) over (mu + mu-bar) cancel",
-    "homotopy-associativity": "the deformed associator is the [Q^eta, nu]-boundary",
-    "c-inf-shuffle": "the trilinear homotopy still kills 2-1 shuffles",
-    "q-eta-derivation-sym": "the deformed differential derives the symmetrized deformed product",
-    "pentagon": "the deformed product satisfies the pentagon law with nu",
-}
+
+def _deform_laws(eta: Metric):
+    """The deformed structure's laws as ``(id, statement, arity, residual)``;
+    each residual maps ``arity`` elements to a value that must vanish."""
+    qe, r = partial(Q_eta, eta=eta), partial(R_eta, eta=eta)
+    me, mbar = partial(mu_eta, eta=eta), partial(mu_bar_eta, eta=eta)
+    r_mu, q_mbar = _derivation(r, mu), _derivation(op_q, mbar)
+    return [
+        ("deform-q-eta-squared",
+         "the deformed differential squares to zero", 1, _square(qe)),
+        ("deform-r-eta-squared",
+         "the deformation operator squares to zero", 1, _square(r)),
+        ("deform-q-r-anticommute",
+         "Q and the deformation operator anticommute", 1,
+         lambda x: _boundary(op_q, r, (x,), True)),
+        ("deform-r-slotwise-table",
+         "the deformation operator matches its slotwise table", 1,
+         lambda x: r(x) - _r_eta_slotwise(x, eta)),
+        ("deform-mu-bar-table",
+         "the product correction matches its four-cell table", 2,
+         lambda x, y: mbar(x, y) - mu_bar_eta_table(x, y, eta)),
+        ("deform-q-eta-derivation",
+         "the deformed differential is a derivation of the deformed product", 2,
+         _derivation(qe, me)),
+        ("deform-homotopy-commutativity",
+         "the deformed product is commutative up to the [Q^eta, m] homotopy", 2,
+         _commutative(me, qe, m_op)),
+        ("deform-mu-bar-antisymmetry",
+         "the correction's antisymmetric part is the [R, m] homotopy", 2,
+         _commutative(mbar, r, m_op)),
+        ("deform-r-derivation-of-mu-bar",
+         "the deformation operator is a derivation of the correction", 2,
+         _derivation(r, mbar)),
+        ("deform-q-mu-bar-plus-r-mu",
+         "the cross terms of (Q + R) over (mu + mu-bar) cancel", 2,
+         lambda x, y: r_mu(x, y) + q_mbar(x, y)),
+        ("deform-homotopy-associativity",
+         "the deformed associator is the [Q^eta, nu]-boundary", 3,
+         _associative(me, qe, nu)),
+        ("deform-c-inf-shuffle",
+         "the trilinear homotopy still kills 2-1 shuffles", 3, _shuffle(nusym)),
+        ("deform-q-eta-derivation-sym",
+         "the deformed differential derives the symmetrized deformed product", 2,
+         _derivation(qe, partial(musym_eta, eta=eta))),
+        ("deform-pentagon",
+         "the deformed product satisfies the pentagon law with nu", 4,
+         _pentagon(me, nu)),
+    ]
 
 
 def _deform_identities(cfg: SuiteConfig):
-    identities = _pool_identities(
-        _ainf_identity_pool(cfg.metric), _DEFORM_STATEMENTS, _ELEMENT, "deform-"
-    )
-
-    def laplacian_commutator(cfg, x):
-        eta = cfg.metric
-        return Q_eta(op_b(x), eta) + op_b(Q_eta(x, eta)) + bracket_laplacian(x, eta)
-
-    def derivation_defect(cfg, x, y):
-        eta = cfg.metric
-        return (
-            Q_eta(deformed_bracket(x, y, eta), eta)
-            - deformed_bracket(Q_eta(x, eta), y, eta)
-            - sign(x.degree - 1) * deformed_bracket(x, Q_eta(y, eta), eta)
-        )
-
-    identities.append(
+    eta = cfg.metric
+    qe = partial(Q_eta, eta=eta)
+    return [
+        *(
+            Identity(ident, statement, _sampler(res, *(_ELEMENT,) * arity))
+            for ident, statement, arity, res in _deform_laws(eta)
+        ),
         Identity(
             "deform-bracket-laplacian",
             "[Q^eta, b] acts as minus the metric Laplacian",
-            _degree_sweep(laplacian_commutator, 1),
-        )
-    )
-    identities.append(
+            _degree_sweep(
+                lambda x: _boundary(qe, op_b, (x,), True) + bracket_laplacian(x, eta), 1
+            ),
+        ),
         Identity(
             "deform-derivation-defect-witness",
             "Q^eta fails to derive the deformed derived bracket (defect stored)",
-            _degree_sweep(derivation_defect, 2, [(1, 1)]),
+            _degree_sweep(
+                _derivation(qe, partial(deformed_bracket, eta=eta), -1), 2, [(1, 1)]
+            ),
             expect="nonzero",
-        )
-    )
-    return identities, {}
+        ),
+    ], {}
 
 
 # -- gauge-theory suite ----------------------------------------------------
@@ -960,13 +965,13 @@ def _ym_identities(cfg: SuiteConfig):
     def gauge_parameter(rng, cfg):
         return MatrixFunction.random(rng, cfg.matrix_rank, cfg.dim, cutoff)
 
-    def field_equations(cfg, psi):
+    def field_equations(psi):
         # frozen constants transport to non-commuting rank-r fields; the
         # comparison report is the residual of a failing sample
         rep = mc_vs_ym_compare(psi, eta, calibration=constants)
         return True if fitted and rep["match"] and rep["vtilde_zero"] else rep
 
-    def gauge_transport(cfg, psi, umat):
+    def gauge_transport(psi, umat):
         rank = cfg.matrix_rank
         ugrid = LieValuedBVElement(
             [
@@ -1006,48 +1011,74 @@ def _ym_identities(cfg: SuiteConfig):
 
 # -- differential-form suite -----------------------------------------------
 
-_EXTERIOR_STATEMENTS = {
-    "exterior-d-squared": "the exterior differential squares to zero",
-    "exterior-star-square": "the star squares to the signature sign times a degree sign",
-    "exterior-pairing-symmetry": "the star pairing of equal-degree forms is symmetric",
-    "ym-q-squared": "the four-slot differential squares to zero",
-    "ym-mu-commutativity": "the four-slot product is graded commutative",
-    "ym-q-derivation": "the four-slot differential derives the product",
-    "ym-homotopy-associativity": "the four-slot associator is the Q-boundary of its trilinear homotopy",
-    "ym-shuffle": "the four-slot trilinear homotopy kills 2-1 shuffles",
-    "ym-transport-q": "the embedding intertwines the differentials",
-    "ym-transport-mu": "the embedding intertwines the symmetrized products",
-    "ym-transport-nu": "the embedding intertwines the trilinear homotopies",
-}
+def _exterior_laws(eta: Metric):
+    """The four-slot complex's laws, and the transport of d, the product and
+    the homotopy by ``deform.ym_embed``, as ``(id, statement, arity,
+    residual)`` on four-slot elements."""
+    det_sign = 1 if eta.det_upper > 0 else -1
+    d2, star2 = _square(dform), _square(partial(hodge, metric=eta))
+    q, m = partial(ym_q, metric=eta), partial(ym_mu_sym, metric=eta)
+    n, embed = partial(ym_nu_sym, metric=eta), partial(ym_embed, eta=eta)
+
+    def star_square(x):
+        p = x.form.degree
+        return star2(x.form) - det_sign * sign(p * (eta.dim - p)) * x.form
+
+    def pairing_symmetry(x, y):
+        return star_pairing(x.form, y.form, eta) - star_pairing(y.form, x.form, eta)
+
+    return [
+        ("exterior-d-squared",
+         "the exterior differential squares to zero", 1, lambda x: d2(x.form)),
+        ("exterior-star-square",
+         "the star squares to the signature sign times a degree sign", 1, star_square),
+        ("exterior-pairing-symmetry",
+         "the star pairing of equal-degree forms is symmetric", 2, pairing_symmetry),
+        ("ym-q-squared", "the four-slot differential squares to zero", 1, _square(q)),
+        ("ym-mu-commutativity",
+         "the four-slot product is graded commutative", 2, _commutative(m)),
+        ("ym-q-derivation",
+         "the four-slot differential derives the product", 2, _derivation(q, m)),
+        ("ym-homotopy-associativity",
+         "the four-slot associator is the Q-boundary of its trilinear homotopy", 3,
+         _associative(m, q, n)),
+        ("ym-shuffle",
+         "the four-slot trilinear homotopy kills 2-1 shuffles", 3, _shuffle(n)),
+        ("ym-transport-q", "the embedding intertwines the differentials", 1,
+         _transport(embed, q, partial(Q_eta, eta=eta))),
+        ("ym-transport-mu", "the embedding intertwines the symmetrized products", 2,
+         _transport(embed, m, partial(musym_eta, eta=eta))),
+        ("ym-transport-nu", "the embedding intertwines the trilinear homotopies", 3,
+         _transport(embed, n, nusym)),
+    ]
 
 
-def _pairing_sampler(pairing):
-    """Draw x, then y; when their form degrees differ, y's form is re-rolled
-    onto x's on the row's stream.  The row stores the drawn (x, y)."""
+def _equal_degree_pairs(res):
+    """Draw x, then y; when their form degrees differ, y is re-rolled onto x's
+    degree on the row's stream.  The row stores the drawn (x, y)."""
 
     def sampler(rng, cfg):
         for _ in range(cfg.samples):
             x, y = _FORM_ELEMENT(rng, cfg), _FORM_ELEMENT(rng, cfg)
-            form = y.form
-            if form.degree != x.form.degree:
-                form = random_form(rng, cfg.dim, cfg.mode_cutoff, x.form.degree)
-            yield (x, y), pairing(x.form, form)
+            z = y
+            if y.form.degree != x.form.degree:
+                z = random_ym_element(rng, cfg.dim, cfg.mode_cutoff, x.degree)
+            yield (x, y), res(x, z)
 
     return sampler
 
 
 def _exterior_identities(cfg: SuiteConfig):
-    pool = _cinf_identity_pool(cfg.metric)
-    identities = [
-        *_pool_identities(pool, _EXTERIOR_STATEMENTS, _FORM_ELEMENT),
-        *_pool_identities(
-            _transport_pool(cfg.metric), _EXTERIOR_STATEMENTS, _FORM_ELEMENT
-        ),
-    ]
-    for identity in identities:
-        if identity.ident == "exterior-pairing-symmetry":
-            identity.sampler = _pairing_sampler(pool[identity.ident][1])
-    return identities, {}
+    return [
+        Identity(
+            ident,
+            statement,
+            _equal_degree_pairs(res)
+            if ident == "exterior-pairing-symmetry"
+            else _sampler(res, *(_FORM_ELEMENT,) * arity),
+        )
+        for ident, statement, arity, res in _exterior_laws(cfg.metric)
+    ], {}
 
 
 # -- doubled-geometry suites -----------------------------------------------
@@ -1074,16 +1105,16 @@ def _orthogonal_profiles(eta: Metric):
 
 
 def _cbracket_identities(cfg: SuiteConfig):
-    def antisymmetry(cfg, a, b):
+    def antisymmetry(a, b):
         eta = cfg.metric
         return tuple(
             x + y for x, y in zip(c_bracket(a, b, eta), c_bracket(b, a, eta))
         )
 
-    def self_bracket(cfg, a):
+    def self_bracket(a):
         return c_bracket(a, a, cfg.metric)
 
-    def constant_transport(cfg, a, b):
+    def constant_transport(a, b):
         dim = cfg.dim
         expected = tuple(
             sum(
@@ -1094,7 +1125,7 @@ def _cbracket_identities(cfg: SuiteConfig):
         )
         return _tuple_sub(c_half_bracket(a, b, cfg.metric), expected)
 
-    def lie_reduction(cfg, f, g):
+    def lie_reduction(f, g):
         p, q = _orthogonal_profiles(cfg.metric)
         a = tuple(f * pk for pk in p)
         b = tuple(g * qk for qk in q)
@@ -1114,7 +1145,7 @@ def _cbracket_identities(cfg: SuiteConfig):
 
     polarized, unpolarized = family(True), family(False)
 
-    def constrained_sector(cfg, a, b, c):
+    def constrained_sector(a, b, c):
         eta = cfg.metric
         residuals = [wave_constraint(x, eta) for x in (a, b, c)]
         residuals.extend(
@@ -1122,10 +1153,10 @@ def _cbracket_identities(cfg: SuiteConfig):
         )
         return tuple(residuals)
 
-    def jacobiator(cfg, a, b, c):
+    def jacobiator(a, b, c):
         return c_jacobiator(a, b, c, cfg.metric)
 
-    def null_directed(cfg, a, b, c):
+    def null_directed(a, b, c):
         eta = cfg.metric
         jac = c_jacobiator(a, b, c, eta)
         if direction is None:
@@ -1137,7 +1168,7 @@ def _cbracket_identities(cfg: SuiteConfig):
                 out.append(jac[j] * sharp[k] - jac[k] * sharp[j])
         return tuple(out)
 
-    def generic_pair_violation(cfg, a, b):
+    def generic_pair_violation(a, b):
         return pair_constraint(a, b, cfg.metric)
 
     return [
@@ -1197,10 +1228,10 @@ def _cbracket_identities(cfg: SuiteConfig):
 def _doublecopy_identities(cfg: SuiteConfig):
     doubled = _draw(random_doubled_scalar)
 
-    def sector_annihilation(cfg, fx, ft):
+    def sector_annihilation(fx, ft):
         return (delta_minus(fx), delta_minus(ft))
 
-    def modewise_eigenvalue(cfg, f):
+    def modewise_eigenvalue(f):
         h = f.halfdim
         coeffs = {}
         for mode, coeff in f.fun.coeffs.items():
@@ -1210,10 +1241,10 @@ def _doublecopy_identities(cfg: SuiteConfig):
         expected = DoubledScalar(h, FourierScalar(2 * h, coeffs))
         return delta_minus(f) - expected
 
-    def constraint_symmetry(cfg, f, g):
+    def constraint_symmetry(f, g):
         return section_pair_residual(f, g) - section_pair_residual(g, f)
 
-    def same_sector_constrained(cfg, fx, gx):
+    def same_sector_constrained(fx, gx):
         return strong_constraint_check(fx, gx) == (True, True)
 
     def same_sector_sampler(rng, cfg):
@@ -1221,7 +1252,7 @@ def _doublecopy_identities(cfg: SuiteConfig):
             sector = ("x", "xt")[randbelow(rng.getrandbits, 2)]
             f = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector=sector)
             g = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector=sector)
-            yield (f, g), same_sector_constrained(cfg, f, g)
+            yield (f, g), same_sector_constrained(f, g)
 
     def cross_sector_witness(rng, cfg):
         h = cfg.dim
@@ -1233,10 +1264,10 @@ def _doublecopy_identities(cfg: SuiteConfig):
         value = section_pair_residual(fx, ft) if closed else DoubledScalar.zero(h)
         yield (fx, ft), value
 
-    def bracket_symmetry(cfg, g, h):
+    def bracket_symmetry(g, h):
         return double_bracket(g, h) - double_bracket(h, g)
 
-    def bracket_bilinearity(cfg, g1, g2, h):
+    def bracket_bilinearity(g1, g2, h):
         additive = (
             double_bracket(g1 + g2, h)
             - double_bracket(g1, h)
@@ -1245,7 +1276,7 @@ def _doublecopy_identities(cfg: SuiteConfig):
         scaling = double_bracket(g1 * 3, h) - double_bracket(g1, h) * 3
         return (additive, scaling)
 
-    def constant_case(cfg, g, h):
+    def constant_case(g, h):
         phi = DoubledScalar.zero(cfg.dim)
         tensor, scalar = bivector_mc_residual(g, phi)
         return (double_bracket(g, h), tensor, scalar)
@@ -1260,7 +1291,7 @@ def _doublecopy_identities(cfg: SuiteConfig):
             rows[1][col] = -seedf.dx(0)
         return Bivector(tuple(tuple(r) for r in rows))
 
-    def divergence_free_reduction(cfg, g):
+    def divergence_free_reduction(g):
         phi = DoubledScalar.zero(cfg.dim)
         vec, tvec = div_omega(g, phi)
         tensor, scalar = bivector_mc_residual(g, phi)
@@ -1270,7 +1301,7 @@ def _doublecopy_identities(cfg: SuiteConfig):
             scalar,
         )
 
-    def generic_residual_witness(cfg, g, phi):
+    def generic_residual_witness(g, phi):
         tensor, scalar = bivector_mc_residual(g, phi)
         return (tensor, scalar)
 

@@ -13,7 +13,6 @@ from bvdouble.deform import (
     MatrixFunction,
     Q_eta,
     R_eta,
-    _ainf_identity_pool,
     bracket_laplacian,
     dictionary_fields,
     gauge_variation,
@@ -23,13 +22,31 @@ from bvdouble.deform import (
     mu_bar_eta,
     mu_bar_eta_table,
 )
+from bvdouble.exterior import random_ym_element
 from bvdouble.scalars import GaussRational, Metric, random_scalar
-from bvdouble.suites import SuiteConfig, run_suite
+from bvdouble.suites import (
+    SuiteConfig,
+    _deform_laws,
+    _exterior_laws,
+    _vanishes,
+    run_suite,
+)
 
 LORENTZ = Metric.diagonal([1, 1, -1])
 DIM = 3
-POOL = _ainf_identity_pool(LORENTZ)
+DEFORM_LAWS = _deform_laws(LORENTZ)
+LAWS = {ident: (arity, fn) for ident, _, arity, fn in DEFORM_LAWS}
 PAIRS = [(d1, d2) for d1 in range(4) for d2 in range(4)]
+# every law of the deform and exterior tables, with the draw of its
+# arguments; the deform ids drop their suite prefix
+LAW_CASES = [
+    pytest.param(ident, arity, fn, draw, id=ident.removeprefix("deform-"))
+    for laws, draw in (
+        (DEFORM_LAWS, random_element),
+        (_exterior_laws(LORENTZ), random_ym_element),
+    )
+    for ident, _, arity, fn in laws
+]
 
 
 @pytest.fixture
@@ -50,9 +67,11 @@ def _deform_rows():
 # -- the deformed homotopy relations ---------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(POOL))
-def test_identity_pool_member(name):
-    arity, fn = POOL[name]
+@pytest.mark.parametrize("ident,arity,fn,draw", LAW_CASES)
+def test_identity_pool_member(ident, arity, fn, draw):
+    # binary laws see every degree pattern twice, ternary and quaternary
+    # ones 16 seeded patterns
+    name = ident.removeprefix("deform-")
     rng = random.Random(f"pool:{name}")
     if arity == 1:
         patterns = [(d,) for d in range(4)] * 2
@@ -63,15 +82,15 @@ def test_identity_pool_member(name):
             tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(16)
         ]
     for degs in patterns:
-        xs = [elem(rng, d) for d in degs]
-        assert fn(*xs).is_zero(), f"{name} fails at {degs}"
+        xs = [draw(rng, DIM, 1, d) for d in degs]
+        assert _vanishes(fn(*xs)), f"{ident} fails at {degs}"
 
 
 def test_residual_driver_reports_all_clean():
     rows = _deform_rows()
-    for name in POOL:
-        row = rows[f"deform-{name}"]
-        assert row["passed"] and row["samples"] == 4, name
+    for ident in LAWS:
+        row = rows[ident]
+        assert row["passed"] and row["samples"] == 4, ident
 
 
 def test_product_correction_graded_flip(rng):
@@ -97,7 +116,7 @@ def test_product_correction_matches_the_cell_table(rng):
 
 
 def test_deforming_operator_matches_slotwise_arrows():
-    _, fn = POOL["r-slotwise-table"]
+    _, fn = LAWS["deform-r-slotwise-table"]
     rng = random.Random(11)
     for _ in range(4):
         for degree in range(4):
@@ -134,9 +153,9 @@ def test_deformed_bracket_loses_the_derivation_property():
 def test_deformation_with_euclidean_signature(rng):
     # the relations hold for any flat invertible metric, not just (2,1)
     euclid = Metric.diagonal([1, 1, 1])
-    pool = _ainf_identity_pool(euclid)
+    laws = {ident: (arity, fn) for ident, _, arity, fn in _deform_laws(euclid)}
     for name in ("q-eta-squared", "mu-bar-antisymmetry", "q-mu-bar-plus-r-mu"):
-        arity, fn = pool[name]
+        arity, fn = laws[f"deform-{name}"]
         for degs in itertools.product(range(4), repeat=arity):
             xs = [elem(rng, d) for d in degs]
             assert fn(*xs).is_zero()

@@ -66,3 +66,34 @@ def test_every_draw_goes_through_randbelow():
         and node.func.attr in ("choice", "randint", "randrange")
     ]
     assert SOURCES and found == []
+
+
+def _unused_relative_imports(path):
+    """Names a relative import brings into one module that the module neither
+    uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_relative_imports():
+    assert SOURCES and [u for path in SOURCES for u in _unused_relative_imports(path)] == []
+
+
+def test_the_unused_import_check_sees_an_unused_name(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from .a import used, unused, exported\n__all__ = ['exported']\nused()\n"
+    )
+    assert _unused_relative_imports(module) == ["mod.py:1: unused"]
