@@ -10,7 +10,8 @@ homotopy:
   * ``nu`` (degree -1, trilinear) repairs associativity,
   * ``brack`` is the odd bracket derived from mu and b, in closed form,
   * ``n_op = [b, m]`` is the symmetric pairing appearing in the bracket's
-    homotopy-symmetry relation.
+    homotopy-symmetry relation; it, ``nprime``, the deformed derived bracket
+    and the suites' laws rest on ``boundary``, the one Koszul boundary [q, h].
 
 ``musym``/``nusym`` are the commutative (shuffle-vanishing) counterparts,
 and ``l2``/``l3`` implement the antisymmetrized bracket with the trilinear
@@ -26,12 +27,12 @@ from .sections import GenSection, _dorfman_terms, _section_from_terms, anchor, d
 
 __all__ = [
     "sign",
+    "boundary",
     "mu",
     "m_op",
     "n_op",
     "nu",
     "brack",
-    "nu_b_commutator",
     "nprime",
     "musym",
     "nusym",
@@ -45,6 +46,18 @@ _HALF = Fraction(1, 2)
 def sign(exponent: int) -> int:
     """(-1)**exponent for Koszul bookkeeping."""
     return -1 if exponent % 2 else 1
+
+
+def boundary(q, h, xs, odd):
+    """[q, h](xs) = q h(xs) +- sum_i (-1)^{|x_1| + ... + |x_{i-1}|} h(.., q x_i, ..),
+    with + for an odd homotopy h and - for an even one."""
+    acc = q(h(*xs))
+    shift = 0 if odd else 1  # odd exactly when the next term enters with a minus
+    for i, x in enumerate(xs):
+        term = h(*xs[:i], q(x), *xs[i + 1 :])
+        acc = acc - term if shift % 2 else acc + term
+        shift += x.degree
+    return acc
 
 
 def mu(x: BVElement, y: BVElement) -> BVElement:
@@ -110,11 +123,7 @@ def m_op(x: BVElement, y: BVElement) -> BVElement:
 
 def n_op(x: BVElement, y: BVElement) -> BVElement:
     """The graded commutator [b, m], a symmetric pairing."""
-    return (
-        op_b(m_op(x, y))
-        + m_op(op_b(x), y)
-        + sign(x.degree) * m_op(x, op_b(y))
-    )
+    return boundary(op_b, m_op, (x, y), True)
 
 
 def nu(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
@@ -196,25 +205,15 @@ def nusym(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     return BVElement.zero(x.degree + y.degree + z.degree - 1, x.dim)
 
 
-def nu_b_commutator(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
-    """The graded commutator [b, nu] with b inserted in every slot."""
-    return (
-        op_b(nu(x, y, z))
-        + nu(op_b(x), y, z)
-        + sign(x.degree) * nu(x, op_b(y), z)
-        + sign(x.degree + y.degree) * nu(x, y, op_b(z))
-    )
-
-
 def nprime(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     """Homotopy for the mixed derivation rule of the bracket over the product.
 
     Combines the symmetric pairing m applied to the second argument and the
-    bracket of the outer two with the commutator of b and the associativity
-    homotopy.
+    bracket of the outer two with the commutator [b, nu] of b and the
+    associativity homotopy.
     """
     s = sign((x.degree + 1) * (y.degree + 1))
-    return s * m_op(y, brack(x, z)) + nu_b_commutator(x, y, z)
+    return s * m_op(y, brack(x, z)) + boundary(op_b, nu, (x, y, z), True)
 
 
 def l2(x: BVElement, y: BVElement) -> BVElement:

@@ -7,9 +7,9 @@ fields f_i.  The module provides:
   * R built from double brackets, and the deformed differential Q + R, which
     applies R through its closed-form Delta / d-hat / div-hat slot arrows;
   * the product correction mu_bar in closed form ({f_j, .} is the slotwise
-    derivative d_j) and the deformed product; the bracket-built R and the
-    explicit slot table for mu_bar stay as the oracles the deform suite
-    compares against;
+    derivative d_j), the deformed product and its derived bracket (a
+    ``bvops.boundary``); the bracket-built R and the slot table for mu_bar
+    stay as the oracles the deform suite compares against;
   * matrix-valued elements, the Maurer-Cartan residual of a degree-1 matrix
     element, its gauge variation, and the exact dictionary onto covariant
     Yang-Mills field equations for the pair (gauge field, adjoint scalars);
@@ -28,11 +28,11 @@ are rational numbers fitted once per run and then verified globally.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from .bvcomplex import BVElement, op_b, op_q
-from .bvops import brack, m_op, mu, sign
+from .bvops import boundary, brack, m_op, mu, sign
 from .exterior import YMElement, hodge
 from .scalars import (
     FourierScalar,
@@ -276,13 +276,8 @@ def musym_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
 
 
 def deformed_bracket(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
-    """Derived bracket of the deformed product (no longer a BV-LZ bracket)."""
-    s = sign(x.degree)
-    return (
-        op_b(mu_eta(x, y, eta))
-        - mu_eta(op_b(x), y, eta)
-        - s * mu_eta(x, op_b(y), eta)
-    ) * s
+    """The derived bracket s [b, mu_eta](x, y), s = (-1)^|x|; not a BV-LZ one."""
+    return sign(x.degree) * boundary(op_b, partial(mu_eta, eta=eta), (x, y), False)
 
 
 # -- the four-slot complex inside the graded complex ----------------------

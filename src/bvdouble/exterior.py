@@ -158,11 +158,10 @@ def dform(alpha: DifferentialForm) -> DifferentialForm:
     comps = {}
     for idx, f in alpha.comps.items():
         for k in range(dim):
-            if k in idx:
+            new, sgn = _merge_sign((k,), idx)
+            if new is None:
                 continue
-            pos = sum(1 for i in idx if i < k)
-            new = tuple(sorted(idx + (k,)))
-            term = f.derivative(k) * sign(pos)
+            term = f.derivative(k) * sgn
             acc = comps.get(new)
             comps[new] = term if acc is None else acc + term
     return DifferentialForm(dim, alpha.degree + 1, comps)

@@ -6,8 +6,10 @@ plus one newline, so equal data structures serialize to byte-identical text.
 It writes that text in one recursive pass instead of calling ``json.dumps``:
 with ``indent`` set, the standard library skips its C encoder and runs a
 pure-Python generator chain, which cost more than the rest of a report's
-rendering.  Strings and keys still go through the C string encoder.  Exact
-numbers never pass through floats:
+rendering.  The writer knows only JSON primitives and containers and hands
+any other value to :func:`to_jsonable`, the one type switch.  Strings and
+keys still go through the C string encoder.  Numbers never pass through
+floats:
 
 * ``Fraction`` -> ``"p/q"`` (or ``"p"`` when the denominator is 1),
 * ``GaussRational`` -> ``{"re": "p/q", "im": "p/q"}``,
@@ -152,9 +154,10 @@ def canonical_dumps(obj) -> str:
 def _write(obj, emit, nl):
     """Emit the text of ``obj``; ``nl`` is a newline plus the current indent.
 
-    Values mean what :func:`to_jsonable` makes of them, dict keys are
-    stringified and then sorted (a later key that stringifies alike wins),
-    and str and int items of containers are written without a nested call.
+    Other values are written as :func:`to_jsonable` encodes them, dict keys
+    are stringified and then sorted (a later key that stringifies alike
+    wins), and str and int items of containers are written without a nested
+    call.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -200,12 +203,5 @@ def _write(obj, emit, nl):
         emit("false")
     elif isinstance(obj, int):
         emit(int.__repr__(obj))
-    elif isinstance(obj, Fraction):
-        emit(_quote(encode_fraction(obj)))
-    elif isinstance(obj, float):
-        raise TypeError("refusing to serialize a float in an exact report")
     else:
-        encoder = _ENCODERS.get(type(obj))
-        if encoder is None:
-            raise TypeError(f"no canonical encoding for {type(obj)!r}")
-        _write(encoder(obj), emit, nl)
+        _write(to_jsonable(obj), emit, nl)

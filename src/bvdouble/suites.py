@@ -24,15 +24,14 @@ calls each draw function in order on every sample and applies the residual
 ``res`` to the drawn arguments.
 
 The homotopy laws that several structures obey have one residual builder
-each: ``_square`` (an operator squares to zero), ``_derivation``, the Koszul
-boundary ``_boundary`` of a homotopy h on any arity (``[Q, h] = Q h + h Q``
-for an odd h, ``Q h - h Q`` for an even one), commutativity and
-associativity up to such a boundary
-(``_commutative``, ``_associative``), ``_shuffle``, ``_pentagon`` and
-``_transport`` (an embedding intertwines two operations).  The bvcomplex,
-bvlz, cinf, deform and exterior rows instantiate them with their own
-operations; the deform and exterior suites keep theirs in the law tables
-``_deform_laws`` and ``_exterior_laws``.
+each: ``_square`` (an operator squares to zero), ``_derivation``,
+commutativity and associativity up to the Koszul boundary
+``bvops.boundary`` (``_commutative``, ``_associative``), ``_shuffle``,
+``_pentagon`` and ``_transport`` (an embedding intertwines two operations).
+The bvcomplex, bvlz, cinf, deform and exterior rows instantiate them with
+their own operations, and rows such as ``Q b + b Q = 0`` call
+``bvops.boundary`` directly; the deform and exterior suites keep their laws
+in the tables ``_deform_laws`` and ``_exterior_laws``.
 
 ``run_suite(name, config)`` returns the report for one suite::
 
@@ -62,7 +61,7 @@ from .bvcomplex import (
     project_half,
     random_element,
 )
-from .bvops import brack, l2, l3, m_op, mu, musym, n_op, nprime, nu, nusym, sign
+from .bvops import boundary, brack, l2, l3, m_op, mu, musym, n_op, nprime, nu, nusym, sign
 from .deform import (
     LieValuedBVElement,
     MatrixFunction,
@@ -385,24 +384,12 @@ def _derivation(d, p, shift=0):
     return lambda x, y: d(p(x, y)) - p(d(x), y) - sign(x.degree + shift) * p(x, d(y))
 
 
-def _boundary(q, h, xs, odd):
-    """[q, h](xs) = q h(xs) +- sum_i (-1)^{|x_1| + ... + |x_{i-1}|} h(.., q x_i, ..),
-    with + for an odd homotopy h and - for an even one."""
-    acc = q(h(*xs))
-    shift = 0 if odd else 1  # odd exactly when the next term enters with a minus
-    for i, x in enumerate(xs):
-        term = h(*xs[:i], q(x), *xs[i + 1 :])
-        acc = acc - term if shift % 2 else acc + term
-        shift += x.degree
-    return acc
-
-
 def _commutative(p, q=None, m=None):
     """p(x, y) - (-1)^{|x||y|} p(y, x) = [q, m](x, y) for an odd m, or 0 without m."""
 
     def res(x, y):
         flip = p(x, y) - sign(x.degree * y.degree) * p(y, x)
-        return flip if m is None else flip - _boundary(q, m, (x, y), True)
+        return flip if m is None else flip - boundary(q, m, (x, y), True)
 
     return res
 
@@ -410,7 +397,7 @@ def _commutative(p, q=None, m=None):
 def _associative(p, q, nu):
     """p(p(x, y), z) - p(x, p(y, z)) = [q, nu](x, y, z) for an odd nu."""
     return lambda x, y, z: (
-        p(p(x, y), z) - p(x, p(y, z)) - _boundary(q, nu, (x, y, z), True)
+        p(p(x, y), z) - p(x, p(y, z)) - boundary(q, nu, (x, y, z), True)
     )
 
 
@@ -537,9 +524,6 @@ def _courant_identities(cfg: SuiteConfig):
 
 
 def _bvcomplex_identities(cfg: SuiteConfig):
-    def pair_sym(x, y):
-        return odd_pairing(x, y) - odd_pairing(y, x)
-
     def covariance(op, s):
         """<op x, y> + s (-1)^{|x||y|} <op y, x> = 0."""
         return lambda x, y: odd_pairing(op(x), y) + s * sign(
@@ -566,15 +550,17 @@ def _bvcomplex_identities(cfg: SuiteConfig):
         Identity(
             "complex-qb-anticommute",
             "Q b + b Q = 0",
-            _degree_sweep(lambda x: _boundary(op_q, op_b, (x,), True), 1),
+            _degree_sweep(lambda x: boundary(op_q, op_b, (x,), True), 1),
         ),
         Identity(
             "complex-bc-unit",
             "b c + c b = id",
-            _degree_sweep(lambda x: _boundary(op_b, op_c, (x,), True) - x, 1),
+            _degree_sweep(lambda x: boundary(op_b, op_c, (x,), True) - x, 1),
         ),
         Identity(
-            "pairing-symmetry", "<x, y> = <y, x>", _degree_sweep(pair_sym, 2)
+            "pairing-symmetry",
+            "<x, y> = <y, x>",
+            _degree_sweep(_commutative(odd_pairing), 2),
         ),
         Identity(
             "pairing-degree-support",
@@ -628,7 +614,7 @@ def _bvlz_identities(cfg: SuiteConfig):
     def homotopy_antisymmetry(x, y):
         return brack(x, y) + sign((x.degree - 1) * (y.degree - 1)) * brack(
             y, x
-        ) - sign(x.degree - 1) * _boundary(op_q, n_op, (x, y), False)
+        ) - sign(x.degree - 1) * boundary(op_q, n_op, (x, y), False)
 
     def jacobi_leibniz(x, y, z):
         return (
@@ -643,7 +629,7 @@ def _bvlz_identities(cfg: SuiteConfig):
             - mu(x, brack(y, z))
             - sign((z.degree - 1) * y.degree) * mu(brack(x, z), y)
         )
-        homotopy = _boundary(op_q, nprime, (x, y, z), False)
+        homotopy = boundary(op_q, nprime, (x, y, z), False)
         return lhs - sign(x.degree + y.degree - 1) * homotopy
 
     def c_compat_product(x, y):
@@ -857,7 +843,7 @@ def _deform_laws(eta: Metric):
          "the deformation operator squares to zero", 1, _square(r)),
         ("deform-q-r-anticommute",
          "Q and the deformation operator anticommute", 1,
-         lambda x: _boundary(op_q, r, (x,), True)),
+         lambda x: boundary(op_q, r, (x,), True)),
         ("deform-r-slotwise-table",
          "the deformation operator matches its slotwise table", 1,
          lambda x: r(x) - _r_eta_slotwise(x, eta)),
@@ -905,7 +891,7 @@ def _deform_identities(cfg: SuiteConfig):
             "deform-bracket-laplacian",
             "[Q^eta, b] acts as minus the metric Laplacian",
             _degree_sweep(
-                lambda x: _boundary(qe, op_b, (x,), True) + bracket_laplacian(x, eta), 1
+                lambda x: boundary(qe, op_b, (x,), True) + bracket_laplacian(x, eta), 1
             ),
         ),
         Identity(

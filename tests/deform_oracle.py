@@ -10,12 +10,13 @@ Maurer-Cartan kernels sum each output entry from per-entry jets.  The
 functions below are the term-by-term definitions those forms replaced; the
 tests compare the two exactly.  The embedding of the four-slot complex is
 kept as the exterior suite once wrote it: per slot, through the one-form
-embeddings f1 and g1.
+embeddings f1 and g1.  The derived bracket of the deformed product is
+kept as the sum it was before ``bvops.boundary`` became its body.
 """
 
 from fractions import Fraction
 
-from bvdouble.bvcomplex import BVElement, op_q
+from bvdouble.bvcomplex import BVElement, op_b, op_q
 from bvdouble.bvops import brack, m_op, mu, nu, nusym, sign
 from bvdouble.deform import (
     LieValuedBVElement,
@@ -23,6 +24,7 @@ from bvdouble.deform import (
     Q_eta,
     R_eta,
     flat_sections,
+    mu_eta,
     musym_eta,
 )
 from bvdouble.exterior import DifferentialForm, YMElement, hodge
@@ -45,6 +47,16 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
         acc = acc + nu(f[i], brack(f[j], x), y) * w
         acc = acc - mu(m_op(f[i], x), brack(f[j], y)) * w
     return acc
+
+
+def deformed_bracket(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
+    """Derived bracket of the deformed product (no longer a BV-LZ bracket)."""
+    s = sign(x.degree)
+    return (
+        op_b(mu_eta(x, y, eta))
+        - mu_eta(op_b(x), y, eta)
+        - s * mu_eta(x, op_b(y), eta)
+    ) * s
 
 
 def matrix_product(a: MatrixFunction, b: MatrixFunction) -> MatrixFunction:

@@ -69,18 +69,15 @@ def _deform_rows():
 
 @pytest.mark.parametrize("ident,arity,fn,draw", LAW_CASES)
 def test_identity_pool_member(ident, arity, fn, draw):
-    # binary laws see every degree pattern twice, ternary and quaternary
-    # ones 16 seeded patterns
+    # unary and binary laws see every degree pattern twice, ternary and
+    # quaternary ones every pattern once (64 and 256): some homotopy terms,
+    # such as p(nu(a1, a2, a3), a4) of the pentagon, are nonzero on only a
+    # few of them
     name = ident.removeprefix("deform-")
     rng = random.Random(f"pool:{name}")
-    if arity == 1:
-        patterns = [(d,) for d in range(4)] * 2
-    elif arity == 2:
-        patterns = [p for p in PAIRS for _ in range(2)]
-    else:
-        patterns = [
-            tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(16)
-        ]
+    patterns = list(itertools.product(range(4), repeat=arity))
+    if arity <= 2:
+        patterns = [p for p in patterns for _ in range(2)]
     for degs in patterns:
         xs = [draw(rng, DIM, 1, d) for d in degs]
         assert _vanishes(fn(*xs)), f"{ident} fails at {degs}"

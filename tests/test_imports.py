@@ -7,6 +7,12 @@ import sys
 import bvdouble
 
 SOURCES = sorted(pathlib.Path(bvdouble.__file__).parent.glob("*.py"))
+# the files that may use a module's public names: tests and the benchmark
+CLIENTS = sorted(
+    path
+    for folder in ("tests", "bench")
+    for path in (pathlib.Path(__file__).parents[1] / folder).glob("*.py")
+)
 
 
 def _absolute_imports(path):
@@ -68,6 +74,56 @@ def test_every_draw_goes_through_randbelow():
     assert SOURCES and found == []
 
 
+def _exported(tree):
+    """The names listed in a module's ``__all__``."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+
+
+def _referenced(tree):
+    """Every identifier a file refers to by name, attribute or import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def _unused_public_names(modules, clients):
+    """``file: name`` for every name in a module's ``__all__`` that no other
+    module and no client file refers to."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules + clients}
+    refs = {path: _referenced(tree) for path, tree in trees.items()}
+    return [
+        f"{path.name}: {name}"
+        for path in modules
+        for name in _exported(trees[path])
+        if not any(name in used for other, used in refs.items() if other != path)
+    ]
+
+
+def test_every_public_name_is_used():
+    # delete unused API rather than keep it "just in case"
+    assert CLIENTS and _unused_public_names(SOURCES, CLIENTS) == []
+
+
+def test_the_unused_public_name_check_sees_an_unused_name(tmp_path):
+    (tmp_path / "a.py").write_text("__all__ = ['used', 'attr', 'unused']\n")
+    (tmp_path / "b.py").write_text("from .a import used\nused()\n")
+    (tmp_path / "test_a.py").write_text("import a\na.attr()\n")
+    modules = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert _unused_public_names(modules, [tmp_path / "test_a.py"]) == ["a.py: unused"]
+
+
 def _unused_relative_imports(path):
     """Names a relative import brings into one module that the module neither
     uses nor lists in ``__all__``."""
@@ -79,11 +135,7 @@ def _unused_relative_imports(path):
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exported(tree))
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
