@@ -1,27 +1,33 @@
 """Named identity suites with deterministic sampling and JSON-ready reports.
 
-Each suite is a list of identities.  An identity couples
+Each suite is a table of rows ``(id, statement, draws, res[, expect[,
+vacuous]])``, which ``_run_identities`` runs as ``Identity(*row)``:
 
-* a stable id (used both in reports and to derive its RNG stream),
-* a one-line human-readable statement,
-* a sampler that draws random inputs and yields ``(args, value)`` pairs,
-* an expectation: ``"zero"`` (every value must vanish exactly) or
-  ``"nonzero"`` (at least one value must be nonzero; the first such value is
-  stored in the report as a witness).
+* ``id`` is stable; it names the row in the report and derives its RNG
+  stream;
+* ``statement`` is a one-line human-readable form of the law;
+* ``draws`` lists the row's argument recipes, each a tuple of
+  ``draw(rng, cfg)`` calls, and every sample evaluates the residual ``res``
+  once per recipe, so a row reports ``samples * len(draws)`` values;
+* ``expect`` is ``"zero"`` (every value must vanish exactly, the default)
+  or ``"nonzero"`` (at least one value must be nonzero; the first such value
+  is stored in the report as a witness);
+* ``vacuous`` marks a row whose draws cannot falsify its law.
+
+The draws declare each row's degree support.  ``_sweep(k, keep)`` makes one
+recipe per pattern of ``k`` degrees that ``keep`` accepts, so its rows see
+every accepted pattern on every sample; ``_once(*draws)`` makes one recipe,
+so rows on ``_ELEMENT`` draw a fresh random degree for each argument on each
+sample.  Four rows draw through a bespoke generator ``draws(rng, cfg, res)``
+instead: the ym calibration (one sample of the fit made at build time), the
+doublecopy cross-sector witness (one fixed pair) and same-sector pairs (a
+shared sector draw), and the exterior pairing symmetry (equal-degree pairs).
 
 Sampling is deterministic: identity ``i`` of suite ``s`` under master seed
 ``n`` always draws from ``random.Random(f"{n}:{s}:{i}")``, so reruns with
-the same configuration produce byte-identical reports.  Binary identities
-sweep every degree pattern on each sample; ternary and quaternary ones draw
-a fresh random degree pattern per sample to keep runtime flat.
-
-Every suite, ``ym`` included, is a builder that maps the configuration to
-its identities plus any entries it adds to the report (the ``ym`` suite adds
-the ``calibration`` it fits once on a rank-1 field), and one driver,
-``_run_identities``, samples every identity, caps the stored failures and
-builds the rows.  Most samplers come from ``_sampler(res, *draws)``, which
-calls each draw function in order on every sample and applies the residual
-``res`` to the drawn arguments.
+the same configuration produce byte-identical reports.  Every builder maps
+the configuration to its rows plus any entries it adds to the report (the
+``ym`` suite adds the ``calibration`` it fits once on a rank-1 field).
 
 The homotopy laws that several structures obey have one residual builder
 each: ``_square`` (an operator squares to zero), ``_derivation``,
@@ -30,8 +36,7 @@ commutativity and associativity up to the Koszul boundary
 ``_pentagon`` and ``_transport`` (an embedding intertwines two operations).
 The bvcomplex, bvlz, cinf, deform and exterior rows instantiate them with
 their own operations, and rows such as ``Q b + b Q = 0`` call
-``bvops.boundary`` directly; the deform and exterior suites keep their laws
-in the tables ``_deform_laws`` and ``_exterior_laws``.
+``bvops.boundary`` directly.
 
 ``run_suite(name, config)`` returns the report for one suite::
 
@@ -243,18 +248,25 @@ def _parse_metric(spec) -> Metric:
 
 
 class Identity:
-    """One named residual law with its own deterministic sampling recipe."""
+    """One named residual law and the draws that sample it.
 
-    __slots__ = ("ident", "statement", "sampler", "expect", "vacuous")
+    ``draws`` is a list of recipes, each a tuple of ``draw(rng, cfg)`` calls
+    that make the arguments of one evaluation of ``res``; every sample runs
+    every recipe once.  A bespoke row passes instead a generator
+    ``draws(rng, cfg, res)`` of ``(args, value)`` pairs.
+    """
+
+    __slots__ = ("ident", "statement", "draws", "res", "expect", "vacuous")
 
     def __init__(
-        self, ident: str, statement: str, sampler, expect: str = "zero", vacuous: bool = False
+        self, ident: str, statement: str, draws, res, expect: str = "zero", vacuous: bool = False
     ):
         if expect not in ("zero", "nonzero"):
             raise ValueError(f"expect must be 'zero' or 'nonzero', got {expect!r}")
         self.ident = ident
         self.statement = statement
-        self.sampler = sampler
+        self.draws = draws
+        self.res = res
         self.expect = expect
         self.vacuous = vacuous  # the draws cannot falsify the law (constant fields only)
 
@@ -270,15 +282,27 @@ def _vanishes(value) -> bool:
     return not value  # GaussRational / FourierScalar truthiness
 
 
-def _run_identities(suite: str, identities, cfg: SuiteConfig):
-    rows = []
-    for identity in identities:
+def _samples(identity: Identity, rng, cfg: SuiteConfig):
+    """The ``(args, value)`` pairs of one row, in draw order."""
+    if callable(identity.draws):
+        yield from identity.draws(rng, cfg, identity.res)
+        return
+    for _ in range(cfg.samples):
+        for recipe in identity.draws:
+            args = tuple(draw(rng, cfg) for draw in recipe)
+            yield args, identity.res(*args)
+
+
+def _run_identities(suite: str, rows, cfg: SuiteConfig):
+    """Sample every ``Identity(*row)`` on its own stream and build the report rows."""
+    out = []
+    for identity in (Identity(*row) for row in rows):
         rng = _random.Random(f"{cfg.seed}:{suite}:{identity.ident}")
         failures = []
         witness = None
         count = 0
         truncated = False
-        for args, value in identity.sampler(rng, cfg):
+        for args, value in _samples(identity, rng, cfg):
             count += 1
             vanished = _vanishes(value)
             if identity.expect == "zero" and not vanished:
@@ -309,38 +333,11 @@ def _run_identities(suite: str, identities, cfg: SuiteConfig):
             row["vacuous"] = True
         if identity.expect == "nonzero":
             row["witness"] = witness
-        rows.append(row)
-    return rows
+        out.append(row)
+    return out
 
 
-# -- sampler combinators ---------------------------------------------------
-
-
-def _degree_sweep(res, arity: int, patterns=None):
-    """Sampler running ``res`` over every degree pattern on each sample."""
-    if patterns is None:
-        patterns = list(product(range(4), repeat=arity))
-
-    def sampler(rng, cfg):
-        for _ in range(cfg.samples):
-            for degs in patterns:
-                args = tuple(
-                    random_element(rng, cfg.dim, cfg.mode_cutoff, d) for d in degs
-                )
-                yield args, res(*args)
-
-    return sampler
-
-
-def _sampler(res, *draws):
-    """Sampler calling each ``draw(rng, cfg)`` in order, once per sample."""
-
-    def sampler(rng, cfg):
-        for _ in range(cfg.samples):
-            args = tuple(draw(rng, cfg) for draw in draws)
-            yield args, res(*args)
-
-    return sampler
+# -- draws -----------------------------------------------------------------
 
 
 def _draw(random_fn, cutoff=None, **kwargs):
@@ -367,6 +364,22 @@ _SECTION = _draw(random_section)
 _SCALAR = _draw(random_scalar)
 _ELEMENT = _any_degree(random_element)
 _FORM_ELEMENT = _any_degree(random_ym_element)
+_OF_DEGREE = tuple(_draw(random_element, degree=d) for d in range(4))
+
+
+def _once(*draws):
+    """One recipe: each sample calls ``draws`` in order."""
+    return [draws]
+
+
+def _sweep(k: int, keep=None):
+    """One recipe of ``k`` elements per degree pattern that ``keep`` accepts
+    (every pattern without it), in lexicographic order."""
+    return [
+        tuple(_OF_DEGREE[d] for d in degs)
+        for degs in product(range(4), repeat=k)
+        if keep is None or keep(degs)
+    ]
 
 
 # -- homotopy laws ---------------------------------------------------------
@@ -452,15 +465,6 @@ def _courant_identities(cfg: SuiteConfig):
             - dorfman(a2, dorfman(a1, a3))
         )
 
-    def exact_left_action(a, u):
-        return dorfman(d_scalar(u), a)
-
-    def isotropic_gradients(u1, u2):
-        return pairing(d_scalar(u1), d_scalar(u2))
-
-    def div_exact(u):
-        return divergence(d_scalar(u))
-
     def div_module(a, u):
         return divergence(a * u) - divergence(a) * u - pairing(d_scalar(u), a)
 
@@ -472,51 +476,24 @@ def _courant_identities(cfg: SuiteConfig):
         )
 
     return [
-        Identity(
-            "courant-module-leibniz",
-            "[A1, u A2] = u [A1, A2] + <A1, du> A2",
-            _sampler(module_leibniz, _SECTION, _SECTION, _SCALAR),
-        ),
-        Identity(
-            "courant-invariance",
-            "<A1, d<A2, A3>> = <[A1, A2], A3> + <A2, [A1, A3]>",
-            _sampler(invariance, _SECTION, _SECTION, _SECTION),
-        ),
-        Identity(
-            "courant-symmetric-part",
-            "[A1, A2] + [A2, A1] = d<A1, A2>",
-            _sampler(symmetric_part, _SECTION, _SECTION),
-        ),
-        Identity(
-            "courant-leibniz-jacobi",
-            "[A1, [A2, A3]] = [[A1, A2], A3] + [A2, [A1, A3]]",
-            _sampler(leibniz_jacobi, _SECTION, _SECTION, _SECTION),
-        ),
-        Identity(
-            "courant-exact-left-action",
-            "[du, A] = 0",
-            _sampler(exact_left_action, _SECTION, _SCALAR),
-        ),
-        Identity(
-            "courant-isotropic-gradients",
-            "<du1, du2> = 0",
-            _sampler(isotropic_gradients, _SCALAR, _SCALAR),
-        ),
-        Identity(
-            "divergence-kills-gradients",
-            "div du = 0",
-            _sampler(div_exact, _SCALAR),
-        ),
-        Identity(
-            "divergence-module-rule",
-            "div(u A) = u div A + <du, A>",
-            _sampler(div_module, _SECTION, _SCALAR),
-        ),
-        Identity(
-            "divergence-of-bracket",
-            "div[A1, A2] = rho(A1) div A2 - rho(A2) div A1",
-            _sampler(div_bracket, _SECTION, _SECTION),
-        ),
+        ("courant-module-leibniz", "[A1, u A2] = u [A1, A2] + <A1, du> A2",
+         _once(_SECTION, _SECTION, _SCALAR), module_leibniz),
+        ("courant-invariance", "<A1, d<A2, A3>> = <[A1, A2], A3> + <A2, [A1, A3]>",
+         _once(_SECTION, _SECTION, _SECTION), invariance),
+        ("courant-symmetric-part", "[A1, A2] + [A2, A1] = d<A1, A2>",
+         _once(_SECTION, _SECTION), symmetric_part),
+        ("courant-leibniz-jacobi", "[A1, [A2, A3]] = [[A1, A2], A3] + [A2, [A1, A3]]",
+         _once(_SECTION, _SECTION, _SECTION), leibniz_jacobi),
+        ("courant-exact-left-action", "[du, A] = 0",
+         _once(_SECTION, _SCALAR), lambda a, u: dorfman(d_scalar(u), a)),
+        ("courant-isotropic-gradients", "<du1, du2> = 0",
+         _once(_SCALAR, _SCALAR), lambda u1, u2: pairing(d_scalar(u1), d_scalar(u2))),
+        ("divergence-kills-gradients", "div du = 0",
+         _once(_SCALAR), lambda u: divergence(d_scalar(u))),
+        ("divergence-module-rule", "div(u A) = u div A + <du, A>",
+         _once(_SECTION, _SCALAR), div_module),
+        ("divergence-of-bracket", "div[A1, A2] = rho(A1) div A2 - rho(A2) div A1",
+         _once(_SECTION, _SECTION), div_bracket),
     ], {}
 
 
@@ -541,62 +518,30 @@ def _bvcomplex_identities(cfg: SuiteConfig):
     def half_orthogonal(x, y):
         return odd_pairing(project_half(x), y - project_half(y))
 
-    offdiag = [(d1, d2) for d1 in range(4) for d2 in range(4) if d1 + d2 != 3]
-    complementary = [(d, 3 - d) for d in range(4)]
     return [
-        Identity("complex-q-squared", "Q Q = 0", _degree_sweep(_square(op_q), 1)),
-        Identity("complex-b-squared", "b b = 0", _degree_sweep(_square(op_b), 1)),
-        Identity("complex-c-squared", "c c = 0", _degree_sweep(_square(op_c), 1)),
-        Identity(
-            "complex-qb-anticommute",
-            "Q b + b Q = 0",
-            _degree_sweep(lambda x: boundary(op_q, op_b, (x,), True), 1),
-        ),
-        Identity(
-            "complex-bc-unit",
-            "b c + c b = id",
-            _degree_sweep(lambda x: boundary(op_b, op_c, (x,), True) - x, 1),
-        ),
-        Identity(
-            "pairing-symmetry",
-            "<x, y> = <y, x>",
-            _degree_sweep(_commutative(odd_pairing), 2),
-        ),
-        Identity(
-            "pairing-degree-support",
-            "<x, y> = 0 unless |x| + |y| = 3",
-            _degree_sweep(odd_pairing, 2, offdiag),
-        ),
-        Identity(
-            "pairing-covariance-q",
-            "<Qx, y> + (-1)^{|x||y|} <Qy, x> = 0",
-            _degree_sweep(covariance(op_q, 1), 2),
-        ),
-        Identity(
-            "pairing-covariance-b",
-            "<bx, y> - (-1)^{|x||y|} <by, x> = 0",
-            _degree_sweep(covariance(op_b, -1), 2),
-        ),
-        Identity(
-            "pairing-covariance-c",
-            "<cx, y> + (-1)^{|x||y|} <cy, x> = 0",
-            _degree_sweep(covariance(op_c, 1), 2),
-        ),
-        Identity(
-            "half-projection-idempotent",
-            "P P = P for the half-complex projection",
-            _degree_sweep(half_idempotent, 1),
-        ),
-        Identity(
-            "half-splitting",
-            "P lands in the half complex, 1-P in the acyclic complement, Q preserves the image",
-            _degree_sweep(half_splitting, 1),
-        ),
-        Identity(
-            "half-orthogonality",
-            "<P x, (1 - P) y> = 0",
-            _degree_sweep(half_orthogonal, 2, complementary),
-        ),
+        ("complex-q-squared", "Q Q = 0", _sweep(1), _square(op_q)),
+        ("complex-b-squared", "b b = 0", _sweep(1), _square(op_b)),
+        ("complex-c-squared", "c c = 0", _sweep(1), _square(op_c)),
+        ("complex-qb-anticommute", "Q b + b Q = 0", _sweep(1),
+         lambda x: boundary(op_q, op_b, (x,), True)),
+        ("complex-bc-unit", "b c + c b = id", _sweep(1),
+         lambda x: boundary(op_b, op_c, (x,), True) - x),
+        ("pairing-symmetry", "<x, y> = <y, x>", _sweep(2), _commutative(odd_pairing)),
+        ("pairing-degree-support", "<x, y> = 0 unless |x| + |y| = 3",
+         _sweep(2, lambda degs: sum(degs) != 3), odd_pairing),
+        ("pairing-covariance-q", "<Qx, y> + (-1)^{|x||y|} <Qy, x> = 0",
+         _sweep(2), covariance(op_q, 1)),
+        ("pairing-covariance-b", "<bx, y> - (-1)^{|x||y|} <by, x> = 0",
+         _sweep(2), covariance(op_b, -1)),
+        ("pairing-covariance-c", "<cx, y> + (-1)^{|x||y|} <cy, x> = 0",
+         _sweep(2), covariance(op_c, 1)),
+        ("half-projection-idempotent", "P P = P for the half-complex projection",
+         _sweep(1), half_idempotent),
+        ("half-splitting",
+         "P lands in the half complex, 1-P in the acyclic complement, Q preserves the image",
+         _sweep(1), half_splitting),
+        ("half-orthogonality", "<P x, (1 - P) y> = 0",
+         _sweep(2, lambda degs: sum(degs) == 3), half_orthogonal),
     ], {}
 
 
@@ -632,78 +577,41 @@ def _bvlz_identities(cfg: SuiteConfig):
         homotopy = boundary(op_q, nprime, (x, y, z), False)
         return lhs - sign(x.degree + y.degree - 1) * homotopy
 
-    def c_compat_product(x, y):
-        return op_c(mu(x, y)) - sign(x.degree) * mu(x, op_c(y))
-
-    def c_compat_bracket(x, y):
-        return op_c(brack(x, y)) - sign(x.degree - 1) * brack(x, op_c(y))
-
     def bracket_matches_dorfman(a, b):
         x = BVElement.deg1(a)
         y = BVElement.deg1(b)
         return brack(x, y) - BVElement.deg1(dorfman(a, b))
 
+    three = _once(*(_ELEMENT,) * 3)
     return [
-        Identity(
-            "q-derivation-of-product",
-            "Q mu(x,y) = mu(Qx,y) + (-1)^{|x|} mu(x,Qy)",
-            _degree_sweep(_derivation(op_q, mu), 2),
-        ),
-        Identity(
-            "homotopy-commutativity",
-            "mu(x,y) - (-1)^{|x||y|} mu(y,x) = [Q, m](x,y)",
-            _degree_sweep(_commutative(mu, op_q, m_op), 2),
-        ),
-        Identity(
-            "homotopy-associativity",
-            "mu's associator equals the Q-boundary of the trilinear homotopy",
-            _sampler(_associative(mu, op_q, nu), *(_ELEMENT,) * 3),
-        ),
-        Identity(
-            "q-derivation-of-bracket",
-            "Q {x,y} = {Qx,y} + (-1)^{|x|-1} {x,Qy}",
-            _degree_sweep(_derivation(op_q, brack, -1), 2),
-        ),
-        Identity(
-            "bracket-leibniz-over-product",
-            "{x, mu(y,z)} = mu({x,y},z) + (-1)^{(|x|-1)|y|} mu(y,{x,z})",
-            _sampler(first_slot_leibniz, *(_ELEMENT,) * 3),
-        ),
-        Identity(
-            "b-derivation-of-bracket",
-            "b {x,y} = {bx,y} + (-1)^{|x|-1} {x,by}",
-            _degree_sweep(_derivation(op_b, brack, -1), 2),
-        ),
-        Identity(
-            "homotopy-antisymmetry",
-            "the symmetric part of {.,.} is the [Q, n]-boundary",
-            _degree_sweep(homotopy_antisymmetry, 2),
-        ),
-        Identity(
-            "bracket-jacobi",
-            "{{x,y},z} = {x,{y,z}} - (-1)^{(|x|-1)(|y|-1)} {y,{x,z}}",
-            _sampler(jacobi_leibniz, *(_ELEMENT,) * 3),
-        ),
-        Identity(
-            "mixed-derivation-homotopy",
-            "the second-slot Leibniz defect of {.,.} over mu is [Q, n']-exact",
-            _sampler(mixed_derivation, *(_ELEMENT,) * 3),
-        ),
-        Identity(
-            "c-compatibility-product",
-            "c mu(x,y) = (-1)^{|x|} mu(x,cy)",
-            _degree_sweep(c_compat_product, 2),
-        ),
-        Identity(
-            "c-compatibility-bracket",
-            "c {x,y} = (-1)^{|x|-1} {x,cy}",
-            _degree_sweep(c_compat_bracket, 2),
-        ),
-        Identity(
-            "bracket-matches-dorfman",
-            "on degree-1 sections the derived bracket is the Dorfman bracket",
-            _sampler(bracket_matches_dorfman, _SECTION, _SECTION),
-        ),
+        ("q-derivation-of-product", "Q mu(x,y) = mu(Qx,y) + (-1)^{|x|} mu(x,Qy)",
+         _sweep(2), _derivation(op_q, mu)),
+        ("homotopy-commutativity", "mu(x,y) - (-1)^{|x||y|} mu(y,x) = [Q, m](x,y)",
+         _sweep(2), _commutative(mu, op_q, m_op)),
+        ("homotopy-associativity",
+         "mu's associator equals the Q-boundary of the trilinear homotopy",
+         three, _associative(mu, op_q, nu)),
+        ("q-derivation-of-bracket", "Q {x,y} = {Qx,y} + (-1)^{|x|-1} {x,Qy}",
+         _sweep(2), _derivation(op_q, brack, -1)),
+        ("bracket-leibniz-over-product",
+         "{x, mu(y,z)} = mu({x,y},z) + (-1)^{(|x|-1)|y|} mu(y,{x,z})",
+         three, first_slot_leibniz),
+        ("b-derivation-of-bracket", "b {x,y} = {bx,y} + (-1)^{|x|-1} {x,by}",
+         _sweep(2), _derivation(op_b, brack, -1)),
+        ("homotopy-antisymmetry", "the symmetric part of {.,.} is the [Q, n]-boundary",
+         _sweep(2), homotopy_antisymmetry),
+        ("bracket-jacobi", "{{x,y},z} = {x,{y,z}} - (-1)^{(|x|-1)(|y|-1)} {y,{x,z}}",
+         three, jacobi_leibniz),
+        ("mixed-derivation-homotopy",
+         "the second-slot Leibniz defect of {.,.} over mu is [Q, n']-exact",
+         three, mixed_derivation),
+        ("c-compatibility-product", "c mu(x,y) = (-1)^{|x|} mu(x,cy)", _sweep(2),
+         lambda x, y: op_c(mu(x, y)) - sign(x.degree) * mu(x, op_c(y))),
+        ("c-compatibility-bracket", "c {x,y} = (-1)^{|x|-1} {x,cy}", _sweep(2),
+         lambda x, y: op_c(brack(x, y)) - sign(x.degree - 1) * brack(x, op_c(y))),
+        ("bracket-matches-dorfman",
+         "on degree-1 sections the derived bracket is the Dorfman bracket",
+         _once(_SECTION, _SECTION), bracket_matches_dorfman),
     ], {}
 
 
@@ -712,31 +620,16 @@ def _bvlz_identities(cfg: SuiteConfig):
 
 def _cinf_identities(cfg: SuiteConfig):
     return [
-        Identity(
-            "sym-product-commutativity",
-            "mu_s(x,y) = (-1)^{|x||y|} mu_s(y,x)",
-            _degree_sweep(_commutative(musym), 2),
-        ),
-        Identity(
-            "sym-product-q-derivation",
-            "Q is a derivation of the symmetrized product",
-            _degree_sweep(_derivation(op_q, musym), 2),
-        ),
-        Identity(
-            "sym-homotopy-associativity",
-            "mu_s's associator equals the Q-boundary of nu_s",
-            _sampler(_associative(musym, op_q, nusym), *(_ELEMENT,) * 3),
-        ),
-        Identity(
-            "trilinear-shuffle",
-            "nu_s vanishes on 2-1 shuffles",
-            _sampler(_shuffle(nusym), *(_ELEMENT,) * 3),
-        ),
-        Identity(
-            "pentagon-compatibility",
-            "mu_s and nu_s satisfy the pentagon compatibility law",
-            _sampler(_pentagon(musym, nusym), *(_ELEMENT,) * 4),
-        ),
+        ("sym-product-commutativity", "mu_s(x,y) = (-1)^{|x||y|} mu_s(y,x)",
+         _sweep(2), _commutative(musym)),
+        ("sym-product-q-derivation", "Q is a derivation of the symmetrized product",
+         _sweep(2), _derivation(op_q, musym)),
+        ("sym-homotopy-associativity", "mu_s's associator equals the Q-boundary of nu_s",
+         _once(*(_ELEMENT,) * 3), _associative(musym, op_q, nusym)),
+        ("trilinear-shuffle", "nu_s vanishes on 2-1 shuffles",
+         _once(*(_ELEMENT,) * 3), _shuffle(nusym)),
+        ("pentagon-compatibility", "mu_s and nu_s satisfy the pentagon compatibility law",
+         _once(*(_ELEMENT,) * 4), _pentagon(musym, nusym)),
     ], {}
 
 
@@ -763,25 +656,14 @@ def _cyclic_identities(cfg: SuiteConfig):
 
         return res
 
-    def patterns(k, total):
-        return [p for p in product(range(4), repeat=k) if sum(p) == total]
-
+    # the k-point form can be nonzero only where the degrees add up to k
     return [
-        Identity(
-            "cyclic-two-point",
-            "<Q.,.> is cyclic on the half complex",
-            _degree_sweep(cyc(form2, 2), 2, patterns(2, 2)),
-        ),
-        Identity(
-            "cyclic-three-point",
-            "<mu_s(.,.),.> is cyclic on the half complex",
-            _degree_sweep(cyc(form3, 3), 3, patterns(3, 3)),
-        ),
-        Identity(
-            "cyclic-four-point",
-            "<nu_s(.,.,.),.> is cyclic on the half complex",
-            _degree_sweep(cyc(form4, 4), 4, patterns(4, 4)),
-        ),
+        ("cyclic-two-point", "<Q.,.> is cyclic on the half complex",
+         _sweep(2, lambda degs: sum(degs) == 2), cyc(form2, 2)),
+        ("cyclic-three-point", "<mu_s(.,.),.> is cyclic on the half complex",
+         _sweep(3, lambda degs: sum(degs) == 3), cyc(form3, 3)),
+        ("cyclic-four-point", "<nu_s(.,.,.),.> is cyclic on the half complex",
+         _sweep(4, lambda degs: sum(degs) == 4), cyc(form4, 4)),
     ], {}
 
 
@@ -805,25 +687,16 @@ def _linf_identities(cfg: SuiteConfig):
         # degree-1 scalar slot spans the acyclic complement and is excluded
         return BVElement.deg1(_SECTION(rng, cfg))
 
-    def b_derivation(x, y, zt):
-        return op_b(l3(x, y, zt)) + l3(x, y, op_b(zt))
-
     return [
-        Identity(
-            "antisymmetrized-bracket",
-            "l2 is graded antisymmetric for shifted degrees",
-            _degree_sweep(antisymmetry, 2),
-        ),
-        Identity(
-            "jacobiator-is-exact",
-            "the l2 Jacobiator on section triples is the Q-boundary of l3",
-            _sampler(jacobiator, *(section_element,) * 3),
-        ),
-        Identity(
-            "trilinear-b-derivation",
-            "b kills l3 on (1,1,2) up to the interior action on the last slot",
-            _degree_sweep(b_derivation, 3, [(1, 1, 2)]),
-        ),
+        ("antisymmetrized-bracket", "l2 is graded antisymmetric for shifted degrees",
+         _sweep(2), antisymmetry),
+        ("jacobiator-is-exact",
+         "the l2 Jacobiator on section triples is the Q-boundary of l3",
+         _once(*(section_element,) * 3), jacobiator),
+        ("trilinear-b-derivation",
+         "b kills l3 on (1,1,2) up to the interior action on the last slot",
+         _sweep(3, lambda degs: degs == (1, 1, 2)),
+         lambda x, y, zt: op_b(l3(x, y, zt)) + l3(x, y, op_b(zt))),
     ], {}
 
 
@@ -831,78 +704,64 @@ def _linf_identities(cfg: SuiteConfig):
 
 
 def _deform_laws(eta: Metric):
-    """The deformed structure's laws as ``(id, statement, arity, residual)``;
-    each residual maps ``arity`` elements to a value that must vanish."""
+    """The deformed structure's laws as rows on elements of random degree,
+    then the Laplacian row and the derivation-defect witness."""
     qe, r = partial(Q_eta, eta=eta), partial(R_eta, eta=eta)
     me, mbar = partial(mu_eta, eta=eta), partial(mu_bar_eta, eta=eta)
     r_mu, q_mbar = _derivation(r, mu), _derivation(op_q, mbar)
+    one, two, three, four = (_once(*(_ELEMENT,) * k) for k in range(1, 5))
     return [
         ("deform-q-eta-squared",
-         "the deformed differential squares to zero", 1, _square(qe)),
+         "the deformed differential squares to zero", one, _square(qe)),
         ("deform-r-eta-squared",
-         "the deformation operator squares to zero", 1, _square(r)),
+         "the deformation operator squares to zero", one, _square(r)),
         ("deform-q-r-anticommute",
-         "Q and the deformation operator anticommute", 1,
+         "Q and the deformation operator anticommute", one,
          lambda x: boundary(op_q, r, (x,), True)),
         ("deform-r-slotwise-table",
-         "the deformation operator matches its slotwise table", 1,
+         "the deformation operator matches its slotwise table", one,
          lambda x: r(x) - _r_eta_slotwise(x, eta)),
         ("deform-mu-bar-table",
-         "the product correction matches its four-cell table", 2,
+         "the product correction matches its four-cell table", two,
          lambda x, y: mbar(x, y) - mu_bar_eta_table(x, y, eta)),
         ("deform-q-eta-derivation",
-         "the deformed differential is a derivation of the deformed product", 2,
+         "the deformed differential is a derivation of the deformed product", two,
          _derivation(qe, me)),
         ("deform-homotopy-commutativity",
-         "the deformed product is commutative up to the [Q^eta, m] homotopy", 2,
+         "the deformed product is commutative up to the [Q^eta, m] homotopy", two,
          _commutative(me, qe, m_op)),
         ("deform-mu-bar-antisymmetry",
-         "the correction's antisymmetric part is the [R, m] homotopy", 2,
+         "the correction's antisymmetric part is the [R, m] homotopy", two,
          _commutative(mbar, r, m_op)),
         ("deform-r-derivation-of-mu-bar",
-         "the deformation operator is a derivation of the correction", 2,
+         "the deformation operator is a derivation of the correction", two,
          _derivation(r, mbar)),
         ("deform-q-mu-bar-plus-r-mu",
-         "the cross terms of (Q + R) over (mu + mu-bar) cancel", 2,
+         "the cross terms of (Q + R) over (mu + mu-bar) cancel", two,
          lambda x, y: r_mu(x, y) + q_mbar(x, y)),
         ("deform-homotopy-associativity",
-         "the deformed associator is the [Q^eta, nu]-boundary", 3,
+         "the deformed associator is the [Q^eta, nu]-boundary", three,
          _associative(me, qe, nu)),
         ("deform-c-inf-shuffle",
-         "the trilinear homotopy still kills 2-1 shuffles", 3, _shuffle(nusym)),
+         "the trilinear homotopy still kills 2-1 shuffles", three, _shuffle(nusym)),
         ("deform-q-eta-derivation-sym",
-         "the deformed differential derives the symmetrized deformed product", 2,
+         "the deformed differential derives the symmetrized deformed product", two,
          _derivation(qe, partial(musym_eta, eta=eta))),
         ("deform-pentagon",
-         "the deformed product satisfies the pentagon law with nu", 4,
+         "the deformed product satisfies the pentagon law with nu", four,
          _pentagon(me, nu)),
+        ("deform-bracket-laplacian",
+         "[Q^eta, b] acts as minus the metric Laplacian", _sweep(1),
+         lambda x: boundary(qe, op_b, (x,), True) + bracket_laplacian(x, eta)),
+        ("deform-derivation-defect-witness",
+         "Q^eta fails to derive the deformed derived bracket (defect stored)",
+         _sweep(2, lambda degs: degs == (1, 1)),
+         _derivation(qe, partial(deformed_bracket, eta=eta), -1), "nonzero"),
     ]
 
 
 def _deform_identities(cfg: SuiteConfig):
-    eta = cfg.metric
-    qe = partial(Q_eta, eta=eta)
-    return [
-        *(
-            Identity(ident, statement, _sampler(res, *(_ELEMENT,) * arity))
-            for ident, statement, arity, res in _deform_laws(eta)
-        ),
-        Identity(
-            "deform-bracket-laplacian",
-            "[Q^eta, b] acts as minus the metric Laplacian",
-            _degree_sweep(
-                lambda x: boundary(qe, op_b, (x,), True) + bracket_laplacian(x, eta), 1
-            ),
-        ),
-        Identity(
-            "deform-derivation-defect-witness",
-            "Q^eta fails to derive the deformed derived bracket (defect stored)",
-            _degree_sweep(
-                _derivation(qe, partial(deformed_bracket, eta=eta), -1), 2, [(1, 1)]
-            ),
-            expect="nonzero",
-        ),
-    ], {}
+    return _deform_laws(cfg.metric), {}
 
 
 # -- gauge-theory suite ----------------------------------------------------
@@ -940,8 +799,13 @@ def _ym_identities(cfg: SuiteConfig):
     constants = fit["calibration"]
     fitted = fit["match"] and fit["vtilde_zero"]
 
-    def calibration(rng, cfg):
-        yield (psi_one,), True if fitted else fit
+    def matched(rep):
+        """True when a comparison report matches, else the report itself."""
+        return True if rep["match"] and rep["vtilde_zero"] else rep
+
+    def calibration(rng, cfg, res):
+        # bespoke: one sample, the fit made above on its own rank-1 field
+        yield (psi_one,), res(fit)
 
     cutoff = min(cfg.mode_cutoff, 1)  # matrix convolutions grow fast with modes
 
@@ -955,7 +819,7 @@ def _ym_identities(cfg: SuiteConfig):
         # frozen constants transport to non-commuting rank-r fields; the
         # comparison report is the residual of a failing sample
         rep = mc_vs_ym_compare(psi, eta, calibration=constants)
-        return True if fitted and rep["match"] and rep["vtilde_zero"] else rep
+        return matched(rep) if fitted else rep
 
     def gauge_transport(psi, umat):
         rank = cfg.matrix_rank
@@ -977,34 +841,42 @@ def _ym_identities(cfg: SuiteConfig):
         )
 
     return [
-        Identity(
-            "mc-calibration-rank-one",
-            "per-family constants fitted on a rank-1 field make both residual families match",
-            calibration,
-        ),
-        Identity(
-            "mc-matches-field-equations",
-            "the Maurer-Cartan residual equals the covariant field equations under the slot dictionary",
-            _sampler(field_equations, gauge_fields),
-        ),
-        Identity(
-            "gauge-transport",
-            "gauge variations map to dA = du + [A,u] and dPhi = [Phi,u] slotwise",
-            _sampler(gauge_transport, gauge_fields, gauge_parameter),
-        ),
+        ("mc-calibration-rank-one",
+         "per-family constants fitted on a rank-1 field make both residual families match",
+         calibration, matched),
+        ("mc-matches-field-equations",
+         "the Maurer-Cartan residual equals the covariant field equations under the slot dictionary",
+         _once(gauge_fields), field_equations),
+        ("gauge-transport",
+         "gauge variations map to dA = du + [A,u] and dPhi = [Phi,u] slotwise",
+         _once(gauge_fields, gauge_parameter), gauge_transport),
     ], {"calibration": _encode_calibration(constants)}
 
 
 # -- differential-form suite -----------------------------------------------
 
+
+def _equal_degree_pairs(rng, cfg, res):
+    """Bespoke draws: x, then y; when their form degrees differ, y is
+    re-rolled onto x's degree on the row's stream.  The row stores the drawn
+    (x, y) but evaluates the re-rolled pair, as ``PAIRING_FAILURES_SHA256``
+    pins."""
+    for _ in range(cfg.samples):
+        x, y = _FORM_ELEMENT(rng, cfg), _FORM_ELEMENT(rng, cfg)
+        z = y
+        if y.form.degree != x.form.degree:
+            z = random_ym_element(rng, cfg.dim, cfg.mode_cutoff, x.degree)
+        yield (x, y), res(x, z)
+
+
 def _exterior_laws(eta: Metric):
     """The four-slot complex's laws, and the transport of d, the product and
-    the homotopy by ``deform.ym_embed``, as ``(id, statement, arity,
-    residual)`` on four-slot elements."""
+    the homotopy by ``deform.ym_embed``, on four-slot elements."""
     det_sign = 1 if eta.det_upper > 0 else -1
     d2, star2 = _square(dform), _square(partial(hodge, metric=eta))
     q, m = partial(ym_q, metric=eta), partial(ym_mu_sym, metric=eta)
     n, embed = partial(ym_nu_sym, metric=eta), partial(ym_embed, eta=eta)
+    one, two, three = (_once(*(_FORM_ELEMENT,) * k) for k in range(1, 4))
 
     def star_square(x):
         p = x.form.degree
@@ -1015,56 +887,33 @@ def _exterior_laws(eta: Metric):
 
     return [
         ("exterior-d-squared",
-         "the exterior differential squares to zero", 1, lambda x: d2(x.form)),
+         "the exterior differential squares to zero", one, lambda x: d2(x.form)),
         ("exterior-star-square",
-         "the star squares to the signature sign times a degree sign", 1, star_square),
+         "the star squares to the signature sign times a degree sign", one, star_square),
         ("exterior-pairing-symmetry",
-         "the star pairing of equal-degree forms is symmetric", 2, pairing_symmetry),
-        ("ym-q-squared", "the four-slot differential squares to zero", 1, _square(q)),
+         "the star pairing of equal-degree forms is symmetric", _equal_degree_pairs,
+         pairing_symmetry),
+        ("ym-q-squared", "the four-slot differential squares to zero", one, _square(q)),
         ("ym-mu-commutativity",
-         "the four-slot product is graded commutative", 2, _commutative(m)),
+         "the four-slot product is graded commutative", two, _commutative(m)),
         ("ym-q-derivation",
-         "the four-slot differential derives the product", 2, _derivation(q, m)),
+         "the four-slot differential derives the product", two, _derivation(q, m)),
         ("ym-homotopy-associativity",
-         "the four-slot associator is the Q-boundary of its trilinear homotopy", 3,
+         "the four-slot associator is the Q-boundary of its trilinear homotopy", three,
          _associative(m, q, n)),
         ("ym-shuffle",
-         "the four-slot trilinear homotopy kills 2-1 shuffles", 3, _shuffle(n)),
-        ("ym-transport-q", "the embedding intertwines the differentials", 1,
+         "the four-slot trilinear homotopy kills 2-1 shuffles", three, _shuffle(n)),
+        ("ym-transport-q", "the embedding intertwines the differentials", one,
          _transport(embed, q, partial(Q_eta, eta=eta))),
-        ("ym-transport-mu", "the embedding intertwines the symmetrized products", 2,
+        ("ym-transport-mu", "the embedding intertwines the symmetrized products", two,
          _transport(embed, m, partial(musym_eta, eta=eta))),
-        ("ym-transport-nu", "the embedding intertwines the trilinear homotopies", 3,
+        ("ym-transport-nu", "the embedding intertwines the trilinear homotopies", three,
          _transport(embed, n, nusym)),
     ]
 
 
-def _equal_degree_pairs(res):
-    """Draw x, then y; when their form degrees differ, y is re-rolled onto x's
-    degree on the row's stream.  The row stores the drawn (x, y)."""
-
-    def sampler(rng, cfg):
-        for _ in range(cfg.samples):
-            x, y = _FORM_ELEMENT(rng, cfg), _FORM_ELEMENT(rng, cfg)
-            z = y
-            if y.form.degree != x.form.degree:
-                z = random_ym_element(rng, cfg.dim, cfg.mode_cutoff, x.degree)
-            yield (x, y), res(x, z)
-
-    return sampler
-
-
 def _exterior_identities(cfg: SuiteConfig):
-    return [
-        Identity(
-            ident,
-            statement,
-            _equal_degree_pairs(res)
-            if ident == "exterior-pairing-symmetry"
-            else _sampler(res, *(_FORM_ELEMENT,) * arity),
-        )
-        for ident, statement, arity, res in _exterior_laws(cfg.metric)
-    ], {}
+    return _exterior_laws(cfg.metric), {}
 
 
 # -- doubled-geometry suites -----------------------------------------------
@@ -1091,14 +940,12 @@ def _orthogonal_profiles(eta: Metric):
 
 
 def _cbracket_identities(cfg: SuiteConfig):
+    eta = cfg.metric
+
     def antisymmetry(a, b):
-        eta = cfg.metric
         return tuple(
             x + y for x, y in zip(c_bracket(a, b, eta), c_bracket(b, a, eta))
         )
-
-    def self_bracket(a):
-        return c_bracket(a, a, cfg.metric)
 
     def constant_transport(a, b):
         dim = cfg.dim
@@ -1109,22 +956,22 @@ def _cbracket_identities(cfg: SuiteConfig):
             )
             for j in range(dim)
         )
-        return _tuple_sub(c_half_bracket(a, b, cfg.metric), expected)
+        return _tuple_sub(c_half_bracket(a, b, eta), expected)
 
     def lie_reduction(f, g):
-        p, q = _orthogonal_profiles(cfg.metric)
+        p, q = _orthogonal_profiles(eta)
         a = tuple(f * pk for pk in p)
         b = tuple(g * qk for qk in q)
-        return _tuple_sub(c_bracket(a, b, cfg.metric), lie_bracket_vec(a, b))
+        return _tuple_sub(c_bracket(a, b, eta), lie_bracket_vec(a, b))
 
     vector = _draw(random_vector_field)
 
     # null-direction families share one covector (None when eta has none)
-    direction = null_covector(cfg.metric)
+    direction = null_covector(eta)
+    vacuous = direction is None
 
     def family(aligned: bool):
         def draw(rng, cfg):
-            eta = cfg.metric
             return null_family_field(rng, eta, direction, cfg.mode_cutoff, aligned)
 
         return draw
@@ -1132,7 +979,6 @@ def _cbracket_identities(cfg: SuiteConfig):
     polarized, unpolarized = family(True), family(False)
 
     def constrained_sector(a, b, c):
-        eta = cfg.metric
         residuals = [wave_constraint(x, eta) for x in (a, b, c)]
         residuals.extend(
             pair_constraint(x, y, eta) for x in (a, b, c) for y in (a, b, c)
@@ -1140,10 +986,9 @@ def _cbracket_identities(cfg: SuiteConfig):
         return tuple(residuals)
 
     def jacobiator(a, b, c):
-        return c_jacobiator(a, b, c, cfg.metric)
+        return c_jacobiator(a, b, c, eta)
 
     def null_directed(a, b, c):
-        eta = cfg.metric
         jac = c_jacobiator(a, b, c, eta)
         if direction is None:
             return jac
@@ -1154,68 +999,37 @@ def _cbracket_identities(cfg: SuiteConfig):
                 out.append(jac[j] * sharp[k] - jac[k] * sharp[j])
         return tuple(out)
 
-    def generic_pair_violation(a, b):
-        return pair_constraint(a, b, cfg.metric)
-
     return [
-        Identity(
-            "cbracket-antisymmetry",
-            "the metric bracket of vector fields is antisymmetric",
-            _sampler(antisymmetry, vector, vector),
-        ),
-        Identity(
-            "cbracket-self-annihilation",
-            "the metric bracket kills equal arguments",
-            _sampler(self_bracket, vector),
-        ),
-        Identity(
-            "cbracket-constant-transport",
-            "for constant first slot the one-sided bracket is the directional derivative",
-            _sampler(constant_transport, _draw(random_vector_field, 0), vector),
-        ),
-        Identity(
-            "cbracket-lie-reduction",
-            "on metric-orthogonal profiles the bracket reduces to the Lie bracket",
-            _sampler(lie_reduction, _SCALAR, _SCALAR),
-        ),
-        Identity(
-            "cbracket-constrained-sector",
-            "null-direction families satisfy the wave and pair constraints",
-            _sampler(constrained_sector, *(polarized,) * 3),
-            vacuous=direction is None,
-        ),
-        Identity(
-            "cbracket-constrained-jacobi",
-            "the Jacobiator vanishes on null-polarized constrained triples",
-            _sampler(jacobiator, *(polarized,) * 3),
-            vacuous=direction is None,
-        ),
-        Identity(
-            "cbracket-jacobiator-null-directed",
-            "on constrained but unpolarized triples the Jacobiator points along the raised null direction",
-            _sampler(null_directed, *(unpolarized,) * 3),
-            vacuous=direction is None,
-        ),
-        Identity(
-            "cbracket-jacobiator-witness",
-            "generic triples violate Jacobi (counterexample stored)",
-            _sampler(jacobiator, *(vector,) * 3),
-            expect="nonzero",
-        ),
-        Identity(
-            "cbracket-pair-constraint-witness",
-            "generic pairs violate the pair constraint (counterexample stored)",
-            _sampler(generic_pair_violation, vector, vector),
-            expect="nonzero",
-        ),
+        ("cbracket-antisymmetry", "the metric bracket of vector fields is antisymmetric",
+         _once(vector, vector), antisymmetry),
+        ("cbracket-self-annihilation", "the metric bracket kills equal arguments",
+         _once(vector), lambda a: c_bracket(a, a, eta)),
+        ("cbracket-constant-transport",
+         "for constant first slot the one-sided bracket is the directional derivative",
+         _once(_draw(random_vector_field, 0), vector), constant_transport),
+        ("cbracket-lie-reduction",
+         "on metric-orthogonal profiles the bracket reduces to the Lie bracket",
+         _once(_SCALAR, _SCALAR), lie_reduction),
+        ("cbracket-constrained-sector",
+         "null-direction families satisfy the wave and pair constraints",
+         _once(*(polarized,) * 3), constrained_sector, "zero", vacuous),
+        ("cbracket-constrained-jacobi",
+         "the Jacobiator vanishes on null-polarized constrained triples",
+         _once(*(polarized,) * 3), jacobiator, "zero", vacuous),
+        ("cbracket-jacobiator-null-directed",
+         "on constrained but unpolarized triples the Jacobiator points along the raised null direction",
+         _once(*(unpolarized,) * 3), null_directed, "zero", vacuous),
+        ("cbracket-jacobiator-witness",
+         "generic triples violate Jacobi (counterexample stored)",
+         _once(vector, vector, vector), jacobiator, "nonzero"),
+        ("cbracket-pair-constraint-witness",
+         "generic pairs violate the pair constraint (counterexample stored)",
+         _once(vector, vector), lambda a, b: pair_constraint(a, b, eta), "nonzero"),
     ], {}
 
 
 def _doublecopy_identities(cfg: SuiteConfig):
     doubled = _draw(random_doubled_scalar)
-
-    def sector_annihilation(fx, ft):
-        return (delta_minus(fx), delta_minus(ft))
 
     def modewise_eigenvalue(f):
         h = f.halfdim
@@ -1227,31 +1041,26 @@ def _doublecopy_identities(cfg: SuiteConfig):
         expected = DoubledScalar(h, FourierScalar(2 * h, coeffs))
         return delta_minus(f) - expected
 
-    def constraint_symmetry(f, g):
-        return section_pair_residual(f, g) - section_pair_residual(g, f)
-
-    def same_sector_constrained(fx, gx):
-        return strong_constraint_check(fx, gx) == (True, True)
-
-    def same_sector_sampler(rng, cfg):
+    def same_sector_pairs(rng, cfg, res):
+        # bespoke: both scalars of a sample share one drawn sector
         for _ in range(cfg.samples):
             sector = ("x", "xt")[randbelow(rng.getrandbits, 2)]
             f = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector=sector)
             g = random_doubled_scalar(rng, cfg.dim, cfg.mode_cutoff, sector=sector)
-            yield (f, g), same_sector_constrained(f, g)
+            yield (f, g), res(f, g)
 
-    def cross_sector_witness(rng, cfg):
+    def cross_sector_violation(fx, ft):
+        closed = delta_minus(fx).is_zero() and delta_minus(ft).is_zero()
+        return section_pair_residual(fx, ft) if closed else DoubledScalar.zero(fx.halfdim)
+
+    def cross_sector_pair(rng, cfg, res):
+        # bespoke: one sample, on a fixed pair of unit harmonics
         h = cfg.dim
         kx = (1,) + (0,) * (h - 1)
         zero = (0,) * h
         fx = DoubledScalar.harmonic(h, kx, zero, GaussRational(1))
         ft = DoubledScalar.harmonic(h, zero, kx, GaussRational(1))
-        closed = delta_minus(fx).is_zero() and delta_minus(ft).is_zero()
-        value = section_pair_residual(fx, ft) if closed else DoubledScalar.zero(h)
-        yield (fx, ft), value
-
-    def bracket_symmetry(g, h):
-        return double_bracket(g, h) - double_bracket(h, g)
+        yield (fx, ft), res(fx, ft)
 
     def bracket_bilinearity(g1, g2, h):
         additive = (
@@ -1287,74 +1096,46 @@ def _doublecopy_identities(cfg: SuiteConfig):
             scalar,
         )
 
-    def generic_residual_witness(g, phi):
-        tensor, scalar = bivector_mc_residual(g, phi)
-        return (tensor, scalar)
-
+    unit_bivector = _draw(random_bivector, 1)
+    constant_bivector = _draw(random_bivector, 0)
     return [
-        Identity(
-            "doubled-laplacian-kills-sectors",
-            "the cross Laplacian annihilates both single-sector algebras",
-            _sampler(
-                sector_annihilation,
-                _draw(random_doubled_scalar, sector="x"),
-                _draw(random_doubled_scalar, sector="xt"),
-            ),
-        ),
-        Identity(
-            "doubled-laplacian-eigenvalue",
-            "the cross Laplacian scales each mode by minus twice the mode dot product",
-            _sampler(modewise_eigenvalue, doubled),
-        ),
-        Identity(
-            "pair-constraint-symmetry",
-            "the two-argument constraint is symmetric",
-            _sampler(constraint_symmetry, doubled, doubled),
-        ),
-        Identity(
-            "same-sector-constrained",
-            "same-sector pairs satisfy both strong-constraint conditions",
-            same_sector_sampler,
-        ),
-        Identity(
-            "cross-sector-violation-witness",
-            "a closed cross-sector pair violating the pair condition is stored",
-            cross_sector_witness,
-            expect="nonzero",
-        ),
-        Identity(
-            "double-bracket-symmetry",
-            "the bivector bracket is symmetric",
-            _sampler(bracket_symmetry, *(_draw(random_bivector, 1),) * 2),
-        ),
-        Identity(
-            "double-bracket-bilinearity",
-            "the bivector bracket is bilinear",
-            _sampler(bracket_bilinearity, *(_draw(random_bivector, 1),) * 3),
-        ),
-        Identity(
-            "constant-bivector-flat",
-            "constant bivectors bracket to zero and solve the background equation",
-            _sampler(constant_case, *(_draw(random_bivector, 0),) * 2),
-        ),
-        Identity(
-            "divergence-free-reduction",
-            "for divergence-free bivectors the tensor residual is the self-bracket alone",
-            _sampler(divergence_free_reduction, divergence_free_bivector),
-        ),
-        Identity(
-            "generic-residual-witness",
-            "a generic bivector/dilaton pair fails the background equation (witness stored)",
-            _sampler(generic_residual_witness, _draw(random_bivector), doubled),
-            expect="nonzero",
-        ),
+        ("doubled-laplacian-kills-sectors",
+         "the cross Laplacian annihilates both single-sector algebras",
+         _once(*(_draw(random_doubled_scalar, sector=s) for s in ("x", "xt"))),
+         lambda fx, ft: (delta_minus(fx), delta_minus(ft))),
+        ("doubled-laplacian-eigenvalue",
+         "the cross Laplacian scales each mode by minus twice the mode dot product",
+         _once(doubled), modewise_eigenvalue),
+        ("pair-constraint-symmetry", "the two-argument constraint is symmetric",
+         _once(doubled, doubled),
+         lambda f, g: section_pair_residual(f, g) - section_pair_residual(g, f)),
+        ("same-sector-constrained",
+         "same-sector pairs satisfy both strong-constraint conditions",
+         same_sector_pairs, lambda f, g: strong_constraint_check(f, g) == (True, True)),
+        ("cross-sector-violation-witness",
+         "a closed cross-sector pair violating the pair condition is stored",
+         cross_sector_pair, cross_sector_violation, "nonzero"),
+        ("double-bracket-symmetry", "the bivector bracket is symmetric",
+         _once(unit_bivector, unit_bivector),
+         lambda g, h: double_bracket(g, h) - double_bracket(h, g)),
+        ("double-bracket-bilinearity", "the bivector bracket is bilinear",
+         _once(unit_bivector, unit_bivector, unit_bivector), bracket_bilinearity),
+        ("constant-bivector-flat",
+         "constant bivectors bracket to zero and solve the background equation",
+         _once(constant_bivector, constant_bivector), constant_case),
+        ("divergence-free-reduction",
+         "for divergence-free bivectors the tensor residual is the self-bracket alone",
+         _once(divergence_free_bivector), divergence_free_reduction),
+        ("generic-residual-witness",
+         "a generic bivector/dilaton pair fails the background equation (witness stored)",
+         _once(_draw(random_bivector), doubled), bivector_mc_residual, "nonzero"),
     ], {}
 
 
 # -- registry and entry point ----------------------------------------------
 
 
-# Each builder maps the run configuration to the suite's identities and the
+# Each builder maps the run configuration to the suite's rows and the
 # entries it adds to the report beside them (the ym calibration).
 _SUITES = {
     "courant": _courant_identities,

@@ -111,11 +111,11 @@ def test_any_degree_keeps_the_randint_stream():
 
 def test_same_sector_sampler_keeps_the_choice_stream():
     cfg = suites.SuiteConfig(dim=2, samples=40)
-    identities, _ = suites._doublecopy_identities(cfg)
-    (row,) = [i for i in identities if i.ident == "same-sector-constrained"]
+    rows, _ = suites._doublecopy_identities(cfg)
+    (row,) = [suites.Identity(*r) for r in rows if r[0] == "same-sector-constrained"]
     rng, old = pair(7)
     drawn = 0
-    for (f, g), _ in row.sampler(rng, cfg):
+    for (f, g), _ in suites._samples(row, rng, cfg):
         want = oracle.same_sector_pair(old, cfg.dim, cfg.mode_cutoff)
         same((f, g), want, rng, old)
         drawn += 1

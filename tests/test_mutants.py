@@ -1,0 +1,69 @@
+"""The mutation runner in ``tests/mutants.py`` builds one-node mutants.
+
+These checks read and parse files only; they start no process.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import mutants
+
+SRC = pathlib.Path(mutants.__file__).resolve().parents[1] / "src"
+SITES = mutants.all_sites(SRC)
+
+
+def _operator_nodes(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.Add, ast.Sub))
+    ]
+
+
+def test_sites_cover_the_operators_outside_f_strings():
+    by_file = {}
+    for site in SITES:
+        by_file[site.rel] = by_file.get(site.rel, 0) + 1
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = _operator_nodes(tree)
+        in_f_strings = {
+            id(node)
+            for joined in ast.walk(tree)
+            if isinstance(joined, ast.JoinedStr)
+            for node in _operator_nodes(joined)
+        }
+        rel = path.relative_to(SRC).as_posix()
+        assert by_file.get(rel, 0) == len(nodes) - len(in_f_strings), rel
+
+
+def test_each_pinned_mutant_differs_by_exactly_one_node():
+    trees = {}
+    sources = {}
+    for site in mutants.pick(SITES, sample=30, seed=0):
+        if site.rel not in trees:
+            sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
+            trees[site.rel] = ast.parse(sources[site.rel])
+        mutant = mutants.mutate(sources[site.rel], site)
+        ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
+        if site.unary:
+            assert isinstance(old, ast.UnaryOp) and isinstance(old.op, ast.USub), site
+            assert ast.dump(new) == ast.dump(old.operand), site
+        else:
+            assert {type(old), type(new)} == {ast.Add, ast.Sub}, site
+
+
+def test_sample_is_pinned_by_its_seed():
+    first = [str(s) for s in mutants.pick(SITES, sample=10, seed=3)]
+    assert first == [str(s) for s in mutants.pick(SITES, sample=10, seed=3)]
+    assert first != [str(s) for s in mutants.pick(SITES, sample=10, seed=4)]
+    assert mutants.pick(SITES, chosen=[first[0]])[0].line == int(first[0].split(":")[1])
+
+
+def test_a_site_without_its_operator_is_refused():
+    site = mutants.Site("m.py", 1, 0, unary=False)
+    with pytest.raises(ValueError, match="no \\+ or -"):
+        mutants.mutate("x * y\n", site)

@@ -92,7 +92,35 @@ def test_unknown_suite_is_rejected():
 def test_identity_rejects_an_unknown_expectation():
     # a ValueError, not an assert, so ``python -O`` keeps the check
     with pytest.raises(ValueError, match="expect"):
-        Identity("x", "statement", sampler=None, expect="zeros")
+        Identity("x", "statement", draws=None, res=None, expect="zeros")
+
+
+# the rows that draw through a generator of their own instead of recipes
+BESPOKE_ROWS = {
+    "mc-calibration-rank-one",
+    "cross-sector-violation-witness",
+    "same-sector-constrained",
+    "exterior-pairing-symmetry",
+}
+
+
+def test_rows_report_their_declared_draws():
+    # a recipe row evaluates its residual once per recipe on every sample
+    cfg = SuiteConfig(
+        dim=2, metric=Metric.diagonal([1, -1]), mode_cutoff=1, matrix_rank=1, samples=2, seed=5
+    )
+    bespoke = set()
+    for name, build in suites._SUITES.items():
+        rows, _ = build(cfg)
+        reported = {row["id"]: row["samples"] for row in run_suite(name, cfg)["identities"]}
+        assert list(reported) == [row[0] for row in rows]
+        for ident, _, draws, res, *_ in rows:
+            assert callable(res), ident
+            if callable(draws):
+                bespoke.add(ident)
+            else:
+                assert reported[ident] == cfg.samples * len(draws), ident
+    assert bespoke == BESPOKE_ROWS
 
 
 def test_exterior_requires_a_square_volume():
