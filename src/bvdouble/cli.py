@@ -17,12 +17,13 @@ failed, 2 for configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 
 from .serialize import canonical_dumps
-from .suites import SUITE_NAMES, ConfigError, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, ConfigError, SuiteConfig, check_suite, run_suite
 
 __all__ = ["main"]
 
@@ -76,28 +77,35 @@ def _load_config(args) -> SuiteConfig:
 def _verify(args) -> int:
     cfg = _load_config(args)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = []
     for name in names:
-        print(f"running suite {name} ...", file=sys.stderr, flush=True)
-        started = time.monotonic()
-        report = run_suite(name, cfg)
-        elapsed = time.monotonic() - started
-        status = "ok" if report["passed"] else "FAILED"
-        print(f"suite {name}: {status} ({elapsed:.2f}s)", file=sys.stderr, flush=True)
-        reports.append(report)
-    if args.suite == "all":
-        payload = {
-            "suite": "all",
-            "config": cfg.echo(),
-            "suites": reports,
-            "passed": all(r["passed"] for r in reports),
-        }
-    else:
-        payload = reports[0]
-    text = canonical_dumps(payload)
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        check_suite(name, cfg)
+    # the report file is opened before any suite runs, so a bad path exits 2 at once
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {args.out!r}: {exc.strerror}") from exc
+    with out as handle:
+        reports = []
+        for name in names:
+            print(f"running suite {name} ...", file=sys.stderr, flush=True)
+            started = time.monotonic()
+            report = run_suite(name, cfg)
+            elapsed = time.monotonic() - started
+            status = "ok" if report["passed"] else "FAILED"
+            print(f"suite {name}: {status} ({elapsed:.2f}s)", file=sys.stderr, flush=True)
+            reports.append(report)
+        if args.suite == "all":
+            payload = {
+                "suite": "all",
+                "config": cfg.echo(),
+                "suites": reports,
+                "passed": all(r["passed"] for r in reports),
+            }
+        else:
+            payload = reports[0]
+        text = canonical_dumps(payload)
+        sys.stdout.write(text)
+        if handle is not None:
             handle.write(text)
     return 0 if payload["passed"] else 1
 

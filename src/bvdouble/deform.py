@@ -5,11 +5,12 @@ operator R = sum eta^{ij} mu(f_i, {f_j, .}) built from the coordinate vector
 fields f_i.  The module provides:
 
   * R built from double brackets, and the deformed differential Q + R, which
-    applies R through its closed-form Delta / d-hat / div-hat slot arrows;
+    applies R through its closed-form Delta / d-hat / div-hat slot arrows
+    (d-hat is ``Metric.gradient``); both take one graded element;
   * the product correction mu_bar in closed form ({f_j, .} is the slotwise
     derivative d_j), the deformed product and its derived bracket (a
-    ``bvops.boundary``); the bracket-built R and the slot table for mu_bar
-    stay as the oracles the deform suite compares against;
+    ``bvops.boundary``); the bracket-built R and the four-cell table for
+    mu_bar stay as the oracles the deform suite compares against;
   * matrix-valued elements, the Maurer-Cartan residual of a degree-1 matrix
     element, its gauge variation, and the exact dictionary onto covariant
     Yang-Mills field equations for the pair (gauge field, adjoint scalars);
@@ -72,11 +73,6 @@ _HALF = Fraction(1, 2)
 # -- scalar helpers --------------------------------------------------------
 
 
-def _d_hat(u: FourierScalar, eta: Metric):
-    """Raised gradient, (d-hat u)^j = eta^{ij} d_i u."""
-    return tuple(eta.raise_index([u.derivative(i) for i in range(u.dim)]))
-
-
 def _div_hat(form, eta: Metric) -> FourierScalar:
     """Raised divergence of one-form components, eta^{ij} d_i B_j."""
     return divergence(GenSection.from_vec(eta.raise_index(form)))
@@ -99,10 +95,8 @@ def _coordinate_elements(dim: int):
     return tuple(BVElement.deg1(coordinate_section(dim, i)) for i in range(dim))
 
 
-def R_eta(x, eta: Metric):
+def R_eta(x: BVElement, eta: Metric) -> BVElement:
     """The deforming operator sum eta^{ij} mu(f_i, {f_j, x}); raises degree."""
-    if isinstance(x, LieValuedBVElement):
-        return x.apply(lambda e: R_eta(e, eta))
     f = flat_sections(eta)
     acc = BVElement.zero(x.degree + 1, x.dim)
     for i, j, w in eta.pairs():
@@ -112,17 +106,12 @@ def R_eta(x, eta: Metric):
 
 def _r_eta_slotwise(x: BVElement, eta: Metric) -> BVElement:
     """Closed-form arrows of R on each slot: Delta, d-hat, and half div-hat."""
-    dim = x.dim
     if x.degree == 0:
         u = x.scalar
-        return BVElement.deg1(
-            GenSection(_d_hat(u, eta), (FourierScalar.zero(dim),) * dim),
-            -laplacian(u, eta),
-        )
+        return BVElement.deg1(GenSection.from_vec(eta.gradient(u)), -laplacian(u, eta))
     if x.degree == 1:
         a, v = x.section, x.scalar
-        dv = _d_hat(v, eta)
-        vec = tuple(l + g for l, g in zip(_lap_tuple(a.vec, eta), dv))
+        vec = tuple(l + g for l, g in zip(_lap_tuple(a.vec, eta), eta.gradient(v)))
         return BVElement.deg2(
             GenSection(vec, _lap_tuple(a.form, eta)),
             _div_hat(a.form, eta) * _HALF,
@@ -130,13 +119,11 @@ def _r_eta_slotwise(x: BVElement, eta: Metric) -> BVElement:
     if x.degree == 2:
         at, vt = x.section, x.scalar
         return BVElement.deg3(-_HALF * _div_hat(at.form, eta) + laplacian(vt, eta))
-    return BVElement.zero(x.degree + 1, dim)
+    return BVElement.zero(x.degree + 1, x.dim)
 
 
-def Q_eta(x, eta: Metric):
+def Q_eta(x: BVElement, eta: Metric) -> BVElement:
     """The deformed differential Q + R, with R in its closed slotwise form."""
-    if isinstance(x, LieValuedBVElement):
-        return x.apply(lambda e: Q_eta(e, eta))
     return op_q(x) + _r_eta_slotwise(x, eta)
 
 
@@ -150,11 +137,6 @@ def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
 
 
 # -- deformed product ------------------------------------------------------
-
-
-def _raised_derivatives(x: BVElement, eta: Metric):
-    """The list of eta^{ij} d_j x over i, i.e. eta^{ij} {f_j, x}."""
-    return eta.raise_index([x.derivative(j) for j in range(eta.dim)])
 
 
 def _weighted_sum(ss, zs) -> BVElement:
@@ -201,7 +183,7 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     dx, dy = x.degree, y.degree
     acc = BVElement.zero(dx + dy, x.dim)
     if dy == 1 and dx in (1, 2):
-        xs = _raised_derivatives(x, eta)
+        xs = eta.gradient(x)
         part = _mu_scalar_slot(_weighted_sum(y.section.form, xs))
         if dx == 1:
             p = [pairing(xi.section, y.section) for xi in xs]
@@ -209,55 +191,40 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
         else:
             acc = acc - part
     if dx == 1:
-        ys = _raised_derivatives(y, eta)
+        ys = eta.gradient(y)
         acc = acc - _mu_scalar_slot(_weighted_sum(x.section.form, ys))
     return acc
 
 
-def _slot_parts(x: BVElement):
-    """Split into (label, slot-pure element) pairs; labels follow the table."""
-    dim = x.dim
-    if x.degree == 0:
-        return [("u", x)]
-    if x.degree == 1:
-        a = BVElement.deg1(x.section)
-        v = BVElement.deg1(GenSection.zero(dim), x.scalar)
-        return [("A", a), ("v", v)]
-    if x.degree == 2:
-        at = BVElement.deg2(x.section)
-        vt = BVElement.deg2(GenSection.zero(dim), x.scalar)
-        return [("At", at), ("vt", vt)]
-    return [("ut", x)]
-
-
 def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
-    """The explicit cell table for the product correction (oracle form)."""
-    f = flat_sections(eta)
-    dim = x.dim
-    acc = BVElement.zero(x.degree + y.degree, dim)
+    """The product correction from its cell table (the oracle form).
 
-    def cell_mm(a_elt, other):
-        # common cell shape: -eta^{ij} mu(m(f_i, a_elt), {f_j, other})
-        s = BVElement.zero(a_elt.degree + other.degree, dim)
-        for i, j, w in eta.pairs():
-            s = s - mu(m_op(f[i], a_elt), brack(f[j], other)) * w
-        return s
+    With cell(a, z) = -eta^{ij} mu(m(f_i, a), {f_j, z}), the nonzero cells are
+    (A, u) = cell(A, u), (A, vt) = (vt, A) = cell(A, vt) and (A, B) = cell(A, B)
+    - cell(B, A) - eta^{ij} mu(m({f_j, A}, B), f_i), for sections A, B of
+    degree-1 arguments, a degree-0 u and the scalar slot vt of degree 2.
+    """
+    f, dim, pairs = flat_sections(eta), x.dim, eta.pairs()
 
-    for lab1, p1 in _slot_parts(x):
-        for lab2, p2 in _slot_parts(y):
-            if p1.is_zero() or p2.is_zero():
-                continue
-            if lab1 == "A" and lab2 == "u":
-                acc = acc + cell_mm(p1, p2)
-            elif lab1 == "A" and lab2 == "A":
-                for i, j, w in eta.pairs():
-                    acc = acc - mu(m_op(f[i], p1), brack(f[j], p2)) * w
-                    acc = acc - mu(m_op(brack(f[j], p1), p2), f[i]) * w
-                    acc = acc + mu(m_op(f[i], p2), brack(f[j], p1)) * w
-            elif lab1 == "vt" and lab2 == "A":
-                acc = acc + cell_mm(p2, p1)
-            elif lab1 == "A" and lab2 == "vt":
-                acc = acc + cell_mm(p1, p2)
+    def cell(a, z):
+        acc = BVElement.zero(a.degree + z.degree, dim)
+        for i, j, w in pairs:
+            acc = acc - mu(m_op(f[i], a), brack(f[j], z)) * w
+        return acc
+
+    if (x.degree, y.degree) == (2, 1):  # the (vt, A) cell is cell(A, vt)
+        x, y = y, x
+    if x.degree != 1 or y.degree not in (0, 1, 2):
+        return BVElement.zero(x.degree + y.degree, dim)
+    a = BVElement.deg1(x.section)
+    if y.degree == 0:
+        return cell(a, y)
+    if y.degree == 2:
+        return cell(a, BVElement.deg2(GenSection.zero(dim), y.scalar))
+    b = BVElement.deg1(y.section)
+    acc = cell(a, b) - cell(b, a)
+    for i, j, w in pairs:
+        acc = acc - mu(m_op(brack(f[j], a), b), f[i]) * w
     return acc
 
 

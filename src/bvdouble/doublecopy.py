@@ -6,8 +6,9 @@ draws.  On the doubled torus T^{2D}, with d_i along the first D coordinates
 and dt^i along the last D, live the doubled scalars with their cross-sector
 wave operator and strong-constraint residual, and the bivectors g^{kl}, one
 leg per sector, with the double bracket [[g, h]], the divergence div_Omega
-against e^{-2 phi} vol, the Lie derivative along it and the Maurer-Cartan
-residuals [[g, g]] + L_{div_Omega(g)} g and div_Omega(div_Omega(g)).
+against e^{-2 phi} vol and the Maurer-Cartan residuals
+[[g, g]] + L_{div_Omega(g)} g and div_Omega(div_Omega(g)), which sum the
+Lie derivative and divergence terms of div_Omega(g) in place.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "Bivector",
     "double_bracket",
     "div_omega",
-    "div_omega_vector",
-    "lie_derivative_bivector",
     "bivector_mc_residual",
     "random_doubled_scalar",
     "random_bivector",
@@ -117,15 +116,9 @@ def wave_constraint(a, eta: Metric):
 
 def pair_constraint(a, b, eta: Metric):
     """Gradient-product residuals eta^{ij} d_i A^k d_j B^l for all k, l."""
-    a, b = tuple(a), tuple(b)
-    dim = a[0].dim
-    da = _jacobian(a)
-    # eta^{ij} d_j B^l, the raised gradient of each component of B
-    b_up = [eta.raise_index(grad) for grad in _jacobian(b)]
-    return tuple(
-        tuple(sum_of_products(dim, zip(da[k], b_up[l])) for l in range(len(b)))
-        for k in range(len(a))
-    )
+    a = tuple(a)
+    dim, b_up = a[0].dim, [eta.gradient(c) for c in b]
+    return tuple(tuple(sum_of_products(dim, zip(da, up)) for up in b_up) for da in _jacobian(a))
 
 
 def null_covector(eta: Metric, search: int = 6):
@@ -193,7 +186,7 @@ def random_vector_field(rng, dim: int, cutoff: int):
 
 
 class DoubledScalar:
-    """A scalar on T^{2D}: modes (k, kt) with sector derivatives dx and dt."""
+    """A scalar on T^{2D}: modes (k, kt), with the first-sector derivative dx."""
 
     __slots__ = ("halfdim", "fun")
 
@@ -218,10 +211,6 @@ class DoubledScalar:
     def dx(self, i: int) -> "DoubledScalar":
         """Derivative along the i-th first-sector coordinate."""
         return DoubledScalar(self.halfdim, self.fun.derivative(i))
-
-    def dt(self, i: int) -> "DoubledScalar":
-        """Derivative along the i-th second-sector coordinate."""
-        return DoubledScalar(self.halfdim, self.fun.derivative(self.halfdim + i))
 
     def __add__(self, other, sign=1):
         if not isinstance(other, DoubledScalar):
@@ -374,13 +363,6 @@ def _vector_terms(v, vt, phi: _Jet):
     return _div_terms([s.f for s in v + vt], dfs, phi.x + phi.t)
 
 
-def _split_jets(vec, tvec, n: int):
-    """The jets of a split vector field's components, n in each sector."""
-    if not len(vec) == len(tvec) == n:
-        raise ValueError(f"a split vector on T^{2 * n} needs {n} components per sector")
-    return [_Jet(s.fun, n) for s in vec], [_Jet(s.fun, n) for s in tvec]
-
-
 def _bivector(n: int, terms) -> Bivector:
     """The bivector whose row-major entries are the signed sums of ``terms``."""
     entries = [_doubled(n, *t) for t in terms]
@@ -406,21 +388,6 @@ def div_omega(g: Bivector, phi: DoubledScalar):
     _same_halfdim(g, phi)
     comps = [_doubled(n, *t) for t in _omega_terms(_jets(g), _Jet(phi.fun, n))]
     return tuple(comps[:n]), tuple(comps[n:])
-
-
-def div_omega_vector(vec, tvec, phi: DoubledScalar) -> DoubledScalar:
-    """Weighted divergence of a split vector field (one component per sector)."""
-    n = phi.halfdim
-    v, vt = _split_jets(vec, tvec, n)
-    return _doubled(n, *_vector_terms(v, vt, _Jet(phi.fun, n)))
-
-
-def lie_derivative_bivector(vec, tvec, g: Bivector) -> Bivector:
-    """(L_w g)^{kl} = w.d g^{kl} - g^{il} d_i v^k - g^{kj} dt_j vt^l for the
-    split vector field w = (vec, tvec)."""
-    n = g.halfdim
-    v, vt = _split_jets(vec, tvec, n)
-    return _bivector(n, _lie_terms(v, vt, _jets(g)))
 
 
 def bivector_mc_residual(g: Bivector, phi: DoubledScalar):

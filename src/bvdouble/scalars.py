@@ -96,32 +96,23 @@ class GaussRational:
             return GaussRational(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if type(other) is not GaussRational:
             if not isinstance(other, (GaussRational, int, Fraction)):
                 return NotImplemented
             other = GaussRational.coerce(other)
-        d, f = self._d, other._d
+        a, b, d, f = sign * other._a, sign * other._b, self._d, other._d
         if d == f:
-            return _reduced(self._a + other._a, self._b + other._b, d)
-        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
+            return _reduced(self._a + a, self._b + b, d)
+        return _reduced(self._a * f + a * d, self._b * f + b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussRational:
-            if not isinstance(other, (GaussRational, int, Fraction)):
-                return NotImplemented
-            other = GaussRational.coerce(other)
-        d, f = self._d, other._d
-        if d == f:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        if not isinstance(other, (GaussRational, int, Fraction)):
-            return NotImplemented
-        return GaussRational.coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if type(other) is not GaussRational:
@@ -529,6 +520,10 @@ class Metric:
         """The list of eta_{ij} t^j over i."""
         return [_row_sum(row, ts) for row in self._down_rows]
 
+    def gradient(self, x) -> list:
+        """The raised gradient: eta^{ij} d_j x over i, for any x with ``derivative``."""
+        return self.raise_index([x.derivative(j) for j in range(self.dim)])
+
     def norm2(self, n):
         """The quadratic form eta^{ij} n_i n_j."""
         return sum(x * y for x, y in zip(n, self.raise_index(n)))
@@ -573,8 +568,8 @@ def _row_sum(row, ts):
 
 def laplacian(f: FourierScalar, metric: Metric) -> FourierScalar:
     """The constant-coefficient Laplacian eta^{ij} d_i d_j f."""
-    raised = metric.raise_index([f.derivative(j) for j in range(f.dim)])
-    return sum((g.derivative(i) for i, g in enumerate(raised)), FourierScalar.zero(f.dim))
+    raised = enumerate(metric.gradient(f))
+    return sum((g.derivative(i) for i, g in raised), FourierScalar.zero(f.dim))
 
 
 def _invert(mat):

@@ -126,7 +126,7 @@ from .sections import (
 )
 from .serialize import parse_fraction, to_jsonable
 
-__all__ = ["ConfigError", "SuiteConfig", "SUITE_NAMES", "run_suite"]
+__all__ = ["ConfigError", "SuiteConfig", "SUITE_NAMES", "check_suite", "run_suite"]
 
 _FAILURE_CAP = 3  # at most this many serialized witnesses per failing row
 # Scalars pack each mode component into a digit that holds |k| < 2**31, so
@@ -1154,8 +1154,8 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, config: SuiteConfig) -> dict:
-    """Evaluate every identity of one suite; returns the JSON-ready report."""
+def check_suite(name: str, config: SuiteConfig) -> None:
+    """Raise ``ConfigError`` unless the named suite can run at this configuration."""
     if name not in _SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}"
@@ -1164,6 +1164,11 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
         raise ConfigError(
             "the exterior suite needs |det metric| to be a rational square"
         )
+
+
+def run_suite(name: str, config: SuiteConfig) -> dict:
+    """Evaluate every identity of one suite; returns the JSON-ready report."""
+    check_suite(name, config)
     identities, extras = _SUITES[name](config)
     rows = _run_identities(name, identities, config)
     report = {

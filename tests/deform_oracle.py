@@ -15,6 +15,7 @@ kept as the sum it was before ``bvops.boundary`` became its body.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from bvdouble.bvcomplex import BVElement, op_b, op_q
 from bvdouble.bvops import brack, m_op, mu, nu, nusym, sign
@@ -170,7 +171,7 @@ def tensor_trilinear(op, x, y, z):
 
 def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
     """Q^eta psi + musym_eta(psi, psi) + nusym(psi, psi, psi), matrix-tensored."""
-    qpart = Q_eta(psi, eta)
+    qpart = psi.apply(partial(Q_eta, eta=eta))
     mupart = tensor_bilinear(lambda a, b: musym_eta(a, b, eta), psi, psi)
     nupart = tensor_trilinear(nusym, psi, psi, psi)
     return qpart + mupart + nupart
@@ -179,7 +180,8 @@ def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
 def gauge_variation(psi, u, eta: Metric) -> LieValuedBVElement:
     """Q^eta u + musym_eta(psi, u) - musym_eta(u, psi), matrix-tensored."""
     me = lambda a, b: musym_eta(a, b, eta)
-    return Q_eta(u, eta) + tensor_bilinear(me, psi, u) - tensor_bilinear(me, u, psi)
+    qpart = u.apply(partial(Q_eta, eta=eta))
+    return qpart + tensor_bilinear(me, psi, u) - tensor_bilinear(me, u, psi)
 
 
 def ym_field_residual_raised(calA, phi, eta: Metric):

@@ -5,7 +5,10 @@ per-entry jets and one ``sum_of_products`` per output entry: every term is
 built as its own ``DoubledScalar`` (or ``FourierScalar``) and added into a
 running sum; the C-bracket antisymmetrizes the definitional half-bracket of
 ``sections_oracle``.  ``tests/test_doublecopy_oracle.py`` compares the
-kernels with them by value and by canonical bytes.  Not collected by pytest.
+kernels with them by value and by canonical bytes.  ``div_omega_vector`` and
+``lie_derivative_bivector`` have no kernel of their own: they are the loop
+forms of the terms that ``bivector_mc_residual`` sums into its residuals.
+Not collected by pytest.
 """
 
 from fractions import Fraction
@@ -14,6 +17,11 @@ from sections_oracle import c_half_bracket
 
 from bvdouble.doublecopy import Bivector, DoubledScalar
 from bvdouble.scalars import Metric
+
+
+def _dt(f, i):
+    """The derivative of a doubled scalar along the i-th second-sector coordinate."""
+    return DoubledScalar(f.halfdim, f.fun.derivative(f.halfdim + i))
 
 
 def c_bracket(a, b, eta: Metric):
@@ -26,14 +34,14 @@ def c_bracket(a, b, eta: Metric):
 def section_pair_residual(f, g):
     out = DoubledScalar.zero(f.halfdim)
     for i in range(f.halfdim):
-        out = out + f.dx(i) * g.dt(i) + f.dt(i) * g.dx(i)
+        out = out + f.dx(i) * _dt(g, i) + _dt(f, i) * g.dx(i)
     return out
 
 
 def delta_minus(f):
     out = DoubledScalar.zero(f.halfdim)
     for i in range(f.halfdim):
-        out = out + f.dx(i).dt(i)
+        out = out + _dt(f.dx(i), i)
     return out * 2
 
 
@@ -46,10 +54,10 @@ def double_bracket(g, h):
             acc = DoubledScalar.zero(n)
             for i in range(n):
                 for j in range(n):
-                    acc = acc + g.entry(i, j) * h.entry(k, l).dx(i).dt(j)
-                    acc = acc + h.entry(i, j) * g.entry(k, l).dx(i).dt(j)
-                    acc = acc - g.entry(k, j).dx(i) * h.entry(i, l).dt(j)
-                    acc = acc - h.entry(k, j).dx(i) * g.entry(i, l).dt(j)
+                    acc = acc + g.entry(i, j) * _dt(h.entry(k, l).dx(i), j)
+                    acc = acc + h.entry(i, j) * _dt(g.entry(k, l).dx(i), j)
+                    acc = acc - g.entry(k, j).dx(i) * _dt(h.entry(i, l), j)
+                    acc = acc - h.entry(k, j).dx(i) * _dt(g.entry(i, l), j)
             row.append(acc)
         out.append(tuple(row))
     return Bivector(tuple(out))
@@ -61,7 +69,7 @@ def div_omega(g, phi):
     for k in range(n):
         acc = DoubledScalar.zero(n)
         for j in range(n):
-            acc = acc + g.entry(k, j).dt(j) - g.entry(k, j) * phi.dt(j) * 2
+            acc = acc + _dt(g.entry(k, j), j) - g.entry(k, j) * _dt(phi, j) * 2
         vec.append(acc)
     tvec = []
     for l in range(n):
@@ -77,7 +85,7 @@ def div_omega_vector(vec, tvec, phi):
     acc = DoubledScalar.zero(n)
     for i in range(n):
         acc = acc + vec[i].dx(i) - vec[i] * phi.dx(i) * 2
-        acc = acc + tvec[i].dt(i) - tvec[i] * phi.dt(i) * 2
+        acc = acc + _dt(tvec[i], i) - tvec[i] * _dt(phi, i) * 2
     return acc
 
 
@@ -90,9 +98,9 @@ def lie_derivative_bivector(vec, tvec, g):
             acc = DoubledScalar.zero(n)
             for i in range(n):
                 acc = acc + vec[i] * g.entry(k, l).dx(i)
-                acc = acc + tvec[i] * g.entry(k, l).dt(i)
+                acc = acc + tvec[i] * _dt(g.entry(k, l), i)
                 acc = acc - g.entry(i, l) * vec[k].dx(i)
-                acc = acc - g.entry(k, i) * tvec[l].dt(i)
+                acc = acc - g.entry(k, i) * _dt(tvec[l], i)
             row.append(acc)
         out.append(tuple(row))
     return Bivector(tuple(out))

@@ -204,3 +204,24 @@ def test_mode_cutoff_above_the_packed_bound_exits_two(tmp_path, capsys):
     assert "mode_cutoff must be at most 2**20" in err
     with pytest.raises(ConfigError):
         SuiteConfig(mode_cutoff=2**40)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_unwritable_out_path_exits_two_before_any_suite(tmp_path, capsys, where):
+    dest = tmp_path if where == "directory" else tmp_path / "no" / "such" / "r.json"
+    code = main(["verify", "--suite", "cinf", "--samples", "1", "--out", str(dest)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write report")
+    assert "running suite" not in err and "Traceback" not in err
+
+
+def test_all_refuses_a_metric_before_the_first_suite(tmp_path, capsys):
+    # exterior is the ninth suite; its gate must not wait for courant..ym
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": [2, 1, -1], "samples": 1}))
+    code = main(["verify", "--suite", "all", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "error: the exterior suite needs |det metric| to be a rational square" in err
+    assert "running suite" not in err

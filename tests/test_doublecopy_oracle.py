@@ -20,9 +20,7 @@ from bvdouble.doublecopy import (
     c_bracket,
     delta_minus,
     div_omega,
-    div_omega_vector,
     double_bracket,
-    lie_derivative_bivector,
     random_bivector,
     random_doubled_scalar,
     random_vector_field,
@@ -90,9 +88,6 @@ def test_bivector_kernels_match_the_loops(n, sector, shape, zero_phi):
     same(double_bracket(g, h), oracle.double_bracket(g, h))
     same(double_bracket(g, g), oracle.double_bracket(g, g))
     same(div_omega(g, phi), oracle.div_omega(g, phi))
-    vec, tvec = oracle.div_omega(h, phi)
-    same(div_omega_vector(vec, tvec, phi), oracle.div_omega_vector(vec, tvec, phi))
-    same(lie_derivative_bivector(vec, tvec, g), oracle.lie_derivative_bivector(vec, tvec, g))
     same(bivector_mc_residual(g, phi), oracle.bivector_mc_residual(g, phi))
 
 
@@ -136,14 +131,11 @@ def test_fused_kernels_make_no_doubled_or_fourier_sums(monkeypatch):
     calls = []
     for n in (2, 3):
         g, h, phi = draw_case(n, "both", "random", False)
-        vec, tvec = oracle.div_omega(h, phi)
         f, k = g.entry(0, 1), h.entry(1, 0)
         calls += [
             ("double_bracket", (g, h)),
             ("double_bracket", (g, g)),
-            ("lie_derivative_bivector", (vec, tvec, g)),
             ("div_omega", (g, phi)),
-            ("div_omega_vector", (vec, tvec, phi)),
             ("section_pair_residual", (f, k)),
             ("delta_minus", (f,)),
             ("bivector_mc_residual", (g, phi)),

@@ -7,12 +7,9 @@ import sys
 import bvdouble
 
 SOURCES = sorted(pathlib.Path(bvdouble.__file__).parent.glob("*.py"))
-# the files that may use a module's public names: tests and the benchmark
-CLIENTS = sorted(
-    path
-    for folder in ("tests", "bench")
-    for path in (pathlib.Path(__file__).parents[1] / folder).glob("*.py")
-)
+# the files outside the package that may use its public names; tests do not
+# count, so API that only tests call fails the check below
+CLIENTS = sorted((pathlib.Path(__file__).parents[1] / "bench").glob("*.py"))
 
 
 def _absolute_imports(path):
@@ -98,9 +95,20 @@ def _referenced(tree):
     return found
 
 
+def _referenced_outside(tree, name):
+    """Every identifier a module refers to outside the top-level definition of ``name``."""
+    found = set()
+    for node in tree.body:
+        defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if not (defines and node.name == name):
+            found |= _referenced(node)
+    return found
+
+
 def _unused_public_names(modules, clients):
     """``file: name`` for every name in a module's ``__all__`` that no other
-    module and no client file refers to."""
+    module, no client file and no code of its own module outside its
+    definition refers to."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules + clients}
     refs = {path: _referenced(tree) for path, tree in trees.items()}
     return [
@@ -108,6 +116,7 @@ def _unused_public_names(modules, clients):
         for path in modules
         for name in _exported(trees[path])
         if not any(name in used for other, used in refs.items() if other != path)
+        and name not in _referenced_outside(trees[path], name)
     ]
 
 
@@ -117,11 +126,21 @@ def test_every_public_name_is_used():
 
 
 def test_the_unused_public_name_check_sees_an_unused_name(tmp_path):
-    (tmp_path / "a.py").write_text("__all__ = ['used', 'attr', 'unused']\n")
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['used', 'attr', 'own', 'recursive', 'tested', 'unused']\n"
+        "def own(): pass\n"
+        "def recursive(): return recursive()\n"
+        "def helper(): return own()\n"
+    )
     (tmp_path / "b.py").write_text("from .a import used\nused()\n")
-    (tmp_path / "test_a.py").write_text("import a\na.attr()\n")
+    (tmp_path / "client.py").write_text("import a\na.attr()\n")
+    (tmp_path / "test_a.py").write_text("from a import tested\ntested()\n")
     modules = [tmp_path / "a.py", tmp_path / "b.py"]
-    assert _unused_public_names(modules, [tmp_path / "test_a.py"]) == ["a.py: unused"]
+    assert _unused_public_names(modules, [tmp_path / "client.py"]) == [
+        "a.py: recursive",
+        "a.py: tested",
+        "a.py: unused",
+    ]
 
 
 def _unused_relative_imports(path):

@@ -268,6 +268,22 @@ def test_laplacian_is_the_double_sum(name):
     assert laplacian(f, eta) == expected
 
 
+@pytest.mark.parametrize("kind", ["scalar", "element", "matrix"])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_gradient_is_the_double_sum(name, kind):
+    eta = METRICS[name]
+    n = eta.dim
+    rng = random.Random(f"gradient:{name}:{kind}")
+    for x in _index_values(kind, rng, n):
+        expected = []
+        for i in range(n):
+            acc = x * 0
+            for j in range(n):
+                acc = acc + x.derivative(j) * eta.up(i, j)
+            expected.append(acc)
+        assert eta.gradient(x) == expected
+
+
 def test_laplacian_eigenvalue_on_harmonics():
     eta = Metric.diagonal([1, 1, -1])
     f = FourierScalar.harmonic(3, (1, 2, 2))
