@@ -343,11 +343,6 @@ class LieValuedBVElement(SquareGrid):
         self.degree = degree
         self.dim = dim
 
-    @staticmethod
-    def zero(degree: int, dim: int, rank: int) -> "LieValuedBVElement":
-        z = BVElement.zero(degree, dim)
-        return LieValuedBVElement([[z] * rank for _ in range(rank)])
-
     def __eq__(self, other):
         # entrywise BVElement equality holds for zeros of any degree and dim
         eq = super().__eq__(other)

@@ -4,8 +4,8 @@ Scalars are finite Fourier sums
 
     f(x) = sum_k  c_k  e^{i k.x},      k in Z^D,
 
-with coefficients c_k in Q(i), stored sparsely as a dict mapping the integer
-mode vector to a Gaussian rational.  In this model
+with coefficients c_k in Q(i), stored sparsely as a dict from the integer
+mode vector to the coefficient.  In this model
 
   * the product of two scalars is the convolution of their coefficient dicts,
   * the partial derivative d/dx^j multiplies the coefficient of mode k by i*k_j,
@@ -15,11 +15,17 @@ so every operation stays inside Q(i) and all identity checks are exact.
 
 A Gaussian rational (a + b*i)/d is held as three Python ints in canonical
 form, d > 0 and gcd(a, b, d) = 1, so each operation is a few int products
-and one gcd, and equal values have equal ints.  ``.re`` and ``.im`` give the
-parts as exact Fractions.  The ring operations of ``FourierScalar`` build
-their results through a trusted constructor that skips the public one's
-coercion and validation; they keep its invariant that no zero coefficient is
-ever stored.
+and one gcd, and equal values have equal ints.  ``GaussRational`` wraps the
+three ints in an object whose ``.re`` and ``.im`` give the parts as exact
+Fractions.  Inside ``FourierScalar`` a coefficient is the bare int triple
+``(a, b, d)`` in the same canonical form, never ``(0, 0, d)``: the ring
+operations, the derivative, scaling and ``random_scalar`` read and write
+triples, and a ``GaussRational`` is built only at the boundary, by
+``coeffs``, ``integral``, the hash of a constant scalar, and the public
+constructor (which takes one apart).  The ring operations build their
+results through a trusted constructor that skips the public one's coercion
+and validation; they keep its invariant that no zero coefficient is ever
+stored.
 
 Packed modes: a mode k is stored as the one int  sum_j k_j * 2^(W*j),  its
 components being signed digits of the fixed width W = 32 (Kronecker
@@ -36,9 +42,8 @@ keyed by mode tuples, in storage order.
 
 Reduce once per output coefficient: products, sums, differences and whole
 signed sums of products (``sum_of_products``) accumulate raw ``(a, b, d)``
-int triples per mode, with no gcd and no intermediate ``GaussRational``, and
-bring each surviving coefficient to canonical form once, as the result is
-built.
+int triples per mode, with no gcd, and bring each surviving coefficient to
+canonical form once, as the result is built.
 """
 
 from __future__ import annotations
@@ -191,9 +196,13 @@ def _reduced(a, b, d):
     return g
 
 
-def _times_i(c, k):
-    """c * (i*k) for a nonzero int k."""
-    return _reduced(-c._b * k, c._a * k, c._d)
+def _canon(a, b, d):
+    """The triple (a, b, d) for any d > 0, brought to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
 
 
 _new = object.__new__
@@ -256,7 +265,7 @@ class FourierScalar:
                             f"mode {mode} has a component outside (-2**{_W - 1}, 2**{_W - 1})"
                         )
                     reach = max(reach, top)
-                    clean[sum(map(lshift, mode, _shifts(dim)))] = c
+                    clean[sum(map(lshift, mode, _shifts(dim)))] = (c._a, c._b, c._d)
         self._terms = clean
         self.reach = reach
 
@@ -265,7 +274,8 @@ class FourierScalar:
         """A new dict from mode tuples to coefficients, in storage order."""
         bias, size, read = _digits(self.dim)
         return {
-            read(((m + bias) ^ bias).to_bytes(size, "little")): c for m, c in self._terms.items()
+            read(((m + bias) ^ bias).to_bytes(size, "little")): _gauss(*t)
+            for m, t in self._terms.items()
         }
 
     # -- constructors ------------------------------------------------------
@@ -307,9 +317,8 @@ class FourierScalar:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return _scalar(
-            self.dim, {m: _gauss(-c._a, -c._b, c._d) for m, c in self._terms.items()}, self.reach
-        )
+        terms = {m: (-a, -b, d) for m, (a, b, d) in self._terms.items()}
+        return _scalar(self.dim, terms, self.reach)
 
     def __mul__(self, other):
         if isinstance(other, FourierScalar):
@@ -320,10 +329,19 @@ class FourierScalar:
             return self
         if other == -1:
             return -self
-        s = GaussRational.coerce(other)
-        if not s:
+        if isinstance(other, GaussRational):
+            p, q, e = other._a, other._b, other._d
+        else:
+            p, e = _ratio(other)
+            q = 0
+        items = self._terms.items()
+        if q:
+            terms = {m: _canon(a * p - b * q, a * q + b * p, d * e) for m, (a, b, d) in items}
+        elif p:
+            terms = {m: _canon(a * p, b * p, d * e) for m, (a, b, d) in items}
+        else:
             return _scalar(self.dim, {}, 0)
-        return _scalar(self.dim, {m: c * s for m, c in self._terms.items()}, self.reach)
+        return _scalar(self.dim, terms, self.reach)
 
     __rmul__ = __mul__
 
@@ -337,8 +355,8 @@ class FourierScalar:
         return _scalar(
             self.dim,
             {
-                m: _times_i(c, k)
-                for m, c in self._terms.items()
+                m: _canon(-b * k, a * k, d)
+                for m, (a, b, d) in self._terms.items()
                 if (k := (((m + bias) >> shift) & _MASK) - _HALF)
             },
             self.reach,
@@ -346,7 +364,8 @@ class FourierScalar:
 
     def integral(self) -> GaussRational:
         """Normalised integral over the torus (the mode-0 coefficient)."""
-        return self._terms.get(0, _ZERO)
+        t = self._terms.get(0)
+        return _ZERO if t is None else _gauss(*t)
 
     # -- predicates --------------------------------------------------------
 
@@ -367,7 +386,7 @@ class FourierScalar:
         # a constant scalar equals its coefficient, so it hashes like it
         terms = self._terms
         if not terms.keys() - {0}:
-            return hash(terms.get(0, _ZERO))
+            return hash(self.integral())
         return hash((self.dim, frozenset(terms.items())))
 
     def __repr__(self):
@@ -380,16 +399,19 @@ class FourierScalar:
 def _convolve_into(acc: dict, f: FourierScalar, g: FourierScalar, sign: int) -> None:
     """Add ``sign * f * g`` into ``acc`` as unreduced ``(a, b, d)`` triples.
 
-    ``acc`` maps packed modes to triples with ``d > 0``; sums over a shared
-    denominator (or one that divides the other) add the numerators only.
+    The factors' canonical triples are read as stored; ``acc`` maps packed
+    modes to triples with ``d > 0`` that may share a gcd or be zero.  Sums
+    over a shared denominator (or one that divides the other) add the
+    numerators only.
     """
-    right = [(m, c._a, c._b, c._d) for m, c in g._terms.items()]
+    right = g._terms.items()
     if not right:
         return
     get = acc.get
-    for m1, c1 in f._terms.items():
-        a1, b1, d1 = sign * c1._a, sign * c1._b, c1._d
-        for m2, a2, b2, d2 in right:
+    for m1, (a1, b1, d1) in f._terms.items():
+        if sign != 1:
+            a1, b1 = -a1, -b1
+        for m2, (a2, b2, d2) in right:
             mode = m1 + m2
             a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
             t = get(mode)
@@ -410,26 +432,40 @@ def _convolve_into(acc: dict, f: FourierScalar, g: FourierScalar, sign: int) -> 
 
 
 def _reduce_all(acc: dict) -> dict:
-    """Canonical coefficients of the nonzero triples in ``acc``."""
-    return {m: _reduced(a, b, d) for m, (a, b, d) in acc.items() if a or b}
+    """Canonical triples of the nonzero triples in ``acc``.
+
+    ``_canon`` written out: this loop reduces every product coefficient, and
+    a triple that is already canonical is kept as it is.
+    """
+    out = {}
+    for m, t in acc.items():
+        a, b, d = t
+        if a or b:
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    t = a // g, b // g, d // g
+            out[m] = t
+    return out
 
 
 def _merge(p: dict, q: dict, sign: int) -> dict:
-    """Coefficients of p + sign*q (sign +1 or -1); only shared modes reduce."""
+    """Triples of p + sign*q (sign +1 or -1); only shared modes reduce."""
     out = dict(p)
     get = out.get
-    for mode, c in q.items():
+    for mode, t in q.items():
         acc = get(mode)
+        c, e, f = t
         if acc is None:
-            out[mode] = c if sign == 1 else _gauss(-c._a, -c._b, c._d)
+            out[mode] = t if sign == 1 else (-c, -e, f)
             continue
-        a, b, d, e = acc._a, acc._b, acc._d, c._d
-        if d == e:
-            a, b = a + sign * c._a, b + sign * c._b
+        a, b, d = acc
+        if d == f:
+            a, b = a + sign * c, b + sign * e
         else:
-            a, b, d = a * e + sign * c._a * d, b * e + sign * c._b * d, d * e
+            a, b, d = a * f + sign * c * d, b * f + sign * e * d, d * f
         if a or b:
-            out[mode] = _reduced(a, b, d)
+            out[mode] = _canon(a, b, d)
         else:
             del out[mode]
     return out
@@ -461,9 +497,9 @@ def sum_of_products(dim: int, pairs, negated=()) -> FourierScalar:
 def _scalar(dim: int, terms: dict, reach: int) -> FourierScalar:
     """Trusted constructor for the ring operations.
 
-    ``terms`` must already map packed modes on T^dim to nonzero
-    ``GaussRational`` values, each component within ``reach``; it is stored
-    without copying.
+    ``terms`` must already map packed modes on T^dim to canonical nonzero
+    ``(a, b, d)`` int triples, each mode component within ``reach``; it is
+    stored without copying.
     """
     f = _new(FourierScalar)
     f.dim = dim
@@ -677,14 +713,19 @@ def randbelow(bits, n: int) -> int:
     return r
 
 
-def random_coefficient(rng) -> GaussRational:
-    """A small nonzero Gaussian rational with denominator 1 or 2."""
-    bits = rng.getrandbits
+def _draw(bits):
+    """The canonical triple of a small nonzero Gaussian rational with
+    denominator 1 or 2, drawn on ``bits = rng.getrandbits``."""
     while True:
         a = randbelow(bits, 5) - 2
         b = randbelow(bits, 5) - 2
         if a or b:
-            return _reduced(a, b, randbelow(bits, 2) + 1)
+            return _canon(a, b, randbelow(bits, 2) + 1)
+
+
+def random_coefficient(rng) -> GaussRational:
+    """A small nonzero Gaussian rational with denominator 1 or 2."""
+    return _gauss(*_draw(rng.getrandbits))
 
 
 def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScalar:
@@ -702,6 +743,10 @@ def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScal
         mode = 0
         for shift in shifts:
             mode += (randbelow(bits, width) - cutoff) << shift
-        c = random_coefficient(rng)
-        coeffs[mode] = coeffs.get(mode, _ZERO) + c
-    return _scalar(dim, {m: c for m, c in coeffs.items() if c}, cutoff)
+        a, b, d = _draw(bits)
+        t = coeffs.get(mode)
+        if t is not None:
+            p, q, e = t
+            a, b, d = _canon(p * d + a * e, q * d + b * e, e * d)
+        coeffs[mode] = (a, b, d)
+    return _scalar(dim, {m: t for m, t in coeffs.items() if t[0] or t[1]}, cutoff)

@@ -42,7 +42,7 @@ def random_scalar(rng, dim, cutoff, max_modes=2):
         mode = sum(map(lshift, map(choice, axes), shifts))
         c = random_coefficient(rng)
         coeffs[mode] = coeffs.get(mode, _ZERO) + c
-    return _scalar(dim, {m: c for m, c in coeffs.items() if c}, cutoff)
+    return _scalar(dim, {m: (c._a, c._b, c._d) for m, c in coeffs.items() if c}, cutoff)
 
 
 def null_family_field(rng, eta, direction, cutoff, aligned=True):

@@ -1,0 +1,135 @@
+"""The ``GaussRational``-valued bodies of the ``FourierScalar`` kernels, kept as oracles.
+
+``FourierScalar`` stores each coefficient as a canonical ``(a, b, d)`` int
+triple and builds a ``GaussRational`` only at its boundary.  Before that,
+its kernels read and wrote one ``GaussRational`` object per coefficient.
+The functions below are those bodies, on dicts from packed modes to
+``GaussRational``s: the convolution into unreduced triples read out of the
+objects, the reduction back into objects, the merge of a sum or difference,
+the negation, the derivative and the scaling.  ``test_scalars_oracle``
+requires the triple kernels to give the same scalars, in the same storage
+order, with the same canonical bytes and the same hash.
+"""
+
+from fractions import Fraction
+
+from bvdouble.scalars import (
+    _HALF,
+    _MASK,
+    _W,
+    FourierScalar,
+    GaussRational,
+    _digits,
+    _gauss,
+    _reduced,
+)
+
+
+def gauss_terms(f: FourierScalar) -> dict:
+    """The packed terms of ``f`` as ``GaussRational`` values, in storage order."""
+    return {m: _gauss(*t) for m, t in f._terms.items()}
+
+
+def unpacked(dim: int, terms: dict) -> dict:
+    """The packed terms keyed by mode tuples, in storage order."""
+    bias, size, read = _digits(dim)
+    return {read(((m + bias) ^ bias).to_bytes(size, "little")): c for m, c in terms.items()}
+
+
+def convolve_into(acc: dict, f: dict, g: dict, sign: int) -> None:
+    right = [(m, c._a, c._b, c._d) for m, c in g.items()]
+    if not right:
+        return
+    get = acc.get
+    for m1, c1 in f.items():
+        a1, b1, d1 = sign * c1._a, sign * c1._b, c1._d
+        for m2, a2, b2, d2 in right:
+            mode = m1 + m2
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            t = get(mode)
+            if t is None:
+                acc[mode] = (a, b, d)
+                continue
+            p, q, e = t
+            if e == d:
+                acc[mode] = (p + a, q + b, d)
+            elif e % d == 0:
+                k = e // d
+                acc[mode] = (p + a * k, q + b * k, e)
+            elif d % e == 0:
+                k = d // e
+                acc[mode] = (p * k + a, q * k + b, d)
+            else:
+                acc[mode] = (p * d + a * e, q * d + b * e, e * d)
+
+
+def reduce_all(acc: dict) -> dict:
+    return {m: _reduced(a, b, d) for m, (a, b, d) in acc.items() if a or b}
+
+
+def products(pairs, negated=()) -> dict:
+    """The terms of sum f*g over ``pairs`` minus sum f*g over ``negated``,
+    each given as a pair of ``GaussRational``-valued term dicts."""
+    acc = {}
+    for sign, group in ((1, pairs), (-1, negated)):
+        for f, g in group:
+            convolve_into(acc, f, g, sign)
+    return reduce_all(acc)
+
+
+def merge(p: dict, q: dict, sign: int) -> dict:
+    out = dict(p)
+    get = out.get
+    for mode, c in q.items():
+        acc = get(mode)
+        if acc is None:
+            out[mode] = c if sign == 1 else _gauss(-c._a, -c._b, c._d)
+            continue
+        a, b, d, e = acc._a, acc._b, acc._d, c._d
+        if d == e:
+            a, b = a + sign * c._a, b + sign * c._b
+        else:
+            a, b, d = a * e + sign * c._a * d, b * e + sign * c._b * d, d * e
+        if a or b:
+            out[mode] = _reduced(a, b, d)
+        else:
+            del out[mode]
+    return out
+
+
+def negate(terms: dict) -> dict:
+    return {m: _gauss(-c._a, -c._b, c._d) for m, c in terms.items()}
+
+
+def _times_i(c, k):
+    """c * (i*k) for a nonzero int k."""
+    return _reduced(-c._b * k, c._a * k, c._d)
+
+
+def derivative(terms: dict, j: int) -> dict:
+    bias, shift = _digits(j + 1)[0], _W * j
+    return {
+        m: _times_i(c, k)
+        for m, c in terms.items()
+        if (k := (((m + bias) >> shift) & _MASK) - _HALF)
+    }
+
+
+def scale(terms: dict, other) -> dict:
+    """The terms times an int, ``Fraction`` or ``GaussRational``."""
+    s = GaussRational.coerce(other)
+    if not s:
+        return {}
+    return {m: c * s for m, c in terms.items()}
+
+
+def seeded_scalar(rng, dim: int, den: int, max_terms: int = 4) -> FourierScalar:
+    """A scalar of 1..max_terms draws of a mode in [-1, 1]^dim with a
+    coefficient (a + b*i)/den, |a|, |b| <= 4, built by the public
+    constructor.  Draws that land on one mode overwrite each other."""
+    coeffs = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mode = tuple(rng.randint(-1, 1) for _ in range(dim))
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        coeffs[mode] = GaussRational(Fraction(a, den), Fraction(b, den))
+    return FourierScalar(dim, coeffs)

@@ -272,6 +272,11 @@ def test_matrix_inputs_are_validated_without_assert(rng):
         one + f3
 
 
+def zero_grid(degree, dim, rank):
+    """A rank x rank grid of ``BVElement.zero(degree, dim)`` entries."""
+    return LieValuedBVElement([[BVElement.zero(degree, dim)] * rank for _ in range(rank)])
+
+
 def test_lie_valued_inputs_are_validated_without_assert(rng):
     x1, x0 = elem(rng, 1), elem(rng, 0)
     for grid, error in [
@@ -285,7 +290,7 @@ def test_lie_valued_inputs_are_validated_without_assert(rng):
             LieValuedBVElement(grid)
     # a zero entry of another degree is accepted
     LieValuedBVElement([[x1, BVElement.zero(0, DIM)], [x1, x1]])
-    one, two = LieValuedBVElement([[x1]]), LieValuedBVElement.zero(1, DIM, 2)
+    one, two = LieValuedBVElement([[x1]]), zero_grid(1, DIM, 2)
     with pytest.raises(ValueError):
         one + two
     with pytest.raises(TypeError):
@@ -309,6 +314,6 @@ def test_lie_valued_equality_is_entrywise():
 
 def test_lie_valued_zero_grids_of_any_degree_are_equal():
     # as for BVElement: a zero carries no degree worth comparing
-    assert LieValuedBVElement.zero(1, DIM, 2) == LieValuedBVElement.zero(2, DIM, 2)
-    assert LieValuedBVElement.zero(1, DIM, 2) != LieValuedBVElement.zero(1, DIM, 3)
-    assert LieValuedBVElement.zero(1, DIM, 2) != LieValuedBVElement.zero(1, 2, 2)
+    assert zero_grid(1, DIM, 2) == zero_grid(2, DIM, 2)
+    assert zero_grid(1, DIM, 2) != zero_grid(1, DIM, 3)
+    assert zero_grid(1, DIM, 2) != zero_grid(1, 2, 2)

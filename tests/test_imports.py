@@ -168,3 +168,42 @@ def test_the_unused_import_check_sees_an_unused_name(tmp_path):
         "from .a import used, unused, exported\n__all__ = ['exported']\nused()\n"
     )
     assert _unused_relative_imports(module) == ["mod.py:1: unused"]
+
+
+def _terms_readers(paths):
+    """``file:line`` for every use of the attribute ``_terms`` in the files:
+    a ``._terms`` access, or the string ``"_terms"`` (as ``getattr`` takes it)."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "_terms")
+        or (isinstance(node, ast.Constant) and node.value == "_terms")
+    ]
+
+
+def test_only_scalars_reads_the_coefficient_triples():
+    # ``FourierScalar._terms`` holds raw (a, b, d) int triples; every other
+    # module sees coefficients as ``GaussRational``s through ``coeffs``
+    scalars = pathlib.Path(bvdouble.__file__).parent / "scalars.py"
+    others = [path for path in SOURCES + CLIENTS if path != scalars]
+    assert scalars in SOURCES and _terms_readers([scalars])
+    assert others and _terms_readers(others) == []
+
+
+def test_the_terms_check_sees_every_read(tmp_path):
+    (tmp_path / "reads.py").write_text(
+        "def f(x):\n"
+        "    n = len(x._terms)\n"
+        "    return getattr(x, '_terms'), n\n"
+    )
+    (tmp_path / "clean.py").write_text(
+        '"""Mentions _terms in a docstring."""\n'
+        "_terms = 1\n"
+        "def g(x):\n"
+        "    return x.coeffs, x._terms_seen, _terms\n"
+    )
+    assert _terms_readers([tmp_path / "reads.py", tmp_path / "clean.py"]) == [
+        "reads.py:2",
+        "reads.py:3",
+    ]

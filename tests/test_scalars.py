@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalars_oracle import seeded_scalar
 
 from bvdouble.bvcomplex import random_element
 from bvdouble.deform import LieValuedBVElement, MatrixFunction
@@ -18,6 +20,7 @@ from bvdouble.scalars import (
     laplacian,
     random_coefficient,
     random_scalar,
+    sum_of_products,
 )
 
 fractions = st.fractions(
@@ -306,6 +309,40 @@ def test_random_coefficient_is_nonzero():
     rng = random.Random(1)
     for _ in range(100):
         assert random_coefficient(rng)
+
+
+# -- the coefficient seam --------------------------------------------------
+
+
+def assert_canonical_triples(f):
+    """Every stored coefficient is a canonical nonzero (a, b, d) int triple."""
+    for mode, t in f._terms.items():
+        assert type(mode) is int
+        assert type(t) is tuple and len(t) == 3 and all(type(x) is int for x in t)
+        a, b, d = t
+        assert d > 0 and (a or b) and gcd(a, b, d) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("den", [1, 2, 4, 6])
+def test_every_operation_stores_canonical_triples(dim, den):
+    factors = (3, -2, 0, Fraction(2, 3), Fraction(-4, 1), GaussRational(Fraction(1, 2), 1))
+    for seed in range(20):
+        rng = random.Random(f"seam:{dim}:{den}:{seed}")
+        f, g, h = (seeded_scalar(rng, dim, den) for _ in range(3))
+        results = [f, g, h, f + g, f - g, f - f, -f, f * g, f * f]
+        results += [f * s for s in factors] + [s * g for s in factors]
+        results += [f.derivative(j) for j in range(dim)]
+        # f*g cancels against g*f, and h*g against twice its half
+        cancelled = sum_of_products(dim, [(f, g), (h, g)], [(g, f), (h * Fraction(1, 2), g * 2)])
+        assert cancelled.is_zero()
+        results += [
+            sum_of_products(dim, [(f, g), (h, g)], [(g, f)]),
+            sum_of_products(dim, [(f, g), (g, h)], [(h, f)]),
+            random_scalar(rng, dim, 2, max_modes=4),
+        ]
+        for r in results:
+            assert_canonical_triples(r)
 
 
 # -- square grids ----------------------------------------------------------
