@@ -40,8 +40,7 @@ __all__ = [
     "op_c",
     "op_q",
     "project_half",
-    "in_half",
-    "in_complement",
+    "complement_residual",
     "odd_pairing",
     "random_element",
 ]
@@ -222,18 +221,14 @@ def project_half(x: BVElement) -> BVElement:
     return x
 
 
-def in_half(x: BVElement) -> bool:
-    """Membership in the constrained subcomplex."""
-    return project_half(x) == x
-
-
-def in_complement(x: BVElement) -> bool:
-    """Membership in the acyclic complement: (0, v) resp. ((0, dv), v)."""
+def complement_residual(x: BVElement):
+    """Vanishes exactly on the acyclic complement, (0, v) resp. ((0, dv), v),
+    which it describes without ``project_half``."""
     if x.degree == 1:
-        return x.section.is_zero()
+        return x.section
     if x.degree == 2:
-        return x.section == d_scalar(x.scalar)
-    return x.is_zero()
+        return x.section - d_scalar(x.scalar)
+    return x
 
 
 # -- the degree-complementary pairing --------------------------------------

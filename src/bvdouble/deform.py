@@ -22,8 +22,8 @@ fields f_i.  The module provides:
 The laws these operations obey (the deformed homotopy relations and the
 transport by the embedding) are stated and checked in ``suites``.
 
-Everything is exact; calibration constants for the Maurer-Cartan comparison
-are rational numbers fitted once per run and then verified globally.
+Everything is exact; the Maurer-Cartan comparison is an exact residual under
+the dictionary's constants 2 and 2, which nothing fits.
 """
 
 from __future__ import annotations
@@ -64,10 +64,14 @@ __all__ = [
     "gauge_variation",
     "dictionary_fields",
     "ym_field_residual",
-    "mc_vs_ym_compare",
+    "mc_ym_residual",
+    "DICTIONARY_CONSTANTS",
 ]
 
 _HALF = Fraction(1, 2)
+# the slot dictionary's constants: the residual's slot combinations are
+# (2 e1, 2 e2) for the field residual families (e1, e2)
+DICTIONARY_CONSTANTS = (2, 2)
 
 
 # -- scalar helpers --------------------------------------------------------
@@ -659,50 +663,22 @@ def ym_field_residual(calA, phi, eta: Metric):
     return e1, e2
 
 
-def _fit_constant(lhs, rhs):
-    """Fit lhs == c * rhs over matched matrix-function lists at the first
-    nonzero entry of rhs; None if rhs vanishes or lhs misses that mode."""
-    for l, r in zip(lhs, rhs):
-        for p in range(l.rank):
-            for q in range(l.rank):
-                f = r.entry(p, q)
-                if not f.is_zero():
-                    mode, coeff = next(iter(f.coeffs.items()))
-                    target = l.entry(p, q).coeffs.get(mode)
-                    return None if target is None else target / coeff
-    return None
-
-
-def mc_vs_ym_compare(psi: LieValuedBVElement, eta: Metric, calibration=None):
-    """Match the Maurer-Cartan residual against the covariant field equations.
+def mc_ym_residual(psi: LieValuedBVElement, eta: Metric):
+    """The Maurer-Cartan residual of psi minus the covariant field equations.
 
     The degree-2 residual of psi is unpacked into the raised/lowered slot
-    combinations xi_k +- eta_{kj} Xtilde^j and compared with the two field
-    residual families under per-family constants.  Constants are taken from
-    ``calibration`` when given, otherwise fitted on this sample; the report
-    carries them under "calibration" as exact rationals.
+    combinations xi_k +- eta_{kj} Xtilde^j, which the slot dictionary maps
+    onto the two field residual families (e1, e2) of ``ym_field_residual``
+    with the constants ``DICTIONARY_CONSTANTS`` = (2, 2).  Returns the exact
+    residual (aslot_k - 2 e1_k, pslot_k - 2 e2_k per direction k, the matrix
+    of the residual's scalar slots); every part vanishes on every field.
     """
-    dim = psi.dim
     res = mc_residual(psi, eta)
-    calA, phi = dictionary_fields(psi, eta)
-    e1, e2 = ym_field_residual(calA, phi, eta)
-
-    # unpack residual slots into per-direction matrix functions
+    e1, e2 = ym_field_residual(*dictionary_fields(psi, eta), eta)
     aslot, pslot = _slot_split(res, eta)
-    vtilde_zero = all(e.scalar.is_zero() for row in res.rows for e in row)
-
-    if calibration is None:
-        c1 = _fit_constant(aslot, e1)
-        c2 = _fit_constant(pslot, e2)
-    else:
-        c1, c2 = calibration
-    match = c1 is not None and c2 is not None
-    if match:
-        for k in range(dim):
-            if aslot[k] != c1 * e1[k] or pslot[k] != c2 * e2[k]:
-                match = False
-    return {
-        "calibration": (c1, c2),
-        "match": match,
-        "vtilde_zero": vtilde_zero,
-    }
+    c1, c2 = DICTIONARY_CONSTANTS
+    return (
+        tuple(a - c1 * e for a, e in zip(aslot, e1)),
+        tuple(p - c2 * e for p, e in zip(pslot, e2)),
+        MatrixFunction([[e.scalar for e in row] for row in res.rows]),
+    )

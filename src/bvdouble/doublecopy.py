@@ -40,7 +40,6 @@ __all__ = [
     "DoubledScalar",
     "delta_minus",
     "section_pair_residual",
-    "strong_constraint_check",
     "Bivector",
     "double_bracket",
     "div_omega",
@@ -283,12 +282,6 @@ def section_pair_residual(f: DoubledScalar, g: DoubledScalar) -> DoubledScalar:
     return _doubled(f.halfdim, chain(zip(fj.x, gj.t), zip(fj.t, gj.x)))
 
 
-def strong_constraint_check(f: DoubledScalar, g: DoubledScalar):
-    """(both arguments Delta_- closed, pair residual vanishes) as booleans."""
-    closed = delta_minus(f).is_zero() and delta_minus(g).is_zero()
-    return closed, section_pair_residual(f, g).is_zero()
-
-
 # -- bivectors on the doubled torus ----------------------------------------
 
 
@@ -434,11 +427,11 @@ def random_doubled_scalar(
     return DoubledScalar(halfdim, FourierScalar(2 * halfdim, coeffs))
 
 
-def random_bivector(rng, halfdim: int, cutoff: int, sector: str = "both") -> Bivector:
+def random_bivector(rng, halfdim: int, cutoff: int) -> Bivector:
     """A random bivector with sparse doubled-scalar entries."""
     return Bivector(
         tuple(
-            tuple(random_doubled_scalar(rng, halfdim, cutoff, sector) for _ in range(halfdim))
+            tuple(random_doubled_scalar(rng, halfdim, cutoff) for _ in range(halfdim))
             for _ in range(halfdim)
         )
     )

@@ -80,9 +80,7 @@ class GaussRational:
         a, d = _ratio(re)
         b, e = _ratio(im)
         if d != e:
-            a, b, d = a * e, b * d, d * e
-            g = gcd(a, b, d)
-            a, b, d = a // g, b // g, d // g
+            a, b, d = _canon(a * e, b * d, d * e)
         self._a, self._b, self._d = a, b, d
 
     @property
@@ -108,8 +106,8 @@ class GaussRational:
             other = GaussRational.coerce(other)
         a, b, d, f = sign * other._a, sign * other._b, self._d, other._d
         if d == f:
-            return _reduced(self._a + a, self._b + b, d)
-        return _reduced(self._a * f + a * d, self._b * f + b * d, d * f)
+            return _gauss(*_canon(self._a + a, self._b + b, d))
+        return _gauss(*_canon(self._a * f + a * d, self._b * f + b * d, d * f))
 
     __radd__ = __add__
 
@@ -125,7 +123,7 @@ class GaussRational:
                 return NotImplemented
             other = GaussRational.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
-        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+        return _gauss(*_canon(a * c - b * e, a * e + b * c, self._d * other._d))
 
     __rmul__ = __mul__
 
@@ -136,7 +134,7 @@ class GaussRational:
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         f = other._d
-        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
+        return _gauss(*_canon((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm))
 
     def __rtruediv__(self, other):
         return GaussRational.coerce(other) / self
@@ -180,17 +178,6 @@ def _ratio(x):
 
 def _gauss(a, b, d):
     """Trusted constructor: (a + b*i)/d, already in canonical form."""
-    g = _new(GaussRational)
-    g._a, g._b, g._d = a, b, d
-    return g
-
-
-def _reduced(a, b, d):
-    """(a + b*i)/d for any d > 0, brought to canonical form."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
     g = _new(GaussRational)
     g._a, g._b, g._d = a, b, d
     return g

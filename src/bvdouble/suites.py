@@ -19,15 +19,19 @@ recipe per pattern of ``k`` degrees that ``keep`` accepts, so its rows see
 every accepted pattern on every sample; ``_once(*draws)`` makes one recipe,
 so rows on ``_ELEMENT`` draw a fresh random degree for each argument on each
 sample.  Four rows draw through a bespoke generator ``draws(rng, cfg, res)``
-instead: the ym calibration (one sample of the fit made at build time), the
-doublecopy cross-sector witness (one fixed pair) and same-sector pairs (a
-shared sector draw), and the exterior pairing symmetry (equal-degree pairs).
+instead: the ym calibration (one sample on a rank-1 field), the doublecopy
+cross-sector witness (one fixed pair) and same-sector pairs (a shared sector
+draw), and the exterior pairing symmetry (equal-degree pairs).
+
+Every value of ``res`` is an exact residual: an algebra value, or a tuple of
+them, that vanishes exactly when the law holds on the sample.
 
 Sampling is deterministic: identity ``i`` of suite ``s`` under master seed
 ``n`` always draws from ``random.Random(f"{n}:{s}:{i}")``, so reruns with
 the same configuration produce byte-identical reports.  Every builder maps
 the configuration to its rows plus any entries it adds to the report (the
-``ym`` suite adds the ``calibration`` it fits once on a rank-1 field).
+``ym`` suite adds the ``calibration``: the slot dictionary's exact constants
+2 and 2).
 
 The homotopy laws that several structures obey have one residual builder
 each: ``_square`` (an operator squares to zero), ``_derivation``,
@@ -57,8 +61,7 @@ from itertools import product
 
 from .bvcomplex import (
     BVElement,
-    in_complement,
-    in_half,
+    complement_residual,
     odd_pairing,
     op_b,
     op_c,
@@ -68,6 +71,7 @@ from .bvcomplex import (
 )
 from .bvops import boundary, brack, l2, l3, m_op, mu, musym, n_op, nprime, nu, nusym, sign
 from .deform import (
+    DICTIONARY_CONSTANTS,
     LieValuedBVElement,
     MatrixFunction,
     Q_eta,
@@ -78,7 +82,7 @@ from .deform import (
     dictionary_fields,
     gauge_variation,
     mc_from_fields,
-    mc_vs_ym_compare,
+    mc_ym_residual,
     mu_bar_eta,
     mu_bar_eta_table,
     mu_eta,
@@ -102,7 +106,6 @@ from .doublecopy import (
     random_doubled_scalar,
     random_vector_field,
     section_pair_residual,
-    strong_constraint_check,
     wave_constraint,
 )
 from .exterior import (
@@ -124,7 +127,7 @@ from .sections import (
     pairing,
     random_section,
 )
-from .serialize import parse_fraction, to_jsonable
+from .serialize import encode_fraction, parse_fraction, to_jsonable
 
 __all__ = ["ConfigError", "SuiteConfig", "SUITE_NAMES", "check_suite", "run_suite"]
 
@@ -272,14 +275,15 @@ class Identity:
 
 
 def _vanishes(value) -> bool:
-    """Exact-zero test across every value type the samplers produce."""
-    if isinstance(value, bool):
-        return value  # boolean checks report their own truth
+    """Exact-zero test of a residual: a tuple or list of residuals, a value
+    with ``is_zero`` or a ``GaussRational``; anything else is a TypeError."""
     if isinstance(value, (tuple, list)):
         return all(_vanishes(v) for v in value)
     if hasattr(value, "is_zero"):
         return value.is_zero()
-    return not value  # GaussRational / FourierScalar truthiness
+    if isinstance(value, GaussRational):
+        return not value
+    raise TypeError(f"a row residual cannot be a {type(value).__name__}")
 
 
 def _samples(identity: Identity, rng, cfg: SuiteConfig):
@@ -513,7 +517,8 @@ def _bvcomplex_identities(cfg: SuiteConfig):
 
     def half_splitting(x):
         px = project_half(x)
-        return in_half(px) and in_complement(x - px) and in_half(op_q(px))
+        qpx = op_q(px)
+        return (project_half(px) - px, complement_residual(x - px), project_half(qpx) - qpx)
 
     def half_orthogonal(x, y):
         return odd_pairing(project_half(x), y - project_half(y))
@@ -777,36 +782,15 @@ def _random_gauge_fields(rng, cfg: SuiteConfig, rank: int, cutoff: int):
     return mc_from_fields(avec, bform, cfg.metric)
 
 
-def _encode_calibration(constants) -> dict:
-    out = {}
-    for slot, value in zip(("field_strength", "scalar_potential"), constants):
-        if value is None:
-            out[slot] = None
-        elif value.im == 0:
-            out[slot] = to_jsonable(value.re)
-        else:
-            out[slot] = to_jsonable(value)
-    return out
-
-
 def _ym_identities(cfg: SuiteConfig):
     eta = cfg.metric
-    # fit the two comparison constants once, on a commutative rank-1 field;
-    # the calibration row reports this fit instead of drawing a second one
-    rng = _random.Random(f"{cfg.seed}:ym:mc-calibration-rank-one")
-    psi_one = _random_gauge_fields(rng, cfg, 1, cfg.mode_cutoff)
-    fit = mc_vs_ym_compare(psi_one, eta)
-    constants = fit["calibration"]
-    fitted = fit["match"] and fit["vtilde_zero"]
 
-    def matched(rep):
-        """True when a comparison report matches, else the report itself."""
-        return True if rep["match"] and rep["vtilde_zero"] else rep
+    def rank_one_field(rng, cfg, res):
+        # bespoke: one sample, on a commutative rank-1 field
+        psi = _random_gauge_fields(rng, cfg, 1, cfg.mode_cutoff)
+        yield (psi,), res(psi)
 
-    def calibration(rng, cfg, res):
-        # bespoke: one sample, the fit made above on its own rank-1 field
-        yield (psi_one,), res(fit)
-
+    field_equations = partial(mc_ym_residual, eta=eta)
     cutoff = min(cfg.mode_cutoff, 1)  # matrix convolutions grow fast with modes
 
     def gauge_fields(rng, cfg):
@@ -814,12 +798,6 @@ def _ym_identities(cfg: SuiteConfig):
 
     def gauge_parameter(rng, cfg):
         return MatrixFunction.random(rng, cfg.matrix_rank, cfg.dim, cutoff)
-
-    def field_equations(psi):
-        # frozen constants transport to non-commuting rank-r fields; the
-        # comparison report is the residual of a failing sample
-        rep = mc_vs_ym_compare(psi, eta, calibration=constants)
-        return matched(rep) if fitted else rep
 
     def gauge_transport(psi, umat):
         rank = cfg.matrix_rank
@@ -841,16 +819,23 @@ def _ym_identities(cfg: SuiteConfig):
         )
 
     return [
+        # the statement predates the fixed constants: rewording it changes
+        # every golden hash, so it waits for a change of report content
         ("mc-calibration-rank-one",
          "per-family constants fitted on a rank-1 field make both residual families match",
-         calibration, matched),
+         rank_one_field, field_equations),
         ("mc-matches-field-equations",
          "the Maurer-Cartan residual equals the covariant field equations under the slot dictionary",
          _once(gauge_fields), field_equations),
         ("gauge-transport",
          "gauge variations map to dA = du + [A,u] and dPhi = [Phi,u] slotwise",
          _once(gauge_fields, gauge_parameter), gauge_transport),
-    ], {"calibration": _encode_calibration(constants)}
+    ], {
+        "calibration": {
+            slot: encode_fraction(c)
+            for slot, c in zip(("field_strength", "scalar_potential"), DICTIONARY_CONSTANTS)
+        }
+    }
 
 
 # -- differential-form suite -----------------------------------------------
@@ -1037,7 +1022,7 @@ def _doublecopy_identities(cfg: SuiteConfig):
         for mode, coeff in f.fun.coeffs.items():
             dot = sum(mode[i] * mode[h + i] for i in range(h))
             if dot:
-                coeffs[mode] = coeff * GaussRational(Fraction(-2 * dot))
+                coeffs[mode] = coeff * (-2 * dot)
         expected = DoubledScalar(h, FourierScalar(2 * h, coeffs))
         return delta_minus(f) - expected
 
@@ -1058,8 +1043,8 @@ def _doublecopy_identities(cfg: SuiteConfig):
         h = cfg.dim
         kx = (1,) + (0,) * (h - 1)
         zero = (0,) * h
-        fx = DoubledScalar.harmonic(h, kx, zero, GaussRational(1))
-        ft = DoubledScalar.harmonic(h, zero, kx, GaussRational(1))
+        fx = DoubledScalar.harmonic(h, kx, zero)
+        ft = DoubledScalar.harmonic(h, zero, kx)
         yield (fx, ft), res(fx, ft)
 
     def bracket_bilinearity(g1, g2, h):
@@ -1111,7 +1096,8 @@ def _doublecopy_identities(cfg: SuiteConfig):
          lambda f, g: section_pair_residual(f, g) - section_pair_residual(g, f)),
         ("same-sector-constrained",
          "same-sector pairs satisfy both strong-constraint conditions",
-         same_sector_pairs, lambda f, g: strong_constraint_check(f, g) == (True, True)),
+         same_sector_pairs,
+         lambda f, g: (delta_minus(f), delta_minus(g), section_pair_residual(f, g))),
         ("cross-sector-violation-witness",
          "a closed cross-sector pair violating the pair condition is stored",
          cross_sector_pair, cross_sector_violation, "nonzero"),

@@ -14,7 +14,8 @@ from bvdouble.scalars import (
     _HALF,
     _ZERO,
     FourierScalar,
-    _reduced,
+    _canon,
+    _gauss,
     _scalar,
     _shifts,
 )
@@ -28,7 +29,7 @@ def random_coefficient(rng):
         a = choice(_PARTS)
         b = choice(_PARTS)
         if a or b:
-            return _reduced(a, b, choice((1, 2)))
+            return _gauss(*_canon(a, b, choice((1, 2))))
 
 
 def random_scalar(rng, dim, cutoff, max_modes=2):

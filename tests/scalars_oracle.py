@@ -19,10 +19,15 @@ from bvdouble.scalars import (
     _W,
     FourierScalar,
     GaussRational,
+    _canon,
     _digits,
     _gauss,
-    _reduced,
 )
+
+
+def _reduced(a, b, d):
+    """(a + b*i)/d for any d > 0 as a canonical ``GaussRational``."""
+    return _gauss(*_canon(a, b, d))
 
 
 def gauss_terms(f: FourierScalar) -> dict:

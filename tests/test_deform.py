@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -18,12 +19,13 @@ from bvdouble.deform import (
     gauge_variation,
     mc_from_fields,
     mc_residual,
-    mc_vs_ym_compare,
+    mc_ym_residual,
     mu_bar_eta,
     mu_bar_eta_table,
+    ym_field_residual,
 )
 from bvdouble.exterior import random_ym_element
-from bvdouble.scalars import GaussRational, Metric, random_scalar
+from bvdouble.scalars import Metric, random_scalar
 from bvdouble.suites import (
     _ELEMENT,
     _FORM_ELEMENT,
@@ -203,19 +205,33 @@ def _random_psi(rng, rank, cutoff):
     return mc_from_fields(avec, bform, LORENTZ)
 
 
-def test_calibration_constants_on_a_commuting_field(rng):
-    psi = _random_psi(rng, 1, 2)
-    rep = mc_vs_ym_compare(psi, LORENTZ)
-    assert rep["match"] and rep["vtilde_zero"]
-    assert rep["calibration"] == (GaussRational(2), GaussRational(2))
+DICTIONARY_METRICS = {
+    "D2": Metric.diagonal([1, -1]),
+    "D3-lorentzian": LORENTZ,
+    "D3-dense": Metric(
+        [[Fraction(5, 4), Fraction(3, 4), 0], [Fraction(3, 4), Fraction(5, 4), 0], [0, 0, -1]]
+    ),
+    "D3-third": Metric.diagonal([Fraction(1, 3), 1, -1]),
+    "D4": Metric.diagonal([1, 1, 1, -1]),
+}
 
 
-def test_frozen_constants_transport_to_noncommuting_fields(rng):
-    frozen = (GaussRational(2), GaussRational(2))
-    for _ in range(4):
-        psi = _random_psi(rng, 2, 1)
-        rep = mc_vs_ym_compare(psi, LORENTZ, calibration=frozen)
-        assert rep["match"] and rep["vtilde_zero"]
+@pytest.mark.parametrize("rank", (1, 2))
+@pytest.mark.parametrize("name", DICTIONARY_METRICS)
+def test_dictionary_constants_close_the_ym_residual(name, rank):
+    # the constants 2 and 2 hold on commuting (rank 1) and non-commuting
+    # (rank 2) fields alike, on definite, Lorentzian and dense metrics
+    eta = DICTIONARY_METRICS[name]
+    rng = random.Random(f"dictionary:{name}:{rank}")
+    avec = [MatrixFunction.random(rng, rank, eta.dim, 1) for _ in range(eta.dim)]
+    bform = [MatrixFunction.random(rng, rank, eta.dim, 1) for _ in range(eta.dim)]
+    psi = mc_from_fields(avec, bform, eta)
+    aslot, pslot, scalars = mc_ym_residual(psi, eta)
+    assert len(aslot) == len(pslot) == eta.dim
+    assert all(m.is_zero() for m in aslot + pslot) and scalars.is_zero()
+    # the match is not 0 == 0: both field residual families are nonzero here
+    e1, e2 = ym_field_residual(*dictionary_fields(psi, eta), eta)
+    assert not all(m.is_zero() for m in e1) and not all(m.is_zero() for m in e2)
 
 
 def test_gauge_moves_become_covariant_transformations(rng):

@@ -21,7 +21,6 @@ from bvdouble.doublecopy import (
     delta_minus,
     div_omega,
     double_bracket,
-    random_bivector,
     random_doubled_scalar,
     random_vector_field,
     section_pair_residual,
@@ -53,7 +52,9 @@ def same(a, b):
 def draw_bivector(rng, n, sector, shape):
     """A random bivector; "sparse" zeroes about half of the entries and
     "constant" makes about half of them mode-0 constants."""
-    g = random_bivector(rng, n, 2, sector)
+    g = Bivector(
+        [[random_doubled_scalar(rng, n, 2, sector) for _ in range(n)] for _ in range(n)]
+    )
     if shape == "random":
         return g
     rows = []

@@ -1,13 +1,15 @@
 """Suite runner: configuration validation, report shape, determinism."""
 
 import json
+import random
 
 import pytest
 
 from bvdouble import suites
 from bvdouble.cli import main
+from bvdouble.deform import MatrixFunction
 from bvdouble.doublecopy import null_covector
-from bvdouble.scalars import Metric
+from bvdouble.scalars import FourierScalar, GaussRational, Metric
 from bvdouble.serialize import canonical_dumps
 from bvdouble.suites import SUITE_NAMES, ConfigError, Identity, SuiteConfig, run_suite
 
@@ -123,6 +125,38 @@ def test_rows_report_their_declared_draws():
     assert bespoke == BESPOKE_ROWS
 
 
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_every_row_value_is_an_exact_residual():
+    # every leaf of every value is an algebra value that ``_vanishes`` tests
+    # exactly: never a bool or a dict standing in for a residual
+    cfg = SuiteConfig(
+        dim=2, metric=Metric.diagonal([1, -1]), mode_cutoff=1, matrix_rank=1, samples=1, seed=5
+    )
+    for name, build in suites._SUITES.items():
+        rows, _ = build(cfg)
+        for identity in (Identity(*row) for row in rows):
+            rng = random.Random(f"{cfg.seed}:{name}:{identity.ident}")
+            for _, value in suites._samples(identity, rng, cfg):
+                for leaf in _leaves(value):
+                    assert not isinstance(leaf, (bool, dict)), identity.ident
+                    assert hasattr(leaf, "is_zero") or isinstance(leaf, GaussRational)
+
+
+@pytest.mark.parametrize("value", [False, True, {"match": False}, 0, None])
+def test_vanishes_refuses_anything_but_a_residual(value):
+    with pytest.raises(TypeError, match="residual"):
+        suites._vanishes(value)
+    with pytest.raises(TypeError, match="residual"):
+        suites._vanishes((FourierScalar.zero(2), value))
+
+
 def test_exterior_requires_a_square_volume():
     cfg = SuiteConfig(dim=2, metric=Metric.diagonal([1, 2]), samples=1)
     with pytest.raises(ConfigError, match="square"):
@@ -188,12 +222,15 @@ def test_ym_report_carries_the_calibration():
 
 
 def test_ym_failures_are_capped_and_marked(monkeypatch, tmp_path, capsys):
-    real_compare = suites.mc_vs_ym_compare
-    monkeypatch.setattr(
-        suites,
-        "mc_vs_ym_compare",
-        lambda *args, **kwargs: {**real_compare(*args, **kwargs), "match": False},
-    )
+    real_residual = suites.mc_ym_residual
+
+    def shifted_residual(psi, eta):
+        # the exact residual plus 1 in every scalar slot: nonzero on every field
+        aslot, pslot, scalars = real_residual(psi, eta)
+        one = FourierScalar.one(psi.dim)
+        return aslot, pslot, scalars + MatrixFunction([[one] * psi.rank] * psi.rank)
+
+    monkeypatch.setattr(suites, "mc_ym_residual", shifted_residual)
     # the unchanged fields stand in for their own gauge variation
     monkeypatch.setattr(suites, "gauge_variation", lambda psi, u, eta: psi)
     cfg = SuiteConfig(
@@ -212,6 +249,13 @@ def test_ym_failures_are_capped_and_marked(monkeypatch, tmp_path, capsys):
         assert row["samples"] == 5 and len(row["failures"]) == 3
         assert row["failures_truncated"] is True
         assert all(set(f) == {"args", "residual"} for f in row["failures"])
+    # a failing ym row stores its residual: per-direction matrices of each
+    # slot family and the matrix of scalar slots, not a comparison verdict
+    for ident in ("mc-calibration-rank-one", "mc-matches-field-equations"):
+        for failure in rows[ident]["failures"]:
+            aslot, pslot, scalars = failure["residual"]
+            assert len(aslot) == len(pslot) == cfg.dim
+            assert all(set(m) == {"rows"} for m in aslot + pslot + [scalars])
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.echo()), encoding="utf-8")
