@@ -102,10 +102,8 @@ def _coordinate_elements(dim: int):
 def R_eta(x: BVElement, eta: Metric) -> BVElement:
     """The deforming operator sum eta^{ij} mu(f_i, {f_j, x}); raises degree."""
     f = flat_sections(eta)
-    acc = BVElement.zero(x.degree + 1, x.dim)
-    for i, j, w in eta.pairs():
-        acc = acc + mu(f[i], brack(f[j], x)) * w
-    return acc
+    terms = (mu(f[i], brack(f[j], x)) * w for i, j, w in eta.pairs())
+    return sum(terms, BVElement.zero(x.degree + 1, x.dim))
 
 
 def _r_eta_slotwise(x: BVElement, eta: Metric) -> BVElement:
@@ -134,10 +132,8 @@ def Q_eta(x: BVElement, eta: Metric) -> BVElement:
 def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
     """Delta as the double bracket sum eta^{ij} {f_i, {f_j, x}}."""
     f = flat_sections(eta)
-    acc = BVElement.zero(x.degree, x.dim)
-    for i, j, w in eta.pairs():
-        acc = acc + brack(f[i], brack(f[j], x)) * w
-    return acc
+    terms = (brack(f[i], brack(f[j], x)) * w for i, j, w in eta.pairs())
+    return sum(terms, BVElement.zero(x.degree, x.dim))
 
 
 # -- deformed product ------------------------------------------------------
@@ -211,10 +207,8 @@ def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     f, dim, pairs = flat_sections(eta), x.dim, eta.pairs()
 
     def cell(a, z):
-        acc = BVElement.zero(a.degree + z.degree, dim)
-        for i, j, w in pairs:
-            acc = acc - mu(m_op(f[i], a), brack(f[j], z)) * w
-        return acc
+        terms = (mu(m_op(f[i], a), brack(f[j], z)) * -w for i, j, w in pairs)
+        return sum(terms, BVElement.zero(a.degree + z.degree, dim))
 
     if (x.degree, y.degree) == (2, 1):  # the (vt, A) cell is cell(A, vt)
         x, y = y, x
@@ -226,10 +220,8 @@ def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     if y.degree == 2:
         return cell(a, BVElement.deg2(GenSection.zero(dim), y.scalar))
     b = BVElement.deg1(y.section)
-    acc = cell(a, b) - cell(b, a)
-    for i, j, w in pairs:
-        acc = acc - mu(m_op(brack(f[j], a), b), f[i]) * w
-    return acc
+    terms = (mu(m_op(brack(f[j], a), b), f[i]) * -w for i, j, w in pairs)
+    return sum(terms, cell(a, b) - cell(b, a))
 
 
 def mu_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
@@ -511,31 +503,31 @@ def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
 
 
 def gauge_variation(
-    psi: LieValuedBVElement, u: LieValuedBVElement, eta: Metric
+    psi: LieValuedBVElement, u: MatrixFunction, eta: Metric
 ) -> LieValuedBVElement:
     """Infinitesimal gauge move Q u + mu(psi,u) - mu(u,psi) (matrix-tensored).
 
-    For x = (A, v) of degree 1 and u of degree 0, mu_bar_eta(u, x) = 0 and
-    musym_eta(x, u) = musym_eta(u, x) = (u A, u v - (1/2) plus_x^k d_k u),
-    so entry (p, q) is Q^eta u_pq plus sum_r (u_rq A_pr - u_pr A_rq) on the
-    section and sum_r (u_rq v_pr - u_pr v_rq - (1/2) plus_pr.d u_rq
-    + (1/2) plus_rq.d u_pr) on the scalar slot, each summed in one pass.
+    The gauge parameter u is a matrix of degree-0 scalars.  For x = (A, v)
+    of degree 1, mu_bar_eta(u, x) = 0 and musym_eta(x, u) = musym_eta(u, x)
+    = (u A, u v - (1/2) plus_x^k d_k u), so entry (p, q) is Q^eta u_pq plus
+    sum_r (u_rq A_pr - u_pr A_rq) on the section and sum_r (u_rq v_pr
+    - u_pr v_rq - (1/2) plus_pr.d u_rq + (1/2) plus_rq.d u_pr) on the scalar
+    slot, each summed in one pass.
     """
-    if u.degree != 0:
-        raise ValueError("gauge parameter must have degree 0")
+    if not isinstance(u, MatrixFunction):
+        raise TypeError(f"gauge parameter must be a MatrixFunction, got {type(u).__name__}")
     if u.rank != psi.rank:
         raise ValueError(f"gauge parameter of rank {u.rank} for a rank-{psi.rank} field")
     n, dim = psi.rank, psi.dim
     jets = [[_Jet(e, eta) for e in row] for row in _entries(psi, 1)]
-    params = _entries(u, 0)
-    us = [[e.scalar for e in row] for row in params]
+    us = u.rows
     half_grad = [[[f.derivative(k) * _HALF for k in range(dim)] for f in row] for row in us]
     one = _one(dim)
     grid = []
     for p in range(n):
         row = []
         for q in range(n):
-            qu = Q_eta(params[p][q], eta)
+            qu = Q_eta(BVElement.deg0(us[p][q]), eta)
             comps = [
                 sum_of_products(
                     dim,

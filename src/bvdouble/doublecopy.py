@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
+from math import lcm
 
 from .scalars import (
     FourierScalar,
     Metric,
     SquareGrid,
+    _random_scalar,
     laplacian,
     randbelow,
     random_coefficient,
@@ -124,13 +126,16 @@ def null_covector(eta: Metric, search: int = 6):
     """A small nonzero integer covector n with eta^{ij} n_i n_j = 0, or None.
 
     Definite metrics admit none and return None at once; otherwise the
-    search runs in order of increasing max-norm up to the bound.
+    search runs in order of increasing max-norm up to the bound, on the
+    integer form eta^{ij} scaled by the lcm of its denominators.
     """
     if eta.is_definite():
         return None
+    scale = lcm(*(w.denominator for _, _, w in eta.pairs()))
+    form = [(i, j, int(w * scale)) for i, j, w in eta.pairs()]
     for s in range(1, search + 1):
         for n in product(range(-s, s + 1), repeat=eta.dim):
-            if max(abs(v) for v in n) == s and eta.norm2(n) == 0:
+            if max(map(abs, n)) == s and not sum(w * n[i] * n[j] for i, j, w in form):
                 return n
     return None
 
@@ -408,23 +413,13 @@ def bivector_mc_residual(g: Bivector, phi: DoubledScalar):
 def random_doubled_scalar(
     rng, halfdim: int, cutoff: int, sector: str = "both"
 ) -> DoubledScalar:
-    """A sparse random doubled scalar; sector limits modes to "x", "xt" or "both"."""
-    if sector not in ("x", "xt", "both"):
+    """A sparse random doubled scalar; sector limits modes to "x", "xt" or "both".
+
+    Every axis of T^{2D} is drawn; the axes outside the sector read 0."""
+    kept = {"x": range(halfdim), "xt": range(halfdim, 2 * halfdim), "both": range(2 * halfdim)}
+    if sector not in kept:
         raise ValueError(f"unknown sector {sector!r}")
-    bits = rng.getrandbits
-    coeffs = {}
-    for _ in range(1 + randbelow(bits, 2)):
-        k = tuple(randbelow(bits, 2 * cutoff + 1) - cutoff for _ in range(halfdim))
-        kt = tuple(randbelow(bits, 2 * cutoff + 1) - cutoff for _ in range(halfdim))
-        if sector == "x":
-            kt = (0,) * halfdim
-        elif sector == "xt":
-            k = (0,) * halfdim
-        mode = k + kt
-        c = random_coefficient(rng)
-        prev = coeffs.get(mode)
-        coeffs[mode] = c if prev is None else prev + c
-    return DoubledScalar(halfdim, FourierScalar(2 * halfdim, coeffs))
+    return DoubledScalar(halfdim, _random_scalar(rng, 2 * halfdim, cutoff, 2, kept[sector]))
 
 
 def random_bivector(rng, halfdim: int, cutoff: int) -> Bivector:

@@ -36,12 +36,17 @@ __all__ = [
 ]
 
 
-def _merge_sign(left: tuple, right: tuple):
-    """Sign sorting the concatenation of two increasing tuples, or None."""
-    merged = left + right
-    if len(set(merged)) != len(merged):
-        return None, None
-    return tuple(sorted(merged)), _perm_sign(merged)
+def _shuffle_sign(left: tuple, right: tuple):
+    """The sorted merge of two increasing tuples and the sign of the shuffle
+    that sorts ``left + right``, (-1)^#{(a, b) in left x right : a > b}; or
+    (None, None) when they share an index."""
+    inversions = 0
+    for a in left:
+        for b in right:
+            if a == b:
+                return None, None
+            inversions += a > b
+    return tuple(sorted(left + right)), sign(inversions)
 
 
 class DifferentialForm:
@@ -141,7 +146,7 @@ def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
     comps = {}
     for i1, f1 in alpha.comps.items():
         for i2, f2 in beta.comps.items():
-            idx, sgn = _merge_sign(i1, i2)
+            idx, sgn = _shuffle_sign(i1, i2)
             if idx is None:
                 continue
             term = f1 * f2 * sgn
@@ -158,23 +163,13 @@ def dform(alpha: DifferentialForm) -> DifferentialForm:
     comps = {}
     for idx, f in alpha.comps.items():
         for k in range(dim):
-            new, sgn = _merge_sign((k,), idx)
+            new, sgn = _shuffle_sign((k,), idx)
             if new is None:
                 continue
             term = f.derivative(k) * sgn
             acc = comps.get(new)
             comps[new] = term if acc is None else acc + term
     return DifferentialForm(dim, alpha.degree + 1, comps)
-
-
-def _perm_sign(seq) -> int:
-    """Sign of the permutation sorting ``seq`` (distinct entries)."""
-    inversions = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inversions += 1
-    return sign(inversions)
 
 
 def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
@@ -200,26 +195,19 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
         if lifted.is_zero():
             continue
         rest = tuple(i for i in range(dim) if i not in raised)
-        sgn = _perm_sign(raised + rest)
+        _, sgn = _shuffle_sign(raised, rest)
         comps[rest] = lifted * (root * sgn)
     return DifferentialForm(dim, dim - p, comps)
 
 
 def _det_fraction(rows) -> Fraction:
-    """Exact determinant of a small square Fraction matrix."""
-    n = len(rows)
-    if n == 0:
+    """Exact determinant of a small square Fraction matrix, expanded along its
+    first row."""
+    if not rows:
         return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_fraction(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    minors = ([r[:j] + r[j + 1 :] for r in rows[1:]] for j in range(len(rows)))
+    terms = enumerate(zip(rows[0], minors))
+    return sum((sign(j) * w * _det_fraction(m) for j, (w, m) in terms if w), Fraction(0))
 
 
 def form_integral(alpha: DifferentialForm) -> GaussRational:
@@ -335,11 +323,10 @@ def ym_mu_sym(x: YMElement, y: YMElement, metric: Metric) -> YMElement:
             + dform(hodge(wedge(a, b), metric))
         )
         return YMElement(2, value)
-    if {d1, d2} == {1, 2}:
-        one = x.form if d1 == 1 else y.form
-        big = y.form if d1 == 1 else x.form
-        return YMElement(3, wedge(one, big))
-    return YMElement.zero(d1 + d2, dim)
+    # degrees {1, 2}, the one case left with d1 + d2 <= 3
+    one = x.form if d1 == 1 else y.form
+    big = y.form if d1 == 1 else x.form
+    return YMElement(3, wedge(one, big))
 
 
 def ym_nu_sym(x: YMElement, y: YMElement, z: YMElement, metric: Metric) -> YMElement:

@@ -52,7 +52,7 @@ import struct
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from operator import add, index, lshift, neg, sub
+from operator import add, index, mul, neg, sub
 
 __all__ = [
     "GaussRational",
@@ -114,9 +114,6 @@ class GaussRational:
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if type(other) is not GaussRational:
             if not isinstance(other, (GaussRational, int, Fraction)):
@@ -126,18 +123,6 @@ class GaussRational:
         return _gauss(*_canon(a * c - b * e, a * e + b * c, self._d * other._d))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussRational.coerce(other)
-        a, b, c, e = self._a, self._b, other._a, other._b
-        norm = c * c + e * e
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        f = other._d
-        return _gauss(*_canon((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm))
-
-    def __rtruediv__(self, other):
-        return GaussRational.coerce(other) / self
 
     def __neg__(self):
         return _gauss(-self._a, -self._b, self._d)
@@ -204,9 +189,10 @@ _HALF = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
 
 
-def _shifts(dim: int) -> range:
-    """The bit offset of each digit of a packed mode on T^dim."""
-    return range(0, _W * dim, _W)
+@cache
+def _weights(dim: int, kept: range) -> tuple:
+    """Per axis j of T^dim, the packed-mode weight 2^(W j) when j is in ``kept``, else 0."""
+    return tuple(1 << (_W * j) if j in kept else 0 for j in range(dim))
 
 
 @cache
@@ -252,7 +238,7 @@ class FourierScalar:
                             f"mode {mode} has a component outside (-2**{_W - 1}, 2**{_W - 1})"
                         )
                     reach = max(reach, top)
-                    clean[sum(map(lshift, mode, _shifts(dim)))] = (c._a, c._b, c._d)
+                    clean[sum(map(mul, mode, _weights(dim, range(dim))))] = (c._a, c._b, c._d)
         self._terms = clean
         self.reach = reach
 
@@ -299,9 +285,6 @@ class FourierScalar:
 
     def __sub__(self, other):
         return self.__add__(other, -1)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __neg__(self):
         terms = {m: (-a, -b, d) for m, (a, b, d) in self._terms.items()}
@@ -720,16 +703,22 @@ def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScal
     cutoff]^dim with a random coefficient.  Draws that land on one mode add
     up and can cancel, so the scalar may have fewer modes, or none (at D=1,
     cutoff 1, for 15 of the seeds 0..2999)."""
+    return _random_scalar(rng, dim, cutoff, max_modes, range(dim))
+
+
+def _random_scalar(rng, dim: int, cutoff: int, max_modes: int, kept: range) -> FourierScalar:
+    """The draw loop of ``random_scalar``: every axis of T^dim is drawn, and
+    the mode keeps the components of the axes in ``kept`` (the others read 0)."""
     if cutoff >= _HALF:
         raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
     bits = rng.getrandbits
     width = 2 * cutoff + 1
-    shifts = _shifts(dim)
+    weights = _weights(dim, kept)
     coeffs = {}
     for _ in range(randbelow(bits, max_modes) + 1):
         mode = 0
-        for shift in shifts:
-            mode += (randbelow(bits, width) - cutoff) << shift
+        for weight in weights:
+            mode += (randbelow(bits, width) - cutoff) * weight
         a, b, d = _draw(bits)
         t = coeffs.get(mode)
         if t is not None:

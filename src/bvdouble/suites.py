@@ -72,7 +72,6 @@ from .bvcomplex import (
 from .bvops import boundary, brack, l2, l3, m_op, mu, musym, n_op, nprime, nu, nusym, sign
 from .deform import (
     DICTIONARY_CONSTANTS,
-    LieValuedBVElement,
     MatrixFunction,
     Q_eta,
     R_eta,
@@ -710,8 +709,10 @@ def _linf_identities(cfg: SuiteConfig):
 
 def _deform_laws(eta: Metric):
     """The deformed structure's laws as rows on elements of random degree,
-    then the Laplacian row and the derivation-defect witness."""
-    qe, r = partial(Q_eta, eta=eta), partial(R_eta, eta=eta)
+    with R in the closed form that ``Q_eta`` applies (the bracket-built
+    ``R_eta`` is the oracle of one row), then the Laplacian row and the
+    derivation-defect witness."""
+    qe, r = partial(Q_eta, eta=eta), partial(_r_eta_slotwise, eta=eta)
     me, mbar = partial(mu_eta, eta=eta), partial(mu_bar_eta, eta=eta)
     r_mu, q_mbar = _derivation(r, mu), _derivation(op_q, mbar)
     one, two, three, four = (_once(*(_ELEMENT,) * k) for k in range(1, 5))
@@ -725,7 +726,7 @@ def _deform_laws(eta: Metric):
          lambda x: boundary(op_q, r, (x,), True)),
         ("deform-r-slotwise-table",
          "the deformation operator matches its slotwise table", one,
-         lambda x: r(x) - _r_eta_slotwise(x, eta)),
+         lambda x: R_eta(x, eta) - r(x)),
         ("deform-mu-bar-table",
          "the product correction matches its four-cell table", two,
          lambda x, y: mbar(x, y) - mu_bar_eta_table(x, y, eta)),
@@ -800,14 +801,7 @@ def _ym_identities(cfg: SuiteConfig):
         return MatrixFunction.random(rng, cfg.matrix_rank, cfg.dim, cutoff)
 
     def gauge_transport(psi, umat):
-        rank = cfg.matrix_rank
-        ugrid = LieValuedBVElement(
-            [
-                [BVElement.deg0(umat.entry(p, q)) for q in range(rank)]
-                for p in range(rank)
-            ]
-        )
-        delta = gauge_variation(psi, ugrid, eta)
+        delta = gauge_variation(psi, umat, eta)
         cala, phi = dictionary_fields(psi, eta)
         da, dp = dictionary_fields(delta, eta)
         return tuple(

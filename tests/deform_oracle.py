@@ -177,9 +177,11 @@ def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
     return qpart + mupart + nupart
 
 
-def gauge_variation(psi, u, eta: Metric) -> LieValuedBVElement:
-    """Q^eta u + musym_eta(psi, u) - musym_eta(u, psi), matrix-tensored."""
+def gauge_variation(psi, umat, eta: Metric) -> LieValuedBVElement:
+    """Q^eta u + musym_eta(psi, u) - musym_eta(u, psi), matrix-tensored, with u
+    the grid of degree-0 elements of the matrix ``umat``."""
     me = lambda a, b: musym_eta(a, b, eta)
+    u = LieValuedBVElement([[BVElement.deg0(f) for f in row] for row in umat.rows])
     qpart = u.apply(partial(Q_eta, eta=eta))
     return qpart + tensor_bilinear(me, psi, u) - tensor_bilinear(me, u, psi)
 

@@ -8,10 +8,12 @@ running sum; the C-bracket antisymmetrizes the definitional half-bracket of
 kernels with them by value and by canonical bytes.  ``div_omega_vector`` and
 ``lie_derivative_bivector`` have no kernel of their own: they are the loop
 forms of the terms that ``bivector_mc_residual`` sums into its residuals.
-Not collected by pytest.
+``null_covector`` is the search on ``Metric.norm2`` over Fractions that the
+integer-form search replaced.  Not collected by pytest.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from sections_oracle import c_half_bracket
 
@@ -111,3 +113,13 @@ def bivector_mc_residual(g, phi):
     tensor = double_bracket(g, g) + lie_derivative_bivector(vec, tvec, g)
     scalar = div_omega_vector(vec, tvec, phi)
     return tensor, scalar
+
+
+def null_covector(eta: Metric, search: int = 6):
+    if eta.is_definite():
+        return None
+    for s in range(1, search + 1):
+        for n in product(range(-s, s + 1), repeat=eta.dim):
+            if max(abs(v) for v in n) == s and eta.norm2(n) == 0:
+                return n
+    return None

@@ -17,7 +17,6 @@ from bvdouble.scalars import (
     _canon,
     _gauss,
     _scalar,
-    _shifts,
 )
 
 _PARTS = range(-2, 3)
@@ -37,7 +36,7 @@ def random_scalar(rng, dim, cutoff, max_modes=2):
         raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
     choice = rng.choice
     axes = (range(-cutoff, cutoff + 1),) * dim
-    shifts = _shifts(dim)
+    shifts = range(0, 32 * dim, 32)
     coeffs = {}
     for _ in range(choice(range(1, max_modes + 1))):
         mode = sum(map(lshift, map(choice, axes), shifts))

@@ -193,7 +193,8 @@ def random_coefficient(rng):
         a = rng.randint(-2, 2)
         b = rng.randint(-2, 2)
         if a or b:
-            return GaussRational(Fraction(a), Fraction(b)) / rng.choice((1, 2))
+            d = rng.choice((1, 2))
+            return GaussRational(Fraction(a, d), Fraction(b, d))
 
 
 def random_scalar(rng, dim, cutoff, max_modes=2):

@@ -239,13 +239,7 @@ def test_gauge_moves_become_covariant_transformations(rng):
         rank = 2
         psi = _random_psi(rng, rank, 1)
         umat = MatrixFunction.random(rng, rank, DIM, 1)
-        ugrid = LieValuedBVElement(
-            [
-                [BVElement.deg0(umat.entry(p, q)) for q in range(rank)]
-                for p in range(rank)
-            ]
-        )
-        delta = gauge_variation(psi, ugrid, LORENTZ)
+        delta = gauge_variation(psi, umat, LORENTZ)
         cala, phi = dictionary_fields(psi, LORENTZ)
         da, dp = dictionary_fields(delta, LORENTZ)
         for k in range(DIM):
@@ -259,12 +253,14 @@ def test_degree_constraints_on_field_and_parameter(rng):
     u = LieValuedBVElement(
         [[BVElement.deg0(umat.entry(p, q)) for q in range(2)] for p in range(2)]
     )
-    with pytest.raises(ValueError):
-        gauge_variation(psi, psi, LORENTZ)
+    # the gauge parameter is the matrix itself, not a grid of degree-0 elements
+    for grid in (psi, u):
+        with pytest.raises(TypeError, match="MatrixFunction"):
+            gauge_variation(psi, grid, LORENTZ)
     with pytest.raises(ValueError):
         mc_residual(u, LORENTZ)
     with pytest.raises(ValueError):
-        gauge_variation(_random_psi(rng, 1, 1), u, LORENTZ)
+        gauge_variation(_random_psi(rng, 1, 1), umat, LORENTZ)
 
 
 def test_matrix_inputs_are_validated_without_assert(rng):

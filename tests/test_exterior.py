@@ -84,6 +84,38 @@ def test_d_is_a_graded_derivation_of_wedge(rng, p, q):
         assert lhs == rhs
 
 
+def _increasing_tuples(dim):
+    return [c for p in range(dim + 1) for c in itertools.combinations(range(dim), p)]
+
+
+def _sorting_parity(seq):
+    """(-1)^k for the k transpositions of a selection sort of ``seq``."""
+    seq, swaps = list(seq), 0
+    for i in range(len(seq)):
+        j = seq.index(min(seq[i:]), i)
+        if j != i:
+            seq[i], seq[j] = seq[j], seq[i]
+            swaps += 1
+    return (-1) ** swaps
+
+
+def test_shuffle_sign_is_the_parity_of_the_sorting_permutation():
+    pairs = [
+        (left, right)
+        for dim in range(1, 6)
+        for left in _increasing_tuples(dim)
+        for right in _increasing_tuples(dim)
+    ]
+    assert len(pairs) == 1364
+    for left, right in pairs:
+        merged, sgn = exterior._shuffle_sign(left, right)
+        if set(left) & set(right):
+            assert (merged, sgn) == (None, None)
+        else:
+            assert merged == tuple(sorted(left + right))
+            assert sgn == _sorting_parity(left + right)
+
+
 def test_d_of_function_collects_partials():
     f = _harm((1, 2, 0))
     df = dform(DifferentialForm(DIM, 0, {(): f}))

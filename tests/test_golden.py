@@ -12,7 +12,9 @@ Lorentzian metric (mode cutoff 2, one sample, seed 101), where every
 matrix-tensored sum has three terms.  The same ``--suite all`` run is also
 pinned at D=4 (Lorentzian) and at D=2 (``[1, -1]``), so the mode arithmetic
 is locked at axis counts other than the default 3 and the 6-axis doubled
-torus.  The default run and the rank-3 run are also pinned under
+torus.  The same five suites as on the off-diagonal metric are pinned on
+the diagonal [3, 1/3, -1], whose denominator 3 makes products meet over
+coprime denominators.  The default run and the rank-3 run are also pinned under
 ``python -O``.  A change that is meant to leave behaviour alone (a refactor
 or a speedup) must leave these hashes as they are; only a change whose
 purpose is new report content may update them, and says why.
@@ -52,6 +54,18 @@ RANK_THREE_CONFIG = {
     "samples": 1,
 }
 RANK_THREE_SHA256 = "33812518c270e399086cf333749c23c0376830b018dcb58d8c281489ac767264"
+
+# a metric entry of denominator 3 beside integer ones: products meet over
+# coprime denominators, the one branch of the scalar product's denominator
+# arithmetic that the power-of-two metrics above never reach
+DENOMINATOR_THREE_CONFIG = {"dimension": 3, "metric": [3, "1/3", -1], "samples": 1}
+DENOMINATOR_THREE_SHA256 = {
+    "cbracket": "c584db226eeb0da714ad24b5be350bffc33cb1d346173217535974625b85a394",
+    "deform": "fe1881874828a5771588928d4d38af8aa60f9c9640839db4671467008b909ef0",
+    "doublecopy": "af9e8e8e0ddb2c3fd7c64f0f41909c0b66098f750e2fa172ab2e5b7435e355a7",
+    "exterior": "877672f26ac8e73ea04795b8ded4707a96668b5a4a5056f2f369348bd383c222",
+    "ym": "df0d25128c50f06c5ff7109aab3ad279e0d9569ccff991a9c48ff83852803e2f",
+}
 
 
 OTHER_AXIS_COUNTS = {
@@ -102,6 +116,14 @@ def test_off_diagonal_deform_report_is_byte_identical(suite, tmp_path, capsys):
     cfg.write_text(json.dumps(OFF_DIAGONAL_CONFIG))
     argv = ["verify", "--suite", suite, "--seed", "101", "--config", str(cfg)]
     assert _sha256(capsys, argv) == OFF_DIAGONAL_SHA256[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(DENOMINATOR_THREE_SHA256))
+def test_denominator_three_report_is_byte_identical(suite, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DENOMINATOR_THREE_CONFIG))
+    argv = ["verify", "--suite", suite, "--seed", "101", "--config", str(cfg)]
+    assert _sha256(capsys, argv) == DENOMINATOR_THREE_SHA256[suite]
 
 
 def test_rank_three_ym_report_is_byte_identical(tmp_path, capsys):

@@ -214,6 +214,21 @@ def test_rows_with_a_null_direction_carry_no_vacuous_key():
     assert not any("vacuous" in row for row in rows)
 
 
+def test_deform_laws_run_on_the_closed_form_r(monkeypatch):
+    # the bracket-built R is the oracle of one row: one call per sample
+    calls = []
+
+    def counted(x, eta):
+        calls.append(x.degree)
+        return real(x, eta)
+
+    real = suites.R_eta
+    monkeypatch.setattr(suites, "R_eta", counted)
+    cfg = SuiteConfig(dim=2, metric=Metric.diagonal([1, -1]), mode_cutoff=1, samples=3, seed=5)
+    assert run_suite("deform", cfg)["passed"]
+    assert len(calls) == cfg.samples
+
+
 def test_ym_report_carries_the_calibration():
     cfg = SuiteConfig(mode_cutoff=1, samples=2, seed=11)
     report = run_suite("ym", cfg)
