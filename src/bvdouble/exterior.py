@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from .bvops import sign
-from .scalars import FourierScalar, GaussRational, Metric, random_scalar
+from .scalars import FourierScalar, GaussRational, Metric, _gauss_jordan, random_scalar
 
 __all__ = [
     "DifferentialForm",
@@ -189,7 +189,7 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
         lifted = FourierScalar.zero(dim)
         for idx, f in alpha.comps.items():
             minor = [[metric.up(l, i) for i in idx] for l in raised]
-            det = _det_fraction(minor)
+            det = _gauss_jordan(minor)[0]
             if det:
                 lifted = lifted + f * det
         if lifted.is_zero():
@@ -198,16 +198,6 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
         _, sgn = _shuffle_sign(raised, rest)
         comps[rest] = lifted * (root * sgn)
     return DifferentialForm(dim, dim - p, comps)
-
-
-def _det_fraction(rows) -> Fraction:
-    """Exact determinant of a small square Fraction matrix, expanded along its
-    first row."""
-    if not rows:
-        return Fraction(1)
-    minors = ([r[:j] + r[j + 1 :] for r in rows[1:]] for j in range(len(rows)))
-    terms = enumerate(zip(rows[0], minors))
-    return sum((sign(j) * w * _det_fraction(m) for j, (w, m) in terms if w), Fraction(0))
 
 
 def form_integral(alpha: DifferentialForm) -> GaussRational:

@@ -500,7 +500,10 @@ class Metric:
             raise ValueError("metric must be symmetric")
         self.dim = n
         self.upper = mat
-        self.lower, self.det_upper = _invert(mat)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.det_upper, self.lower = _gauss_jordan(mat, identity)
+        if self.lower is None:
+            raise ValueError("metric is singular")
         self._up_rows = _nonzero_rows(self.upper)
         self._down_rows = _nonzero_rows(self.lower)
 
@@ -530,23 +533,12 @@ class Metric:
         """The raised gradient: eta^{ij} d_j x over i, for any x with ``derivative``."""
         return self.raise_index([x.derivative(j) for j in range(self.dim)])
 
-    def norm2(self, n):
-        """The quadratic form eta^{ij} n_i n_j."""
-        return sum(x * y for x, y in zip(n, self.raise_index(n)))
-
     def is_definite(self) -> bool:
-        """Exact LDL^T test on eta^{ij}: every pivot is nonzero and of one sign."""
-        a = [list(row) for row in self.upper]
-        first = a[0][0] > 0
-        for k in range(self.dim):
-            p = a[k][k]
-            if not p or (p > 0) != first:
-                return False
-            for r in range(k + 1, self.dim):
-                f = a[r][k] / p
-                for c in range(k + 1, self.dim):
-                    a[r][c] -= f * a[k][c]
-        return True
+        """Sylvester's test on eta^{ij}: the products Delta_{k-1} Delta_k of its
+        leading minors, signed like the unpivoted pivots, share one sign."""
+        minors = [_gauss_jordan([r[:k] for r in self.upper[:k]])[0] for k in range(self.dim + 1)]
+        pivots = [d * e for d, e in zip(minors, minors[1:])]
+        return all(p > 0 for p in pivots) or all(p < 0 for p in pivots)
 
     def volume_root(self):
         """sqrt|det eta_{ij}| when it is rational, else None."""
@@ -578,30 +570,31 @@ def laplacian(f: FourierScalar, metric: Metric) -> FourierScalar:
     return sum((g.derivative(i) for i, g in raised), FourierScalar.zero(f.dim))
 
 
-def _invert(mat):
-    """Exact inverse and determinant by Gauss-Jordan elimination."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+def _gauss_jordan(a, b=None):
+    """(det A, A^-1 B) by Gauss-Jordan elimination on the rows of [A | B],
+    or (0, None) when A is singular.
+
+    ``a`` is a square matrix of Fractions; ``b`` has as many rows, and none
+    of its columns when omitted.
+    """
+    n = len(a)
+    rows = [[*r, *s] for r, s in zip(a, b or [()] * n)]
     det = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
-            raise ValueError("metric is singular")
+            return Fraction(0), None
         if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
+            rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
-        p = a[col][col]
+        p = rows[col][col]
         det *= p
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
+        top = rows[col] = [x / p for x in rows[col]]
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv), det
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+    return det, tuple(tuple(row[n:]) for row in rows)
 
 
 class SquareGrid:

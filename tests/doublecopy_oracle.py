@@ -8,13 +8,15 @@ running sum; the C-bracket antisymmetrizes the definitional half-bracket of
 kernels with them by value and by canonical bytes.  ``div_omega_vector`` and
 ``lie_derivative_bivector`` have no kernel of their own: they are the loop
 forms of the terms that ``bivector_mc_residual`` sums into its residuals.
-``null_covector`` is the search on ``Metric.norm2`` over Fractions that the
-integer-form search replaced.  Not collected by pytest.
+``null_covector`` is the search on the Fraction quadratic form
+eta^{ij} n_i n_j that the integer-form search replaced.  Not collected by
+pytest.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from scalars_oracle import is_definite
 from sections_oracle import c_half_bracket
 
 from bvdouble.doublecopy import Bivector, DoubledScalar
@@ -115,11 +117,16 @@ def bivector_mc_residual(g, phi):
     return tensor, scalar
 
 
+def _norm2(eta: Metric, n) -> Fraction:
+    """The quadratic form eta^{ij} n_i n_j as the double sum over Fractions."""
+    return sum(w * n[i] * n[j] for i, j, w in eta.pairs())
+
+
 def null_covector(eta: Metric, search: int = 6):
-    if eta.is_definite():
+    if is_definite(eta.upper):
         return None
     for s in range(1, search + 1):
         for n in product(range(-s, s + 1), repeat=eta.dim):
-            if max(abs(v) for v in n) == s and eta.norm2(n) == 0:
+            if max(abs(v) for v in n) == s and _norm2(eta, n) == 0:
                 return n
     return None

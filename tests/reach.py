@@ -57,6 +57,7 @@ def _argvs(tmp: pathlib.Path):
     runs += runs_at("off-diagonal", golden.OFF_DIAGONAL_CONFIG, golden.OFF_DIAGONAL_SHA256)
     runs += runs_at("den-three", golden.DENOMINATOR_THREE_CONFIG, golden.DENOMINATOR_THREE_SHA256)
     runs += runs_at("rank-three", golden.RANK_THREE_CONFIG, ["ym"])
+    runs += runs_at("dense-six", golden.DENSE_SIX_CONFIG, ["exterior"])
     for name, (config, _) in golden.OTHER_AXIS_COUNTS.items():
         runs += runs_at(name, config, ["all"], golden.GOLDEN_ARGV[3:])
     for name, suites in workloads.WORKLOADS.items():

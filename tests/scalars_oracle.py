@@ -9,6 +9,11 @@ objects, the reduction back into objects, the merge of a sum or difference,
 the negation, the derivative and the scaling.  ``test_scalars_oracle``
 requires the triple kernels to give the same scalars, in the same storage
 order, with the same canonical bytes and the same hash.
+
+``det_fraction`` and ``is_definite`` are the two exact eliminations that
+``scalars._gauss_jordan`` replaced: the first-row cofactor expansion that
+the Hodge star took of each minor, and the LDL^T pivot test of
+``Metric.is_definite``.
 """
 
 from fractions import Fraction
@@ -138,3 +143,29 @@ def seeded_scalar(rng, dim: int, den: int, max_terms: int = 4) -> FourierScalar:
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         coeffs[mode] = GaussRational(Fraction(a, den), Fraction(b, den))
     return FourierScalar(dim, coeffs)
+
+
+def det_fraction(rows) -> Fraction:
+    """Exact determinant of a square Fraction matrix, expanded along its
+    first row."""
+    if not rows:
+        return Fraction(1)
+    minors = ([r[:j] + r[j + 1 :] for r in rows[1:]] for j in range(len(rows)))
+    terms = enumerate(zip(rows[0], minors))
+    return sum(((-1) ** j * w * det_fraction(m) for j, (w, m) in terms if w), Fraction(0))
+
+
+def is_definite(upper) -> bool:
+    """Exact LDL^T test on a symmetric Fraction matrix: every pivot is
+    nonzero and of one sign."""
+    a = [list(row) for row in upper]
+    first = a[0][0] > 0
+    for k in range(len(a)):
+        p = a[k][k]
+        if not p or (p > 0) != first:
+            return False
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / p
+            for c in range(k + 1, len(a)):
+                a[r][c] -= f * a[k][c]
+    return True

@@ -12,7 +12,9 @@ Lorentzian metric (mode cutoff 2, one sample, seed 101), where every
 matrix-tensored sum has three terms.  The same ``--suite all`` run is also
 pinned at D=4 (Lorentzian) and at D=2 (``[1, -1]``), so the mode arithmetic
 is locked at axis counts other than the default 3 and the 6-axis doubled
-torus.  The same five suites as on the off-diagonal metric are pinned on
+torus.  ``verify --suite exterior`` is pinned at D=6 on I + J/2, a metric
+with no zero entry, so every minor of the Hodge star is dense.  The same
+five suites as on the off-diagonal metric are pinned on
 the diagonal [3, 1/3, -1], whose denominator 3 makes products meet over
 coprime denominators.  The default run and the rank-3 run are also pinned under
 ``python -O``.  A change that is meant to leave behaviour alone (a refactor
@@ -66,6 +68,23 @@ DENOMINATOR_THREE_SHA256 = {
     "exterior": "877672f26ac8e73ea04795b8ded4707a96668b5a4a5056f2f369348bd383c222",
     "ym": "df0d25128c50f06c5ff7109aab3ad279e0d9569ccff991a9c48ff83852803e2f",
 }
+
+# every entry of eta^{ij} = I + J/2 at D=6 is nonzero, so each minor that the
+# Hodge star takes is a full p x p elimination (|det eta_{ij}| = 1/4)
+DENSE_SIX_CONFIG = {
+    "dimension": 6,
+    "metric": [
+        ["3/2", "1/2", "1/2", "1/2", "1/2", "1/2"],
+        ["1/2", "3/2", "1/2", "1/2", "1/2", "1/2"],
+        ["1/2", "1/2", "3/2", "1/2", "1/2", "1/2"],
+        ["1/2", "1/2", "1/2", "3/2", "1/2", "1/2"],
+        ["1/2", "1/2", "1/2", "1/2", "3/2", "1/2"],
+        ["1/2", "1/2", "1/2", "1/2", "1/2", "3/2"],
+    ],
+    "mode_cutoff": 1,
+    "samples": 1,
+}
+DENSE_SIX_EXTERIOR_SHA256 = "81a0b5402d4a8fcf1f51a1022c1d30635ad3a8d137924391dac32c91f6f3d7a3"
 
 
 OTHER_AXIS_COUNTS = {
@@ -124,6 +143,13 @@ def test_denominator_three_report_is_byte_identical(suite, tmp_path, capsys):
     cfg.write_text(json.dumps(DENOMINATOR_THREE_CONFIG))
     argv = ["verify", "--suite", suite, "--seed", "101", "--config", str(cfg)]
     assert _sha256(capsys, argv) == DENOMINATOR_THREE_SHA256[suite]
+
+
+def test_dense_six_exterior_report_is_byte_identical(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DENSE_SIX_CONFIG))
+    argv = ["verify", "--suite", "exterior", "--seed", "101", "--config", str(cfg)]
+    assert _sha256(capsys, argv) == DENSE_SIX_EXTERIOR_SHA256
 
 
 def test_rank_three_ym_report_is_byte_identical(tmp_path, capsys):

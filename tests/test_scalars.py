@@ -225,18 +225,6 @@ def test_raise_index_and_pairs_follow_the_matrix(name):
     ]
 
 
-@pytest.mark.parametrize("name", sorted(METRICS))
-def test_norm2_is_the_double_sum(name):
-    eta = METRICS[name]
-    n = eta.dim
-    rng = random.Random(f"norm2:{name}")
-    for _ in range(20):
-        v = [rng.randint(-3, 3) for _ in range(n)]
-        expected = sum(eta.up(i, j) * v[i] * v[j] for i in range(n) for j in range(n))
-        assert eta.norm2(v) == expected
-    assert LORENTZ.norm2((1, 0, 1)) == 0
-
-
 def test_definiteness():
     assert DEFINITE6.is_definite()
     assert Metric.diagonal([-1, -2]).is_definite()
