@@ -90,14 +90,7 @@ def mu(x: BVElement, y: BVElement) -> BVElement:
             return BVElement.deg2(y.section * -x.scalar)
         if y.section.is_zero():
             return BVElement.deg2(x.section * y.scalar)
-        # [A, B] + v_B A - v_A B, each component summed in one pass.
-        a, b = x.section, y.section
-        terms = _dorfman_terms(a, b)
-        for (plus, minus), fa, fb in zip(terms, a.vec + a.form, b.vec + b.form):
-            plus.append((y.scalar, fa))
-            minus.append((x.scalar, fb))
-        vt = pairing(a, b) * _HALF
-        return BVElement.deg2(_section_from_terms(dim, terms), vt)
+        return BVElement.deg2(_product_section(x, y), pairing(x.section, y.section) * _HALF)
     if (d1, d2) in ((1, 2), (2, 1)):
         # the degree-1 section is anchored on the other scalar
         one, two = (x, y) if d1 == 1 else (y, x)
@@ -180,8 +173,26 @@ def brack(x: BVElement, y: BVElement) -> BVElement:
     return BVElement.zero(d1 + d2 - 1, x.dim)
 
 
+def _product_section(x: BVElement, y: BVElement, skew: bool = False) -> GenSection:
+    """[A, B] + w A - v B for degree-1 x = (A, v), y = (B, w), each component
+    summed in one pass; with ``skew``, the Courant bracket replaces [A, B]."""
+    a, b = x.section, y.section
+    terms = _dorfman_terms(a, b, skew)
+    for (plus, minus), fa, fb in zip(terms, a.vec + a.form, b.vec + b.form):
+        plus.append((y.scalar, fa))
+        minus.append((x.scalar, fb))
+    return _section_from_terms(x.dim, terms)
+
+
 def musym(x: BVElement, y: BVElement) -> BVElement:
-    """Graded-symmetrized product."""
+    """Graded-symmetrized product (mu(x, y) + (-1)^{|x||y|} mu(y, x))/2.
+
+    On degree (1, 1) it is (([A, B] - [B, A])/2 + w A - v B, 0), the Courant
+    bracket taken in one pass (``_dorfman_terms`` with ``skew``); the
+    definition is kept in ``tests/bvops_oracle.py``.
+    """
+    if x.degree == y.degree == 1:
+        return BVElement.deg2(_product_section(x, y, skew=True))
     return _HALF * (mu(x, y) + sign(x.degree * y.degree) * mu(y, x))
 
 
@@ -217,7 +228,17 @@ def nprime(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
 
 
 def l2(x: BVElement, y: BVElement) -> BVElement:
-    """Antisymmetrization of the odd bracket (degree shifted by one)."""
+    """Antisymmetrization (brack(x, y) - s brack(y, x))/2 of the odd bracket,
+    s = (-1)^{(|x|-1)(|y|-1)} (degree shifted by one).
+
+    On degree (1, 1) it is the Courant bracket ([A, B] - [B, A])/2 with the
+    scalar (A.w - B.v)/2, taken in one pass; the definition is kept in
+    ``tests/bvops_oracle.py``.
+    """
+    if x.degree == y.degree == 1:
+        a, b = x.section, y.section
+        section = _section_from_terms(x.dim, _dorfman_terms(a, b, skew=True))
+        return BVElement.deg1(section, (anchor(a, y.scalar) - anchor(b, x.scalar)) * _HALF)
     s = sign((x.degree - 1) * (y.degree - 1))
     return _HALF * (brack(x, y) - s * brack(y, x))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, permutations
 
 from .bvcomplex import BVElement, op_b, op_q
 from .bvops import boundary, brack, m_op, mu, sign
@@ -313,7 +313,11 @@ class MatrixFunction(SquareGrid):
     __rmul__ = __mul__
 
     def commutator(self, other) -> "MatrixFunction":
-        """self * other - other * self, each entry summed in one pass."""
+        """self * other - other * self, each entry summed in one pass.
+
+        n(n-1)(2n-1) products at rank n, none of them cancelling (see
+        ``_matrix_sum``); ``tests/deform_oracle.py`` keeps the definition.
+        """
         return _matrix_sum((), (), [(self, other)])
 
     def derivative(self, j: int) -> "MatrixFunction":
@@ -491,7 +495,8 @@ def mc_residual(psi: LieValuedBVElement, eta: Metric) -> LieValuedBVElement:
             for c, qc in enumerate(qx.section.vec + qx.section.form):
                 plus, minus = [(one, qc)], []
                 for r in range(n):
-                    _musym_terms(jets[p][r], jets[r][q], c, plus, minus)
+                    if not p == q == r:  # musym_eta(x, x) = 0 on degree 1
+                        _musym_terms(jets[p][r], jets[r][q], c, plus, minus)
                     plus.append((half_p[r][q], jets[p][r].comps[c]))
                     plus.append((half_p[p][r], jets[r][q].comps[c]))
                     g = gram[p * n + r]
@@ -528,16 +533,17 @@ def gauge_variation(
         row = []
         for q in range(n):
             qu = Q_eta(BVElement.deg0(us[p][q]), eta)
+            rs = [r for r in range(n) if not p == q == r]  # u_pp x_pp - u_pp x_pp = 0
             comps = [
                 sum_of_products(
                     dim,
-                    [(one, qc)] + [(us[r][q], jets[p][r].comps[c]) for r in range(n)],
-                    [(us[p][r], jets[r][q].comps[c]) for r in range(n)],
+                    [(one, qc)] + [(us[r][q], jets[p][r].comps[c]) for r in rs],
+                    [(us[p][r], jets[r][q].comps[c]) for r in rs],
                 )
                 for c, qc in enumerate(qu.section.vec + qu.section.form)
             ]
             plus, minus = [(one, qu.scalar)], []
-            for r in range(n):
+            for r in rs:
                 x, y = jets[p][r], jets[r][q]
                 plus.append((us[r][q], x.scalar))
                 minus.append((us[p][r], y.scalar))
@@ -583,25 +589,32 @@ def _matrix_sum(added, subtracted, brackets) -> MatrixFunction:
 
     ``brackets`` is a nonempty list of matrix pairs.  Each entry is one
     signed sum of products reduced once: a matrix in ``added`` or
-    ``subtracted`` enters as its product with the constant 1, and the minus
-    half of each commutator goes into the negated pairs.
+    ``subtracted`` enters as its product with the constant 1.  Entries
+    commute, so no commutator term that cancels is built.  Off the diagonal,
+    the r = p and r = q terms of [a, b]_pq join into (a_pp - a_qq) b_pq -
+    a_pq (b_pp - b_qq).  On it, [a, b]_pp is the sum over r != p of
+    t_pr = a_pr b_rp - a_rp b_pr = -t_rp, each t summed once (p < r) and
+    entering by the constant 1.  One commutator thus makes n(n-1)(2n-1)
+    products, where its definition (``tests/deform_oracle.py``) makes 2n^3.
     """
     first = brackets[0][0]
     n, dim = first.rank, first.dim
     one = _one(dim)
-    rows = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            plus = [(one, m.rows[p][q]) for m in added]
-            minus = [(one, m.rows[p][q]) for m in subtracted]
-            for a, b in brackets:
-                ap, bp = a.rows[p], b.rows[p]
-                plus.extend((ap[r], b.rows[r][q]) for r in range(n))
-                minus.extend((bp[r], a.rows[r][q]) for r in range(n))
-            row.append(sum_of_products(dim, plus, minus))
-        rows.append(row)
-    return MatrixFunction(rows)
+    plus = [[[(one, m.rows[p][q]) for m in added] for q in range(n)] for p in range(n)]
+    minus = [[[(one, m.rows[p][q]) for m in subtracted] for q in range(n)] for p in range(n)]
+    for a, b in brackets:
+        a, b = a.rows, b.rows
+        for p, q in permutations(range(n), 2):
+            if p < q:
+                t = sum_of_products(dim, [(a[p][q], b[q][p])], [(a[q][p], b[p][q])])
+                plus[p][p].append((one, t))
+                minus[q][q].append((one, t))
+            rs = [r for r in range(n) if r != p and r != q]
+            plus[p][q] += [(a[p][p] - a[q][q], b[p][q])] + [(a[p][r], b[r][q]) for r in rs]
+            minus[p][q] += [(a[p][q], b[p][p] - b[q][q])] + [(b[p][r], a[r][q]) for r in rs]
+    return MatrixFunction(
+        [[sum_of_products(dim, plus[p][q], minus[p][q]) for q in range(n)] for p in range(n)]
+    )
 
 
 def ym_field_residual(calA, phi, eta: Metric):

@@ -14,6 +14,7 @@ together with randomized section generators for identity checks.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from operator import add, sub
 
@@ -112,12 +113,16 @@ def lie_bracket_vec(x, y):
     return dorfman(GenSection.from_vec(x), GenSection.from_vec(y)).vec
 
 
-def _dorfman_terms(a: GenSection, b: GenSection):
+def _dorfman_terms(a: GenSection, b: GenSection, skew: bool = False):
     """The (plus, minus) product pairs of each component of the Dorfman bracket.
 
     Vector part ``L_X Y``; form part ``L_X eta - i_Y d xi``, i.e.
     ``X^i d_i eta_j + eta_i d_j X^i + Y^i d_j xi_i - Y^i d_i xi_j``.
-    Components come vector first, then form.
+    Components come vector first, then form.  With ``skew``, the pairs are
+    those of the Courant bracket ([A, B] - [B, A])/2 = [A, B] - d<A, B>/2:
+    the vector part is unchanged, the ``eta_i d_j X^i`` and ``Y^i d_j xi_i``
+    pairs are halved, and the halved ``xi_i d_j Y^i`` and ``X^i d_j eta_i``
+    pairs are subtracted (``tests/bvops_oracle.py`` keeps the average).
     """
     if a.dim != b.dim:
         raise ValueError(f"sections on T^{a.dim} and T^{b.dim}")
@@ -125,15 +130,14 @@ def _dorfman_terms(a: GenSection, b: GenSection):
     dx, dxi, dy, deta = _jacobian(x), _jacobian(xi), _jacobian(y), _jacobian(eta)
     r = range(len(x))
     vec = [([(x[i], dy[j][i]) for i in r], [(y[i], dx[j][i]) for i in r]) for j in r]
-    form = [
-        (
-            [(x[i], deta[j][i]) for i in r]
-            + [(eta[i], dx[i][j]) for i in r]
-            + [(y[i], dxi[i][j]) for i in r],
-            [(y[i], dxi[j][i]) for i in r],
-        )
-        for j in r
-    ]
+    form = [([(x[i], deta[j][i]) for i in r], [(y[i], dxi[j][i]) for i in r]) for j in r]
+    eta_h, y_h, xi_h, x_h = eta, y, xi, x
+    if skew:
+        eta_h, y_h, xi_h, x_h = ([f * Fraction(1, 2) for f in c] for c in (eta, y, xi, x))
+    for j, (plus, minus) in enumerate(form):
+        plus += [(eta_h[i], dx[i][j]) for i in r] + [(y_h[i], dxi[i][j]) for i in r]
+        if skew:
+            minus += [(xi_h[i], dy[i][j]) for i in r] + [(x_h[i], deta[i][j]) for i in r]
     return vec + form
 
 

@@ -30,22 +30,35 @@ PACKAGE = ROOT / "src" / "bvdouble"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 
-def _golden():
-    """The module-level constants of ``test_golden.py``, read without importing
-    it (its import would load the package before tracing starts)."""
-    tree = ast.parse((ROOT / "tests" / "test_golden.py").read_text())
-    return types.SimpleNamespace(
-        **{
-            node.targets[0].id: ast.literal_eval(node.value)
-            for node in tree.body
-            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-        }
-    )
+# the constants of ``test_golden.py`` that name the pinned runs
+_PINNED = (
+    "GOLDEN_ARGV",
+    "DEFAULT_ARGV",
+    "OFF_DIAGONAL_CONFIG",
+    "OFF_DIAGONAL_SHA256",
+    "DENOMINATOR_THREE_CONFIG",
+    "DENOMINATOR_THREE_SHA256",
+    "RANK_THREE_CONFIG",
+    "DENSE_SIX_CONFIG",
+    "OTHER_AXIS_COUNTS",
+)
+
+
+def _golden(source: str):
+    """The pinned-run constants of ``test_golden.py`` from its ``source``,
+    read without importing it (its import would load the package before
+    tracing starts); every other statement of the file is left unread."""
+    values = {
+        node.targets[0].id: node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    return types.SimpleNamespace(**{name: ast.literal_eval(values[name]) for name in _PINNED})
 
 
 def _argvs(tmp: pathlib.Path):
     """The ``verify`` argument lists of the golden and benchmark runs."""
-    golden = _golden()
+    golden = _golden((ROOT / "tests" / "test_golden.py").read_text())
     workloads = importlib.import_module("workloads")
 
     def runs_at(name, config, suites, extra=("--seed", "101")):
@@ -53,7 +66,7 @@ def _argvs(tmp: pathlib.Path):
         path.write_text(json.dumps(config))
         return [["verify", "--suite", s, *extra, "--config", str(path)] for s in suites]
 
-    runs = [golden.GOLDEN_ARGV]
+    runs = [golden.GOLDEN_ARGV, golden.DEFAULT_ARGV]
     runs += runs_at("off-diagonal", golden.OFF_DIAGONAL_CONFIG, golden.OFF_DIAGONAL_SHA256)
     runs += runs_at("den-three", golden.DENOMINATOR_THREE_CONFIG, golden.DENOMINATOR_THREE_SHA256)
     runs += runs_at("rank-three", golden.RANK_THREE_CONFIG, ["ym"])

@@ -6,6 +6,9 @@ by term.  Both must agree in value, in canonical bytes (reports and failure
 witnesses are written from these values) and in the degree they carry, on
 all 16 patterns at D = 2, 3 and 4, on the zero elements of degrees -1..5
 that b, c and Q produce, and on degree-1/2 elements with no section.
+``musym`` and ``l2``, which take the Courant bracket of two degree-1
+arguments in one pass, are held to their averaging definitions the same way,
+at D = 1 to 4.
 """
 
 import itertools
@@ -15,12 +18,14 @@ import bvops_oracle as oracle
 import pytest
 
 from bvdouble.bvcomplex import BVElement, op_b, op_c, op_q, random_element
+from bvdouble import bvops
 from bvdouble.bvops import brack, m_op
 from bvdouble.scalars import FourierScalar
 from bvdouble.sections import GenSection, coordinate_section
 from bvdouble.serialize import canonical_dumps
 
 DIMS = (2, 3, 4)
+COURANT = ("musym", "l2")
 PAIRS = list(itertools.product(range(4), repeat=2))
 
 
@@ -99,3 +104,24 @@ def test_degree_one_acts_by_its_section_alone():
     for d in range(4):
         y = random_element(rng, 3, 2, d)
         same(brack(x, y), oracle.brack(bare, y))
+
+
+@pytest.mark.parametrize("dim", (1,) + DIMS)
+@pytest.mark.parametrize("d1,d2", PAIRS)
+@pytest.mark.parametrize("name", COURANT)
+def test_courant_forms_are_the_definitions_on_every_pattern(name, dim, d1, d2):
+    rng = random.Random(f"{name}:{dim}:{d1}:{d2}")
+    for cutoff in (1, 2):
+        for _ in range(2):
+            x = random_element(rng, dim, cutoff, d1)
+            y = random_element(rng, dim, cutoff, d2)
+            same(getattr(bvops, name)(x, y), getattr(oracle, name)(x, y))
+
+
+@pytest.mark.parametrize("dim", (1,) + DIMS)
+@pytest.mark.parametrize("name", COURANT)
+def test_courant_forms_are_the_definitions_on_zero_sections(name, dim):
+    # sectionless degree-1 elements, the zero (0, 0) and out-of-range zeros
+    rng = random.Random(f"{name}-pool:{dim}")
+    for x, y in itertools.product(pool(rng, dim), repeat=2):
+        same(getattr(bvops, name)(x, y), getattr(oracle, name)(x, y))

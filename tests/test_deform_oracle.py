@@ -12,6 +12,7 @@ from fractions import Fraction
 import deform_oracle as oracle
 import pytest
 
+from bvdouble import deform
 from bvdouble.bvcomplex import BVElement, random_element
 from bvdouble.bvops import brack, nusym
 from bvdouble.deform import (
@@ -19,6 +20,7 @@ from bvdouble.deform import (
     MatrixFunction,
     Q_eta,
     _Jet,
+    _matrix_sum,
     _musym_terms,
     _slot_split,
     dictionary_fields,
@@ -204,7 +206,14 @@ def test_gauge_variation_matches_the_tensored_operators(name, rank):
         assert not delta.is_zero()
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
+def _third_entry(rng, rank):
+    """A random matrix whose last-row first entry has a denominator 3."""
+    rows = [list(row) for row in MatrixFunction.random(rng, rank, DIM, 2).rows]
+    rows[-1][0] = rows[-1][0] * Fraction(1, 3)
+    return MatrixFunction(rows)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_matrix_product_and_commutator_match_the_entrywise_sums(rank):
     rng = random.Random(f"matmul:{rank}")
     for _ in range(3):
@@ -213,6 +222,44 @@ def test_matrix_product_and_commutator_match_the_entrywise_sums(rank):
         same(a * b, oracle.matrix_product(a, b))
         same(a.commutator(b), oracle.commutator(a, b))
         same(a.commutator(a), MatrixFunction.zero(rank, DIM))
+    c = _third_entry(rng, rank)
+    same(c.commutator(a), oracle.commutator(c, a))
+    same(a.commutator(c), oracle.commutator(a, c))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_matrix_sum_matches_the_oracle_commutators(rank):
+    # several brackets beside added and subtracted matrices, one of them with
+    # a denominator-3 entry, each entry summed in the closed-form layout
+    rng = random.Random(f"matrix-sum:{rank}")
+    a = _third_entry(rng, rank)
+    b, c, d, e, f = (MatrixFunction.random(rng, rank, DIM, 2) for _ in range(5))
+    got = _matrix_sum([c, d], [e], [(a, b), (e, f), (b, a), (f, c)])
+    want = c + d - e + oracle.commutator(e, f) + oracle.commutator(f, c)
+    same(got, want)
+    same(_matrix_sum([a], [f, b], [(c, a)]), a - f - b + oracle.commutator(c, a))
+
+
+@pytest.mark.parametrize("rank,count", [(1, 0), (2, 6), (3, 30), (4, 84)])
+def test_commutator_makes_no_cancelling_products(rank, count, monkeypatch):
+    # n(n-1)(2n-1) products that are not by the constant 1, against the
+    # definition's 2n^3: the r = p = q pairs and the second half of each
+    # antisymmetric diagonal pair are never built
+    rng = random.Random(f"commutator-cost:{rank}")
+    a, b = (MatrixFunction.random(rng, rank, DIM, 2) for _ in range(2))
+    one = FourierScalar.one(DIM)
+    products = []
+
+    def counting(dim, pairs, negated=()):
+        pairs, negated = list(pairs), list(negated)
+        products.extend(p for p in pairs + negated if one not in p)
+        return sum_of_products(dim, pairs, negated)
+
+    monkeypatch.setattr(deform, "sum_of_products", counting)
+    got = a.commutator(b)
+    monkeypatch.undo()
+    assert len(products) == count == rank * (rank - 1) * (2 * rank - 1)
+    same(got, oracle.commutator(a, b))
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))

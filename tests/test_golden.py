@@ -17,7 +17,10 @@ with no zero entry, so every minor of the Hodge star is dense.  The same
 five suites as on the off-diagonal metric are pinned on
 the diagonal [3, 1/3, -1], whose denominator 3 makes products meet over
 coprime denominators.  The default run and the rank-3 run are also pinned under
-``python -O``.  A change that is meant to leave behaviour alone (a refactor
+``python -O``.  ``verify --suite all`` at the default configuration (25
+samples, rank 2) is pinned too: it is the only pinned run that draws 25
+rank-2 gauge fields, and the only one that reaches the nonzero cells of
+``deform.mu_bar_eta_table`` (``tests/reach.py``).  A change that is meant to leave behaviour alone (a refactor
 or a speedup) must leave these hashes as they are; only a change whose
 purpose is new report content may update them, and says why.
 """
@@ -108,9 +111,16 @@ def _sha256(capsys, argv):
 
 GOLDEN_ARGV = ["verify", "--suite", "all", "--samples", "1", "--seed", "101"]
 
+DEFAULT_ARGV = ["verify", "--suite", "all"]
+DEFAULT_SHA256 = "d32b696cb909e6656ae151b1557fd86b2cd6be0b6c48e013827fb0ba683cc7e0"
+
 
 def test_verify_all_report_is_byte_identical(capsys):
     assert _sha256(capsys, GOLDEN_ARGV) == GOLDEN_SHA256
+
+
+def test_default_report_is_byte_identical(capsys):
+    assert _sha256(capsys, DEFAULT_ARGV) == DEFAULT_SHA256
 
 
 def test_verify_all_report_is_byte_identical_under_optimize(subprocess_env, tmp_path):
