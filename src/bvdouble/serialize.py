@@ -6,10 +6,13 @@ plus one newline, so equal data structures serialize to byte-identical text.
 It writes that text in one recursive pass instead of calling ``json.dumps``:
 with ``indent`` set, the standard library skips its C encoder and runs a
 pure-Python generator chain, which cost more than the rest of a report's
-rendering.  The writer knows only JSON primitives and containers and hands
-any other value to :func:`to_jsonable`, the one type switch.  Strings and
-keys still go through the C string encoder.  Numbers never pass through
-floats:
+rendering.  ``_ENCODERS`` is one shallow table that both the writer and
+:func:`to_jsonable` recurse over: each entry encodes one level of an object
+and leaves its scalars and nested objects as objects.  The two scalar types
+share one term writer, which writes each term's whole text from its mode and
+coefficient ints; :func:`to_jsonable` parses that text, so the term layout
+has one home.  Strings and keys go through the C string encoder.  Numbers
+never pass through floats:
 
 * ``Fraction`` -> ``"p/q"`` (or ``"p"`` when the denominator is 1),
 * ``GaussRational`` -> ``{"re": "p/q", "im": "p/q"}``,
@@ -26,6 +29,7 @@ class is refused even when its class has the same name.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -71,75 +75,77 @@ def _encode_gauss(g):
     return {"re": _ratio_text(g._a, g._d), "im": _ratio_text(g._b, g._d)}
 
 
-def _encode_scalar(f):
-    return [
-        {"mode": list(mode), "value": _encode_gauss(coeff)}
-        for mode, coeff in sorted(f.coeffs.items())
-    ]
+def _ints(values, nl) -> str:
+    inner = nl + "  "
+    return f"[{inner}{f',{inner}'.join(map(str, values))}{nl}]" if values else "[]"
 
 
-def _encode_doubled(f):
-    h = f.halfdim
-    return [
-        {"k": list(mode[:h]), "ktilde": list(mode[h:]), "value": _encode_gauss(coeff)}
-        for mode, coeff in sorted(f.fun.coeffs.items())
-    ]
+def _terms_text(f, nl="\n") -> str:
+    """The text of a Fourier or doubled scalar's terms, sorted by mode, at
+    the indent of ``nl``: one f-string per term, from its coefficient's ints."""
+    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+    h = f.halfdim if type(f) is DoubledScalar else None
+    out = []
+    for mode, g in sorted((f if h is None else f.fun).coeffs.items()):
+        if h is None:
+            head = f'"mode": {_ints(mode, i2)}'
+        else:
+            head = f'"k": {_ints(mode[:h], i2)},{i2}"ktilde": {_ints(mode[h:], i2)}'
+        out.append(
+            f'{{{i2}{head},{i2}"value": {{{i3}"im": "{_ratio_text(g._b, g._d)}",'
+            f'{i3}"re": "{_ratio_text(g._a, g._d)}"{i2}}}{i1}}}'
+        )
+    return f"[{i1}{f',{i1}'.join(out)}{nl}]" if out else "[]"
+
+
+def _encoder(obj):
+    encode = _ENCODERS.get(type(obj))
+    if encode is None:
+        if isinstance(obj, float):
+            raise TypeError("refusing to serialize a float in an exact report")
+        raise TypeError(f"no canonical encoding for {type(obj)!r}")
+    return encode
 
 
 def to_jsonable(obj):
     """Recursively rewrite an algebra object into JSON-ready primitives."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return encode_fraction(obj)
-    if isinstance(obj, float):
-        raise TypeError("refusing to serialize a float in an exact report")
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is None:
-        raise TypeError(f"no canonical encoding for {type(obj)!r}")
-    return encoder(obj)
+    encode = _encoder(obj)
+    if encode is _terms_text:
+        return json.loads(_terms_text(obj))
+    return to_jsonable(encode(obj))
 
 
 def _encode_element(x):
-    out = {"degree": x.degree, "scalar": _encode_scalar(x.scalar)}
+    out = {"degree": x.degree, "scalar": x.scalar}
     if x.section is not None:
-        out["section"] = to_jsonable(x.section)
+        out["section"] = x.section
     return out
 
 
 _ENCODERS = {
+    Fraction: encode_fraction,
     GaussRational: _encode_gauss,
-    FourierScalar: _encode_scalar,
-    DoubledScalar: _encode_doubled,
-    GenSection: lambda a: {
-        "vec": [_encode_scalar(c) for c in a.vec],
-        "form": [_encode_scalar(c) for c in a.form],
-    },
+    FourierScalar: _terms_text,
+    DoubledScalar: _terms_text,
+    GenSection: lambda a: {"vec": a.vec, "form": a.form},
     BVElement: _encode_element,
     DifferentialForm: lambda a: {
         "degree": a.degree,
         "components": [
-            {"index": list(idx), "value": _encode_scalar(comp)}
-            for idx, comp in sorted(a.comps.items())
+            {"index": list(idx), "value": comp} for idx, comp in sorted(a.comps.items())
         ],
     },
-    YMElement: lambda x: {"degree": x.degree, "form": to_jsonable(x.form)},
-    MatrixFunction: lambda m: {
-        "rows": [[_encode_scalar(x) for x in row] for row in m.rows]
-    },
-    LieValuedBVElement: lambda x: {
-        "degree": x.degree,
-        "grid": [[to_jsonable(e) for e in row] for row in x.rows],
-    },
-    Bivector: lambda b: {
-        "entries": [[to_jsonable(e) for e in row] for row in b.rows]
-    },
-    Metric: lambda m: [[encode_fraction(x) for x in row] for row in m.upper],
+    YMElement: lambda x: {"degree": x.degree, "form": x.form},
+    MatrixFunction: lambda m: {"rows": m.rows},
+    LieValuedBVElement: lambda x: {"degree": x.degree, "grid": x.rows},
+    Bivector: lambda b: {"entries": b.rows},
+    Metric: lambda m: m.upper,
 }
 
 
@@ -154,10 +160,10 @@ def canonical_dumps(obj) -> str:
 def _write(obj, emit, nl):
     """Emit the text of ``obj``; ``nl`` is a newline plus the current indent.
 
-    Other values are written as :func:`to_jsonable` encodes them, dict keys
-    are stringified and then sorted (a later key that stringifies alike
-    wins), and str and int items of containers are written without a nested
-    call.
+    Other values are written one ``_ENCODERS`` level at a time (scalars by
+    the term writer), dict keys are stringified and then sorted (a later key
+    that stringifies alike wins), and str and int items of containers are
+    written without a nested call.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -204,4 +210,8 @@ def _write(obj, emit, nl):
     elif isinstance(obj, int):
         emit(int.__repr__(obj))
     else:
-        _write(to_jsonable(obj), emit, nl)
+        encode = _encoder(obj)
+        if encode is _terms_text:
+            emit(_terms_text(obj, nl))
+        else:
+            _write(encode(obj), emit, nl)

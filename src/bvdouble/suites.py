@@ -48,8 +48,8 @@ their own operations, and rows such as ``Q b + b Q = 0`` call
 
 where each row is ``{"id", "statement", "samples", "failures", "passed"}``
 plus a ``"witness"`` entry for nonzero-expectation rows.  Failures carry the
-offending inputs and residual in canonical serialized form; a row keeps at
-most three and is marked ``"failures_truncated"`` when it had more.
+offending inputs and residual as the algebra objects themselves; a row keeps
+at most three and is marked ``"failures_truncated"`` when it had more.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ from .serialize import encode_fraction, parse_fraction, to_jsonable
 
 __all__ = ["ConfigError", "SuiteConfig", "SUITE_NAMES", "check_suite", "run_suite"]
 
-_FAILURE_CAP = 3  # at most this many serialized witnesses per failing row
+_FAILURE_CAP = 3  # at most this many stored witnesses per failing row
 # Scalars pack each mode component into a digit that holds |k| < 2**31, so
 # this cap leaves 2**11 of headroom for the modes that products reach.
 _MAX_MODE_CUTOFF = 2**20
@@ -310,13 +310,11 @@ def _run_identities(suite: str, rows, cfg: SuiteConfig):
             vanished = _vanishes(value)
             if identity.expect == "zero" and not vanished:
                 if len(failures) < _FAILURE_CAP:
-                    failures.append(
-                        {"args": to_jsonable(list(args)), "residual": to_jsonable(value)}
-                    )
+                    failures.append({"args": list(args), "residual": value})
                 else:
                     truncated = True
             if identity.expect == "nonzero" and not vanished and witness is None:
-                witness = {"args": to_jsonable(list(args)), "value": to_jsonable(value)}
+                witness = {"args": list(args), "value": value}
         if identity.expect == "zero":
             passed = not failures and not truncated
         else:
@@ -1147,7 +1145,10 @@ def check_suite(name: str, config: SuiteConfig) -> None:
 
 
 def run_suite(name: str, config: SuiteConfig) -> dict:
-    """Evaluate every identity of one suite; returns the JSON-ready report."""
+    """Evaluate every identity of one suite and return its report.
+
+    Rows hold the values they checked; ``serialize.canonical_dumps`` writes
+    them and ``serialize.to_jsonable`` renders them as JSON primitives."""
     check_suite(name, config)
     identities, extras = _SUITES[name](config)
     rows = _run_identities(name, identities, config)

@@ -1,10 +1,13 @@
 """Mutation runner: flip one ``+``, ``-`` or unary minus in ``src/`` at a time.
 
 A site is one ``+`` or ``-`` of a binary expression or an augmented
-assignment, or one unary minus.  Its mutant is the source with exactly that
-node changed: ``+`` and ``-`` (``+=`` and ``-=``) swap, and a unary minus is
-dropped.  Sites are named ``FILE:LINE:COL`` by the position of their
-operator, with FILE relative to ``src/``.
+assignment, one unary minus, or one list named ``plus`` or ``minus`` that an
+``append``, ``extend`` or ``+=`` adds to.  Its mutant is the source with
+exactly that node changed: ``+`` and ``-`` (``+=`` and ``-=``) swap, a unary
+minus is dropped, and ``plus`` and ``minus`` swap, so that the pairs go to
+the other list of a fused ``sum_of_products`` kernel and enter with the
+other sign.  Sites are named ``FILE:LINE:COL`` by the position of their
+operator or list name, with FILE relative to ``src/``.
 
     python tests/mutants.py --list [--file bvdouble/suites.py]
     python tests/mutants.py --sample 20 --seed 0 --out table.md -- python -m pytest -q
@@ -40,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _FLIP = {"+": "-", "-": "+", "+=": "-=", "-=": "+="}
+_SWAP = {"plus": "minus", "minus": "plus"}
 _SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
 # a mutant can loop forever (a flipped step of a loop counter); such a run is
 # stopped and counted as killed
@@ -47,13 +51,13 @@ _TIMEOUT_S = 3600
 
 
 class Site:
-    """One operator: ``rel`` is the file under ``src/``, ``line`` is 1-based
-    and ``col`` a character offset into that line."""
+    """One operator or list name: ``rel`` is the file under ``src/``,
+    ``line`` is 1-based and ``col`` a character offset into that line."""
 
-    __slots__ = ("rel", "line", "col", "unary")
+    __slots__ = ("rel", "line", "col", "unary", "swap")
 
-    def __init__(self, rel: str, line: int, col: int, unary: bool):
-        self.rel, self.line, self.col, self.unary = rel, line, col, unary
+    def __init__(self, rel: str, line: int, col: int, unary: bool, swap: bool = False):
+        self.rel, self.line, self.col, self.unary, self.swap = rel, line, col, unary, swap
 
     def __str__(self):
         return f"{self.rel}:{self.line}:{self.col}"
@@ -68,12 +72,29 @@ def _operator_tokens(source: str) -> list:
     ]
 
 
+def _swapped_list(node):
+    """The ``plus`` or ``minus`` name whose list ``node`` adds to, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        target = node.func.value if node.func.attr in ("append", "extend") else None
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        target = node.target
+    else:
+        return None
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return target if isinstance(target, ast.Name) and target.id in _SWAP else None
+
+
 def sites_in(source: str, rel: str) -> list:
     """Every mutable site of one file, in source order."""
     lines = source.splitlines(keepends=True)
     tokens = _operator_tokens(source)
     found = set()
+    swaps = set()
     for node in ast.walk(ast.parse(source)):
+        name = _swapped_list(node)
+        if name is not None:
+            swaps.add((name.lineno, name.col_offset))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             found.add((node.lineno, node.col_offset, True))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
@@ -94,15 +115,24 @@ def sites_in(source: str, rel: str) -> list:
         if unary and raw[col : col + 1] != b"-":
             continue
         out.append(Site(rel, line, len(raw[:col].decode()), unary))
-    return out
+    for line, col in swaps:
+        raw = lines[line - 1].encode()
+        out.append(Site(rel, line, len(raw[:col].decode()), False, swap=True))
+    return sorted(out, key=lambda site: (site.line, site.col))
 
 
 def mutate(source: str, site: Site) -> str:
-    """The source with the operator at ``site`` flipped or dropped."""
+    """The source with the operator at ``site`` flipped or dropped, or its
+    list name swapped."""
     lines = source.splitlines(keepends=True)
     line = lines[site.line - 1]
     head, tail = line[: site.col], line[site.col :]
-    if site.unary:
+    if site.swap:
+        name = next((n for n in _SWAP if tail.startswith(n)), None)
+        if name is None or tail[len(name) : len(name) + 1].isidentifier():
+            raise ValueError(f"no plus or minus list at {site}")
+        tail = _SWAP[name] + tail[len(name) :]
+    elif site.unary:
         if not tail.startswith("-"):
             raise ValueError(f"no unary minus at {site}")
         tail = tail[1:]
@@ -217,7 +247,7 @@ def table(baseline: dict, results: list, command: list) -> str:
         "|---|---|---|---|---|---|",
     ]
     for site, line, got in results:
-        change = "drop unary -" if site.unary else "flip +/-"
+        change = "drop unary -" if site.unary else "swap plus/minus" if site.swap else "flip +/-"
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
             got["rows"] != baseline["rows"]
         )
@@ -242,7 +272,7 @@ def main(argv=None) -> int:
     sites = all_sites(ROOT / "src", args.file)
     if args.list:
         for site in sites:
-            print(site, "(unary -)" if site.unary else "")
+            print(site, "(unary -)" if site.unary else "(plus/minus)" if site.swap else "")
         return 0
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:

@@ -24,7 +24,7 @@ from bvdouble.exterior import (
     ym_q,
 )
 from bvdouble.scalars import FourierScalar, GaussRational, Metric
-from bvdouble.serialize import canonical_dumps
+from bvdouble.serialize import canonical_dumps, to_jsonable
 from bvdouble.suites import SuiteConfig, run_suite
 
 DIM = 3
@@ -330,7 +330,7 @@ def test_pairing_row_stores_the_drawn_arguments(monkeypatch):
     rows = run_suite("exterior", cfg)["identities"]
     (row,) = [r for r in rows if r["id"] == "exterior-pairing-symmetry"]
     assert row["failures_truncated"]
-    degrees = [[arg["degree"] for arg in f["args"]] for f in row["failures"]]
+    degrees = [[arg["degree"] for arg in f["args"]] for f in to_jsonable(row["failures"])]
     assert degrees == [[0, 2], [3, 1], [2, 0]]
     text = canonical_dumps(row["failures"]).encode("utf-8")
     assert len(text) == 7727

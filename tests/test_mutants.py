@@ -25,7 +25,7 @@ def _operator_nodes(tree):
 
 def test_sites_cover_the_operators_outside_f_strings():
     by_file = {}
-    for site in SITES:
+    for site in (s for s in SITES if not s.swap):
         by_file[site.rel] = by_file.get(site.rel, 0) + 1
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -49,7 +49,9 @@ def test_each_pinned_mutant_differs_by_exactly_one_node():
             trees[site.rel] = ast.parse(sources[site.rel])
         mutant = mutants.mutate(sources[site.rel], site)
         ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
-        if site.unary:
+        if site.swap:
+            assert {old, new} == {"plus", "minus"}, site
+        elif site.unary:
             assert isinstance(old, ast.UnaryOp) and isinstance(old.op, ast.USub), site
             assert ast.dump(new) == ast.dump(old.operand), site
         else:
@@ -67,3 +69,45 @@ def test_a_site_without_its_operator_is_refused():
     site = mutants.Site("m.py", 1, 0, unary=False)
     with pytest.raises(ValueError, match="no \\+ or -"):
         mutants.mutate("x * y\n", site)
+
+
+SWAP_SOURCE = """\
+def f(a, b, plus, minus, plusses):
+    plus.append((a, b))
+    minus.extend([(b, a)])
+    plus[0][1] += [(a, a)]
+    minus[a].append(b)
+    plusses.append(a)
+    plus = minus + [a]
+    minus.count(a)
+    return plus
+"""
+
+
+def test_swap_sites_are_the_lists_that_plus_and_minus_pairs_join():
+    sites = [s for s in mutants.sites_in(SWAP_SOURCE, "m.py") if s.swap]
+    assert [(s.line, s.col) for s in sites] == [(2, 4), (3, 4), (4, 4), (5, 4)]
+    assert [str(s) for s in sites] == ["m.py:2:4", "m.py:3:4", "m.py:4:4", "m.py:5:4"]
+    mutant = mutants.mutate(SWAP_SOURCE, sites[2])
+    assert mutant.splitlines()[3] == "    minus[0][1] += [(a, a)]"
+
+
+def test_every_swap_mutant_differs_by_exactly_one_name():
+    swaps = [site for site in SITES if site.swap]
+    # the fused kernels of deform, sections and bvops fill plus/minus lists
+    assert {site.rel for site in swaps} >= {"bvdouble/deform.py", "bvdouble/sections.py"}
+    trees, sources = {}, {}
+    for site in swaps:
+        if site.rel not in trees:
+            sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
+            trees[site.rel] = ast.parse(sources[site.rel])
+        mutant = mutants.mutate(sources[site.rel], site)
+        ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
+        assert {old, new} == {"plus", "minus"}, site
+
+
+def test_a_swap_site_without_its_list_name_is_refused():
+    with pytest.raises(ValueError, match="no plus or minus"):
+        mutants.mutate("plusses.append(1)\n", mutants.Site("m.py", 1, 0, False, swap=True))
+    with pytest.raises(ValueError, match="no plus or minus"):
+        mutants.mutate("x.append(1)\n", mutants.Site("m.py", 1, 0, False, swap=True))

@@ -1,4 +1,5 @@
-"""The one-pass canonical writer against ``json.dumps``, byte for byte."""
+"""The one-pass canonical writer against ``json.dumps`` over the oracle's
+JSON tree, byte for byte."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from serialize_oracle import oracle_dumps, oracle_fraction, oracle_gauss
+from serialize_oracle import (
+    ORACLE_ENCODERS,
+    oracle_dumps,
+    oracle_fraction,
+    oracle_gauss,
+    oracle_jsonable,
+)
 
 from bvdouble.bvcomplex import BVElement, random_element
 from bvdouble.deform import LieValuedBVElement, MatrixFunction
@@ -119,6 +126,7 @@ SAMPLES = _samples()
 def test_samples_cover_every_encoder():
     kinds = {type(x) for group in SAMPLES.values() for x in group}
     assert kinds == set(_ENCODERS) | {Fraction}
+    assert kinds == set(ORACLE_ENCODERS) | {Fraction}
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLES))
@@ -128,6 +136,50 @@ def test_algebra_objects_match_json_dumps(kind):
         assert canonical_dumps(x) == oracle_dumps(x)
     nested = {"group": group, "first": (group[0], {kind: group[-1]})}
     assert canonical_dumps(nested) == oracle_dumps(nested)
+    assert to_jsonable(nested) == oracle_jsonable(nested)
+
+
+# Scalars with zero, negative and mixed modes and denominators 1 to 6, nested
+# up to four levels deep in lists, tuples and dicts.
+RATIOS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
+GAUSS = st.builds(GaussRational, RATIOS, RATIOS)
+
+
+def _scalar_terms(dim):
+    return st.dictionaries(st.tuples(*[st.integers(-3, 3)] * dim), GAUSS, max_size=4)
+
+
+FOURIER = st.integers(1, 3).flatmap(
+    lambda dim: _scalar_terms(dim).map(lambda terms: FourierScalar(dim, terms))
+)
+DOUBLED = st.integers(1, 2).flatmap(
+    lambda h: _scalar_terms(2 * h).map(lambda terms: DoubledScalar(h, FourierScalar(2 * h, terms)))
+)
+SCALARS = FOURIER | DOUBLED
+
+
+def _nested(depth):
+    inner = SCALARS if depth == 0 else _nested(depth - 1)
+    return (
+        inner
+        | st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=3)
+    )
+
+
+@given(st.integers(0, 4).flatmap(lambda depth: SCALARS if depth == 0 else _nested(depth - 1)))
+def test_nested_scalars_match_the_oracle(value):
+    assert canonical_dumps(value) == oracle_dumps(value)
+    assert to_jsonable(value) == oracle_jsonable(value)
+
+
+def test_scalar_terms_cover_zero_negative_and_reduced_parts():
+    f = FourierScalar(2, {(0, 0): GaussRational(0), (-2, 1): GaussRational(Fraction(-3, 6), 4)})
+    g = DoubledScalar(1, FourierScalar(2, {(-1, 3): GaussRational(Fraction(5, 4), Fraction(-1, 3))}))
+    for value in (f, g, FourierScalar.zero(2), DoubledScalar.zero(1), [[{"x": (f, g)}]]):
+        assert canonical_dumps(value) == oracle_dumps(value)
+    assert to_jsonable(g) == [{"k": [-1], "ktilde": [3], "value": {"re": "5/4", "im": "-1/3"}}]
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)

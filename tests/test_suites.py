@@ -10,7 +10,7 @@ from bvdouble.cli import main
 from bvdouble.deform import MatrixFunction
 from bvdouble.doublecopy import null_covector
 from bvdouble.scalars import FourierScalar, GaussRational, Metric
-from bvdouble.serialize import canonical_dumps
+from bvdouble.serialize import canonical_dumps, to_jsonable
 from bvdouble.suites import SUITE_NAMES, ConfigError, Identity, SuiteConfig, run_suite
 
 
@@ -267,7 +267,7 @@ def test_ym_failures_are_capped_and_marked(monkeypatch, tmp_path, capsys):
     # a failing ym row stores its residual: per-direction matrices of each
     # slot family and the matrix of scalar slots, not a comparison verdict
     for ident in ("mc-calibration-rank-one", "mc-matches-field-equations"):
-        for failure in rows[ident]["failures"]:
+        for failure in to_jsonable(rows[ident]["failures"]):
             aslot, pslot, scalars = failure["residual"]
             assert len(aslot) == len(pslot) == cfg.dim
             assert all(set(m) == {"rows"} for m in aslot + pslot + [scalars])
