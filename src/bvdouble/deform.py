@@ -178,21 +178,23 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     and Y_i = eta^{ij} d_j y the sum runs over i alone.  m(f_i, a) = (0, a_i)
     for a section a with one-form part (a_i), and nu(f_i, X_i, y) is
     mu(m(f_i, y), X_i) + (<X_i, y> e_i, 0) on degrees (1, 1) and
-    -mu(m(f_i, y), X_i) on degrees (2, 1), zero elsewhere.
+    -mu(m(f_i, y), X_i) on degrees (2, 1), zero elsewhere.  eta is contracted
+    on the small operands: sum_i y_i X_i = sum_j (eta y)^j d_j x for the
+    one-form part (y_i) of y, and <X_i, y> = eta^{ij} <d_j x, y>.
     """
     dx, dy = x.degree, y.degree
     acc = BVElement.zero(dx + dy, x.dim)
     if dy == 1 and dx in (1, 2):
-        xs = eta.gradient(x)
-        part = _mu_scalar_slot(_weighted_sum(y.section.form, xs))
+        xd = [x.derivative(j) for j in range(x.dim)]
+        part = _mu_scalar_slot(_weighted_sum(eta.raise_index(y.section.form), xd))
         if dx == 1:
-            p = [pairing(xi.section, y.section) for xi in xs]
+            p = eta.raise_index([pairing(d.section, y.section) for d in xd])
             acc = acc + part + BVElement.deg2(GenSection.from_vec(p))
         else:
             acc = acc - part
     if dx == 1:
-        ys = eta.gradient(y)
-        acc = acc - _mu_scalar_slot(_weighted_sum(x.section.form, ys))
+        yd = [y.derivative(j) for j in range(y.dim)]
+        acc = acc - _mu_scalar_slot(_weighted_sum(eta.raise_index(x.section.form), yd))
     return acc
 
 
@@ -405,7 +407,7 @@ class _Jet:
         self.swapped = sec.form + sec.vec
         self.half_swapped = tuple(c * _HALF for c in self.swapped)
         self.jac = _jacobian(self.comps)
-        self.up = [eta.raise_index(row) for row in self.jac]
+        self.up = [eta.gradient(c) for c in self.comps]
         self.plus = [a + b for a, b in zip(sec.vec, eta.raise_index(sec.form))]
         self.scalar = e.scalar
 

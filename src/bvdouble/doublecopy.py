@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm
 
 from .scalars import (
     FourierScalar,
@@ -127,15 +126,13 @@ def null_covector(eta: Metric, search: int = 6):
 
     Definite metrics admit none and return None at once; otherwise the
     search runs in order of increasing max-norm up to the bound, on the
-    integer form eta^{ij} scaled by the lcm of its denominators.
+    integer form ``Metric.quadratic``.
     """
     if eta.is_definite():
         return None
-    scale = lcm(*(w.denominator for _, _, w in eta.pairs()))
-    form = [(i, j, int(w * scale)) for i, j, w in eta.pairs()]
     for s in range(1, search + 1):
         for n in product(range(-s, s + 1), repeat=eta.dim):
-            if max(map(abs, n)) == s and not sum(w * n[i] * n[j] for i, j, w in form):
+            if max(map(abs, n)) == s and not eta.quadratic(n):
                 return n
     return None
 
@@ -257,15 +254,17 @@ def _same_halfdim(a, b) -> None:
 
 
 class _Jet:
-    """A scalar f on T^{2n} with its d_i f, dt^i f and (if mixed) d_i dt^j f."""
+    """A scalar f on T^{2n} with its d_i f, dt^i f and (if mixed) d_i dt^j f,
+    from one pass over f: the symbols i k_i, i kt_i and -k_i kt_j."""
 
     __slots__ = ("f", "x", "t", "xt")
 
     def __init__(self, f: FourierScalar, n: int, mixed: bool = False):
         self.f = f
-        self.x = [f.derivative(i) for i in range(n)]
-        self.t = [f.derivative(n + i) for i in range(n)]
-        self.xt = [[d.derivative(n + j) for j in range(n)] for d in self.x] if mixed else None
+        mix = (lambda k: k + tuple(a * b for a in k[:n] for b in k[n:])) if mixed else tuple
+        d = f.symbols((1,) * (2 * n) + (2,) * (n * n if mixed else 0), mix)
+        self.x, self.t = d[:n], d[n : 2 * n]
+        self.xt = [d[j : j + n] for j in range(2 * n, len(d), n)] if mixed else None
 
 
 def _doubled(n: int, pairs, negated=()) -> DoubledScalar:
@@ -311,14 +310,15 @@ class Bivector(SquareGrid):
 # (plus, minus) product pairs from grids or lists of ``_Jet``.
 
 
-def _jets(g: Bivector, mixed: bool = False):
-    return [[_Jet(s.fun, g.halfdim, mixed) for s in row] for row in g.rows]
+def _jets(g: Bivector, mixed: bool = False, scale: int = 1):
+    return [[_Jet(s.fun * scale, g.halfdim, mixed) for s in row] for row in g.rows]
 
 
-def _bracket_terms(g, h):
-    """The pairs of each entry of [[g, h]], row-major, from mixed jets; each
-    term comes once with (a, b) = (g, h) and once with (h, g)."""
-    r, both = range(len(g)), ((g, h), (h, g))
+def _bracket_terms(both):
+    """The pairs of each entry of [[g, h]], row-major, from the mixed jets of
+    the grid pairs (a, b) in ``both``: (g, h) and (h, g), or, for [[g, g]],
+    the one pair (g, 2g), so that each product of [[g, g]] is listed once."""
+    r = range(len(both[0][0]))
     return [
         (
             [(a[i][j].f, b[k][l].xt[i][j]) for a, b in both for i in r for j in r],
@@ -372,7 +372,8 @@ def double_bracket(g: Bivector, h: Bivector) -> Bivector:
     - d_i g^{kj} dt_j h^{il} - d_i h^{kj} dt_j g^{il} );  symmetric in g, h."""
     _same_halfdim(g, h)
     gj = _jets(g, True)
-    return _bivector(g.halfdim, _bracket_terms(gj, gj if h is g else _jets(h, True)))
+    both = ((gj, _jets(g, True, 2)),) if h is g else ((gj, hj := _jets(h, True)), (hj, gj))
+    return _bivector(g.halfdim, _bracket_terms(both))
 
 
 def div_omega(g: Bivector, phi: DoubledScalar):
@@ -402,7 +403,7 @@ def bivector_mc_residual(g: Bivector, phi: DoubledScalar):
     gj, pj = _jets(g, True), _Jet(phi.fun, n)
     div = [_Jet(sum_of_products(2 * n, *t), n) for t in _omega_terms(gj, pj)]
     v, vt = div[:n], div[n:]
-    pairs = zip(_bracket_terms(gj, gj), _lie_terms(v, vt, gj))
+    pairs = zip(_bracket_terms(((gj, _jets(g, True, 2)),)), _lie_terms(v, vt, gj))
     tensor = _bivector(n, [(bp + lp, bm + lm) for (bp, bm), (lp, lm) in pairs])
     return tensor, _doubled(n, *_vector_terms(v, vt, pj))
 

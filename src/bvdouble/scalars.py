@@ -44,6 +44,12 @@ Reduce once per output coefficient: products, sums, differences and whole
 signed sums of products (``sum_of_products``) accumulate raw ``(a, b, d)``
 int triples per mode, with no gcd, and bring each surviving coefficient to
 canonical form once, as the result is built.
+
+Symbols: a constant-coefficient operator of order p multiplies the term of
+mode k by i^p P(k)/den, with P an integer polynomial.  ``symbols`` reads each
+packed mode once, like ``coeffs``, and writes each coefficient of several
+such operators with one ``_canon``: the raised gradient, the Laplacian, the
+Jacobian of ``sections`` and the doubled-torus jets of ``doublecopy``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
 
 __all__ = [
@@ -332,6 +338,20 @@ class FourierScalar:
             self.reach,
         )
 
+    def symbols(self, orders, poly, den: int = 1) -> list:
+        """Per output, the scalar of coefficients i^p P(k) c_k / den, from one
+        pass: ``poly(k)`` gives every output's int P(k) at the mode tuple k,
+        and ``orders`` every output's order p, 1 or 2."""
+        bias, size, read = _digits(self.dim)
+        outs = [{} for _ in orders]
+        for m, (a, b, d) in self._terms.items():
+            k = read(((m + bias) ^ bias).to_bytes(size, "little"))
+            d *= den
+            for out, p, v in zip(outs, orders, poly(k)):
+                if v:
+                    out[m] = _canon(-b * v, a * v, d) if p == 1 else _canon(-a * v, -b * v, d)
+        return [_scalar(self.dim, out, self.reach) for out in outs]
+
     def integral(self) -> GaussRational:
         """Normalised integral over the torus (the mode-0 coefficient)."""
         t = self._terms.get(0)
@@ -482,14 +502,16 @@ class Metric:
     """A constant symmetric invertible matrix with exact rational entries.
 
     ``upper`` holds the contravariant components eta^{ij}; ``lower`` is the
-    exact matrix inverse eta_{ij}.  Every index contraction of the package
-    goes through the methods below.  ``raise_index`` and ``lower_index`` take
-    any values that add and scale by a rational (ints, scalars, graded and
-    matrix-valued elements); each row of an invertible matrix has a nonzero
-    entry, so no zero value is needed to start a sum.
+    exact matrix inverse eta_{ij}.  ``_num`` holds the ints ``_den`` eta^{ij},
+    with ``_den`` the least common denominator of the entries, for the symbols
+    of the raised gradient and the Laplacian.  Every index contraction of the
+    package goes through the methods below.  ``raise_index`` and
+    ``lower_index`` take any values that add and scale by a rational (ints,
+    scalars, graded and matrix-valued elements); each row of an invertible
+    matrix has a nonzero entry, so no zero value is needed to start a sum.
     """
 
-    __slots__ = ("dim", "upper", "lower", "det_upper", "_up_rows", "_down_rows")
+    __slots__ = ("dim", "upper", "lower", "det_upper", "_up_rows", "_down_rows", "_den", "_num")
 
     def __init__(self, rows):
         mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -506,6 +528,8 @@ class Metric:
             raise ValueError("metric is singular")
         self._up_rows = _nonzero_rows(self.upper)
         self._down_rows = _nonzero_rows(self.lower)
+        self._den = lcm(*(w.denominator for row in mat for w in row))
+        self._num = tuple(tuple(int(w * self._den) for w in row) for row in mat)
 
     @staticmethod
     def diagonal(entries) -> "Metric":
@@ -529,9 +553,18 @@ class Metric:
         """The list of eta_{ij} t^j over i."""
         return [_row_sum(row, ts) for row in self._down_rows]
 
-    def gradient(self, x) -> list:
-        """The raised gradient: eta^{ij} d_j x over i, for any x with ``derivative``."""
-        return self.raise_index([x.derivative(j) for j in range(self.dim)])
+    def _raised(self, k) -> list:
+        """``_den`` eta^{ij} k_j over i, for ints k_j."""
+        return [sum(map(mul, row, k)) for row in self._num]
+
+    def quadratic(self, k) -> int:
+        """``_den`` eta^{ij} k_i k_j, for ints k_j."""
+        return sum(map(mul, k, self._raised(k)))
+
+    def gradient(self, x: FourierScalar) -> list:
+        """The raised gradient eta^{ij} d_j x over i of a scalar, from one pass:
+        the symbol i eta^{ij} k_j."""
+        return x.symbols((1,) * self.dim, self._raised, self._den)
 
     def is_definite(self) -> bool:
         """Sylvester's test on eta^{ij}: the products Delta_{k-1} Delta_k of its
@@ -565,9 +598,9 @@ def _row_sum(row, ts):
 
 
 def laplacian(f: FourierScalar, metric: Metric) -> FourierScalar:
-    """The constant-coefficient Laplacian eta^{ij} d_i d_j f."""
-    raised = enumerate(metric.gradient(f))
-    return sum((g.derivative(i) for i, g in raised), FourierScalar.zero(f.dim))
+    """The constant-coefficient Laplacian eta^{ij} d_i d_j f, from one pass:
+    the symbol -eta^{ij} k_i k_j."""
+    return f.symbols((2,), lambda k: (metric.quadratic(k),), metric._den)[0]
 
 
 def _gauss_jordan(a, b=None):

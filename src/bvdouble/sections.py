@@ -104,8 +104,9 @@ class GenSection:
 
 
 def _jacobian(comps):
-    """Every first derivative of every component: ``jac[c][k] = d_k comps[c]``."""
-    return [[f.derivative(k) for k in range(f.dim)] for f in comps]
+    """Every first derivative of every component, ``jac[c][k] = d_k comps[c]``,
+    from one pass per component: the symbols i k_k."""
+    return [f.symbols((1,) * f.dim, tuple) for f in comps]
 
 
 def lie_bracket_vec(x, y):

@@ -12,6 +12,9 @@ tests compare the two exactly.  The embedding of the four-slot complex is
 kept as the exterior suite once wrote it: per slot, through the one-form
 embeddings f1 and g1.  The derived bracket of the deformed product is
 kept as the sum it was before ``bvops.boundary`` became its body.
+``mu_bar_eta_raised`` is the closed form of the product correction as it
+was before eta moved onto its small operands: it raised whole element
+gradients eta^{ij} d_j x.
 """
 
 from fractions import Fraction
@@ -24,13 +27,15 @@ from bvdouble.deform import (
     MatrixFunction,
     Q_eta,
     R_eta,
+    _mu_scalar_slot,
+    _weighted_sum,
     flat_sections,
     mu_eta,
     musym_eta,
 )
 from bvdouble.exterior import DifferentialForm, YMElement, hodge
 from bvdouble.scalars import FourierScalar, Metric
-from bvdouble.sections import GenSection
+from bvdouble.sections import GenSection, pairing
 
 _HALF = Fraction(1, 2)
 
@@ -47,6 +52,29 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     for i, j, w in eta.pairs():
         acc = acc + nu(f[i], brack(f[j], x), y) * w
         acc = acc - mu(m_op(f[i], x), brack(f[j], y)) * w
+    return acc
+
+
+def _raised_gradient(x: BVElement, eta: Metric) -> list:
+    """eta^{ij} d_j x over i, for a graded element x."""
+    return eta.raise_index([x.derivative(j) for j in range(eta.dim)])
+
+
+def mu_bar_eta_raised(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
+    """The closed form over X_i = eta^{ij} d_j x and Y_i = eta^{ij} d_j y."""
+    dx, dy = x.degree, y.degree
+    acc = BVElement.zero(dx + dy, x.dim)
+    if dy == 1 and dx in (1, 2):
+        xs = _raised_gradient(x, eta)
+        part = _mu_scalar_slot(_weighted_sum(y.section.form, xs))
+        if dx == 1:
+            p = [pairing(xi.section, y.section) for xi in xs]
+            acc = acc + part + BVElement.deg2(GenSection.from_vec(p))
+        else:
+            acc = acc - part
+    if dx == 1:
+        ys = _raised_gradient(y, eta)
+        acc = acc - _mu_scalar_slot(_weighted_sum(x.section.form, ys))
     return acc
 
 

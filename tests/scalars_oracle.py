@@ -10,6 +10,12 @@ the negation, the derivative and the scaling.  ``test_scalars_oracle``
 requires the triple kernels to give the same scalars, in the same storage
 order, with the same canonical bytes and the same hash.
 
+``gradient``, ``laplacian``, ``jacobian`` and ``jet`` are the compositions
+of per-axis ``derivative`` calls, rational row sums and scalar sums that the
+one-pass symbols of ``FourierScalar.symbols`` replaced: the raised gradient,
+the Laplacian, the Jacobian of ``sections`` and the doubled-torus jets of
+``doublecopy``.
+
 ``det_fraction`` and ``is_definite`` are the two exact eliminations that
 ``scalars._gauss_jordan`` replaced: the first-row cofactor expansion that
 the Hodge star took of each minor, and the LDL^T pivot test of
@@ -143,6 +149,29 @@ def seeded_scalar(rng, dim: int, den: int, max_terms: int = 4) -> FourierScalar:
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         coeffs[mode] = GaussRational(Fraction(a, den), Fraction(b, den))
     return FourierScalar(dim, coeffs)
+
+
+def gradient(x: FourierScalar, eta) -> list:
+    """eta^{ij} d_j x over i: the derivatives, then the rows of eta^{ij}."""
+    return eta.raise_index([x.derivative(j) for j in range(eta.dim)])
+
+
+def laplacian(f: FourierScalar, eta) -> FourierScalar:
+    """sum_i d_i of the raised gradient."""
+    raised = enumerate(gradient(f, eta))
+    return sum((g.derivative(i) for i, g in raised), FourierScalar.zero(f.dim))
+
+
+def jacobian(comps) -> list:
+    return [[f.derivative(k) for k in range(f.dim)] for f in comps]
+
+
+def jet(f: FourierScalar, n: int, mixed: bool):
+    """(d_i f, dt^i f, d_i dt^j f) of a scalar on T^{2n}; the last is None
+    unless ``mixed``."""
+    x = [f.derivative(i) for i in range(n)]
+    t = [f.derivative(n + i) for i in range(n)]
+    return x, t, [[d.derivative(n + j) for j in range(n)] for d in x] if mixed else None
 
 
 def det_fraction(rows) -> Fraction:

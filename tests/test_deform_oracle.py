@@ -94,6 +94,20 @@ def test_mu_bar_eta_matches_the_bracket_loop(name):
             same(mu_bar_eta_table(x, y, eta), want)
 
 
+@pytest.mark.parametrize("name", ["dense", "third"])
+def test_mu_bar_eta_contracts_eta_on_the_small_operands(name):
+    # against the closed form that raised whole element gradients, on all
+    # 16 degree patterns; "third" is the denominator-3 golden metric
+    eta = {**METRICS, "third": Metric.diagonal([3, Fraction(1, 3), -1])}[name]
+    rng = random.Random(f"mu-bar-raised:{name}")
+    for d1 in range(4):
+        for d2 in range(4):
+            for _ in range(3):
+                x = random_element(rng, DIM, 2, d1)
+                y = random_element(rng, DIM, 2, d2)
+                same(mu_bar_eta(x, y, eta), oracle.mu_bar_eta_raised(x, y, eta))
+
+
 def random_matrices(rng, rank, modes):
     """DIM random matrix functions, each entry with 1..modes modes."""
     return [

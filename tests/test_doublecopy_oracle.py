@@ -26,7 +26,7 @@ from bvdouble.doublecopy import (
     random_vector_field,
     section_pair_residual,
 )
-from bvdouble.scalars import FourierScalar, GaussRational, Metric
+from bvdouble.scalars import FourierScalar, GaussRational, Metric, sum_of_products
 from bvdouble.serialize import canonical_dumps
 
 HALFDIMS = (2, 3, 4)
@@ -189,3 +189,23 @@ def test_fused_kernels_make_no_doubled_or_fourier_sums(monkeypatch):
     monkeypatch.undo()
     for value, expected in zip(got, want):
         same(value, expected)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_self_bracket_lists_each_product_once(n, monkeypatch):
+    # [[g, g]] lists its n^2 + n^2 products per entry once, against the jets
+    # of 2g, where [[g, h]] lists each twice over (g, h) and (h, g)
+    g, h, _ = draw_case(n, "both", "random", False)
+    counts = []
+
+    def counting(dim, pairs, negated=()):
+        pairs, negated = list(pairs), list(negated)
+        counts.append(len(pairs) + len(negated))
+        return sum_of_products(dim, pairs, negated)
+
+    monkeypatch.setattr(doublecopy, "sum_of_products", counting)
+    got = [double_bracket(g, g), double_bracket(g, h)]
+    monkeypatch.undo()
+    assert counts == [2 * n * n] * (n * n) + [4 * n * n] * (n * n)
+    same(got[0], oracle.double_bracket(g, g))
+    same(got[1], oracle.double_bracket(g, h))

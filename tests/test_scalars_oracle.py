@@ -7,6 +7,13 @@ product, signed sum of products, derivative and scaling must give the
 oracle's coefficients in the oracle's storage order, the same canonical
 bytes and the same hash; a constant result hashes like its coefficient.
 
+The one-pass symbols of the raised gradient, the Laplacian, the Jacobian
+and the doubled-torus jets are checked against the compositions of
+``derivative`` that they replaced, on D = 1..4 and T^6, on diagonal,
+off-diagonal and denominator-3 metrics, on the zero scalar and on modes
+with zero, negative and extreme (|k_j| = 2^31 - 1) components; and none of
+them may take a ``derivative``, a scalar sum or a ``_merge``.
+
 The one exact elimination ``_gauss_jordan`` is checked against the cofactor
 determinant and the LDL^T definiteness test it replaced, on seeded Fraction
 matrices: regular, singular (a zero row, a repeated row) and with a zero
@@ -21,7 +28,17 @@ from types import SimpleNamespace
 import pytest
 import scalars_oracle as oracle
 
-from bvdouble.scalars import FourierScalar, GaussRational, Metric, _gauss_jordan, sum_of_products
+from bvdouble import scalars
+from bvdouble.doublecopy import _Jet
+from bvdouble.scalars import (
+    FourierScalar,
+    GaussRational,
+    Metric,
+    _gauss_jordan,
+    laplacian,
+    sum_of_products,
+)
+from bvdouble.sections import _jacobian
 from bvdouble.serialize import canonical_dumps
 
 # denominator 6 gives reduced coefficients over 2 and over 3, whose
@@ -82,6 +99,129 @@ def test_a_constant_scalar_hashes_like_its_coefficient():
         f = FourierScalar.const(3, c)
         for g, want in ((f, c), (f * 1, c), (-(-f), c), (f - one, c - 1), (f * f * one, c * c)):
             assert g == want and hash(g) == hash(want)
+
+
+# -- the symbols ----------------------------------------------------------
+
+# components 0 and negative, and the largest that a packed mode holds
+TOP = 2**31 - 1
+COMPONENTS = (0, 0, 1, -1, 2, -3, TOP, -TOP)
+SYMBOL_DENS = (1, 2, 3, 4, 6)
+_F = Fraction
+SYMBOL_METRICS = {
+    **{f"identity{n}": Metric.diagonal([1] * n) for n in range(1, 5)},
+    "lorentz": Metric.diagonal([1, 1, -1]),
+    "dense": Metric([[_F(5, 4), _F(3, 4), 0], [_F(3, 4), _F(5, 4), 0], [0, 0, -1]]),
+    "third": Metric.diagonal([3, _F(1, 3), -1]),
+    # I + J/2 on T^6: every entry nonzero, denominator 2
+    "ij6": Metric([[_F(int(i == j)) + _F(1, 2) for j in range(6)] for i in range(6)]),
+}
+
+
+def symbol_scalar(rng, dim: int, den: int) -> FourierScalar:
+    """1..4 draws of a mode from ``COMPONENTS`` with a coefficient (a + b*i)/den,
+    |a|, |b| <= 4, built by the public constructor."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        mode = tuple(rng.choice(COMPONENTS) for _ in range(dim))
+        coeffs[mode] = GaussRational(_F(rng.randint(-4, 4), den), _F(rng.randint(-4, 4), den))
+    return FourierScalar(dim, coeffs)
+
+
+def symbol_inputs(dim: int):
+    """The zero scalar, then seeded scalars at every denominator."""
+    yield FourierScalar.zero(dim)
+    for den in SYMBOL_DENS:
+        rng = random.Random(f"symbol:{dim}:{den}")
+        for _ in range(6):
+            yield symbol_scalar(rng, dim, den)
+
+
+def equal(got, want):
+    """Equal scalars: the same terms, bytes, hash and reach (storage order may
+    differ, since a composition appends the modes its later sums bring)."""
+    assert got == want
+    assert canonical_dumps(got) == canonical_dumps(want)
+    assert hash(got) == hash(want)
+    assert got.reach == want.reach
+
+
+def equal_lists(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        equal(g, w)
+
+
+def _jet(f, n, mixed):
+    jet = _Jet(f, n, mixed)
+    assert (jet.xt is None) != mixed
+    return jet.x + jet.t + (sum(jet.xt, []) if mixed else [])
+
+
+def _oracle_jet(f, n, mixed):
+    x, t, xt = oracle.jet(f, n, mixed)
+    return x + t + (sum(xt, []) if mixed else [])
+
+
+# kernel -> (the one-pass kernel, its composition), each giving a list of scalars
+KERNELS = {
+    "gradient": (lambda f, eta: eta.gradient(f), oracle.gradient),
+    "laplacian": (lambda f, eta: [laplacian(f, eta)], lambda f, eta: [oracle.laplacian(f, eta)]),
+    "jacobian": (lambda f, _: _jacobian([f])[0], lambda f, _: oracle.jacobian([f])[0]),
+    "jet": (lambda f, n: _jet(f, n, False), lambda f, n: _oracle_jet(f, n, False)),
+    "mixed": (lambda f, n: _jet(f, n, True), lambda f, n: _oracle_jet(f, n, True)),
+}
+
+
+def symbol_cases():
+    """(kernel, scalar, argument): the raised gradient and the Laplacian of
+    every input on each metric's torus, the Jacobian on D = 1..4 and T^6,
+    and on each even torus T^{2n} the plain and the mixed jets."""
+    cases = []
+    for eta in SYMBOL_METRICS.values():
+        cases += [(k, f, eta) for f in symbol_inputs(eta.dim) for k in ("gradient", "laplacian")]
+    for dim in (1, 2, 3, 4, 6):
+        for f in symbol_inputs(dim):
+            cases.append(("jacobian", f, None))
+            if dim % 2 == 0:
+                cases += [("jet", f, dim // 2), ("mixed", f, dim // 2)]
+    return cases
+
+
+def test_symbols_match_the_derivative_compositions():
+    for kernel, f, arg in symbol_cases():
+        new, old = KERNELS[kernel]
+        equal_lists(new(f, arg), old(f, arg))
+
+
+def test_symbols_read_extreme_and_signed_components():
+    # i k_j and -k_i kt_j at |k_j| = 2^31 - 1, on a single term
+    mode, c, i = (TOP, -TOP, 0, -1), GaussRational(_F(1, 3), 2), GaussRational(0, 1)
+    jet = _Jet(FourierScalar.harmonic(4, mode, c), 2, True)
+    assert [g.coeffs for g in jet.x + jet.t] == [{mode: c * i * k} if k else {} for k in mode]
+    assert [[g.coeffs for g in row] for row in jet.xt] == [
+        [{}, {mode: c * TOP}],
+        [{}, {mode: c * -TOP}],
+    ]
+    g = FourierScalar.harmonic(3, (TOP, -2, 0), 1)
+    want = GaussRational(-3 * TOP * TOP - _F(4, 3))
+    assert laplacian(g, SYMBOL_METRICS["third"]).coeffs == {(TOP, -2, 0): want}
+
+
+def test_symbol_kernels_take_no_derivative_sum_or_merge(monkeypatch):
+    cases = symbol_cases()
+    want = [KERNELS[k][1](f, arg) for k, f, arg in cases]
+
+    def banned(*args):
+        raise AssertionError("a symbol kernel must not compose through this operator")
+
+    for name in ("derivative", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(FourierScalar, name, banned)
+    monkeypatch.setattr(scalars, "_merge", banned)
+    got = [KERNELS[k][0](f, arg) for k, f, arg in cases]
+    monkeypatch.undo()
+    for g, w in zip(got, want):
+        equal_lists(g, w)
 
 
 # -- the exact elimination -------------------------------------------------
