@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import FourierScalar, GaussRational, random_scalar
-from .sections import GenSection, d_scalar, divergence, pairing, random_section
+from .scalars import FourierScalar, GaussRational, _random_scalars
+from .sections import GenSection, d_scalar, divergence, pairing
 
 __all__ = [
     "BVElement",
@@ -254,13 +254,12 @@ def odd_pairing(x: BVElement, y: BVElement) -> GaussRational:
 
 
 def random_element(rng, dim: int, cutoff: int, degree: int) -> BVElement:
-    """A random sparse element of the requested degree."""
-    if degree == 0:
-        return BVElement.deg0(random_scalar(rng, dim, cutoff))
-    if degree == 1:
-        return BVElement.deg1(random_section(rng, dim, cutoff), random_scalar(rng, dim, cutoff))
-    if degree == 2:
-        return BVElement.deg2(random_section(rng, dim, cutoff), random_scalar(rng, dim, cutoff))
-    if degree == 3:
-        return BVElement.deg3(random_scalar(rng, dim, cutoff))
+    """A random sparse element of the requested degree: a scalar, or at
+    degrees 1 and 2 a section and a scalar, its 2D + 1 scalars in one draw."""
+    if degree in (0, 3):
+        (u,) = _random_scalars(rng, dim, cutoff, 1)
+        return BVElement(degree, dim, None, u)
+    if degree in (1, 2):
+        fs = _random_scalars(rng, dim, cutoff, 2 * dim + 1)
+        return BVElement(degree, dim, GenSection(fs[:dim], fs[dim:-1]), fs[-1])
     return BVElement.zero(degree, dim)

@@ -40,8 +40,8 @@ from .scalars import (
     GaussRational,
     Metric,
     SquareGrid,
+    _random_scalars,
     laplacian,
-    random_scalar,
     sum_of_products,
 )
 from .sections import GenSection, _jacobian, coordinate_section, divergence, pairing
@@ -294,12 +294,8 @@ class MatrixFunction(SquareGrid):
 
     @staticmethod
     def random(rng, rank: int, dim: int, cutoff: int) -> "MatrixFunction":
-        return MatrixFunction(
-            [
-                [random_scalar(rng, dim, cutoff) for _ in range(rank)]
-                for _ in range(rank)
-            ]
-        )
+        fs = _random_scalars(rng, dim, cutoff, rank * rank)
+        return MatrixFunction([fs[i : i + rank] for i in range(0, rank * rank, rank)])
 
     def __mul__(self, other):
         if isinstance(other, MatrixFunction):

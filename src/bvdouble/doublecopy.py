@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
+from operator import mul
 
 from .scalars import (
     FourierScalar,
     Metric,
     SquareGrid,
-    _random_scalar,
+    _random_scalars,
     laplacian,
     randbelow,
     random_coefficient,
-    random_scalar,
     sum_of_products,
 )
 from .sections import _jacobian
@@ -180,7 +180,7 @@ def null_family_field(rng, eta: Metric, direction, cutoff: int, aligned: bool = 
 
 def random_vector_field(rng, dim: int, cutoff: int):
     """A random unconstrained vector field (sparse Fourier components)."""
-    return tuple(random_scalar(rng, dim, cutoff) for _ in range(dim))
+    return tuple(_random_scalars(rng, dim, cutoff, dim))
 
 
 # -- doubled scalars -------------------------------------------------------
@@ -273,10 +273,11 @@ def _doubled(n: int, pairs, negated=()) -> DoubledScalar:
 
 
 def delta_minus(f: DoubledScalar) -> DoubledScalar:
-    """The cross-sector wave operator 2 sum_i d_i dt^i; modewise -2 k.kt."""
-    n, d = f.halfdim, f.fun.derivative
-    two = FourierScalar.const(2 * n, 2)
-    return _doubled(n, ((d(i).derivative(n + i), two) for i in range(n)))
+    """The cross-sector wave operator 2 sum_i d_i dt^i; modewise -2 k.kt, the
+    symbol of order 2 with P(k, kt) = 2 k.kt."""
+    n = f.halfdim
+    (out,) = f.fun.symbols((2,), lambda k: (2 * sum(map(mul, k[:n], k[n:])),))
+    return DoubledScalar(n, out)
 
 
 def section_pair_residual(f: DoubledScalar, g: DoubledScalar) -> DoubledScalar:
@@ -420,14 +421,12 @@ def random_doubled_scalar(
     kept = {"x": range(halfdim), "xt": range(halfdim, 2 * halfdim), "both": range(2 * halfdim)}
     if sector not in kept:
         raise ValueError(f"unknown sector {sector!r}")
-    return DoubledScalar(halfdim, _random_scalar(rng, 2 * halfdim, cutoff, 2, kept[sector]))
+    (f,) = _random_scalars(rng, 2 * halfdim, cutoff, 1, kept=kept[sector])
+    return DoubledScalar(halfdim, f)
 
 
 def random_bivector(rng, halfdim: int, cutoff: int) -> Bivector:
-    """A random bivector with sparse doubled-scalar entries."""
-    return Bivector(
-        tuple(
-            tuple(random_doubled_scalar(rng, halfdim, cutoff) for _ in range(halfdim))
-            for _ in range(halfdim)
-        )
-    )
+    """A random bivector with sparse doubled-scalar entries, row by row."""
+    n = halfdim
+    fs = [DoubledScalar(n, f) for f in _random_scalars(rng, 2 * n, cutoff, n * n)]
+    return Bivector(tuple(tuple(fs[i : i + n]) for i in range(0, n * n, n)))

@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from .bvops import sign
-from .scalars import FourierScalar, GaussRational, Metric, _gauss_jordan, random_scalar
+from .scalars import FourierScalar, GaussRational, Metric, _gauss_jordan, _random_scalars
 
 __all__ = [
     "DifferentialForm",
@@ -335,10 +335,9 @@ def ym_nu_sym(x: YMElement, y: YMElement, z: YMElement, metric: Metric) -> YMEle
 
 
 def random_form(rng, dim: int, cutoff: int, degree: int) -> DifferentialForm:
-    comps = {}
-    for idx in itertools.combinations(range(dim), degree):
-        comps[idx] = random_scalar(rng, dim, cutoff)
-    return DifferentialForm(dim, degree, comps)
+    idxs = list(itertools.combinations(range(dim), degree))
+    comps = _random_scalars(rng, dim, cutoff, len(idxs))
+    return DifferentialForm(dim, degree, dict(zip(idxs, comps)))
 
 
 def random_ym_element(rng, dim: int, cutoff: int, degree: int) -> YMElement:

@@ -694,7 +694,11 @@ class SquareGrid:
 # Identity checks run on random sparse scalars: one or two Fourier modes with
 # small coefficients.  Sparsity keeps the exact convolutions cheap while still
 # exercising every term of the identities (derivatives, convolutions and index
-# contractions all mix modes).
+# contractions all mix modes).  Every sampler draws its scalars in one call of
+# ``_random_scalars``, which takes each int of ``randbelow`` straight from
+# ``rng.getrandbits`` and each coefficient's canonical triple from ``_SMALL``:
+# the same ``getrandbits`` calls, in the same order, as ``rng.choice``, so
+# the stream, and every seeded report, stays as it was.
 
 
 def randbelow(bits, n: int) -> int:
@@ -709,19 +713,19 @@ def randbelow(bits, n: int) -> int:
     return r
 
 
-def _draw(bits):
-    """The canonical triple of a small nonzero Gaussian rational with
-    denominator 1 or 2, drawn on ``bits = rng.getrandbits``."""
-    while True:
-        a = randbelow(bits, 5) - 2
-        b = randbelow(bits, 5) - 2
-        if a or b:
-            return _canon(a, b, randbelow(bits, 2) + 1)
+# The canonical triple of (a - 2 + (b - 2) i)/(d + 1) at index 10 a + 2 b + d,
+# for a, b in range(5) and d in range(2): every coefficient a draw can give.
+_SMALL = tuple(_canon(a - 2, b - 2, d + 1) for a in range(5) for b in range(5) for d in range(2))
 
 
 def random_coefficient(rng) -> GaussRational:
     """A small nonzero Gaussian rational with denominator 1 or 2."""
-    return _gauss(*_draw(rng.getrandbits))
+    bits = rng.getrandbits
+    while True:
+        a = randbelow(bits, 5)
+        b = randbelow(bits, 5)
+        if a != 2 or b != 2:
+            return _gauss(*_SMALL[10 * a + 2 * b + randbelow(bits, 2)])
 
 
 def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScalar:
@@ -729,26 +733,57 @@ def random_scalar(rng, dim: int, cutoff: int, max_modes: int = 2) -> FourierScal
     cutoff]^dim with a random coefficient.  Draws that land on one mode add
     up and can cancel, so the scalar may have fewer modes, or none (at D=1,
     cutoff 1, for 15 of the seeds 0..2999)."""
-    return _random_scalar(rng, dim, cutoff, max_modes, range(dim))
+    return _random_scalars(rng, dim, cutoff, 1, max_modes)[0]
 
 
-def _random_scalar(rng, dim: int, cutoff: int, max_modes: int, kept: range) -> FourierScalar:
-    """The draw loop of ``random_scalar``: every axis of T^dim is drawn, and
-    the mode keeps the components of the axes in ``kept`` (the others read 0)."""
-    if cutoff >= _HALF:
+def _random_scalars(rng, dim: int, cutoff: int, count: int, max_modes: int = 2, kept=None) -> list:
+    """``count`` draws of ``random_scalar`` in draw order, from one loop.
+    Every axis of T^dim is drawn, and a mode keeps the components of the axes
+    in ``kept`` (default: all; the others read 0).  Each ``randbelow(bits, n)``
+    is written out with its ``k = n.bit_length()``: 3 bits for a coefficient
+    part in range(5) and 2 for a denominator in range(2)."""
+    if not 0 <= cutoff < _HALF:
         raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
+    if max_modes < 1:  # as in randbelow: the loop below would spin on bits(0) == 0
+        raise ValueError(f"no int in [0, {max_modes})")
     bits = rng.getrandbits
     width = 2 * cutoff + 1
-    weights = _weights(dim, kept)
-    coeffs = {}
-    for _ in range(randbelow(bits, max_modes) + 1):
-        mode = 0
-        for weight in weights:
-            mode += (randbelow(bits, width) - cutoff) * weight
-        a, b, d = _draw(bits)
-        t = coeffs.get(mode)
-        if t is not None:
-            p, q, e = t
-            a, b, d = _canon(p * d + a * e, q * d + b * e, e * d)
-        coeffs[mode] = (a, b, d)
-    return _scalar(dim, {m: t for m, t in coeffs.items() if t[0] or t[1]}, cutoff)
+    kw, km = width.bit_length(), max_modes.bit_length()
+    weights = _weights(dim, range(dim) if kept is None else kept)
+    out = []
+    for _ in range(count):
+        n = bits(km)
+        while n >= max_modes:
+            n = bits(km)
+        coeffs = {}
+        cancelled = False
+        for _ in range(n + 1):
+            mode = 0
+            for weight in weights:
+                r = bits(kw)
+                while r >= width:
+                    r = bits(kw)
+                mode += (r - cutoff) * weight
+            while True:
+                a = bits(3)
+                while a >= 5:
+                    a = bits(3)
+                b = bits(3)
+                while b >= 5:
+                    b = bits(3)
+                if a != 2 or b != 2:
+                    break
+            d = bits(2)
+            while d >= 2:
+                d = bits(2)
+            t = _SMALL[10 * a + 2 * b + d]
+            s = coeffs.get(mode)
+            if s is not None:
+                (p, q, e), (a, b, d) = s, t
+                t = _canon(p * d + a * e, q * d + b * e, e * d)
+                cancelled = cancelled or not (t[0] or t[1])
+            coeffs[mode] = t
+        if cancelled:
+            coeffs = {m: t for m, t in coeffs.items() if t[0] or t[1]}
+        out.append(_scalar(dim, coeffs, cutoff))
+    return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, sub
 
-from .scalars import FourierScalar, random_scalar, sum_of_products
+from .scalars import FourierScalar, _random_scalars, sum_of_products
 
 __all__ = [
     "GenSection",
@@ -163,12 +163,14 @@ def pairing(a: GenSection, b: GenSection) -> FourierScalar:
 
 def anchor(a: GenSection, u: FourierScalar) -> FourierScalar:
     """Anchor action A.u = X^i d_i u (one-form part is inert)."""
-    return sum_of_products(a.dim, ((a.vec[i], u.derivative(i)) for i in range(a.dim)))
+    (du,) = _jacobian((u,))
+    return sum_of_products(a.dim, zip(a.vec, du))
 
 
 def d_scalar(u: FourierScalar) -> GenSection:
     """The derivation u -> (0, du)."""
-    return GenSection.from_form(tuple(u.derivative(i) for i in range(u.dim)))
+    (du,) = _jacobian((u,))
+    return GenSection.from_form(du)
 
 
 def divergence(a: GenSection) -> FourierScalar:
@@ -187,7 +189,5 @@ def coordinate_section(dim: int, i: int) -> GenSection:
 
 def random_section(rng, dim: int, cutoff: int) -> GenSection:
     """A random sparse generalized section (every component 1-2 modes)."""
-    return GenSection(
-        tuple(random_scalar(rng, dim, cutoff) for _ in range(dim)),
-        tuple(random_scalar(rng, dim, cutoff) for _ in range(dim)),
-    )
+    fs = _random_scalars(rng, dim, cutoff, 2 * dim)
+    return GenSection(fs[:dim], fs[dim:])

@@ -20,7 +20,7 @@ from scalars_oracle import is_definite
 from sections_oracle import c_half_bracket
 
 from bvdouble.doublecopy import Bivector, DoubledScalar
-from bvdouble.scalars import Metric
+from bvdouble.scalars import FourierScalar, Metric, sum_of_products
 
 
 def _dt(f, i):
@@ -47,6 +47,14 @@ def delta_minus(f):
     for i in range(f.halfdim):
         out = out + _dt(f.dx(i), i)
     return out * 2
+
+
+def delta_minus_by_derivatives(f):
+    """``delta_minus`` before its order-2 symbol: 2n derivative passes and n
+    products with the constant 2 in one ``sum_of_products``."""
+    n, d = f.halfdim, f.fun.derivative
+    two = FourierScalar.const(2 * n, 2)
+    return DoubledScalar(n, sum_of_products(2 * n, ((d(i).derivative(n + i), two) for i in range(n))))
 
 
 def double_bracket(g, h):

@@ -1,7 +1,8 @@
 """The ``rng.choice``/``rng.randint`` samplers, kept as stream oracles.
 
-The package draws every random int through ``scalars.randbelow`` on
-``rng.getrandbits``.  The functions below are the samplers it replaced,
+The package draws every random int as ``scalars.randbelow`` draws it on
+``rng.getrandbits`` (the scalar draw loop ``_random_scalars`` writes it out
+inline).  The functions below are the samplers it replaced,
 written with ``Random.choice`` and ``Random.randint``; the tests require the
 same values and the same generator state after every draw, so every seeded
 report stays byte-identical.

@@ -1,10 +1,12 @@
-"""Mutation runner: flip one ``+``, ``-`` or unary minus in ``src/`` at a time.
+"""Mutation runner: flip one ``+``, ``-``, unary minus or bound in ``src/`` at a time.
 
 A site is one ``+`` or ``-`` of a binary expression or an augmented
-assignment, one unary minus, or one list named ``plus`` or ``minus`` that an
-``append``, ``extend`` or ``+=`` adds to.  Its mutant is the source with
-exactly that node changed: ``+`` and ``-`` (``+=`` and ``-=``) swap, a unary
-minus is dropped, and ``plus`` and ``minus`` swap, so that the pairs go to
+assignment, one unary minus, one order comparison (``<``, ``<=``, ``>``,
+``>=``), or one list named ``plus`` or ``minus`` that an ``append``,
+``extend`` or ``+=`` adds to.  Its mutant is the source with exactly that
+node changed: ``+`` and ``-`` (``+=`` and ``-=``) swap, a unary minus is
+dropped, a comparison moves its bound by one (``<`` and ``<=`` swap, as do
+``>`` and ``>=``), and ``plus`` and ``minus`` swap, so that the pairs go to
 the other list of a fused ``sum_of_products`` kernel and enter with the
 other sign.  Sites are named ``FILE:LINE:COL`` by the position of their
 operator or list name, with FILE relative to ``src/``.
@@ -43,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _FLIP = {"+": "-", "-": "+", "+=": "-=", "-=": "+="}
+_BOUND = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+_ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _SWAP = {"plus": "minus", "minus": "plus"}
 _SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
 # a mutant can loop forever (a flipped step of a loop counter); such a run is
@@ -54,22 +58,34 @@ class Site:
     """One operator or list name: ``rel`` is the file under ``src/``,
     ``line`` is 1-based and ``col`` a character offset into that line."""
 
-    __slots__ = ("rel", "line", "col", "unary", "swap")
+    __slots__ = ("rel", "line", "col", "unary", "swap", "bound")
 
-    def __init__(self, rel: str, line: int, col: int, unary: bool, swap: bool = False):
-        self.rel, self.line, self.col, self.unary, self.swap = rel, line, col, unary, swap
+    def __init__(
+        self, rel: str, line: int, col: int, unary: bool, swap: bool = False, bound: bool = False
+    ):
+        self.rel, self.line, self.col, self.unary = rel, line, col, unary
+        self.swap, self.bound = swap, bound
 
     def __str__(self):
         return f"{self.rel}:{self.line}:{self.col}"
 
 
 def _operator_tokens(source: str) -> list:
-    """(line, byte column, text) of every ``+``, ``-``, ``+=`` and ``-=`` token."""
+    """(line, byte column, text) of every ``+``, ``-``, ``+=``, ``-=`` and
+    order comparison token."""
     return [
         (tok.start[0], len(tok.line[: tok.start[1]].encode()), tok.string)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-        if tok.type == tokenize.OP and tok.string in _FLIP
+        if tok.type == tokenize.OP and (tok.string in _FLIP or tok.string in _BOUND)
     ]
+
+
+def _between(tokens, lhs, rhs):
+    """The operator token between two operands: only brackets, comments and
+    line breaks lie between them besides the operator itself.  None inside
+    an f-string, which is one token."""
+    start, end = (lhs.end_lineno, lhs.end_col_offset), (rhs.lineno, rhs.col_offset)
+    return next((t for t in tokens if start <= t[:2] < end), None)
 
 
 def _swapped_list(node):
@@ -91,6 +107,7 @@ def sites_in(source: str, rel: str) -> list:
     tokens = _operator_tokens(source)
     found = set()
     swaps = set()
+    bounds = set()
     for node in ast.walk(ast.parse(source)):
         name = _swapped_list(node)
         if name is not None:
@@ -102,28 +119,31 @@ def sites_in(source: str, rel: str) -> list:
         ):
             lhs = node.left if isinstance(node, ast.BinOp) else node.target
             rhs = node.right if isinstance(node, ast.BinOp) else node.value
-            start = (lhs.end_lineno, lhs.end_col_offset)
-            end = (rhs.lineno, rhs.col_offset)
-            # only brackets, comments and line breaks lie between the two
-            # operands besides the operator itself
-            op = next((t for t in tokens if start <= t[:2] < end), None)
-            if op is not None:  # None inside an f-string, which is one token
+            op = _between(tokens, lhs, rhs)
+            if op is not None:
                 found.add((op[0], op[1], False))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for lhs, cmp, rhs in zip(operands, node.ops, operands[1:]):
+                op = _between(tokens, lhs, rhs) if isinstance(cmp, _ORDER) else None
+                if op is not None:
+                    bounds.add(op[:2])
     out = []
     for line, col, unary in sorted(found):
         raw = lines[line - 1].encode()
         if unary and raw[col : col + 1] != b"-":
             continue
         out.append(Site(rel, line, len(raw[:col].decode()), unary))
-    for line, col in swaps:
+    for line, col in swaps | bounds:
         raw = lines[line - 1].encode()
-        out.append(Site(rel, line, len(raw[:col].decode()), False, swap=True))
+        kind = {"bound": True} if (line, col) in bounds else {"swap": True}
+        out.append(Site(rel, line, len(raw[:col].decode()), False, **kind))
     return sorted(out, key=lambda site: (site.line, site.col))
 
 
 def mutate(source: str, site: Site) -> str:
-    """The source with the operator at ``site`` flipped or dropped, or its
-    list name swapped."""
+    """The source with the operator at ``site`` flipped or dropped, its
+    bound moved, or its list name swapped."""
     lines = source.splitlines(keepends=True)
     line = lines[site.line - 1]
     head, tail = line[: site.col], line[site.col :]
@@ -132,6 +152,11 @@ def mutate(source: str, site: Site) -> str:
         if name is None or tail[len(name) : len(name) + 1].isidentifier():
             raise ValueError(f"no plus or minus list at {site}")
         tail = _SWAP[name] + tail[len(name) :]
+    elif site.bound:
+        op = next((o for o in ("<=", ">=", "<", ">") if tail.startswith(o)), None)
+        if op is None or tail[len(op) : len(op) + 1] in ("<", ">", "="):
+            raise ValueError(f"no order comparison at {site}")
+        tail = _BOUND[op] + tail[len(op) :]
     elif site.unary:
         if not tail.startswith("-"):
             raise ValueError(f"no unary minus at {site}")
@@ -234,6 +259,10 @@ def run(sites: list, command: list) -> tuple:
         return baseline, results
 
 
+def _kind(site: Site, unary, swap, bound, flip):
+    return unary if site.unary else swap if site.swap else bound if site.bound else flip
+
+
 def table(baseline: dict, results: list, command: list) -> str:
     def cell(items, base):
         new = [item for item in items if item not in base]
@@ -247,7 +276,7 @@ def table(baseline: dict, results: list, command: list) -> str:
         "|---|---|---|---|---|---|",
     ]
     for site, line, got in results:
-        change = "drop unary -" if site.unary else "swap plus/minus" if site.swap else "flip +/-"
+        change = _kind(site, "drop unary -", "swap plus/minus", "move bound", "flip +/-")
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
             got["rows"] != baseline["rows"]
         )
@@ -272,7 +301,7 @@ def main(argv=None) -> int:
     sites = all_sites(ROOT / "src", args.file)
     if args.list:
         for site in sites:
-            print(site, "(unary -)" if site.unary else "(plus/minus)" if site.swap else "")
+            print(site, _kind(site, "(unary -)", "(plus/minus)", "(bound)", ""))
         return 0
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:

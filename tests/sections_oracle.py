@@ -15,7 +15,7 @@ samplers whose stream the package's samplers must reproduce exactly.
 from fractions import Fraction
 
 from bvdouble.bvcomplex import BVElement
-from bvdouble.scalars import FourierScalar, GaussRational, Metric
+from bvdouble.scalars import FourierScalar, GaussRational, Metric, sum_of_products
 from bvdouble.sections import GenSection
 
 _HALF = Fraction(1, 2)
@@ -94,6 +94,16 @@ def pairing(a, b):
 
 def anchor(a, u):
     return zsum((convolve(a.vec[i], u.derivative(i)) for i in range(a.dim)), a.dim)
+
+
+# the bodies of ``anchor`` and ``d_scalar`` before they read du from one
+# Jacobian pass: one ``derivative`` pass per axis
+def anchor_by_derivatives(a, u):
+    return sum_of_products(a.dim, ((a.vec[i], u.derivative(i)) for i in range(a.dim)))
+
+
+def d_scalar(u):
+    return GenSection.from_form(tuple(u.derivative(i) for i in range(u.dim)))
 
 
 def _scale(section, u):

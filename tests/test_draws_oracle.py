@@ -3,9 +3,13 @@
 Every seeded report depends on the exact sequence of ints each sampler takes
 from its generator.  Each package sampler is compared with its
 ``choice``/``randint`` form in ``draws_oracle``: equal values, equal
-canonical bytes and equal ``getstate()`` after every single draw.
+canonical bytes and equal ``getstate()`` after every single draw.  The
+samplers that draw several scalars in one loop are compared scalar by scalar
+with as many consecutive ``draws_oracle.random_scalar`` draws, in storage
+order too.
 """
 
+import itertools
 import random
 
 import draws_oracle as oracle
@@ -13,8 +17,17 @@ import pytest
 
 from bvdouble import suites
 from bvdouble.bvcomplex import random_element
-from bvdouble.doublecopy import null_covector, null_family_field, random_doubled_scalar
-from bvdouble.scalars import Metric, randbelow, random_coefficient, random_scalar
+from bvdouble.deform import MatrixFunction
+from bvdouble.doublecopy import (
+    null_covector,
+    null_family_field,
+    random_bivector,
+    random_doubled_scalar,
+    random_vector_field,
+)
+from bvdouble.exterior import random_form
+from bvdouble.scalars import FourierScalar, Metric, randbelow, random_coefficient, random_scalar
+from bvdouble.sections import random_section
 from bvdouble.serialize import canonical_dumps
 
 SEEDS = range(120)
@@ -60,7 +73,7 @@ def test_coefficients_keep_the_choice_stream():
 
 
 @pytest.mark.parametrize("dim", range(1, 5))
-@pytest.mark.parametrize("cutoff", (0, 1, 2, 5, 2**20))
+@pytest.mark.parametrize("cutoff", (0, 1, 2, 5, 2**20, 2**31 - 1))
 @pytest.mark.parametrize("max_modes", (1, 2, 3))
 def test_scalars_keep_the_choice_stream(dim, cutoff, max_modes):
     for seed in SEEDS:
@@ -70,6 +83,111 @@ def test_scalars_keep_the_choice_stream(dim, cutoff, max_modes):
             want = oracle.random_scalar(old, dim, cutoff, max_modes)
             same(got, want, rng, old)
             assert list(got.coeffs) == list(want.coeffs)
+
+
+@pytest.mark.parametrize(
+    ("seed", "kept"), [(34, {(-1,): 1}), (35, {(1,): 1}), (136, {(-1,): complex(1, -2)})]
+)
+def test_a_cancelled_mode_is_dropped_and_the_others_kept(seed, kept):
+    # three draws at D = 1, cutoff 1: two land on mode 0 and cancel, the
+    # third lands on another mode and stays
+    rng, old = pair(seed)
+    got = random_scalar(rng, 1, 1, 3)
+    same(got, oracle.random_scalar(old, 1, 1, 3), rng, old)
+    assert {m: complex(c.re, c.im) for m, c in got.coeffs.items()} == kept
+
+
+@pytest.mark.parametrize("max_modes", (0, -1))
+def test_scalars_refuse_an_empty_mode_count(max_modes):
+    # an inline ``randbelow`` loop on an empty range would spin for ever:
+    # ``getrandbits(0)`` is always 0; the refusal draws nothing
+    rng, old = pair(5)
+    with pytest.raises(ValueError, match="no int"):
+        random_scalar(rng, 3, 2, max_modes)
+    assert rng.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("cutoff", (-1, -2, 2**31))
+def test_scalars_refuse_a_cutoff_outside_the_packed_range(cutoff):
+    rng, old = pair(5)
+    with pytest.raises(ValueError, match="outside the packed range"):
+        random_scalar(rng, 3, cutoff)
+    assert rng.getstate() == old.getstate()
+
+
+def _zero_or(comps, dim):
+    return [FourierScalar.zero(dim) if f is None else f for f in comps]
+
+
+# sampler -> (draw, the scalars it holds in draw order, its scalar count),
+# each taking (rng, dim, size) with ``size`` the degree, rank or half-dimension
+_MULTI = {
+    "section": (
+        lambda rng, dim, _: random_section(rng, dim, 2),
+        lambda a: a.vec + a.form,
+        lambda dim, _: 2 * dim,
+    ),
+    "element": (
+        lambda rng, dim, p: random_element(rng, dim, 2, p),
+        lambda x: (x.section.vec + x.section.form if x.section else ()) + (x.scalar,),
+        lambda dim, p: 2 * dim + 1 if p in (1, 2) else 1,
+    ),
+    "matrix": (
+        lambda rng, dim, r: MatrixFunction.random(rng, r, dim, 2),
+        lambda m: [f for row in m.rows for f in row],
+        lambda _, r: r * r,
+    ),
+    "form": (
+        lambda rng, dim, p: random_form(rng, dim, 2, p),
+        lambda w: _zero_or(
+            (w.comps.get(i) for i in itertools.combinations(range(w.dim), w.degree)), w.dim
+        ),
+        lambda dim, p: len(list(itertools.combinations(range(dim), p))),
+    ),
+    "vector": (
+        lambda rng, dim, _: random_vector_field(rng, dim, 2),
+        tuple,
+        lambda dim, _: dim,
+    ),
+    "bivector": (
+        lambda rng, n, _: random_bivector(rng, n, 2),
+        lambda g: [e.fun for row in g.rows for e in row],
+        lambda n, _: n * n,
+    ),
+    "doubled": (
+        lambda rng, n, _: random_doubled_scalar(rng, n, 2),
+        lambda f: (f.fun,),
+        lambda _, __: 1,
+    ),
+}
+# the oracle draws a doubled sampler's scalars on T^{2n}
+_DOUBLED = ("bivector", "doubled")
+_SIZES = {"element": range(4), "matrix": range(1, 4), "form": range(5)}
+
+
+def _multi_cases():
+    for name in _MULTI:
+        for dim in range(1, 5):
+            for size in _SIZES.get(name, (None,)):
+                if name != "form" or size <= dim:
+                    yield name, dim, size
+
+
+@pytest.mark.parametrize(("name", "dim", "size"), list(_multi_cases()))
+def test_multi_scalar_samplers_keep_the_scalar_stream(name, dim, size):
+    draw, held, count = _MULTI[name]
+    torus = 2 * dim if name in _DOUBLED else dim
+    for seed in range(30):
+        rng, old = pair(f"{name}:{dim}:{size}:{seed}")
+        for _ in range(2):
+            got = list(held(draw(rng, dim, size)))
+            want = [oracle.random_scalar(old, torus, 2) for _ in range(count(dim, size))]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g == w
+                assert list(g.coeffs) == list(w.coeffs)
+                assert canonical_dumps(g) == canonical_dumps(w)
+            assert rng.getstate() == old.getstate()
 
 
 @pytest.mark.parametrize("halfdim", range(1, 5))

@@ -58,8 +58,9 @@ def test_no_assert_statements():
 
 
 def test_every_draw_goes_through_randbelow():
-    # ``scalars.randbelow`` is the one int draw; a stray ``rng.choice`` or
-    # ``rng.randint`` would be slower and could drift off the locked stream
+    # every int is drawn as ``scalars.randbelow`` draws it, on ``getrandbits``;
+    # a stray ``rng.choice`` or ``rng.randint`` would be slower and could
+    # drift off the locked stream
     found = [
         f"{path.name}:{node.lineno}: .{node.func.attr}("
         for path in SOURCES

@@ -23,9 +23,19 @@ def _operator_nodes(tree):
     ]
 
 
+def _order_comparisons(tree):
+    return [
+        op
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for op in node.ops
+        if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+    ]
+
+
 def test_sites_cover_the_operators_outside_f_strings():
     by_file = {}
-    for site in (s for s in SITES if not s.swap):
+    for site in (s for s in SITES if not s.swap and not s.bound):
         by_file[site.rel] = by_file.get(site.rel, 0) + 1
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -40,6 +50,20 @@ def test_sites_cover_the_operators_outside_f_strings():
         assert by_file.get(rel, 0) == len(nodes) - len(in_f_strings), rel
 
 
+def test_bound_sites_cover_the_order_comparisons_outside_f_strings():
+    by_file = {}
+    for site in (s for s in SITES if s.bound):
+        by_file[site.rel] = by_file.get(site.rel, 0) + 1
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_f_strings = [
+            op for joined in ast.walk(tree) if isinstance(joined, ast.JoinedStr)
+            for op in _order_comparisons(joined)
+        ]
+        rel = path.relative_to(SRC).as_posix()
+        assert by_file.get(rel, 0) == len(_order_comparisons(tree)) - len(in_f_strings), rel
+
+
 def test_each_pinned_mutant_differs_by_exactly_one_node():
     trees = {}
     sources = {}
@@ -51,6 +75,8 @@ def test_each_pinned_mutant_differs_by_exactly_one_node():
         ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
         if site.swap:
             assert {old, new} == {"plus", "minus"}, site
+        elif site.bound:
+            assert {type(old), type(new)} in ({ast.Lt, ast.LtE}, {ast.Gt, ast.GtE}), site
         elif site.unary:
             assert isinstance(old, ast.UnaryOp) and isinstance(old.op, ast.USub), site
             assert ast.dump(new) == ast.dump(old.operand), site
@@ -69,6 +95,47 @@ def test_a_site_without_its_operator_is_refused():
     site = mutants.Site("m.py", 1, 0, unary=False)
     with pytest.raises(ValueError, match="no \\+ or -"):
         mutants.mutate("x * y\n", site)
+
+
+BOUND_SOURCE = """\
+def f(a, b, c):
+    if 0 <= a < b and c >= (a
+            > b) != (a == b):
+        return a << b, f"{a < b}", a in b
+    return -a if c <= b else b >> a
+"""
+
+
+def test_bound_sites_are_the_order_comparisons():
+    sites = [s for s in mutants.sites_in(BOUND_SOURCE, "m.py") if s.bound]
+    assert [(s.line, s.col) for s in sites] == [(2, 9), (2, 14), (2, 24), (3, 12), (5, 19)]
+    lines = [mutants.mutate(BOUND_SOURCE, s).splitlines()[s.line - 1] for s in sites]
+    assert lines == [
+        "    if 0 < a < b and c >= (a",
+        "    if 0 <= a <= b and c >= (a",
+        "    if 0 <= a < b and c > (a",
+        "            >= b) != (a == b):",
+        "    return -a if c < b else b >> a",
+    ]
+
+
+def test_every_bound_mutant_differs_by_exactly_one_comparison():
+    bounds = [site for site in SITES if site.bound]
+    assert {site.rel for site in bounds} >= {"bvdouble/scalars.py", "bvdouble/suites.py"}
+    trees, sources = {}, {}
+    for site in bounds:
+        if site.rel not in trees:
+            sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
+            trees[site.rel] = ast.parse(sources[site.rel])
+        mutant = mutants.mutate(sources[site.rel], site)
+        ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
+        assert {type(old), type(new)} in ({ast.Lt, ast.LtE}, {ast.Gt, ast.GtE}), site
+
+
+def test_a_bound_site_without_its_comparison_is_refused():
+    for source in ("a << b\n", "a >> b\n", "a == b\n", "a + b\n"):
+        with pytest.raises(ValueError, match="no order comparison"):
+            mutants.mutate(source, mutants.Site("m.py", 1, 2, False, bound=True))
 
 
 SWAP_SOURCE = """\

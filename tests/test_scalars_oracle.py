@@ -8,8 +8,9 @@ oracle's coefficients in the oracle's storage order, the same canonical
 bytes and the same hash; a constant result hashes like its coefficient.
 
 The one-pass symbols of the raised gradient, the Laplacian, the Jacobian
-and the doubled-torus jets are checked against the compositions of
-``derivative`` that they replaced, on D = 1..4 and T^6, on diagonal,
+(and so the anchor action and d), the doubled-torus jets and the
+cross-sector wave operator ``delta_minus`` are checked against the
+compositions of ``derivative`` that they replaced, on D = 1..4 and T^6, on diagonal,
 off-diagonal and denominator-3 metrics, on the zero scalar and on modes
 with zero, negative and extreme (|k_j| = 2^31 - 1) components; and none of
 them may take a ``derivative``, a scalar sum or a ``_merge``.
@@ -25,20 +26,23 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import doublecopy_oracle
 import pytest
 import scalars_oracle as oracle
+import sections_oracle
 
 from bvdouble import scalars
-from bvdouble.doublecopy import _Jet
+from bvdouble.doublecopy import DoubledScalar, _Jet, delta_minus
 from bvdouble.scalars import (
     FourierScalar,
     GaussRational,
     Metric,
     _gauss_jordan,
     laplacian,
+    random_scalar,
     sum_of_products,
 )
-from bvdouble.sections import _jacobian
+from bvdouble.sections import GenSection, _jacobian, anchor, d_scalar
 from bvdouble.serialize import canonical_dumps
 
 # denominator 6 gives reduced coefficients over 2 and over 3, whose
@@ -163,8 +167,33 @@ def _oracle_jet(f, n, mixed):
     return x + t + (sum(xt, []) if mixed else [])
 
 
+def _anchor_section(f):
+    """A section to act on f: random vector components, constants when f
+    reaches the largest packed components (a product adds the reaches)."""
+    rng = random.Random(f"anchor:{f.dim}")
+    cutoff = 0 if f.reach > 2**30 else 2
+    return GenSection.from_vec(random_scalar(rng, f.dim, cutoff) for _ in range(f.dim))
+
+
+def _d_scalar(d):
+    return lambda f, _: list(d(f).vec + d(f).form)
+
+
+def _delta_minus(d):
+    return lambda f, n: [d(DoubledScalar(n, f)).fun]
+
+
 # kernel -> (the one-pass kernel, its composition), each giving a list of scalars
 KERNELS = {
+    "anchor": (
+        lambda f, a: [anchor(a, f)],
+        lambda f, a: [sections_oracle.anchor_by_derivatives(a, f)],
+    ),
+    "d_scalar": (_d_scalar(d_scalar), _d_scalar(sections_oracle.d_scalar)),
+    "delta_minus": (
+        _delta_minus(delta_minus),
+        _delta_minus(doublecopy_oracle.delta_minus_by_derivatives),
+    ),
     "gradient": (lambda f, eta: eta.gradient(f), oracle.gradient),
     "laplacian": (lambda f, eta: [laplacian(f, eta)], lambda f, eta: [oracle.laplacian(f, eta)]),
     "jacobian": (lambda f, _: _jacobian([f])[0], lambda f, _: oracle.jacobian([f])[0]),
@@ -175,16 +204,18 @@ KERNELS = {
 
 def symbol_cases():
     """(kernel, scalar, argument): the raised gradient and the Laplacian of
-    every input on each metric's torus, the Jacobian on D = 1..4 and T^6,
-    and on each even torus T^{2n} the plain and the mixed jets."""
+    every input on each metric's torus, the Jacobian, the anchor action and
+    d on D = 1..4 and T^6, and on each even torus T^{2n} the plain and the
+    mixed jets and the cross-sector wave operator."""
     cases = []
     for eta in SYMBOL_METRICS.values():
         cases += [(k, f, eta) for f in symbol_inputs(eta.dim) for k in ("gradient", "laplacian")]
     for dim in (1, 2, 3, 4, 6):
         for f in symbol_inputs(dim):
-            cases.append(("jacobian", f, None))
+            cases += [(k, f, None) for k in ("jacobian", "d_scalar")]
+            cases.append(("anchor", f, _anchor_section(f)))
             if dim % 2 == 0:
-                cases += [("jet", f, dim // 2), ("mixed", f, dim // 2)]
+                cases += [(k, f, dim // 2) for k in ("jet", "mixed", "delta_minus")]
     return cases
 
 
