@@ -160,12 +160,6 @@ class BVElement:
             and self.scalar == other.scalar
         )
 
-    def __repr__(self):
-        return (
-            f"BVElement(degree={self.degree}, section={self.section!r}, "
-            f"scalar={self.scalar!r})"
-        )
-
 
 def op_b(x: BVElement) -> BVElement:
     """The degree -1 operator b."""

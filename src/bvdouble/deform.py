@@ -89,19 +89,15 @@ def _lap_tuple(comps, eta: Metric):
 # -- the deforming operator ------------------------------------------------
 
 
-def flat_sections(eta: Metric):
-    """The coordinate vector fields as degree-1 elements (one per direction)."""
-    return _coordinate_elements(eta.dim)
-
-
 @lru_cache(maxsize=None)
-def _coordinate_elements(dim: int):
+def flat_sections(dim: int):
+    """The coordinate vector fields as degree-1 elements (one per direction)."""
     return tuple(BVElement.deg1(coordinate_section(dim, i)) for i in range(dim))
 
 
 def R_eta(x: BVElement, eta: Metric) -> BVElement:
     """The deforming operator sum eta^{ij} mu(f_i, {f_j, x}); raises degree."""
-    f = flat_sections(eta)
+    f = flat_sections(eta.dim)
     terms = (mu(f[i], brack(f[j], x)) * w for i, j, w in eta.pairs())
     return sum(terms, BVElement.zero(x.degree + 1, x.dim))
 
@@ -131,7 +127,7 @@ def Q_eta(x: BVElement, eta: Metric) -> BVElement:
 
 def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
     """Delta as the double bracket sum eta^{ij} {f_i, {f_j, x}}."""
-    f = flat_sections(eta)
+    f = flat_sections(eta.dim)
     terms = (brack(f[i], brack(f[j], x)) * w for i, j, w in eta.pairs())
     return sum(terms, BVElement.zero(x.degree, x.dim))
 
@@ -206,7 +202,7 @@ def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     - cell(B, A) - eta^{ij} mu(m({f_j, A}, B), f_i), for sections A, B of
     degree-1 arguments, a degree-0 u and the scalar slot vt of degree 2.
     """
-    f, dim, pairs = flat_sections(eta), x.dim, eta.pairs()
+    f, dim, pairs = flat_sections(eta.dim), x.dim, eta.pairs()
 
     def cell(a, z):
         terms = (mu(m_op(f[i], a), brack(f[j], z)) * -w for i, j, w in pairs)

@@ -2,13 +2,15 @@
 
 The C-bracket of vector fields on T^D is Jacobi only on constrained fields,
 such as the family along one eta-null covector that ``null_family_field``
-draws.  On the doubled torus T^{2D}, with d_i along the first D coordinates
-and dt^i along the last D, live the doubled scalars with their cross-sector
-wave operator and strong-constraint residual, and the bivectors g^{kl}, one
-leg per sector, with the double bracket [[g, h]], the divergence div_Omega
-against e^{-2 phi} vol and the Maurer-Cartan residuals
-[[g, g]] + L_{div_Omega(g)} g and div_Omega(div_Omega(g)), which sum the
-Lie derivative and divergence terms of div_Omega(g) in place.
+draws.  A doubled scalar is a plain ``FourierScalar`` on T^{2D}, with d_i
+along the first D axes and dt^i along the last D; only the report splits its
+modes into "k" and "ktilde", through the ``serialize.Doubled`` tag.  On T^{2D}
+live the cross-sector wave operator and strong-constraint residual, and the
+bivectors g^{kl}, one leg per sector, with the double bracket [[g, h]], the
+divergence div_Omega against e^{-2 phi} vol and the Maurer-Cartan residuals
+[[g, g]] + L_{div_Omega(g)} g and div_Omega(div_Omega(g)), which sum the Lie
+derivative and divergence terms of div_Omega(g) in place.  Each refuses
+inputs that are not on one doubled torus with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "null_covector",
     "null_family_field",
     "random_vector_field",
-    "DoubledScalar",
     "delta_minus",
     "section_pair_residual",
     "Bivector",
@@ -186,71 +187,12 @@ def random_vector_field(rng, dim: int, cutoff: int):
 # -- doubled scalars -------------------------------------------------------
 
 
-class DoubledScalar:
-    """A scalar on T^{2D}: modes (k, kt), with the first-sector derivative dx."""
-
-    __slots__ = ("halfdim", "fun")
-
-    def __init__(self, halfdim: int, fun: FourierScalar):
-        if fun.dim != 2 * halfdim:
-            raise ValueError(f"a doubled scalar on T^{fun.dim} with half-dimension {halfdim}")
-        self.halfdim = halfdim
-        self.fun = fun
-
-    @staticmethod
-    def zero(halfdim: int) -> "DoubledScalar":
-        return DoubledScalar(halfdim, FourierScalar.zero(2 * halfdim))
-
-    @staticmethod
-    def harmonic(halfdim: int, k, ktilde, coeff=1) -> "DoubledScalar":
-        if not len(k) == len(ktilde) == halfdim:
-            raise ValueError(f"a harmonic on T^{2 * halfdim} needs two modes of length {halfdim}")
-        return DoubledScalar(
-            halfdim, FourierScalar.harmonic(2 * halfdim, tuple(k) + tuple(ktilde), coeff)
-        )
-
-    def dx(self, i: int) -> "DoubledScalar":
-        """Derivative along the i-th first-sector coordinate."""
-        return DoubledScalar(self.halfdim, self.fun.derivative(i))
-
-    def __add__(self, other, sign=1):
-        if not isinstance(other, DoubledScalar):
-            return NotImplemented
-        _same_halfdim(self, other)
-        return DoubledScalar(self.halfdim, self.fun.__add__(other.fun, sign))
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        return DoubledScalar(self.halfdim, -self.fun)
-
-    def __mul__(self, other):
-        if isinstance(other, DoubledScalar):
-            _same_halfdim(self, other)
-            return DoubledScalar(self.halfdim, self.fun * other.fun)
-        return DoubledScalar(self.halfdim, self.fun * other)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.fun.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, DoubledScalar):
-            return NotImplemented
-        return self.halfdim == other.halfdim and self.fun == other.fun
-
-    def __hash__(self):
-        return hash((self.halfdim, self.fun))
-
-    def __repr__(self):
-        return f"DoubledScalar({self.halfdim}, {self.fun!r})"
-
-
-def _same_halfdim(a, b) -> None:
-    if a.halfdim != b.halfdim:
-        raise ValueError(f"doubled tori of half-dimensions {a.halfdim} and {b.halfdim}")
+def _halfdim(*xs) -> int:
+    """n, for scalars and bivectors ``xs`` that all live on one T^{2n}."""
+    dim = xs[0].dim
+    if dim % 2 or any(x.dim != dim for x in xs):
+        raise ValueError(f"not on one doubled torus: dimensions {[x.dim for x in xs]}")
+    return dim // 2
 
 
 class _Jet:
@@ -267,24 +209,19 @@ class _Jet:
         self.xt = [d[j : j + n] for j in range(2 * n, len(d), n)] if mixed else None
 
 
-def _doubled(n: int, pairs, negated=()) -> DoubledScalar:
-    """The doubled scalar sum f*g over ``pairs`` minus sum f*g over ``negated``."""
-    return DoubledScalar(n, sum_of_products(2 * n, pairs, negated))
-
-
-def delta_minus(f: DoubledScalar) -> DoubledScalar:
+def delta_minus(f: FourierScalar) -> FourierScalar:
     """The cross-sector wave operator 2 sum_i d_i dt^i; modewise -2 k.kt, the
     symbol of order 2 with P(k, kt) = 2 k.kt."""
-    n = f.halfdim
-    (out,) = f.fun.symbols((2,), lambda k: (2 * sum(map(mul, k[:n], k[n:])),))
-    return DoubledScalar(n, out)
+    n = _halfdim(f)
+    (out,) = f.symbols((2,), lambda k: (2 * sum(map(mul, k[:n], k[n:])),))
+    return out
 
 
-def section_pair_residual(f: DoubledScalar, g: DoubledScalar) -> DoubledScalar:
+def section_pair_residual(f: FourierScalar, g: FourierScalar) -> FourierScalar:
     """The strong-constraint residual sum_i (d_i f dt^i g + dt^i f d_i g)."""
-    _same_halfdim(f, g)
-    fj, gj = _Jet(f.fun, f.halfdim), _Jet(g.fun, f.halfdim)
-    return _doubled(f.halfdim, chain(zip(fj.x, gj.t), zip(fj.t, gj.x)))
+    n = _halfdim(f, g)
+    fj, gj = _Jet(f, n), _Jet(g, n)
+    return sum_of_products(2 * n, chain(zip(fj.x, gj.t), zip(fj.t, gj.x)))
 
 
 # -- bivectors on the doubled torus ----------------------------------------
@@ -294,16 +231,16 @@ class Bivector(SquareGrid):
     """A D x D grid g^{kl} of scalars on T^{2D}, one leg per sector."""
 
     __slots__ = ()
-    ENTRY = DoubledScalar
+    ENTRY = FourierScalar
 
     def __init__(self, rows):
         super().__init__(rows)
-        if any(s.halfdim != self.rank for row in self.rows for s in row):
-            raise ValueError(f"a rank-{self.rank} bivector needs entries on T^{2 * self.rank}")
+        if any(s.dim != self.dim for row in self.rows for s in row):
+            raise ValueError(f"a rank-{self.rank} bivector needs entries on T^{self.dim}")
 
     @property
-    def halfdim(self) -> int:
-        return self.rank
+    def dim(self) -> int:
+        return 2 * self.rank
 
 
 # Each kernel takes the jet of each input entry once and writes each output
@@ -312,7 +249,7 @@ class Bivector(SquareGrid):
 
 
 def _jets(g: Bivector, mixed: bool = False, scale: int = 1):
-    return [[_Jet(s.fun * scale, g.halfdim, mixed) for s in row] for row in g.rows]
+    return [[_Jet(s * scale, g.rank, mixed) for s in row] for row in g.rows]
 
 
 def _bracket_terms(both):
@@ -364,33 +301,32 @@ def _vector_terms(v, vt, phi: _Jet):
 
 def _bivector(n: int, terms) -> Bivector:
     """The bivector whose row-major entries are the signed sums of ``terms``."""
-    entries = [_doubled(n, *t) for t in terms]
+    entries = [sum_of_products(2 * n, *t) for t in terms]
     return Bivector([entries[k * n : (k + 1) * n] for k in range(n)])
 
 
 def double_bracket(g: Bivector, h: Bivector) -> Bivector:
     """[[g,h]]^{kl} = sum_{ij} ( g^{ij} d_i dt_j h^{kl} + h^{ij} d_i dt_j g^{kl}
     - d_i g^{kj} dt_j h^{il} - d_i h^{kj} dt_j g^{il} );  symmetric in g, h."""
-    _same_halfdim(g, h)
+    n = _halfdim(g, h)
     gj = _jets(g, True)
     both = ((gj, _jets(g, True, 2)),) if h is g else ((gj, hj := _jets(h, True)), (hj, gj))
-    return _bivector(g.halfdim, _bracket_terms(both))
+    return _bivector(n, _bracket_terms(both))
 
 
-def div_omega(g: Bivector, phi: DoubledScalar):
+def div_omega(g: Bivector, phi: FourierScalar):
     """Volume-weighted divergence of a bivector, one vector per sector:
 
         v^k  = sum_j ( dt_j g^{kj} - 2 g^{kj} dt_j phi ),
         vt^l = sum_i ( d_i g^{il} - 2 g^{il} d_i phi ),
 
     the divergence against the weighted volume e^{-2 phi} vol."""
-    n = g.halfdim
-    _same_halfdim(g, phi)
-    comps = [_doubled(n, *t) for t in _omega_terms(_jets(g), _Jet(phi.fun, n))]
+    n = _halfdim(g, phi)
+    comps = [sum_of_products(2 * n, *t) for t in _omega_terms(_jets(g), _Jet(phi, n))]
     return tuple(comps[:n]), tuple(comps[n:])
 
 
-def bivector_mc_residual(g: Bivector, phi: DoubledScalar):
+def bivector_mc_residual(g: Bivector, phi: FourierScalar):
     """The two Maurer-Cartan residuals of a bivector with volume shift phi:
 
         [[g, g]] + L_{div_Omega(g)} g      (a bivector)
@@ -399,34 +335,29 @@ def bivector_mc_residual(g: Bivector, phi: DoubledScalar):
     Both vanish for constant g with phi = 0; for divergence-free g the first
     reduces to [[g, g]] alone.  Each entry of the first is one sum over its
     bracket and Lie pairs; the jets of g and of div_Omega(g) are taken once."""
-    n = g.halfdim
-    _same_halfdim(g, phi)
-    gj, pj = _jets(g, True), _Jet(phi.fun, n)
+    n = _halfdim(g, phi)
+    gj, pj = _jets(g, True), _Jet(phi, n)
     div = [_Jet(sum_of_products(2 * n, *t), n) for t in _omega_terms(gj, pj)]
     v, vt = div[:n], div[n:]
     pairs = zip(_bracket_terms(((gj, _jets(g, True, 2)),)), _lie_terms(v, vt, gj))
     tensor = _bivector(n, [(bp + lp, bm + lm) for (bp, bm), (lp, lm) in pairs])
-    return tensor, _doubled(n, *_vector_terms(v, vt, pj))
+    return tensor, sum_of_products(2 * n, *_vector_terms(v, vt, pj))
 
 
 # -- randomised inputs -----------------------------------------------------
 
 
-def random_doubled_scalar(
-    rng, halfdim: int, cutoff: int, sector: str = "both"
-) -> DoubledScalar:
-    """A sparse random doubled scalar; sector limits modes to "x", "xt" or "both".
-
-    Every axis of T^{2D} is drawn; the axes outside the sector read 0."""
+def random_doubled_scalar(rng, halfdim: int, cutoff: int, sector: str = "both"):
+    """A sparse random scalar on T^{2 halfdim}; sector limits modes to "x",
+    "xt" or "both".  Every axis is drawn; the axes outside the sector read 0."""
     kept = {"x": range(halfdim), "xt": range(halfdim, 2 * halfdim), "both": range(2 * halfdim)}
     if sector not in kept:
         raise ValueError(f"unknown sector {sector!r}")
-    (f,) = _random_scalars(rng, 2 * halfdim, cutoff, 1, kept=kept[sector])
-    return DoubledScalar(halfdim, f)
+    return _random_scalars(rng, 2 * halfdim, cutoff, 1, kept=kept[sector])[0]
 
 
 def random_bivector(rng, halfdim: int, cutoff: int) -> Bivector:
-    """A random bivector with sparse doubled-scalar entries, row by row."""
+    """A random bivector with sparse entries on T^{2 halfdim}, row by row."""
     n = halfdim
-    fs = [DoubledScalar(n, f) for f in _random_scalars(rng, 2 * n, cutoff, n * n)]
+    fs = _random_scalars(rng, 2 * n, cutoff, n * n)
     return Bivector(tuple(tuple(fs[i : i + n]) for i in range(0, n * n, n)))

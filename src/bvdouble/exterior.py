@@ -125,15 +125,6 @@ class DifferentialForm:
             and self.comps == other.comps
         )
 
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.comps.items())))
-
-    def __repr__(self):
-        if not self.comps:
-            return f"DifferentialForm({self.dim}, {self.degree}, 0)"
-        parts = ", ".join(f"dx{list(i)}: {f!r}" for i, f in sorted(self.comps.items()))
-        return f"DifferentialForm({self.dim}, {self.degree}, {{{parts}}})"
-
 
 def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
     """Exterior product; degree overflow gives the zero top-degree form."""
@@ -188,7 +179,7 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
         # alpha with all indices raised, component on the increasing tuple
         lifted = FourierScalar.zero(dim)
         for idx, f in alpha.comps.items():
-            minor = [[metric.up(l, i) for i in idx] for l in raised]
+            minor = [[metric.upper[l][i] for i in idx] for l in raised]
             det = _gauss_jordan(minor)[0]
             if det:
                 lifted = lifted + f * det
@@ -276,9 +267,6 @@ class YMElement:
         if not isinstance(other, YMElement):
             return NotImplemented
         return self.degree == other.degree and self.form == other.form
-
-    def __repr__(self):
-        return f"YMElement({self.degree}, {self.form!r})"
 
 
 def ym_q(x: YMElement, metric: Metric) -> YMElement:

@@ -379,12 +379,6 @@ class FourierScalar:
             return hash(self.integral())
         return hash((self.dim, frozenset(terms.items())))
 
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        terms = [f"{c}*e[{','.join(map(str, m))}]" for m, c in sorted(self.coeffs.items())]
-        return " + ".join(terms)
-
 
 def _convolve_into(acc: dict, f: FourierScalar, g: FourierScalar, sign: int) -> None:
     """Add ``sign * f * g`` into ``acc`` as unreduced ``(a, b, d)`` triples.
@@ -503,15 +497,17 @@ class Metric:
 
     ``upper`` holds the contravariant components eta^{ij}; ``lower`` is the
     exact matrix inverse eta_{ij}.  ``_num`` holds the ints ``_den`` eta^{ij},
-    with ``_den`` the least common denominator of the entries, for the symbols
-    of the raised gradient and the Laplacian.  Every index contraction of the
-    package goes through the methods below.  ``raise_index`` and
+    ``_den`` the least common denominator of the entries, for the raised
+    gradient, and ``_form`` their nonzero (i, j, int) for the Laplacian.  All
+    index contractions go through the methods below: ``raise_index`` and
     ``lower_index`` take any values that add and scale by a rational (ints,
     scalars, graded and matrix-valued elements); each row of an invertible
     matrix has a nonzero entry, so no zero value is needed to start a sum.
     """
 
-    __slots__ = ("dim", "upper", "lower", "det_upper", "_up_rows", "_down_rows", "_den", "_num")
+    __slots__ = (
+        "dim", "upper", "lower", "det_upper", "_up_rows", "_down_rows", "_den", "_num", "_form"
+    )
 
     def __init__(self, rows):
         mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -530,6 +526,7 @@ class Metric:
         self._down_rows = _nonzero_rows(self.lower)
         self._den = lcm(*(w.denominator for row in mat for w in row))
         self._num = tuple(tuple(int(w * self._den) for w in row) for row in mat)
+        self._form = [(i, j, w) for i, r in enumerate(self._num) for j, w in enumerate(r) if w]
 
     @staticmethod
     def diagonal(entries) -> "Metric":
@@ -537,9 +534,6 @@ class Metric:
         return Metric(
             [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
-
-    def up(self, i: int, j: int) -> Fraction:
-        return self.upper[i][j]
 
     def pairs(self):
         """The nonzero entries (i, j, eta^{ij}), row by row."""
@@ -558,8 +552,8 @@ class Metric:
         return [sum(map(mul, row, k)) for row in self._num]
 
     def quadratic(self, k) -> int:
-        """``_den`` eta^{ij} k_i k_j, for ints k_j."""
-        return sum(map(mul, k, self._raised(k)))
+        """``_den`` eta^{ij} k_i k_j, for ints k_j, over the nonzero entries."""
+        return sum([w * k[i] * k[j] for i, j, w in self._form])
 
     def gradient(self, x: FourierScalar) -> list:
         """The raised gradient eta^{ij} d_j x over i of a scalar, from one pass:
@@ -684,9 +678,6 @@ class SquareGrid:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.rows == other.rows
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.rows!r})"
 
 
 # -- randomised inputs -----------------------------------------------------

@@ -61,12 +61,6 @@ class GenSection:
         z = FourierScalar.zero(vec[0].dim)
         return GenSection(vec, (z,) * len(vec))
 
-    @staticmethod
-    def from_form(form) -> "GenSection":
-        form = tuple(form)
-        z = FourierScalar.zero(form[0].dim)
-        return GenSection((z,) * len(form), form)
-
     def __add__(self, other, op=add):
         if not isinstance(other, GenSection):
             raise TypeError(f"cannot combine a GenSection with {type(other).__name__}")
@@ -95,12 +89,6 @@ class GenSection:
         if not isinstance(other, GenSection):
             return NotImplemented
         return self.dim == other.dim and self.vec == other.vec and self.form == other.form
-
-    def __hash__(self):
-        return hash((self.vec, self.form))
-
-    def __repr__(self):
-        return f"GenSection(vec={self.vec!r}, form={self.form!r})"
 
 
 def _jacobian(comps):
@@ -170,7 +158,7 @@ def anchor(a: GenSection, u: FourierScalar) -> FourierScalar:
 def d_scalar(u: FourierScalar) -> GenSection:
     """The derivation u -> (0, du)."""
     (du,) = _jacobian((u,))
-    return GenSection.from_form(du)
+    return GenSection((FourierScalar.zero(u.dim),) * u.dim, du)
 
 
 def divergence(a: GenSection) -> FourierScalar:

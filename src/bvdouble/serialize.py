@@ -6,19 +6,20 @@ plus one newline, so equal data structures serialize to byte-identical text.
 It writes that text in one recursive pass instead of calling ``json.dumps``:
 with ``indent`` set, the standard library skips its C encoder and runs a
 pure-Python generator chain, which cost more than the rest of a report's
-rendering.  ``_ENCODERS`` is one shallow table that both the writer and
-:func:`to_jsonable` recurse over: each entry encodes one level of an object
-and leaves its scalars and nested objects as objects.  The two scalar types
-share one term writer, which writes each term's whole text from its mode and
-coefficient ints; :func:`to_jsonable` parses that text, so the term layout
-has one home.  Strings and keys go through the C string encoder.  Numbers
-never pass through floats:
+rendering.  ``_ENCODERS`` is one shallow table that the writer recurses
+over: each entry encodes one level of an object and leaves its scalars and
+nested objects as objects.  Scalars have one term writer, which writes each
+term's whole text from its mode and coefficient ints, and
+:func:`to_jsonable` parses the canonical text, so the writer is the one
+encoder.  Strings and keys go through the C string encoder.  Numbers never
+pass through floats:
 
 * ``Fraction`` -> ``"p/q"`` (or ``"p"`` when the denominator is 1),
 * ``GaussRational`` -> ``{"re": "p/q", "im": "p/q"}``,
 * ``FourierScalar`` -> sorted list of ``{"mode": [...], "value": ...}``,
-* ``DoubledScalar`` -> sorted list of ``{"k": [...], "ktilde": [...],
-  "value": ...}`` with the mode split between the two coordinate sectors.
+* ``Doubled(n, f)``, a report-only tag on a scalar f on T^{2n} that bivectors
+  and :func:`tag_doubled` put on, -> the same with each mode split into
+  ``"k"`` and ``"ktilde"``, one per coordinate sector.
 
 Structured algebra elements (sections, graded elements, forms, matrices,
 bivectors) are encoded slot by slot with self-describing keys, which keeps
@@ -36,12 +37,12 @@ from math import gcd
 
 from .bvcomplex import BVElement
 from .deform import LieValuedBVElement, MatrixFunction
-from .doublecopy import Bivector, DoubledScalar
+from .doublecopy import Bivector
 from .exterior import DifferentialForm, YMElement
 from .scalars import FourierScalar, GaussRational, Metric
 from .sections import GenSection
 
-__all__ = ["encode_fraction", "parse_fraction", "to_jsonable", "canonical_dumps"]
+__all__ = ["encode_fraction", "parse_fraction", "to_jsonable", "canonical_dumps", "tag_doubled"]
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -61,18 +62,9 @@ def encode_fraction(value: Fraction) -> str:
 
 def parse_fraction(text) -> Fraction:
     """Exact rational from an int or a "p/q" string; floats are rejected."""
-    if isinstance(text, bool) or isinstance(text, float):
-        raise ValueError(f"expected an exact rational, got {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
+    if isinstance(text, (int, str)) and not isinstance(text, bool):
         return Fraction(text)
     raise ValueError(f"expected an exact rational, got {text!r}")
-
-
-def _encode_gauss(g):
-    # from the canonical ints (a + b*i)/d; each part reduces on its own
-    return {"re": _ratio_text(g._a, g._d), "im": _ratio_text(g._b, g._d)}
 
 
 def _ints(values, nl) -> str:
@@ -80,13 +72,35 @@ def _ints(values, nl) -> str:
     return f"[{inner}{f',{inner}'.join(map(str, values))}{nl}]" if values else "[]"
 
 
+class Doubled:
+    """A report-only tag: write ``scalar``, on T^{2 halfdim}, with each mode
+    split into "k" and "ktilde"."""
+
+    __slots__ = ("halfdim", "scalar")
+
+    def __init__(self, halfdim: int, scalar: FourierScalar):
+        self.halfdim, self.scalar = halfdim, scalar
+
+
+def tag_doubled(obj, halfdim: int):
+    """``obj`` with each scalar in its dicts, lists and tuples tagged
+    ``Doubled(halfdim, ...)``; bivectors tag their own entries."""
+    if type(obj) is FourierScalar:
+        return Doubled(halfdim, obj)
+    if isinstance(obj, dict):
+        return {k: tag_doubled(v, halfdim) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(tag_doubled(x, halfdim) for x in obj)
+    return obj
+
+
 def _terms_text(f, nl="\n") -> str:
-    """The text of a Fourier or doubled scalar's terms, sorted by mode, at
+    """The text of a scalar's (or ``Doubled`` tag's) terms, sorted by mode, at
     the indent of ``nl``: one f-string per term, from its coefficient's ints."""
     i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
-    h = f.halfdim if type(f) is DoubledScalar else None
+    h = f.halfdim if type(f) is Doubled else None
     out = []
-    for mode, g in sorted((f if h is None else f.fun).coeffs.items()):
+    for mode, g in sorted((f if h is None else f.scalar).coeffs.items()):
         if h is None:
             head = f'"mode": {_ints(mode, i2)}'
         else:
@@ -98,27 +112,9 @@ def _terms_text(f, nl="\n") -> str:
     return f"[{i1}{f',{i1}'.join(out)}{nl}]" if out else "[]"
 
 
-def _encoder(obj):
-    encode = _ENCODERS.get(type(obj))
-    if encode is None:
-        if isinstance(obj, float):
-            raise TypeError("refusing to serialize a float in an exact report")
-        raise TypeError(f"no canonical encoding for {type(obj)!r}")
-    return encode
-
-
 def to_jsonable(obj):
-    """Recursively rewrite an algebra object into JSON-ready primitives."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    encode = _encoder(obj)
-    if encode is _terms_text:
-        return json.loads(_terms_text(obj))
-    return to_jsonable(encode(obj))
+    """The JSON primitives of an algebra object: its canonical text, parsed."""
+    return json.loads(canonical_dumps(obj))
 
 
 def _encode_element(x):
@@ -130,9 +126,9 @@ def _encode_element(x):
 
 _ENCODERS = {
     Fraction: encode_fraction,
-    GaussRational: _encode_gauss,
+    GaussRational: lambda g: {"re": _ratio_text(g._a, g._d), "im": _ratio_text(g._b, g._d)},
     FourierScalar: _terms_text,
-    DoubledScalar: _terms_text,
+    Doubled: _terms_text,
     GenSection: lambda a: {"vec": a.vec, "form": a.form},
     BVElement: _encode_element,
     DifferentialForm: lambda a: {
@@ -144,7 +140,7 @@ _ENCODERS = {
     YMElement: lambda x: {"degree": x.degree, "form": x.form},
     MatrixFunction: lambda m: {"rows": m.rows},
     LieValuedBVElement: lambda x: {"degree": x.degree, "grid": x.rows},
-    Bivector: lambda b: {"entries": b.rows},
+    Bivector: lambda b: {"entries": tag_doubled(b.rows, b.rank)},
     Metric: lambda m: m.upper,
 }
 
@@ -210,7 +206,11 @@ def _write(obj, emit, nl):
     elif isinstance(obj, int):
         emit(int.__repr__(obj))
     else:
-        encode = _encoder(obj)
+        encode = _ENCODERS.get(type(obj))
+        if encode is None:
+            if isinstance(obj, float):
+                raise TypeError("refusing to serialize a float in an exact report")
+            raise TypeError(f"no canonical encoding for {type(obj)!r}")
         if encode is _terms_text:
             emit(_terms_text(obj, nl))
         else:

@@ -90,7 +90,6 @@ from .deform import (
 )
 from .doublecopy import (
     Bivector,
-    DoubledScalar,
     bivector_mc_residual,
     c_bracket,
     c_half_bracket,
@@ -126,7 +125,7 @@ from .sections import (
     pairing,
     random_section,
 )
-from .serialize import encode_fraction, parse_fraction, to_jsonable
+from .serialize import encode_fraction, parse_fraction, tag_doubled, to_jsonable
 
 __all__ = ["ConfigError", "SuiteConfig", "SUITE_NAMES", "check_suite", "run_suite"]
 
@@ -1009,14 +1008,13 @@ def _doublecopy_identities(cfg: SuiteConfig):
     doubled = _draw(random_doubled_scalar)
 
     def modewise_eigenvalue(f):
-        h = f.halfdim
+        h = cfg.dim
         coeffs = {}
-        for mode, coeff in f.fun.coeffs.items():
+        for mode, coeff in f.coeffs.items():
             dot = sum(mode[i] * mode[h + i] for i in range(h))
             if dot:
                 coeffs[mode] = coeff * (-2 * dot)
-        expected = DoubledScalar(h, FourierScalar(2 * h, coeffs))
-        return delta_minus(f) - expected
+        return delta_minus(f) - FourierScalar(2 * h, coeffs)
 
     def same_sector_pairs(rng, cfg, res):
         # bespoke: both scalars of a sample share one drawn sector
@@ -1028,15 +1026,15 @@ def _doublecopy_identities(cfg: SuiteConfig):
 
     def cross_sector_violation(fx, ft):
         closed = delta_minus(fx).is_zero() and delta_minus(ft).is_zero()
-        return section_pair_residual(fx, ft) if closed else DoubledScalar.zero(fx.halfdim)
+        return section_pair_residual(fx, ft) if closed else FourierScalar.zero(2 * cfg.dim)
 
     def cross_sector_pair(rng, cfg, res):
         # bespoke: one sample, on a fixed pair of unit harmonics
         h = cfg.dim
         kx = (1,) + (0,) * (h - 1)
         zero = (0,) * h
-        fx = DoubledScalar.harmonic(h, kx, zero)
-        ft = DoubledScalar.harmonic(h, zero, kx)
+        fx = FourierScalar.harmonic(2 * h, kx + zero)
+        ft = FourierScalar.harmonic(2 * h, zero + kx)
         yield (fx, ft), res(fx, ft)
 
     def bracket_bilinearity(g1, g2, h):
@@ -1049,22 +1047,22 @@ def _doublecopy_identities(cfg: SuiteConfig):
         return (additive, scaling)
 
     def constant_case(g, h):
-        phi = DoubledScalar.zero(cfg.dim)
+        phi = FourierScalar.zero(2 * cfg.dim)
         tensor, scalar = bivector_mc_residual(g, phi)
         return (double_bracket(g, h), tensor, scalar)
 
     def divergence_free_bivector(rng, cfg):
         h = cfg.dim
         seedf = random_doubled_scalar(rng, h, cfg.mode_cutoff, sector="x")
-        zero = DoubledScalar.zero(h)
+        zero = FourierScalar.zero(2 * h)
         rows = [[zero] * h for _ in range(h)]
         for col in range(h):
-            rows[0][col] = seedf.dx(1)
-            rows[1][col] = -seedf.dx(0)
+            rows[0][col] = seedf.derivative(1)
+            rows[1][col] = -seedf.derivative(0)
         return Bivector(tuple(tuple(r) for r in rows))
 
     def divergence_free_reduction(g):
-        phi = DoubledScalar.zero(cfg.dim)
+        phi = FourierScalar.zero(2 * cfg.dim)
         vec, tvec = div_omega(g, phi)
         tensor, scalar = bivector_mc_residual(g, phi)
         return (
@@ -1147,11 +1145,13 @@ def check_suite(name: str, config: SuiteConfig) -> None:
 def run_suite(name: str, config: SuiteConfig) -> dict:
     """Evaluate every identity of one suite and return its report.
 
-    Rows hold the values they checked; ``serialize.canonical_dumps`` writes
-    them and ``serialize.to_jsonable`` renders them as JSON primitives."""
+    Rows hold the values they checked, the doublecopy suite's scalars tagged
+    ``serialize.Doubled``; ``serialize.canonical_dumps`` writes them."""
     check_suite(name, config)
     identities, extras = _SUITES[name](config)
     rows = _run_identities(name, identities, config)
+    if name == "doublecopy":
+        rows = tag_doubled(rows, config.dim)
     report = {
         "suite": name,
         "config": config.echo(),

@@ -47,7 +47,7 @@ def q_eta(x: BVElement, eta: Metric) -> BVElement:
 
 def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     """sum eta^{ij} [nu(f_i, {f_j, x}, y) - mu(m(f_i, x), {f_j, y})]."""
-    f = flat_sections(eta)
+    f = flat_sections(eta.dim)
     acc = BVElement.zero(x.degree + y.degree, x.dim)
     for i, j, w in eta.pairs():
         acc = acc + nu(f[i], brack(f[j], x), y) * w
@@ -251,7 +251,7 @@ def ym_embed_one_form(kind: str, form: DifferentialForm, eta: Metric) -> BVEleme
         div = FourierScalar.zero(dim)
         for i in range(dim):
             for j in range(dim):
-                div = div + comps[i].derivative(j) * eta.up(i, j)
+                div = div + comps[i].derivative(j) * eta.upper[i][j]
         return BVElement.deg1(GenSection(star, comps), -div)
     return BVElement.deg2(GenSection(star, comps))
 

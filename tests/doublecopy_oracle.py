@@ -2,8 +2,9 @@
 
 These are the plain loop bodies that ``bvdouble.doublecopy`` replaced with
 per-entry jets and one ``sum_of_products`` per output entry: every term is
-built as its own ``DoubledScalar`` (or ``FourierScalar``) and added into a
-running sum; the C-bracket antisymmetrizes the definitional half-bracket of
+built as its own ``FourierScalar`` (on T^{2n} for the doubled torus, where
+d_i is axis i and dt^i axis n + i) and added into a running sum; the
+C-bracket antisymmetrizes the definitional half-bracket of
 ``sections_oracle``.  ``tests/test_doublecopy_oracle.py`` compares the
 kernels with them by value and by canonical bytes.  ``div_omega_vector`` and
 ``lie_derivative_bivector`` have no kernel of their own: they are the loop
@@ -19,13 +20,22 @@ from itertools import product
 from scalars_oracle import is_definite
 from sections_oracle import c_half_bracket
 
-from bvdouble.doublecopy import Bivector, DoubledScalar
+from bvdouble.doublecopy import Bivector
 from bvdouble.scalars import FourierScalar, Metric, sum_of_products
+
+
+def _n(f):
+    """The half-dimension of the doubled torus a scalar or bivector lives on."""
+    return f.dim // 2
+
+
+def _zero(n):
+    return FourierScalar.zero(2 * n)
 
 
 def _dt(f, i):
     """The derivative of a doubled scalar along the i-th second-sector coordinate."""
-    return DoubledScalar(f.halfdim, f.fun.derivative(f.halfdim + i))
+    return f.derivative(_n(f) + i)
 
 
 def c_bracket(a, b, eta: Metric):
@@ -36,82 +46,82 @@ def c_bracket(a, b, eta: Metric):
 
 
 def section_pair_residual(f, g):
-    out = DoubledScalar.zero(f.halfdim)
-    for i in range(f.halfdim):
-        out = out + f.dx(i) * _dt(g, i) + _dt(f, i) * g.dx(i)
+    out = _zero(_n(f))
+    for i in range(_n(f)):
+        out = out + f.derivative(i) * _dt(g, i) + _dt(f, i) * g.derivative(i)
     return out
 
 
 def delta_minus(f):
-    out = DoubledScalar.zero(f.halfdim)
-    for i in range(f.halfdim):
-        out = out + _dt(f.dx(i), i)
+    out = _zero(_n(f))
+    for i in range(_n(f)):
+        out = out + _dt(f.derivative(i), i)
     return out * 2
 
 
 def delta_minus_by_derivatives(f):
     """``delta_minus`` before its order-2 symbol: 2n derivative passes and n
     products with the constant 2 in one ``sum_of_products``."""
-    n, d = f.halfdim, f.fun.derivative
+    n, d = _n(f), f.derivative
     two = FourierScalar.const(2 * n, 2)
-    return DoubledScalar(n, sum_of_products(2 * n, ((d(i).derivative(n + i), two) for i in range(n))))
+    return sum_of_products(2 * n, ((d(i).derivative(n + i), two) for i in range(n)))
 
 
 def double_bracket(g, h):
-    n = g.halfdim
+    n = _n(g)
     out = []
     for k in range(n):
         row = []
         for l in range(n):
-            acc = DoubledScalar.zero(n)
+            acc = _zero(n)
             for i in range(n):
                 for j in range(n):
-                    acc = acc + g.entry(i, j) * _dt(h.entry(k, l).dx(i), j)
-                    acc = acc + h.entry(i, j) * _dt(g.entry(k, l).dx(i), j)
-                    acc = acc - g.entry(k, j).dx(i) * _dt(h.entry(i, l), j)
-                    acc = acc - h.entry(k, j).dx(i) * _dt(g.entry(i, l), j)
+                    acc = acc + g.entry(i, j) * _dt(h.entry(k, l).derivative(i), j)
+                    acc = acc + h.entry(i, j) * _dt(g.entry(k, l).derivative(i), j)
+                    acc = acc - g.entry(k, j).derivative(i) * _dt(h.entry(i, l), j)
+                    acc = acc - h.entry(k, j).derivative(i) * _dt(g.entry(i, l), j)
             row.append(acc)
         out.append(tuple(row))
     return Bivector(tuple(out))
 
 
 def div_omega(g, phi):
-    n = g.halfdim
+    n = _n(g)
     vec = []
     for k in range(n):
-        acc = DoubledScalar.zero(n)
+        acc = _zero(n)
         for j in range(n):
             acc = acc + _dt(g.entry(k, j), j) - g.entry(k, j) * _dt(phi, j) * 2
         vec.append(acc)
     tvec = []
     for l in range(n):
-        acc = DoubledScalar.zero(n)
+        acc = _zero(n)
         for i in range(n):
-            acc = acc + g.entry(i, l).dx(i) - g.entry(i, l) * phi.dx(i) * 2
+            acc = acc + g.entry(i, l).derivative(i) - g.entry(i, l) * phi.derivative(i) * 2
         tvec.append(acc)
     return tuple(vec), tuple(tvec)
 
 
 def div_omega_vector(vec, tvec, phi):
-    n = phi.halfdim
-    acc = DoubledScalar.zero(n)
+    n = _n(phi)
+    acc = _zero(n)
     for i in range(n):
-        acc = acc + vec[i].dx(i) - vec[i] * phi.dx(i) * 2
+        acc = acc + vec[i].derivative(i) - vec[i] * phi.derivative(i) * 2
         acc = acc + _dt(tvec[i], i) - tvec[i] * _dt(phi, i) * 2
     return acc
 
 
 def lie_derivative_bivector(vec, tvec, g):
-    n = g.halfdim
+    n = _n(g)
     out = []
     for k in range(n):
         row = []
         for l in range(n):
-            acc = DoubledScalar.zero(n)
+            acc = _zero(n)
             for i in range(n):
-                acc = acc + vec[i] * g.entry(k, l).dx(i)
+                acc = acc + vec[i] * g.entry(k, l).derivative(i)
                 acc = acc + tvec[i] * _dt(g.entry(k, l), i)
-                acc = acc - g.entry(i, l) * vec[k].dx(i)
+                acc = acc - g.entry(i, l) * vec[k].derivative(i)
                 acc = acc - g.entry(k, i) * _dt(tvec[l], i)
             row.append(acc)
         out.append(tuple(row))

@@ -10,7 +10,6 @@ report stays byte-identical.
 
 from operator import lshift
 
-from bvdouble.doublecopy import DoubledScalar
 from bvdouble.scalars import (
     _HALF,
     _ZERO,
@@ -87,7 +86,7 @@ def random_doubled_scalar(rng, halfdim, cutoff, sector="both"):
         c = random_coefficient(rng)
         prev = coeffs.get(mode)
         coeffs[mode] = c if prev is None else prev + c
-    return DoubledScalar(halfdim, FourierScalar(2 * halfdim, coeffs))
+    return FourierScalar(2 * halfdim, coeffs)
 
 
 def any_degree(random_fn, rng, dim, cutoff):

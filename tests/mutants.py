@@ -19,10 +19,13 @@ operator or list name, with FILE relative to ``src/``.
 The runner copies the repository (without ``.git`` and caches) to a
 temporary directory, runs COMMAND there once unmutated and then once per
 mutant, one mutant at a time, with ``PYTHONPATH`` on the copy's ``src``, and
-restores each file before the next mutant.  The kill table gives, per site,
-the exit status, the pytest tests that went red (from ``FAILED`` lines) and
-the report rows that went red (when COMMAND prints a ``verify`` report), each
-beside the unmutated run's.  A survivor is either a gap in the checks or an
+restores each file before the next mutant.  A mutant run may take
+``_LIMIT_FACTOR`` times the unmutated run's wall time, and at least
+``_LIMIT_FLOOR_S`` seconds; one that runs longer (a flipped loop step can
+loop for ever) is stopped and shown as "killed (timeout)".  The kill table
+gives, per site, the exit status, the pytest tests that went red (from
+``FAILED`` lines) and the report rows that went red (when COMMAND prints a
+``verify`` report), each beside the unmutated run's.  A survivor is either a gap in the checks or an
 equivalent mutant, which the reader names.
 
 pytest does not collect this file: its name does not start with ``test_``.
@@ -42,6 +45,7 @@ import sys
 import tempfile
 import tokenize
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 _FLIP = {"+": "-", "-": "+", "+=": "-=", "-=": "+="}
@@ -49,9 +53,10 @@ _BOUND = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 _ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _SWAP = {"plus": "minus", "minus": "plus"}
 _SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
-# a mutant can loop forever (a flipped step of a loop counter); such a run is
-# stopped and counted as killed
+# the unmutated run's limit; each mutant's is derived from its wall time
 _TIMEOUT_S = 3600
+_LIMIT_FACTOR = 10
+_LIMIT_FLOOR_S = 30
 
 
 class Site:
@@ -237,26 +242,33 @@ def run(sites: list, command: list) -> tuple:
         # written in the same second as the next one could be reused
         env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
 
-        def attempt():
+        def attempt(limit):
             try:
                 proc = subprocess.run(
-                    command, cwd=copy, env=env, capture_output=True, text=True, timeout=_TIMEOUT_S
+                    command, cwd=copy, env=env, capture_output=True, text=True, timeout=limit
                 )
             except subprocess.TimeoutExpired:
                 return {"exit": "timeout", "tests": [], "rows": []}
             return _outcome(proc)
 
-        baseline = attempt()
+        start = perf_counter()
+        baseline = attempt(_TIMEOUT_S)
+        limit = mutant_limit(perf_counter() - start)
         results = []
         for site in sites:
             target = src / site.rel
             original = target.read_text(encoding="utf-8")
             target.write_text(mutate(original, site), encoding="utf-8")
             try:
-                results.append((site, original.splitlines()[site.line - 1].strip(), attempt()))
+                results.append((site, original.splitlines()[site.line - 1].strip(), attempt(limit)))
             finally:
                 target.write_text(original, encoding="utf-8")
         return baseline, results
+
+
+def mutant_limit(baseline_s: float) -> float:
+    """The time limit of one mutant run, from the unmutated run's wall time."""
+    return max(_LIMIT_FLOOR_S, _LIMIT_FACTOR * baseline_s)
 
 
 def _kind(site: Site, unary, swap, bound, flip):
@@ -280,7 +292,10 @@ def table(baseline: dict, results: list, command: list) -> str:
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
             got["rows"] != baseline["rows"]
         )
-        status = f"{got['exit']}" + ("" if killed else " (survived)")
+        if got["exit"] == "timeout":
+            status = "killed (timeout)"
+        else:
+            status = f"{got['exit']}" + ("" if killed else " (survived)")
         out.append(
             f"| `{site}` | {change} | `{line.replace('|', '&#124;')}` | {status} | "
             f"{cell(got['tests'], baseline['tests'])} | {cell(got['rows'], baseline['rows'])} |"

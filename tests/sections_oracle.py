@@ -103,7 +103,8 @@ def anchor_by_derivatives(a, u):
 
 
 def d_scalar(u):
-    return GenSection.from_form(tuple(u.derivative(i) for i in range(u.dim)))
+    zero = FourierScalar.zero(u.dim)
+    return GenSection((zero,) * u.dim, tuple(u.derivative(i) for i in range(u.dim)))
 
 
 def _scale(section, u):
@@ -171,7 +172,7 @@ def c_half_bracket(a, b, eta: Metric):
     for j in range(n):
         transport = zsum((convolve(a[i], b[j].derivative(i)) for i in range(n)), dim)
         backreact = zsum((convolve(a[j].derivative(i), b[i]) for i in range(n)), dim)
-        correction = zsum((graded[r] * eta.up(r, j) for r in range(n) if eta.up(r, j)), dim)
+        correction = zsum((graded[r] * eta.upper[r][j] for r in range(n) if eta.upper[r][j]), dim)
         out.append(transport - backreact + correction)
     return tuple(out)
 
@@ -182,10 +183,10 @@ def pair_constraint(a, b, eta: Metric):
         tuple(
             zsum(
                 (
-                    convolve(a[k].derivative(i), b[l].derivative(j)) * eta.up(i, j)
+                    convolve(a[k].derivative(i), b[l].derivative(j)) * eta.upper[i][j]
                     for i in range(n)
                     for j in range(n)
-                    if eta.up(i, j)
+                    if eta.upper[i][j]
                 ),
                 a[0].dim,
             )

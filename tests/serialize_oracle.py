@@ -7,7 +7,8 @@ below are the forms they replaced: a recursive type switch that builds the
 whole JSON tree, each term a ``{"mode", "value"}`` dict and each part
 through its own ``Fraction``, and the standard library's ``json.dumps`` over
 that tree.  They import no encoder from ``bvdouble.serialize``, so the
-writer is never checked against its own text.
+writer is never checked against its own text; only the report tag
+``Doubled`` comes from there, and the oracle splits its modes itself.
 """
 
 import json
@@ -15,10 +16,11 @@ from fractions import Fraction
 
 from bvdouble.bvcomplex import BVElement
 from bvdouble.deform import LieValuedBVElement, MatrixFunction
-from bvdouble.doublecopy import Bivector, DoubledScalar
+from bvdouble.doublecopy import Bivector
 from bvdouble.exterior import DifferentialForm, YMElement
 from bvdouble.scalars import FourierScalar, GaussRational, Metric
 from bvdouble.sections import GenSection
+from bvdouble.serialize import Doubled
 
 
 def oracle_dumps(obj) -> str:
@@ -40,11 +42,11 @@ def _encode_scalar(f):
     ]
 
 
-def _encode_doubled(f):
-    h = f.halfdim
+def _encode_doubled(h, f):
+    """A scalar on T^{2h}, each mode split into its two sectors."""
     return [
         {"k": list(mode[:h]), "ktilde": list(mode[h:]), "value": oracle_gauss(coeff)}
-        for mode, coeff in sorted(f.fun.coeffs.items())
+        for mode, coeff in sorted(f.coeffs.items())
     ]
 
 
@@ -58,7 +60,7 @@ def _encode_element(x):
 ORACLE_ENCODERS = {
     GaussRational: oracle_gauss,
     FourierScalar: _encode_scalar,
-    DoubledScalar: _encode_doubled,
+    Doubled: lambda d: _encode_doubled(d.halfdim, d.scalar),
     GenSection: lambda a: {
         "vec": [_encode_scalar(c) for c in a.vec],
         "form": [_encode_scalar(c) for c in a.form],
@@ -77,7 +79,7 @@ ORACLE_ENCODERS = {
         "degree": x.degree,
         "grid": [[oracle_jsonable(e) for e in row] for row in x.rows],
     },
-    Bivector: lambda b: {"entries": [[oracle_jsonable(e) for e in row] for row in b.rows]},
+    Bivector: lambda b: {"entries": [[_encode_doubled(b.rank, e) for e in row] for row in b.rows]},
     Metric: lambda m: [[oracle_fraction(x) for x in row] for row in m.upper],
 }
 

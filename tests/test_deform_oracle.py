@@ -61,7 +61,7 @@ def same(a, b):
 
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_coordinate_bracket_is_the_slotwise_derivative(name):
-    f = flat_sections(METRICS[name])
+    f = flat_sections(METRICS[name].dim)
     rng = random.Random(f"slotwise:{name}")
     for degree in DEGREES:
         for _ in range(3):

@@ -15,7 +15,6 @@ import pytest
 from bvdouble import doublecopy
 from bvdouble.doublecopy import (
     Bivector,
-    DoubledScalar,
     bivector_mc_residual,
     c_bracket,
     delta_minus,
@@ -63,7 +62,7 @@ def draw_bivector(rng, n, sector, shape):
         out = []
         for s in row:
             if rng.random() < 0.5:
-                zero = DoubledScalar.zero(n)
+                zero = FourierScalar.zero(2 * n)
                 s = zero if shape == "sparse" else random_doubled_scalar(rng, n, 0)
             out.append(s)
         rows.append(out)
@@ -71,7 +70,7 @@ def draw_bivector(rng, n, sector, shape):
 
 
 def draw_phi(rng, n, zero):
-    return DoubledScalar.zero(n) if zero else random_doubled_scalar(rng, n, 2)
+    return FourierScalar.zero(2 * n) if zero else random_doubled_scalar(rng, n, 2)
 
 
 def draw_case(n, sector, shape, zero_phi):
@@ -160,8 +159,8 @@ def test_c_bracket_keeps_the_size_checks():
 
 def test_fused_kernels_make_no_doubled_or_fourier_sums(monkeypatch):
     # Every output entry must come out of sum_of_products: the kernels may
-    # neither add, subtract nor negate a DoubledScalar or FourierScalar, nor
-    # multiply two DoubledScalars.
+    # neither add, subtract nor negate a scalar, nor multiply two scalars
+    # outside it (a scalar times a constant stays allowed).
     calls = []
     for n in (2, 3):
         g, h, phi = draw_case(n, "both", "random", False)
@@ -179,12 +178,17 @@ def test_fused_kernels_make_no_doubled_or_fourier_sums(monkeypatch):
     def banned(*args):
         raise AssertionError("a fused kernel must not sum through this operator")
 
-    for cls, names in (
-        (DoubledScalar, ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__")),
-        (FourierScalar, ("__add__", "__radd__", "__sub__", "__neg__")),
-    ):
-        for name in names:
-            monkeypatch.setattr(cls, name, banned)
+    scale = FourierScalar.__mul__
+
+    def by_constant(self, other):
+        if isinstance(other, FourierScalar):
+            banned()
+        return scale(self, other)
+
+    for name in ("__add__", "__radd__", "__sub__", "__neg__"):
+        monkeypatch.setattr(FourierScalar, name, banned)
+    monkeypatch.setattr(FourierScalar, "__mul__", by_constant)
+    monkeypatch.setattr(FourierScalar, "__rmul__", by_constant)
     got = [getattr(doublecopy, name)(*args) for name, args in calls]
     monkeypatch.undo()
     for value, expected in zip(got, want):

@@ -151,12 +151,12 @@ _MULTI = {
     ),
     "bivector": (
         lambda rng, n, _: random_bivector(rng, n, 2),
-        lambda g: [e.fun for row in g.rows for e in row],
+        lambda g: [e for row in g.rows for e in row],
         lambda n, _: n * n,
     ),
     "doubled": (
         lambda rng, n, _: random_doubled_scalar(rng, n, 2),
-        lambda f: (f.fun,),
+        lambda f: (f,),
         lambda _, __: 1,
     ),
 }
@@ -200,7 +200,7 @@ def test_doubled_scalars_keep_the_randint_stream(halfdim, cutoff, sector):
             got = random_doubled_scalar(rng, halfdim, cutoff, sector)
             want = oracle.random_doubled_scalar(old, halfdim, cutoff, sector)
             same(got, want, rng, old)
-            assert list(got.fun.coeffs) == list(want.fun.coeffs)
+            assert list(got.coeffs) == list(want.coeffs)
 
 
 @pytest.mark.parametrize("entries", ([1, 1, -1], [1, -1, 1, -1], [1, 1, 1]))

@@ -1,10 +1,12 @@
 """The mutation runner in ``tests/mutants.py`` builds one-node mutants.
 
-These checks read and parse files only; they start no process.
+These checks read and parse files only; they start no process (the run
+check replaces ``subprocess.run``).
 """
 
 import ast
 import pathlib
+import subprocess
 
 import pytest
 
@@ -178,3 +180,29 @@ def test_a_swap_site_without_its_list_name_is_refused():
         mutants.mutate("plusses.append(1)\n", mutants.Site("m.py", 1, 0, False, swap=True))
     with pytest.raises(ValueError, match="no plus or minus"):
         mutants.mutate("x.append(1)\n", mutants.Site("m.py", 1, 0, False, swap=True))
+
+
+def test_a_mutant_run_is_limited_by_the_unmutated_time(monkeypatch):
+    # the unmutated run takes 12 s on a fake clock, so a mutant gets 120 s;
+    # the fake mutant run times out and the table names it killed
+    clock = iter([100.0, 112.0])
+    monkeypatch.setattr(mutants, "perf_counter", lambda: next(clock))
+    limits = []
+
+    def fake_run(command, **kwargs):
+        limits.append(kwargs["timeout"])
+        if len(limits) == 1:
+            return subprocess.CompletedProcess(command, 0, stdout="", stderr="")
+        raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", fake_run)
+    baseline, results = mutants.run(SITES[:1], ["verify"])
+    assert limits == [mutants._TIMEOUT_S, 120.0]
+    assert results[0][2]["exit"] == "timeout"
+    assert f"| `{SITES[0]}` |" in mutants.table(baseline, results, ["verify"])
+    assert "| killed (timeout) |" in mutants.table(baseline, results, ["verify"])
+
+
+def test_a_fast_unmutated_run_gives_the_floor():
+    assert mutants.mutant_limit(0.2) == mutants._LIMIT_FLOOR_S
+    assert mutants.mutant_limit(10.0) == 10 * mutants._LIMIT_FACTOR

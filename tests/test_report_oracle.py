@@ -63,3 +63,52 @@ def test_failing_pairing_row_matches_the_oracle(monkeypatch):
     (row,) = [r for r in report["identities"] if r["id"] == "exterior-pairing-symmetry"]
     assert row["failures_truncated"]
     _matches_the_oracle(report)
+
+
+def _keys(value):
+    """Every dict key in a parsed JSON value."""
+    if isinstance(value, dict):
+        return set(value) | {k for v in value.values() for k in _keys(v)}
+    if isinstance(value, list):
+        return {k for v in value for k in _keys(v)}
+    return set()
+
+
+def _failing_doublecopy_rows(monkeypatch, name, shifted):
+    """The failing rows of a small doublecopy run with ``suites.<name>``
+    replaced by ``shifted(real, *args)``, checked against the oracle."""
+    real = getattr(suites, name)
+    monkeypatch.setattr(suites, name, lambda *args: shifted(real, *args))
+    cfg = SuiteConfig(metric=Metric.diagonal([1, 1, -1]), mode_cutoff=1, samples=2, seed=5)
+    report = run_suite("doublecopy", cfg)
+    _matches_the_oracle(report)
+    rows = json.loads(canonical_dumps(report))["identities"]
+    assert "mode" not in _keys(rows)
+    return {row["id"]: row for row in rows if not row["passed"]}
+
+
+def test_failing_doubled_scalar_rows_split_their_modes(monkeypatch):
+    # adding f to the pair residual breaks its symmetry and the same-sector law
+    failing = _failing_doublecopy_rows(
+        monkeypatch, "section_pair_residual", lambda real, f, g: real(f, g) + f
+    )
+    assert {"pair-constraint-symmetry", "same-sector-constrained"} <= set(failing)
+    for failure in failing["pair-constraint-symmetry"]["failures"]:
+        for arg in failure["args"]:
+            assert all(set(term) == {"k", "ktilde", "value"} for term in arg)
+            assert all(len(term["k"]) == len(term["ktilde"]) == 3 for term in arg)
+        assert {"k", "ktilde"} <= _keys(failure["residual"])
+
+
+def test_failing_bivector_rows_split_their_modes_inside_tuples(monkeypatch):
+    # adding h to [[g, h]] breaks symmetry and bilinearity; the bilinearity
+    # residual is a tuple of two bivectors
+    failing = _failing_doublecopy_rows(
+        monkeypatch, "double_bracket", lambda real, g, h: real(g, h) + h
+    )
+    assert {"double-bracket-symmetry", "double-bracket-bilinearity"} <= set(failing)
+    for failure in failing["double-bracket-bilinearity"]["failures"]:
+        additive, scaling = failure["residual"]
+        for grid in (additive, scaling, *failure["args"]):
+            entries = [term for row in grid["entries"] for term in sum(row, [])]
+            assert entries and all(set(t) == {"k", "ktilde", "value"} for t in entries)

@@ -162,7 +162,7 @@ def test_metric_inverse_is_exact():
     m = Metric([[2, 1], [1, 1]])
     for i in range(2):
         for j in range(2):
-            acc = sum(m.up(i, k) * m.lower[k][j] for k in range(2))
+            acc = sum(m.upper[i][k] * m.lower[k][j] for k in range(2))
             assert acc == (1 if i == j else 0)
     assert m.det_upper == Fraction(1)
 
@@ -218,10 +218,10 @@ def test_raise_index_and_pairs_follow_the_matrix(name):
     rng = random.Random(f"raise:{name}")
     ts = [random_scalar(rng, n, 2) for _ in range(n)]
     for i, t in enumerate(eta.raise_index(ts)):
-        expected = sum((ts[j] * eta.up(i, j) for j in range(n)), FourierScalar.zero(n))
+        expected = sum((ts[j] * eta.upper[i][j] for j in range(n)), FourierScalar.zero(n))
         assert t == expected
     assert eta.pairs() == [
-        (i, j, eta.up(i, j)) for i in range(n) for j in range(n) if eta.up(i, j)
+        (i, j, eta.upper[i][j]) for i in range(n) for j in range(n) if eta.upper[i][j]
     ]
 
 
@@ -247,7 +247,7 @@ def test_laplacian_is_the_double_sum(name):
     expected = FourierScalar.zero(n)
     for i in range(n):
         for j in range(n):
-            expected = expected + f.derivative(i).derivative(j) * eta.up(i, j)
+            expected = expected + f.derivative(i).derivative(j) * eta.upper[i][j]
     assert laplacian(f, eta) == expected
 
 
@@ -263,7 +263,7 @@ def test_gradient_is_the_double_sum(name, kind):
         for i in range(n):
             acc = x * 0
             for j in range(n):
-                acc = acc + x.derivative(j) * eta.up(i, j)
+                acc = acc + x.derivative(j) * eta.upper[i][j]
             expected.append(acc)
         assert eta.gradient(x) == expected
 

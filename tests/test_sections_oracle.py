@@ -55,7 +55,7 @@ def draw_section(rng, eta, shape):
     zero = FourierScalar.zero(DIM)
     low = [random_scalar(rng, DIM, 2) for _ in range(DIM)]
     vec = tuple(
-        oracle.zsum((low[j] * eta.up(i, j) for j in range(DIM) if eta.up(i, j)), DIM)
+        oracle.zsum((low[j] * eta.upper[i][j] for j in range(DIM) if eta.upper[i][j]), DIM)
         for i in range(DIM)
     )
     form = tuple(random_scalar(rng, DIM, 2) for _ in range(DIM))

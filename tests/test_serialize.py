@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bvdouble.bvcomplex import random_element
-from bvdouble.doublecopy import DoubledScalar
 from bvdouble.scalars import FourierScalar, GaussRational, Metric
 from bvdouble.sections import random_section
 from bvdouble.serialize import (
+    Doubled,
     canonical_dumps,
     encode_fraction,
     parse_fraction,
+    tag_doubled,
     to_jsonable,
 )
 
@@ -62,10 +63,22 @@ def test_gauss_and_scalar_encoding():
 
 
 def test_doubled_scalar_splits_the_mode():
-    f = DoubledScalar.harmonic(2, (1, 0), (0, -2), GaussRational(5))
+    f = Doubled(2, FourierScalar.harmonic(4, (1, 0, 0, -2), GaussRational(5)))
     assert to_jsonable(f) == [
         {"k": [1, 0], "ktilde": [0, -2], "value": {"re": "5", "im": "0"}}
     ]
+
+
+def test_tag_doubled_tags_the_scalars_inside_containers_only():
+    f = FourierScalar.harmonic(2, (1, -1), GaussRational(2))
+    tagged = tag_doubled({"a": [f, (f, 3)], "b": "text", "c": GaussRational(1)}, 1)
+    inner = tagged["a"][1]
+    assert type(inner) is tuple and inner[1] == 3
+    assert tagged["b"] == "text" and tagged["c"] == GaussRational(1)
+    for tag in (tagged["a"][0], inner[0]):
+        assert type(tag) is Doubled and tag.halfdim == 1 and tag.scalar is f
+    split = [{"k": [1], "ktilde": [-1], "value": {"re": "2", "im": "0"}}]
+    assert to_jsonable(tagged)["a"] == [split, [split, 3]]
 
 
 def test_graded_element_encoding_keeps_slots():

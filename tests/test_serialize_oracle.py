@@ -17,11 +17,11 @@ from serialize_oracle import (
 
 from bvdouble.bvcomplex import BVElement, random_element
 from bvdouble.deform import LieValuedBVElement, MatrixFunction
-from bvdouble.doublecopy import DoubledScalar, random_bivector, random_doubled_scalar
+from bvdouble.doublecopy import random_bivector, random_doubled_scalar
 from bvdouble.exterior import random_form, random_ym_element
 from bvdouble.scalars import FourierScalar, GaussRational, Metric, random_scalar
 from bvdouble.sections import random_section
-from bvdouble.serialize import _ENCODERS, canonical_dumps, encode_fraction, to_jsonable
+from bvdouble.serialize import _ENCODERS, Doubled, canonical_dumps, encode_fraction, to_jsonable
 
 DIM = 3
 
@@ -105,8 +105,8 @@ def _samples():
         "fraction": [Fraction(-7, 3), Fraction(4), Fraction(0)],
         "fourier": [FourierScalar.zero(DIM), random_scalar(rng, DIM, 2)],
         "doubled": [
-            DoubledScalar(2, FourierScalar.zero(4)),
-            random_doubled_scalar(rng, 2, 2),
+            Doubled(2, FourierScalar.zero(4)),
+            Doubled(2, random_doubled_scalar(rng, 2, 2)),
         ],
         "section": [random_section(rng, DIM, 2)],
         "element": [random_element(rng, DIM, 2, d) for d in range(4)]
@@ -153,7 +153,7 @@ FOURIER = st.integers(1, 3).flatmap(
     lambda dim: _scalar_terms(dim).map(lambda terms: FourierScalar(dim, terms))
 )
 DOUBLED = st.integers(1, 2).flatmap(
-    lambda h: _scalar_terms(2 * h).map(lambda terms: DoubledScalar(h, FourierScalar(2 * h, terms)))
+    lambda h: _scalar_terms(2 * h).map(lambda terms: Doubled(h, FourierScalar(2 * h, terms)))
 )
 SCALARS = FOURIER | DOUBLED
 
@@ -176,8 +176,9 @@ def test_nested_scalars_match_the_oracle(value):
 
 def test_scalar_terms_cover_zero_negative_and_reduced_parts():
     f = FourierScalar(2, {(0, 0): GaussRational(0), (-2, 1): GaussRational(Fraction(-3, 6), 4)})
-    g = DoubledScalar(1, FourierScalar(2, {(-1, 3): GaussRational(Fraction(5, 4), Fraction(-1, 3))}))
-    for value in (f, g, FourierScalar.zero(2), DoubledScalar.zero(1), [[{"x": (f, g)}]]):
+    g = Doubled(1, FourierScalar(2, {(-1, 3): GaussRational(Fraction(5, 4), Fraction(-1, 3))}))
+    zero = FourierScalar.zero(2)
+    for value in (f, g, zero, Doubled(1, zero), [[{"x": (f, g)}]]):
         assert canonical_dumps(value) == oracle_dumps(value)
     assert to_jsonable(g) == [{"k": [-1], "ktilde": [3], "value": {"re": "5/4", "im": "-1/3"}}]
 

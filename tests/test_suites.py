@@ -18,7 +18,7 @@ def test_default_configuration():
     cfg = SuiteConfig()
     assert (cfg.dim, cfg.mode_cutoff, cfg.matrix_rank) == (3, 2, 2)
     assert (cfg.samples, cfg.seed) == (25, 42)
-    assert cfg.metric.up(0, 0) == 1 and cfg.metric.up(2, 2) == -1
+    assert cfg.metric.upper[0][0] == 1 and cfg.metric.upper[2][2] == -1
 
 
 def test_from_dict_happy_paths():
@@ -26,7 +26,7 @@ def test_from_dict_happy_paths():
         {"dimension": 2, "metric": ["1/2", 3], "samples": 4, "seed": 0}
     )
     assert cfg.dim == 2 and cfg.samples == 4 and cfg.seed == 0
-    assert cfg.metric.up(0, 0) * 2 == 1 and cfg.metric.up(1, 1) == 3
+    assert cfg.metric.upper[0][0] * 2 == 1 and cfg.metric.upper[1][1] == 3
     rows = SuiteConfig.from_dict({"dimension": 2, "metric": [[2, 1], [1, 1]]})
     assert rows.metric.lower[0][0] == 1  # exact inverse of the given rows
 
