@@ -103,11 +103,11 @@ class BVElement:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"elements on T^{self.dim} and T^{other.dim}")
-        if self.is_zero() and self.degree != other.degree:
-            return other if op is add else -other
-        if other.is_zero() and self.degree != other.degree:
-            return self
         if self.degree != other.degree:
+            if self.is_zero():
+                return other if op is add else -other
+            if other.is_zero():
+                return self
             raise TypeError(f"cannot combine degrees {self.degree} and {other.degree}")
         section = None
         if self.section is not None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, permutations
+from itertools import chain, combinations
 
 from .bvcomplex import BVElement, op_b, op_q
 from .bvops import boundary, brack, m_op, mu, sign
@@ -44,7 +44,7 @@ from .scalars import (
     laplacian,
     sum_of_products,
 )
-from .sections import GenSection, _jacobian, coordinate_section, divergence, pairing
+from .sections import GenSection, _jacobian, coordinate_section, divergence
 
 __all__ = [
     "flat_sections",
@@ -135,63 +135,50 @@ def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
 # -- deformed product ------------------------------------------------------
 
 
-def _weighted_sum(ss, zs) -> BVElement:
-    """sum_i s_i z_i, the scalar field s_i multiplying every slot of z_i."""
-    z0 = zs[0]
-    dim = z0.dim
-
-    def dot(parts):
-        return sum_of_products(dim, zip(ss, parts))
-
-    section = None
-    if z0.section is not None:
-        section = GenSection(
-            tuple(dot(z.section.vec[k] for z in zs) for k in range(dim)),
-            tuple(dot(z.section.form[k] for z in zs) for k in range(dim)),
-        )
-    return BVElement(z0.degree, dim, section, dot(z.scalar for z in zs))
-
-
-def _mu_scalar_slot(w: BVElement) -> BVElement:
-    """sum_i mu((0, s_i), z_i) from w = sum_i s_i z_i.
-
-    A degree-1 element (0, s) has no section, so mu((0, s), z) keeps only
-    s u on degree 0, -s At on degree 1 and -s vt on degree 2.
-    """
-    if w.degree == 0:
-        return BVElement.deg1(GenSection.zero(w.dim), w.scalar)
-    if w.degree == 1:
-        return BVElement.deg2(-w.section)
-    if w.degree == 2:
-        return BVElement.deg3(-w.scalar)
-    return BVElement.zero(w.degree + 1, w.dim)
-
-
 def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     """Product correction nu(f_i,{f_j,x},y) - mu(m(f_i,x),{f_j,y}), eta-traced.
 
-    In closed form: {f_j, .} is the slotwise d_j, so with X_i = eta^{ij} d_j x
-    and Y_i = eta^{ij} d_j y the sum runs over i alone.  m(f_i, a) = (0, a_i)
-    for a section a with one-form part (a_i), and nu(f_i, X_i, y) is
-    mu(m(f_i, y), X_i) + (<X_i, y> e_i, 0) on degrees (1, 1) and
-    -mu(m(f_i, y), X_i) on degrees (2, 1), zero elsewhere.  eta is contracted
-    on the small operands: sum_i y_i X_i = sum_j (eta y)^j d_j x for the
-    one-form part (y_i) of y, and <X_i, y> = eta^{ij} <d_j x, y>.
+    In closed form: {f_j, .} is the slotwise d_j, so with X_i = d-hat^i x and
+    Y_i = d-hat^i y, d-hat^i = eta^{ij} d_j, the sum runs over i alone.
+    m(f_i, a) = (0, a_i) for a section a with one-form part (a_i), and
+    nu(f_i, X_i, y) is mu(m(f_i, y), X_i) + (<X_i, y> e_i, 0) on degrees
+    (1, 1) and -mu(m(f_i, y), X_i) on degrees (2, 1), zero elsewhere; and
+    mu((0, s), z) keeps s u on degree 0, -s At on degree 1 and -s vt on
+    degree 2.  With alpha, beta the one-form parts of the sections A, B of
+    x, y, only four degree patterns are nonzero:
+
+        (1, 0): (0, -alpha_i d-hat^i u)           (1, 2): alpha_i d-hat^i vt
+        (2, 1): beta_i d-hat^i vt
+        (1, 1): (alpha_i d-hat^i B - beta_i d-hat^i A + <d-hat^j A, B> e_j, 0)
+
+    for the scalar u of degree 0 and the scalar slot vt of degree 2.  Each
+    component that a pattern reads takes one ``Metric.gradient`` symbol pass,
+    each output component is one sum of products, and the other patterns
+    build nothing.
     """
-    dx, dy = x.degree, y.degree
-    acc = BVElement.zero(dx + dy, x.dim)
-    if dy == 1 and dx in (1, 2):
-        xd = [x.derivative(j) for j in range(x.dim)]
-        part = _mu_scalar_slot(_weighted_sum(eta.raise_index(y.section.form), xd))
-        if dx == 1:
-            p = eta.raise_index([pairing(d.section, y.section) for d in xd])
-            acc = acc + part + BVElement.deg2(GenSection.from_vec(p))
-        else:
-            acc = acc - part
-    if dx == 1:
-        yd = [y.derivative(j) for j in range(y.dim)]
-        acc = acc - _mu_scalar_slot(_weighted_sum(eta.raise_index(x.section.form), yd))
-    return acc
+    dx, dy, dim = x.degree, y.degree, x.dim
+    if (dx, dy) == (2, 1):
+        return BVElement.deg3(sum_of_products(dim, zip(y.section.form, eta.gradient(x.scalar))))
+    if dx != 1 or dy not in (0, 1, 2):
+        return BVElement.zero(dx + dy, dim)
+    a = x.section
+    if dy == 0:
+        return BVElement(1, dim, None, sum_of_products(dim, (), zip(a.form, eta.gradient(y.scalar))))
+    if dy == 2:
+        return BVElement.deg3(sum_of_products(dim, zip(a.form, eta.gradient(y.scalar))))
+    b = y.section
+    ux = [eta.gradient(c) for c in a.vec + a.form]
+    uy = [eta.gradient(c) for c in b.vec + b.form]
+    swapped = b.form + b.vec
+    comps = [
+        sum_of_products(
+            dim,
+            chain(zip(a.form, uy[c]), zip(swapped, (u[c] for u in ux)) if c < dim else ()),
+            zip(b.form, ux[c]),
+        )
+        for c in range(2 * dim)
+    ]
+    return BVElement.deg2(GenSection(comps[:dim], comps[dim:]))
 
 
 def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
@@ -520,7 +507,7 @@ def gauge_variation(
     n, dim = psi.rank, psi.dim
     jets = [[_Jet(e, eta) for e in row] for row in _entries(psi, 1)]
     us = u.rows
-    half_grad = [[[f.derivative(k) * _HALF for k in range(dim)] for f in row] for row in us]
+    half_grad = [[f.symbols((1,) * dim, tuple, 2) for f in row] for row in us]
     one = _one(dim)
     grid = []
     for p in range(n):
@@ -586,10 +573,13 @@ def _matrix_sum(added, subtracted, brackets) -> MatrixFunction:
     ``subtracted`` enters as its product with the constant 1.  Entries
     commute, so no commutator term that cancels is built.  Off the diagonal,
     the r = p and r = q terms of [a, b]_pq join into (a_pp - a_qq) b_pq -
-    a_pq (b_pp - b_qq).  On it, [a, b]_pp is the sum over r != p of
-    t_pr = a_pr b_rp - a_rp b_pr = -t_rp, each t summed once (p < r) and
-    entering by the constant 1.  One commutator thus makes n(n-1)(2n-1)
-    products, where its definition (``tests/deform_oracle.py``) makes 2n^3.
+    a_pq (b_pp - b_qq); each difference is formed once per pair p < q, and
+    [a, b]_qp takes it with the other sign, by the other list.  On the
+    diagonal, [a, b]_pp is the sum over r != p of t_pr = a_pr b_rp - a_rp b_pr
+    = -t_rp, each t summed once (p < r) and entering by the constant 1.  One
+    commutator thus makes n(n-1)(2n-1) products, where its definition
+    (``tests/deform_oracle.py``) makes 2n^3, and n(n-1)/2 differences of
+    diagonal entries per operand.
     """
     first = brackets[0][0]
     n, dim = first.rank, first.dim
@@ -598,14 +588,16 @@ def _matrix_sum(added, subtracted, brackets) -> MatrixFunction:
     minus = [[[(one, m.rows[p][q]) for m in subtracted] for q in range(n)] for p in range(n)]
     for a, b in brackets:
         a, b = a.rows, b.rows
-        for p, q in permutations(range(n), 2):
-            if p < q:
-                t = sum_of_products(dim, [(a[p][q], b[q][p])], [(a[q][p], b[p][q])])
-                plus[p][p].append((one, t))
-                minus[q][q].append((one, t))
+        for p, q in combinations(range(n), 2):
+            t = sum_of_products(dim, [(a[p][q], b[q][p])], [(a[q][p], b[p][q])])
+            plus[p][p].append((one, t))
+            minus[q][q].append((one, t))
+            da, db = a[p][p] - a[q][q], b[p][p] - b[q][q]
             rs = [r for r in range(n) if r != p and r != q]
-            plus[p][q] += [(a[p][p] - a[q][q], b[p][q])] + [(a[p][r], b[r][q]) for r in rs]
-            minus[p][q] += [(a[p][q], b[p][p] - b[q][q])] + [(b[p][r], a[r][q]) for r in rs]
+            plus[p][q] += [(da, b[p][q])] + [(a[p][r], b[r][q]) for r in rs]
+            minus[p][q] += [(a[p][q], db)] + [(b[p][r], a[r][q]) for r in rs]
+            plus[q][p] += [(a[q][p], db)] + [(a[q][r], b[r][p]) for r in rs]
+            minus[q][p] += [(da, b[q][p])] + [(b[q][r], a[r][p]) for r in rs]
     return MatrixFunction(
         [[sum_of_products(dim, plus[p][q], minus[p][q]) for q in range(n)] for p in range(n)]
     )
@@ -617,21 +609,22 @@ def ym_field_residual(calA, phi, eta: Metric):
     Returns (e1, e2): per-direction matrix residuals of
     eta^{ij}[nabla_i,[nabla_j,nabla_k]] - eta^{ij}[[nabla_k,phi_i],phi_j] and
     eta^{ij}[nabla_i,[nabla_j,phi_k]] - eta^{ij}[phi_i,[phi_j,phi_k]].
-    Each field strength F_jk and covariant derivative nabla_j phi_k is built
-    once, eta is contracted before nabla_i is applied, and each entry of
-    each result is one signed sum of products.
+    Each field strength F_jk, commutator [phi_j, phi_k] and covariant
+    derivative nabla_j phi_k is built once (F and the commutator once per
+    pair j < k, being antisymmetric), eta is contracted before nabla_i is
+    applied, and each entry of each result is one signed sum of products.
     """
     dim = len(calA)
     zero = MatrixFunction.zero(calA[0].rank, calA[0].dim)
 
-    # F_jk = d_j A_k - d_k A_j + [A_j, A_k], once per pair (F_kj = -F_jk)
+    # F_jk = d_j A_k - d_k A_j + [A_j, A_k] and [phi_j, phi_k], once per pair
     curv = [[zero] * dim for _ in range(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            f = _matrix_sum(
-                [calA[k].derivative(j)], [calA[j].derivative(k)], [(calA[j], calA[k])]
-            )
-            curv[j][k], curv[k][j] = f, -f
+    comm = [[zero] * dim for _ in range(dim)]
+    for j, k in combinations(range(dim), 2):
+        f = _matrix_sum([calA[k].derivative(j)], [calA[j].derivative(k)], [(calA[j], calA[k])])
+        curv[j][k], curv[k][j] = f, -f
+        c = phi[j].commutator(phi[k])
+        comm[j][k], comm[k][j] = c, -c
     nabla_phi = [
         [_matrix_sum([p.derivative(j)], (), [(calA[j], p)]) for p in phi] for j in range(dim)
     ]
@@ -642,6 +635,7 @@ def ym_field_residual(calA, phi, eta: Metric):
     for k in range(dim):
         curv_up = eta.raise_index([row[k] for row in curv])
         nabla_up = eta.raise_index([row[k] for row in nabla_phi])
+        comm_up = eta.raise_index([row[k] for row in comm])
         r = range(dim)
         e1.append(
             _matrix_sum(
@@ -656,7 +650,7 @@ def ym_field_residual(calA, phi, eta: Metric):
                 [nabla_up[i].derivative(i) for i in r],
                 (),
                 [(calA[i], nabla_up[i]) for i in r]
-                + [(phi_up[i].commutator(phi[k]), phi[i]) for i in r],
+                + [(comm_up[i], phi[i]) for i in r],
             )
         )
     return e1, e2
@@ -671,13 +665,14 @@ def mc_ym_residual(psi: LieValuedBVElement, eta: Metric):
     with the constants ``DICTIONARY_CONSTANTS`` = (2, 2).  Returns the exact
     residual (aslot_k - 2 e1_k, pslot_k - 2 e2_k per direction k, the matrix
     of the residual's scalar slots); every part vanishes on every field.
+    Each entry of slot - c e is one weighted merge, with no scaled copy of e.
     """
     res = mc_residual(psi, eta)
     e1, e2 = ym_field_residual(*dictionary_fields(psi, eta), eta)
     aslot, pslot = _slot_split(res, eta)
     c1, c2 = DICTIONARY_CONSTANTS
     return (
-        tuple(a - c1 * e for a, e in zip(aslot, e1)),
-        tuple(p - c2 * e for p, e in zip(pslot, e2)),
+        tuple(a.__add__(e, partial(FourierScalar.__add__, sign=-c1)) for a, e in zip(aslot, e1)),
+        tuple(p.__add__(e, partial(FourierScalar.__add__, sign=-c2)) for p, e in zip(pslot, e2)),
         MatrixFunction([[e.scalar for e in row] for row in res.rows]),
     )

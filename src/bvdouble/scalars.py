@@ -278,6 +278,7 @@ class FourierScalar:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other, sign=1):
+        """self + sign * other, in one merge, for any nonzero int ``sign``."""
         if not isinstance(other, FourierScalar):
             if not isinstance(other, (int, Fraction, GaussRational)):
                 return NotImplemented
@@ -434,14 +435,14 @@ def _reduce_all(acc: dict) -> dict:
 
 
 def _merge(p: dict, q: dict, sign: int) -> dict:
-    """Triples of p + sign*q (sign +1 or -1); only shared modes reduce."""
+    """Triples of p + sign*q (sign a nonzero int); only shared modes reduce."""
     out = dict(p)
     get = out.get
     for mode, t in q.items():
         acc = get(mode)
         c, e, f = t
         if acc is None:
-            out[mode] = t if sign == 1 else (-c, -e, f)
+            out[mode] = t if sign == 1 else (-c, -e, f) if sign == -1 else _canon(sign * c, sign * e, f)
             continue
         a, b, d = acc
         if d == f:

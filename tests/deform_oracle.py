@@ -14,7 +14,9 @@ embeddings f1 and g1.  The derived bracket of the deformed product is
 kept as the sum it was before ``bvops.boundary`` became its body.
 ``mu_bar_eta_raised`` is the closed form of the product correction as it
 was before eta moved onto its small operands: it raised whole element
-gradients eta^{ij} d_j x.
+gradients eta^{ij} d_j x, summed every slot of them against one operand's
+one-form part (``_weighted_sum``) and kept the slots that mu((0, s), .)
+reads (``_mu_scalar_slot``).
 """
 
 from fractions import Fraction
@@ -27,14 +29,12 @@ from bvdouble.deform import (
     MatrixFunction,
     Q_eta,
     R_eta,
-    _mu_scalar_slot,
-    _weighted_sum,
     flat_sections,
     mu_eta,
     musym_eta,
 )
 from bvdouble.exterior import DifferentialForm, YMElement, hodge
-from bvdouble.scalars import FourierScalar, Metric
+from bvdouble.scalars import FourierScalar, Metric, sum_of_products
 from bvdouble.sections import GenSection, pairing
 
 _HALF = Fraction(1, 2)
@@ -53,6 +53,38 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
         acc = acc + nu(f[i], brack(f[j], x), y) * w
         acc = acc - mu(m_op(f[i], x), brack(f[j], y)) * w
     return acc
+
+
+def _weighted_sum(ss, zs) -> BVElement:
+    """sum_i s_i z_i, the scalar field s_i multiplying every slot of z_i."""
+    z0 = zs[0]
+    dim = z0.dim
+
+    def dot(parts):
+        return sum_of_products(dim, zip(ss, parts))
+
+    section = None
+    if z0.section is not None:
+        section = GenSection(
+            tuple(dot(z.section.vec[k] for z in zs) for k in range(dim)),
+            tuple(dot(z.section.form[k] for z in zs) for k in range(dim)),
+        )
+    return BVElement(z0.degree, dim, section, dot(z.scalar for z in zs))
+
+
+def _mu_scalar_slot(w: BVElement) -> BVElement:
+    """sum_i mu((0, s_i), z_i) from w = sum_i s_i z_i.
+
+    A degree-1 element (0, s) has no section, so mu((0, s), z) keeps only
+    s u on degree 0, -s At on degree 1 and -s vt on degree 2.
+    """
+    if w.degree == 0:
+        return BVElement.deg1(GenSection.zero(w.dim), w.scalar)
+    if w.degree == 1:
+        return BVElement.deg2(-w.section)
+    if w.degree == 2:
+        return BVElement.deg3(-w.scalar)
+    return BVElement.zero(w.degree + 1, w.dim)
 
 
 def _raised_gradient(x: BVElement, eta: Metric) -> list:

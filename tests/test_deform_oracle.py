@@ -108,6 +108,43 @@ def test_mu_bar_eta_contracts_eta_on_the_small_operands(name):
                 same(mu_bar_eta(x, y, eta), oracle.mu_bar_eta_raised(x, y, eta))
 
 
+# the symbol passes and sums of products of each pattern that mu_bar_eta
+# does not answer with a zero: one pass per component read, one sum per
+# output component
+MU_BAR_COST = {(1, 0): (1, 1), (1, 2): (1, 1), (2, 1): (1, 1), (1, 1): (4 * DIM, 2 * DIM)}
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_mu_bar_eta_reads_only_what_its_pattern_needs(name, monkeypatch):
+    # no BVElement.derivative on any pattern, and no symbol pass and no
+    # product on the patterns whose value is zero, such as (1, 3)
+    eta = METRICS[name]
+    rng = random.Random(f"mu-bar-cost:{name}")
+    args = [(random_element(rng, DIM, 2, d1), random_element(rng, DIM, 2, d2)) for d1, d2 in PAIRS]
+    calls = {"derivative": 0, "symbols": 0, "products": 0}
+
+    def counted(key, fn):
+        def call(*a, **k):
+            calls[key] += 1
+            return fn(*a, **k)
+
+        return call
+
+    monkeypatch.setattr(BVElement, "derivative", counted("derivative", BVElement.derivative))
+    monkeypatch.setattr(FourierScalar, "symbols", counted("symbols", FourierScalar.symbols))
+    monkeypatch.setattr(deform, "sum_of_products", counted("products", sum_of_products))
+    got, costs = [], []
+    for x, y in args:
+        before = dict(calls)
+        got.append(mu_bar_eta(x, y, eta))
+        costs.append({k: calls[k] - before[k] for k in calls})
+    monkeypatch.undo()
+    for (x, y), result, cost in zip(args, got, costs):
+        symbols, products = MU_BAR_COST.get((x.degree, y.degree), (0, 0))
+        assert cost == {"derivative": 0, "symbols": symbols, "products": products}
+        same(result, oracle.mu_bar_eta(x, y, eta))
+
+
 def random_matrices(rng, rank, modes):
     """DIM random matrix functions, each entry with 1..modes modes."""
     return [
@@ -274,6 +311,50 @@ def test_commutator_makes_no_cancelling_products(rank, count, monkeypatch):
     monkeypatch.undo()
     assert len(products) == count == rank * (rank - 1) * (2 * rank - 1)
     same(got, oracle.commutator(a, b))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_commutator_forms_each_diagonal_difference_once(rank, monkeypatch):
+    # a_pp - a_qq and b_pp - b_qq once per pair p < q; [a, b]_qp takes each
+    # with the other sign
+    rng = random.Random(f"commutator-differences:{rank}")
+    a, b = (MatrixFunction.random(rng, rank, DIM, 2) for _ in range(2))
+    differences = []
+
+    def counting(f, g):
+        differences.append((f, g))
+        return f.__add__(g, -1)
+
+    monkeypatch.setattr(FourierScalar, "__sub__", counting)
+    got = a.commutator(b)
+    monkeypatch.undo()
+    diagonals = [[id(m.rows[p][p]) for p in range(rank)] for m in (a, b)]
+    pairs = {(d[p], d[q]) for d in diagonals for p in range(rank) for q in range(p + 1, rank)}
+    assert len(differences) == len(pairs) == rank * (rank - 1)
+    assert {(id(f), id(g)) for f, g in differences} == pairs
+    same(got, oracle.commutator(a, b))
+
+
+def test_ym_field_residual_builds_each_scalar_commutator_once(monkeypatch):
+    # [phi_j, phi_k] once per pair j < k, raised per k like F
+    rng = random.Random("ym-commutators")
+    for eta in (LORENTZ, DENSE):
+        fields = dictionary_fields(
+            mc_from_fields(random_matrices(rng, 2, 2), random_matrices(rng, 2, 2), eta), eta
+        )
+        made = []
+
+        def counting(a, b):
+            made.append((a, b))
+            return _matrix_sum((), (), [(a, b)])
+
+        monkeypatch.setattr(MatrixFunction, "commutator", counting)
+        got = ym_field_residual(*fields, eta)
+        monkeypatch.undo()
+        assert len(made) == DIM * (DIM - 1) // 2
+        want = oracle.ym_field_residual(*fields, eta)
+        same(got[0], want[0])
+        same(got[1], want[1])
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))

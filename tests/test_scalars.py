@@ -326,6 +326,22 @@ def test_every_operation_stores_canonical_triples(dim, den):
             assert_canonical_triples(r)
 
 
+@pytest.mark.parametrize("w", [1, -1, 2, -2, 3, -3])
+def test_weighted_sum_is_the_sum_with_the_scaled_term(w):
+    # f.__add__(g, w) is f + w*g in one merge, over mixed denominators, on
+    # shared and unshared modes, and where some or all of the sum cancels
+    for seed in range(20):
+        rng = random.Random(f"weighted:{w}:{seed}")
+        f, g = seeded_scalar(rng, 2, 2), seeded_scalar(rng, 2, 3)
+        h = g * -w + seeded_scalar(rng, 2, 4, max_terms=2)
+        for x, y in [(f, g), (g, f), (h, g), (g * -w, g), (f, FourierScalar.zero(2))]:
+            got = x.__add__(y, w)
+            assert got == x + y * w
+            assert_canonical_triples(got)
+        assert (g * -w).__add__(g, w).is_zero()
+        assert f.__add__(Fraction(1, 3), w) == f + Fraction(w, 3)
+
+
 # -- square grids ----------------------------------------------------------
 
 
