@@ -28,11 +28,11 @@ onto the first summand.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
 from operator import add, sub
 
-from .scalars import FourierScalar, GaussRational, _random_scalars
-from .sections import GenSection, d_scalar, divergence, pairing
+from .scalars import FourierScalar, GaussRational, _constant, _random_scalars
+from .sections import _HALF, GenSection, d_scalar, divergence, pairing
 
 __all__ = [
     "BVElement",
@@ -44,8 +44,6 @@ __all__ = [
     "odd_pairing",
     "random_element",
 ]
-
-_HALF = Fraction(1, 2)
 
 
 class BVElement:
@@ -77,6 +75,7 @@ class BVElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    @cache
     def zero(degree: int, dim: int) -> "BVElement":
         return BVElement(degree, dim, None, None)
 
@@ -123,26 +122,17 @@ class BVElement:
 
     def __mul__(self, const):
         """Multiplication by a constant from Q(i) (not by a scalar field)."""
-        if not isinstance(const, (int, Fraction, GaussRational)):
+        t = _constant(const)
+        if t is None:
             raise TypeError(f"cannot scale a BVElement by {const!r}")
-        if const == 1:
+        if t == (1, 0, 1):
             return self
-        if const == -1:
+        if t == (-1, 0, 1):
             return -self
         section = None if self.section is None else self.section * const
         return BVElement(self.degree, self.dim, section, self.scalar * const)
 
     __rmul__ = __mul__
-
-    def derivative(self, j: int) -> "BVElement":
-        """Slotwise d/dx^j, the Lie derivative along the constant field e_j."""
-        section = None
-        if self.section is not None:
-            section = GenSection(
-                tuple(a.derivative(j) for a in self.section.vec),
-                tuple(a.derivative(j) for a in self.section.form),
-            )
-        return BVElement(self.degree, self.dim, section, self.scalar.derivative(j))
 
     def is_zero(self) -> bool:
         return (self.section is None or self.section.is_zero()) and self.scalar.is_zero()

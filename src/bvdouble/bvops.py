@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bvcomplex import BVElement, op_b
-from .sections import GenSection, _dorfman_terms, _section_from_terms, anchor, dorfman, pairing
+from .sections import _HALF, GenSection, _dorfman_terms, _section_from_terms, anchor, dorfman, pairing
 
 __all__ = [
     "sign",
@@ -40,7 +40,7 @@ __all__ = [
     "l3",
 ]
 
-_HALF = Fraction(1, 2)
+_SIXTH = Fraction(1, 6)
 
 
 def sign(exponent: int) -> int:
@@ -193,7 +193,7 @@ def musym(x: BVElement, y: BVElement) -> BVElement:
     """
     if x.degree == y.degree == 1:
         return BVElement.deg2(_product_section(x, y, skew=True))
-    return _HALF * (mu(x, y) + sign(x.degree * y.degree) * mu(y, x))
+    return (mu(x, y) + sign(x.degree * y.degree) * mu(y, x)) * _HALF
 
 
 def nusym(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
@@ -204,13 +204,13 @@ def nusym(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     if pattern == (1, 1, 1):
         return (
             mu(m_op(x, z), y)
-            - _HALF * mu(m_op(y, z), x)
-            - _HALF * mu(m_op(x, y), z)
+            - mu(m_op(y, z), x) * _HALF
+            - mu(m_op(x, y), z) * _HALF
         )
     if pattern == (1, 1, 2):
-        return -_HALF * mu(m_op(x, y), z)
+        return mu(m_op(x, y), z) * -_HALF
     if pattern == (2, 1, 1):
-        return -_HALF * mu(m_op(y, z), x)
+        return mu(m_op(y, z), x) * -_HALF
     if pattern == (1, 2, 1):
         return -mu(m_op(x, z), y)
     return BVElement.zero(x.degree + y.degree + z.degree - 1, x.dim)
@@ -240,7 +240,7 @@ def l2(x: BVElement, y: BVElement) -> BVElement:
         section = _section_from_terms(x.dim, _dorfman_terms(a, b, skew=True))
         return BVElement.deg1(section, (anchor(a, y.scalar) - anchor(b, x.scalar)) * _HALF)
     s = sign((x.degree - 1) * (y.degree - 1))
-    return _HALF * (brack(x, y) - s * brack(y, x))
+    return (brack(x, y) - s * brack(y, x)) * _HALF
 
 
 def l3(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
@@ -252,15 +252,10 @@ def l3(x: BVElement, y: BVElement, z: BVElement) -> BVElement:
     """
     if not x.dim == y.dim == z.dim:
         raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
-    sixth = Fraction(1, 6)
     pattern = (x.degree, y.degree, z.degree)
     if pattern == (1, 1, 1):
-        return sixth * (
-            n_op(x, l2(y, z)) + n_op(y, l2(z, x)) + n_op(z, l2(x, y))
-        )
+        return (n_op(x, l2(y, z)) + n_op(y, l2(z, x)) + n_op(z, l2(x, y))) * _SIXTH
     if pattern == (1, 1, 2):
         bz = op_b(z)
-        return (-sixth) * (
-            m_op(x, l2(y, bz)) + m_op(y, l2(bz, x)) + m_op(bz, l2(x, y))
-        )
+        return (m_op(x, l2(y, bz)) + m_op(y, l2(bz, x)) + m_op(bz, l2(x, y))) * -_SIXTH
     return BVElement.zero(x.degree + y.degree + z.degree - 3, x.dim)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -28,7 +29,9 @@ from .suites import SUITE_NAMES, ConfigError, SuiteConfig, check_suite, run_suit
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="bvdouble",
         description="Exact identity checker for the graded BV algebra over a torus.",

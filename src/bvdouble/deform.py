@@ -28,7 +28,6 @@ the dictionary's constants 2 and 2, which nothing fits.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations
 
@@ -44,7 +43,7 @@ from .scalars import (
     laplacian,
     sum_of_products,
 )
-from .sections import GenSection, _jacobian, coordinate_section, divergence
+from .sections import _HALF, GenSection, _jacobian, coordinate_section, divergence
 
 __all__ = [
     "flat_sections",
@@ -68,7 +67,6 @@ __all__ = [
     "DICTIONARY_CONSTANTS",
 ]
 
-_HALF = Fraction(1, 2)
 # the slot dictionary's constants: the residual's slot combinations are
 # (2 e1, 2 e2) for the field residual families (e1, e2)
 DICTIONARY_CONSTANTS = (2, 2)

@@ -15,7 +15,6 @@ inputs that are not on one doubled torus with ``ValueError``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product
 from operator import mul
 
@@ -29,7 +28,7 @@ from .scalars import (
     random_coefficient,
     sum_of_products,
 )
-from .sections import _jacobian
+from .sections import _HALF, _jacobian
 
 __all__ = [
     "c_half_bracket",
@@ -70,8 +69,7 @@ def c_bracket(a, b, eta: Metric):
 
         [A,B]^j = A^i d_i B^j - B^i d_i A^j + 1/2 eta^{rj} (d_r A^k B_k - d_r B^k A_k).
     """
-    half = Fraction(1, 2)
-    return _c_form(a, b, eta, half, half)
+    return _c_form(a, b, eta, _HALF, _HALF)
 
 
 def _c_form(a, b, eta: Metric, p, q):

@@ -167,6 +167,19 @@ def _ratio(x):
     return x.numerator, x.denominator
 
 
+def _constant(value):
+    """The canonical triple (p, q, e) of an int, Fraction or GaussRational, or
+    None for any other value; the constant is 1 or -1 exactly when the triple
+    is (1, 0, 1) or (-1, 0, 1), so a unit test compares ints."""
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, GaussRational):
+        return value._a, value._b, value._d
+    return None
+
+
 def _gauss(a, b, d):
     """Trusted constructor: (a + b*i)/d, already in canonical form."""
     g = _new(GaussRational)
@@ -191,7 +204,7 @@ _ZERO = GaussRational(0)
 # Packed modes: digit width (the width of the ``struct`` format "i" that
 # ``_digits`` reads), the bound every |k_j| stays below, and the digit mask.
 _W = 32
-_HALF = 1 << (_W - 1)
+_BOUND = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
 
 
@@ -209,7 +222,7 @@ def _digits(n: int):
     digit nonnegative, so none borrows from the next.  XOR with the bias then
     leaves each digit as its 32-bit two's complement, which ``struct`` reads.
     """
-    bias = _HALF * (((1 << (_W * n)) - 1) // _MASK)
+    bias = _BOUND * (((1 << (_W * n)) - 1) // _MASK)
     return bias, _W // 8 * n, struct.Struct(f"<{n}i").unpack
 
 
@@ -239,7 +252,7 @@ class FourierScalar:
                         raise ValueError(f"mode {mode} has wrong arity")
                     mode = tuple(map(_component, mode))
                     top = max(map(abs, mode))
-                    if top >= _HALF:
+                    if top >= _BOUND:
                         raise ValueError(
                             f"mode {mode} has a component outside (-2**{_W - 1}, 2**{_W - 1})"
                         )
@@ -260,6 +273,7 @@ class FourierScalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    @cache
     def zero(dim: int) -> "FourierScalar":
         return FourierScalar(dim)
 
@@ -300,17 +314,14 @@ class FourierScalar:
     def __mul__(self, other):
         if isinstance(other, FourierScalar):
             return sum_of_products(self.dim, ((self, other),))
-        if not isinstance(other, (int, Fraction, GaussRational)):
+        t = _constant(other)
+        if t is None:
             return NotImplemented
-        if other == 1:
+        if t == (1, 0, 1):
             return self
-        if other == -1:
+        if t == (-1, 0, 1):
             return -self
-        if isinstance(other, GaussRational):
-            p, q, e = other._a, other._b, other._d
-        else:
-            p, e = _ratio(other)
-            q = 0
+        p, q, e = t
         items = self._terms.items()
         if q:
             terms = {m: _canon(a * p - b * q, a * q + b * p, d * e) for m, (a, b, d) in items}
@@ -334,7 +345,7 @@ class FourierScalar:
             {
                 m: _canon(-b * k, a * k, d)
                 for m, (a, b, d) in self._terms.items()
-                if (k := (((m + bias) >> shift) & _MASK) - _HALF)
+                if (k := (((m + bias) >> shift) & _MASK) - _BOUND)
             },
             self.reach,
         )
@@ -381,59 +392,6 @@ class FourierScalar:
         return hash((self.dim, frozenset(terms.items())))
 
 
-def _convolve_into(acc: dict, f: FourierScalar, g: FourierScalar, sign: int) -> None:
-    """Add ``sign * f * g`` into ``acc`` as unreduced ``(a, b, d)`` triples.
-
-    The factors' canonical triples are read as stored; ``acc`` maps packed
-    modes to triples with ``d > 0`` that may share a gcd or be zero.  Sums
-    over a shared denominator (or one that divides the other) add the
-    numerators only.
-    """
-    right = g._terms.items()
-    if not right:
-        return
-    get = acc.get
-    for m1, (a1, b1, d1) in f._terms.items():
-        if sign != 1:
-            a1, b1 = -a1, -b1
-        for m2, (a2, b2, d2) in right:
-            mode = m1 + m2
-            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-            t = get(mode)
-            if t is None:
-                acc[mode] = (a, b, d)
-                continue
-            p, q, e = t
-            if e == d:
-                acc[mode] = (p + a, q + b, d)
-            elif e % d == 0:
-                k = e // d
-                acc[mode] = (p + a * k, q + b * k, e)
-            elif d % e == 0:
-                k = d // e
-                acc[mode] = (p * k + a, q * k + b, d)
-            else:
-                acc[mode] = (p * d + a * e, q * d + b * e, e * d)
-
-
-def _reduce_all(acc: dict) -> dict:
-    """Canonical triples of the nonzero triples in ``acc``.
-
-    ``_canon`` written out: this loop reduces every product coefficient, and
-    a triple that is already canonical is kept as it is.
-    """
-    out = {}
-    for m, t in acc.items():
-        a, b, d = t
-        if a or b:
-            if d != 1:
-                g = gcd(a, b, d)
-                if g != 1:
-                    t = a // g, b // g, d // g
-            out[m] = t
-    return out
-
-
 def _merge(p: dict, q: dict, sign: int) -> dict:
     """Triples of p + sign*q (sign a nonzero int); only shared modes reduce."""
     out = dict(p)
@@ -459,12 +417,16 @@ def _merge(p: dict, q: dict, sign: int) -> dict:
 def sum_of_products(dim: int, pairs, negated=()) -> FourierScalar:
     """sum f*g over ``pairs`` minus sum f*g over ``negated``.
 
-    Every product accumulates into one dict of unreduced triples, and each
-    mode of the result is reduced once.  Raises ``ValueError`` if a factor
-    is not on T^dim and ``OverflowError`` if a product's reach would leave
-    the packed digit range.
+    Every product adds its term pairs, as unreduced ``(a, b, d)`` triples
+    with ``d > 0`` that may share a gcd or be zero, into one dict keyed by
+    packed mode; sums over a shared denominator (or one that divides the
+    other) add the numerators only.  Each mode of the result is then
+    reduced once, and a triple that is already canonical is kept as it is.
+    Raises ``ValueError`` if a factor is not on T^dim and ``OverflowError``
+    if a product's reach would leave the packed digit range.
     """
     acc = {}
+    get = acc.get
     reach = 0
     for sign, group in ((1, pairs), (-1, negated)):
         for f, g in group:
@@ -472,11 +434,43 @@ def sum_of_products(dim: int, pairs, negated=()) -> FourierScalar:
                 raise ValueError(f"cannot multiply T^{f.dim} and T^{g.dim} scalars on T^{dim}")
             r = f.reach + g.reach
             if r > reach:
-                if r >= _HALF:
+                if r >= _BOUND:
                     raise OverflowError(f"a product may reach mode component {r} >= 2**{_W - 1}")
                 reach = r
-            _convolve_into(acc, f, g, sign)
-    return _scalar(dim, _reduce_all(acc), reach)
+            right = g._terms.items()
+            if not right:
+                continue
+            for m1, (a1, b1, d1) in f._terms.items():
+                if sign != 1:
+                    a1, b1 = -a1, -b1
+                for m2, (a2, b2, d2) in right:
+                    mode = m1 + m2
+                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                    t = get(mode)
+                    if t is None:
+                        acc[mode] = (a, b, d)
+                        continue
+                    p, q, e = t
+                    if e == d:
+                        acc[mode] = (p + a, q + b, d)
+                    elif e % d == 0:
+                        k = e // d
+                        acc[mode] = (p + a * k, q + b * k, e)
+                    elif d % e == 0:
+                        k = d // e
+                        acc[mode] = (p * k + a, q * k + b, d)
+                    else:
+                        acc[mode] = (p * d + a * e, q * d + b * e, e * d)
+    out = {}
+    for m, t in acc.items():
+        a, b, d = t
+        if a or b:
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    t = a // g, b // g, d // g
+            out[m] = t
+    return _scalar(dim, out, reach)
 
 
 def _scalar(dim: int, terms: dict, reach: int) -> FourierScalar:
@@ -734,7 +728,7 @@ def _random_scalars(rng, dim: int, cutoff: int, count: int, max_modes: int = 2, 
     in ``kept`` (default: all; the others read 0).  Each ``randbelow(bits, n)``
     is written out with its ``k = n.bit_length()``: 3 bits for a coefficient
     part in range(5) and 2 for a denominator in range(2)."""
-    if not 0 <= cutoff < _HALF:
+    if not 0 <= cutoff < _BOUND:
         raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
     if max_modes < 1:  # as in randbelow: the loop below would spin on bits(0) == 0
         raise ValueError(f"no int in [0, {max_modes})")

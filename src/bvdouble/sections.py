@@ -15,6 +15,7 @@ together with randomized section generators for identity checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from operator import add, sub
 
@@ -31,6 +32,9 @@ __all__ = [
     "random_section",
     "coordinate_section",
 ]
+
+# one half, for the sections and for every module above them
+_HALF = Fraction(1, 2)
 
 
 class GenSection:
@@ -51,6 +55,7 @@ class GenSection:
         self.form = form
 
     @staticmethod
+    @cache
     def zero(dim: int) -> "GenSection":
         z = FourierScalar.zero(dim)
         return GenSection((z,) * dim, (z,) * dim)
@@ -75,10 +80,11 @@ class GenSection:
         return GenSection(tuple(-a for a in self.vec), tuple(-a for a in self.form))
 
     def __mul__(self, scalar):
-        """Module action of a scalar (or constant) on the section."""
-        return GenSection(
-            tuple(scalar * a for a in self.vec), tuple(scalar * a for a in self.form)
-        )
+        """Module action of a scalar field, or of a constant, which goes on the
+        right of each component so that the component's ``__mul__`` reads it."""
+        if isinstance(scalar, FourierScalar):
+            return GenSection(tuple(scalar * a for a in self.vec), tuple(scalar * a for a in self.form))
+        return GenSection(tuple(a * scalar for a in self.vec), tuple(a * scalar for a in self.form))
 
     __rmul__ = __mul__
 
@@ -122,7 +128,7 @@ def _dorfman_terms(a: GenSection, b: GenSection, skew: bool = False):
     form = [([(x[i], deta[j][i]) for i in r], [(y[i], dxi[j][i]) for i in r]) for j in r]
     eta_h, y_h, xi_h, x_h = eta, y, xi, x
     if skew:
-        eta_h, y_h, xi_h, x_h = ([f * Fraction(1, 2) for f in c] for c in (eta, y, xi, x))
+        eta_h, y_h, xi_h, x_h = ([f * _HALF for f in c] for c in (eta, y, xi, x))
     for j, (plus, minus) in enumerate(form):
         plus += [(eta_h[i], dx[i][j]) for i in r] + [(y_h[i], dxi[i][j]) for i in r]
         if skew:

@@ -1038,13 +1038,9 @@ def _doublecopy_identities(cfg: SuiteConfig):
         yield (fx, ft), res(fx, ft)
 
     def bracket_bilinearity(g1, g2, h):
-        additive = (
-            double_bracket(g1 + g2, h)
-            - double_bracket(g1, h)
-            - double_bracket(g2, h)
-        )
-        scaling = double_bracket(g1 * 3, h) - double_bracket(g1, h) * 3
-        return (additive, scaling)
+        b1 = double_bracket(g1, h)
+        additive = double_bracket(g1 + g2, h) - b1 - double_bracket(g2, h)
+        return (additive, double_bracket(g1 * 3, h) - b1 * 3)
 
     def constant_case(g, h):
         phi = FourierScalar.zero(2 * cfg.dim)

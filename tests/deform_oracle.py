@@ -16,7 +16,9 @@ kept as the sum it was before ``bvops.boundary`` became its body.
 was before eta moved onto its small operands: it raised whole element
 gradients eta^{ij} d_j x, summed every slot of them against one operand's
 one-form part (``_weighted_sum``) and kept the slots that mu((0, s), .)
-reads (``_mu_scalar_slot``).
+reads (``_mu_scalar_slot``).  ``slotwise_derivative`` is the slotwise
+d/dx^j that ``BVElement`` once carried as a method; only these oracles and
+their tests read it.
 """
 
 from fractions import Fraction
@@ -87,9 +89,20 @@ def _mu_scalar_slot(w: BVElement) -> BVElement:
     return BVElement.zero(w.degree + 1, w.dim)
 
 
+def slotwise_derivative(x: BVElement, j: int) -> BVElement:
+    """Slotwise d/dx^j, the Lie derivative along the constant field e_j."""
+    section = None
+    if x.section is not None:
+        section = GenSection(
+            tuple(a.derivative(j) for a in x.section.vec),
+            tuple(a.derivative(j) for a in x.section.form),
+        )
+    return BVElement(x.degree, x.dim, section, x.scalar.derivative(j))
+
+
 def _raised_gradient(x: BVElement, eta: Metric) -> list:
     """eta^{ij} d_j x over i, for a graded element x."""
-    return eta.raise_index([x.derivative(j) for j in range(eta.dim)])
+    return eta.raise_index([slotwise_derivative(x, j) for j in range(eta.dim)])
 
 
 def mu_bar_eta_raised(x: BVElement, y: BVElement, eta: Metric) -> BVElement:

@@ -11,7 +11,7 @@ report stays byte-identical.
 from operator import lshift
 
 from bvdouble.scalars import (
-    _HALF,
+    _BOUND,
     _ZERO,
     FourierScalar,
     _canon,
@@ -32,7 +32,7 @@ def random_coefficient(rng):
 
 
 def random_scalar(rng, dim, cutoff, max_modes=2):
-    if cutoff >= _HALF:
+    if cutoff >= _BOUND:
         raise ValueError(f"mode cutoff {cutoff} is outside the packed range")
     choice = rng.choice
     axes = (range(-cutoff, cutoff + 1),) * dim

@@ -2,14 +2,18 @@
 
 A site is one ``+`` or ``-`` of a binary expression or an augmented
 assignment, one unary minus, one order comparison (``<``, ``<=``, ``>``,
-``>=``), or one list named ``plus`` or ``minus`` that an ``append``,
-``extend`` or ``+=`` adds to.  Its mutant is the source with exactly that
-node changed: ``+`` and ``-`` (``+=`` and ``-=``) swap, a unary minus is
-dropped, a comparison moves its bound by one (``<`` and ``<=`` swap, as do
-``>`` and ``>=``), and ``plus`` and ``minus`` swap, so that the pairs go to
-the other list of a fused ``sum_of_products`` kernel and enter with the
-other sign.  Sites are named ``FILE:LINE:COL`` by the position of their
-operator or list name, with FILE relative to ``src/``.
+``>=``), one list named ``plus`` or ``minus`` that an ``append``,
+``extend`` or ``+=`` adds to, or one ``sum_of_products(dim, pairs[,
+negated])`` call with two or three positional arguments and no star.  Its
+mutant is the source with exactly that node changed: ``+`` and ``-`` (``+=``
+and ``-=``) swap, a unary minus is dropped, a comparison moves its bound by
+one (``<`` and ``<=`` swap, as do ``>`` and ``>=``), ``plus`` and ``minus``
+swap, so that the pairs go to the other list of a fused ``sum_of_products``
+kernel and enter with the other sign, and a call's ``pairs`` and
+``negated`` arguments swap (a missing ``negated`` is ``()``), so that every
+product of the call enters with the other sign.  Sites are named
+``FILE:LINE:COL`` by the position of their operator, list name or called
+name, with FILE relative to ``src/``.
 
     python tests/mutants.py --list [--file bvdouble/suites.py]
     python tests/mutants.py --sample 20 --seed 0 --out table.md -- python -m pytest -q
@@ -52,6 +56,7 @@ _FLIP = {"+": "-", "-": "+", "+=": "-=", "-=": "+="}
 _BOUND = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 _ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _SWAP = {"plus": "minus", "minus": "plus"}
+_PRODUCTS = "sum_of_products"
 _SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
 # the unmutated run's limit; each mutant's is derived from its wall time
 _TIMEOUT_S = 3600
@@ -60,16 +65,23 @@ _LIMIT_FLOOR_S = 30
 
 
 class Site:
-    """One operator or list name: ``rel`` is the file under ``src/``,
+    """One operator, list name or called name: ``rel`` is the file under ``src/``,
     ``line`` is 1-based and ``col`` a character offset into that line."""
 
-    __slots__ = ("rel", "line", "col", "unary", "swap", "bound")
+    __slots__ = ("rel", "line", "col", "unary", "swap", "bound", "operands")
 
     def __init__(
-        self, rel: str, line: int, col: int, unary: bool, swap: bool = False, bound: bool = False
+        self,
+        rel: str,
+        line: int,
+        col: int,
+        unary: bool,
+        swap: bool = False,
+        bound: bool = False,
+        operands: bool = False,
     ):
         self.rel, self.line, self.col, self.unary = rel, line, col, unary
-        self.swap, self.bound = swap, bound
+        self.swap, self.bound, self.operands = swap, bound, operands
 
     def __str__(self):
         return f"{self.rel}:{self.line}:{self.col}"
@@ -106,6 +118,45 @@ def _swapped_list(node):
     return target if isinstance(target, ast.Name) and target.id in _SWAP else None
 
 
+def _product_call(node):
+    """The (line, byte column) of the called name when ``node`` is a
+    ``sum_of_products`` call whose pair lists can be swapped, else None."""
+    if not isinstance(node, ast.Call) or node.keywords or len(node.args) not in (2, 3):
+        return None
+    if any(isinstance(arg, ast.Starred) for arg in node.args):
+        return None
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != _PRODUCTS:
+        return None
+    return func.end_lineno, func.end_col_offset - len(name)
+
+
+def _swap_operands(source: str, site: Site) -> str:
+    """The source with the ``pairs`` and ``negated`` arguments of the
+    ``sum_of_products`` call at ``site`` swapped."""
+    lines = source.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+
+    def at(line, byte_col):
+        return starts[line - 1] + len(lines[line - 1].encode()[:byte_col].decode())
+
+    for node in ast.walk(ast.parse(source)):
+        name = _product_call(node)
+        if name is None or at(*name) != at(site.line, 0) + site.col:
+            continue
+        pairs, *negated = node.args[1:]
+        p0, p1 = at(pairs.lineno, pairs.col_offset), at(pairs.end_lineno, pairs.end_col_offset)
+        if not negated:
+            return source[:p0] + "(), " + source[p0:]
+        (neg,) = negated
+        n0, n1 = at(neg.lineno, neg.col_offset), at(neg.end_lineno, neg.end_col_offset)
+        return source[:p0] + source[n0:n1] + source[p1:n0] + source[p0:p1] + source[n1:]
+    raise ValueError(f"no {_PRODUCTS} call at {site}")
+
+
 def sites_in(source: str, rel: str) -> list:
     """Every mutable site of one file, in source order."""
     lines = source.splitlines(keepends=True)
@@ -113,10 +164,14 @@ def sites_in(source: str, rel: str) -> list:
     found = set()
     swaps = set()
     bounds = set()
+    calls = set()
     for node in ast.walk(ast.parse(source)):
         name = _swapped_list(node)
         if name is not None:
             swaps.add((name.lineno, name.col_offset))
+        call = _product_call(node)
+        if call is not None:
+            calls.add(call)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             found.add((node.lineno, node.col_offset, True))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
@@ -139,16 +194,18 @@ def sites_in(source: str, rel: str) -> list:
         if unary and raw[col : col + 1] != b"-":
             continue
         out.append(Site(rel, line, len(raw[:col].decode()), unary))
-    for line, col in swaps | bounds:
+    for line, col in swaps | bounds | calls:
         raw = lines[line - 1].encode()
-        kind = {"bound": True} if (line, col) in bounds else {"swap": True}
-        out.append(Site(rel, line, len(raw[:col].decode()), False, **kind))
+        kind = "bound" if (line, col) in bounds else "operands" if (line, col) in calls else "swap"
+        out.append(Site(rel, line, len(raw[:col].decode()), False, **{kind: True}))
     return sorted(out, key=lambda site: (site.line, site.col))
 
 
 def mutate(source: str, site: Site) -> str:
     """The source with the operator at ``site`` flipped or dropped, its
-    bound moved, or its list name swapped."""
+    bound moved, its list name swapped, or its call's pair lists swapped."""
+    if site.operands:
+        return _swap_operands(source, site)
     lines = source.splitlines(keepends=True)
     line = lines[site.line - 1]
     head, tail = line[: site.col], line[site.col :]
@@ -271,7 +328,9 @@ def mutant_limit(baseline_s: float) -> float:
     return max(_LIMIT_FLOOR_S, _LIMIT_FACTOR * baseline_s)
 
 
-def _kind(site: Site, unary, swap, bound, flip):
+def _kind(site: Site, unary, swap, bound, operands, flip):
+    if site.operands:
+        return operands
     return unary if site.unary else swap if site.swap else bound if site.bound else flip
 
 
@@ -288,7 +347,9 @@ def table(baseline: dict, results: list, command: list) -> str:
         "|---|---|---|---|---|---|",
     ]
     for site, line, got in results:
-        change = _kind(site, "drop unary -", "swap plus/minus", "move bound", "flip +/-")
+        change = _kind(
+            site, "drop unary -", "swap plus/minus", "move bound", "swap pairs/negated", "flip +/-"
+        )
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
             got["rows"] != baseline["rows"]
         )
@@ -316,7 +377,7 @@ def main(argv=None) -> int:
     sites = all_sites(ROOT / "src", args.file)
     if args.list:
         for site in sites:
-            print(site, _kind(site, "(unary -)", "(plus/minus)", "(bound)", ""))
+            print(site, _kind(site, "(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", ""))
         return 0
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:

@@ -25,7 +25,7 @@ the Hodge star took of each minor, and the LDL^T pivot test of
 from fractions import Fraction
 
 from bvdouble.scalars import (
-    _HALF,
+    _BOUND,
     _MASK,
     _W,
     FourierScalar,
@@ -127,7 +127,7 @@ def derivative(terms: dict, j: int) -> dict:
     return {
         m: _times_i(c, k)
         for m, c in terms.items()
-        if (k := (((m + bias) >> shift) & _MASK) - _HALF)
+        if (k := (((m + bias) >> shift) & _MASK) - _BOUND)
     }
 
 

@@ -107,6 +107,17 @@ def d_scalar(u):
     return GenSection((zero,) * u.dim, tuple(u.derivative(i) for i in range(u.dim)))
 
 
+def scale(x, c):
+    """A scalar, section or element times the constant c: every component
+    convolved with the constant scalar c."""
+    if isinstance(x, FourierScalar):
+        return convolve(FourierScalar.const(x.dim, c), x)
+    if isinstance(x, GenSection):
+        return GenSection(tuple(scale(a, c) for a in x.vec), tuple(scale(a, c) for a in x.form))
+    section = None if x.section is None else scale(x.section, c)
+    return BVElement(x.degree, x.dim, section, scale(x.scalar, c))
+
+
 def _scale(section, u):
     return GenSection(
         tuple(convolve(u, c) for c in section.vec), tuple(convolve(u, c) for c in section.form)

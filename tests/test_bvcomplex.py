@@ -17,9 +17,18 @@ from bvdouble.bvcomplex import (
     project_half,
     random_element,
 )
-from bvdouble.bvops import sign
-from bvdouble.scalars import GaussRational, random_scalar
-from bvdouble.sections import GenSection, divergence, d_scalar, random_section
+from bvdouble.bvops import brack, mu, sign
+from bvdouble.scalars import FourierScalar, GaussRational, random_scalar, sum_of_products
+from bvdouble.sections import (
+    GenSection,
+    anchor,
+    d_scalar,
+    divergence,
+    dorfman,
+    pairing,
+    random_section,
+)
+from bvdouble.serialize import canonical_dumps
 
 DIM = 3
 TRIALS = 8
@@ -276,3 +285,37 @@ def test_slot_check_survives_optimize(subprocess_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\n"
+
+
+def test_cached_zeros_are_shared_and_stay_empty(rng):
+    # the zero constructors are cached, so one zero per torus (and degree)
+    # is shared by every caller; no operation may write into it
+    z = FourierScalar.zero(DIM)
+    s = GenSection.zero(DIM)
+    zeros = {d: BVElement.zero(d, DIM) for d in range(-1, 5)}
+    assert FourierScalar.zero(DIM) is z and GenSection.zero(DIM) is s
+    assert all(BVElement.zero(d, DIM) is e for d, e in zeros.items())
+    assert s.vec == (z,) * DIM and all(c is z for c in s.vec + s.form)
+    assert all(e.scalar is z for e in zeros.values())
+    assert zeros[1].section is s and zeros[2].section is s
+    before = canonical_dumps([z, s, *zeros.values()])
+    f, a = random_scalar(rng, DIM, 2), random_section(rng, DIM, 2)
+    out = []
+    for c in (0, 1, -1, 3, Fraction(1, 2), GaussRational(0, 1)):
+        out += [z * c, c * z, s * c, c * s]
+        out += [v for e in zeros.values() for v in (e * c, c * e)]
+    out += [z + f, f + z, z - f, f - z, -z, z * f, f * z, z.derivative(0)]
+    out += [*z.symbols((1, 2), lambda k: k[:2]), sum_of_products(DIM, [(z, f), (f, z)], [(z, z)])]
+    out += [s + a, a + s, s - a, a - s, -s, s * f, dorfman(s, a), dorfman(a, s), pairing(s, a)]
+    out += [anchor(s, f), divergence(s), d_scalar(z)]
+    for d, e in zeros.items():
+        x = elem(rng, d)
+        out += [e + x, x + e, e - x, x - e, -e, op_b(e), op_c(e), op_q(e), project_half(e)]
+        out += [e == x, complement_residual(e), odd_pairing(e, x)]
+        for y in (x, e, elem(rng, 1)):
+            out += [mu(e, y), mu(y, e), brack(e, y), brack(y, e)]
+    assert all(v is not None for v in out)
+    assert canonical_dumps([z, s, *zeros.values()]) == before
+    assert z._terms == {} and z.reach == 0 and FourierScalar.zero(DIM) is z
+    assert s.is_zero() and GenSection.zero(DIM) is s
+    assert all(e.is_zero() and BVElement.zero(d, DIM) is e for d, e in zeros.items())

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bvdouble import cli
 from bvdouble.cli import main
 from bvdouble.suites import ConfigError, SuiteConfig
 
@@ -166,6 +167,31 @@ def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+def test_the_cached_parser_survives_a_usage_error(fast_config, capsys):
+    # one parser serves every main call of a process: a usage error between
+    # two good calls leaves their reports as fresh parsers give them
+    good = ["verify", "--suite", "courant", "--config", fast_config, "--seed", "3"]
+    other = ["verify", "--suite", "bvcomplex", "--config", fast_config]
+    runs = []
+    for fresh in (True, False):
+        outs = []
+        for argv in (good, ["verify", "--suite", "courant", "--samples", "x"], other, good):
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            outs.append((code, out, "usage:" in err))
+        runs.append(outs)
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[1]] == [0, 2, 0, 0]
+    assert [usage for _, _, usage in runs[1]] == [False, True, False, False]
+    assert runs[1][0][1] == runs[1][3][1] != runs[1][2][1]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_all_aggregates_every_suite(tmp_path, capsys):

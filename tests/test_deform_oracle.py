@@ -67,7 +67,7 @@ def test_coordinate_bracket_is_the_slotwise_derivative(name):
         for _ in range(3):
             x = random_element(rng, DIM, 2, degree)
             for j in range(DIM):
-                same(brack(f[j], x), x.derivative(j))
+                same(brack(f[j], x), oracle.slotwise_derivative(x, j))
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
@@ -116,7 +116,7 @@ MU_BAR_COST = {(1, 0): (1, 1), (1, 2): (1, 1), (2, 1): (1, 1), (1, 1): (4 * DIM,
 
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_mu_bar_eta_reads_only_what_its_pattern_needs(name, monkeypatch):
-    # no BVElement.derivative on any pattern, and no symbol pass and no
+    # no FourierScalar.derivative on any pattern, and no symbol pass and no
     # product on the patterns whose value is zero, such as (1, 3)
     eta = METRICS[name]
     rng = random.Random(f"mu-bar-cost:{name}")
@@ -130,7 +130,9 @@ def test_mu_bar_eta_reads_only_what_its_pattern_needs(name, monkeypatch):
 
         return call
 
-    monkeypatch.setattr(BVElement, "derivative", counted("derivative", BVElement.derivative))
+    monkeypatch.setattr(
+        FourierScalar, "derivative", counted("derivative", FourierScalar.derivative)
+    )
     monkeypatch.setattr(FourierScalar, "symbols", counted("symbols", FourierScalar.symbols))
     monkeypatch.setattr(deform, "sum_of_products", counted("products", sum_of_products))
     got, costs = [], []

@@ -37,7 +37,7 @@ def _order_comparisons(tree):
 
 def test_sites_cover_the_operators_outside_f_strings():
     by_file = {}
-    for site in (s for s in SITES if not s.swap and not s.bound):
+    for site in (s for s in SITES if not s.swap and not s.bound and not s.operands):
         by_file[site.rel] = by_file.get(site.rel, 0) + 1
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -74,6 +74,9 @@ def test_each_pinned_mutant_differs_by_exactly_one_node():
             sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
             trees[site.rel] = ast.parse(sources[site.rel])
         mutant = mutants.mutate(sources[site.rel], site)
+        if site.operands:
+            assert ast.dump(ast.parse(mutant)) == ast.dump(_operands_swapped(sources[site.rel], site))
+            continue
         ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
         if site.swap:
             assert {old, new} == {"plus", "minus"}, site
@@ -180,6 +183,72 @@ def test_a_swap_site_without_its_list_name_is_refused():
         mutants.mutate("plusses.append(1)\n", mutants.Site("m.py", 1, 0, False, swap=True))
     with pytest.raises(ValueError, match="no plus or minus"):
         mutants.mutate("x.append(1)\n", mutants.Site("m.py", 1, 0, False, swap=True))
+
+
+OPERANDS_SOURCE = """\
+def f(dim, a, b, c):
+    x = sum_of_products(dim, [(a, b)], [(b, a),
+                                        (c, c)])
+    y = scalars.sum_of_products(dim, zip(a, b))
+    z = sum_of_products(dim, (), ((a, c),))
+    sum_of_products(dim, *t)
+    sum_of_products(dim, a, negated=b)
+    return other(dim, a, b) + sum_of_products(dim)
+"""
+
+
+def _operands_swapped(source, site):
+    """The syntax tree of ``source`` with the call at ``site`` swapped by hand."""
+    tree = ast.parse(source)
+    col = len(source.splitlines()[site.line - 1][: site.col].encode())
+    (call,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.end_lineno, node.func.end_col_offset - len("sum_of_products"))
+        == (site.line, col)
+    ]
+    dim, pairs, *negated = call.args
+    call.args = [dim, *negated, pairs] if negated else [dim, ast.Tuple([], ast.Load()), pairs]
+    return tree
+
+
+def test_operand_sites_are_the_product_calls_with_positional_pair_lists():
+    sites = [s for s in mutants.sites_in(OPERANDS_SOURCE, "m.py") if s.operands]
+    assert [(s.line, s.col) for s in sites] == [(2, 8), (4, 16), (5, 8)]
+    assert mutants.mutate(OPERANDS_SOURCE, sites[0]).splitlines()[1:3] == [
+        "    x = sum_of_products(dim, [(b, a),",
+        "                                        (c, c)], [(a, b)])",
+    ]
+    assert mutants.mutate(OPERANDS_SOURCE, sites[1]).splitlines()[3] == (
+        "    y = scalars.sum_of_products(dim, (), zip(a, b))"
+    )
+    assert mutants.mutate(OPERANDS_SOURCE, sites[2]).splitlines()[4] == (
+        "    z = sum_of_products(dim, ((a, c),), ())"
+    )
+    for site in sites:
+        mutant = mutants.mutate(OPERANDS_SOURCE, site)
+        assert ast.dump(ast.parse(mutant)) == ast.dump(_operands_swapped(OPERANDS_SOURCE, site))
+
+
+def test_every_operand_mutant_swaps_exactly_one_call():
+    calls = [site for site in SITES if site.operands]
+    # the fused kernels of deform, doublecopy and sections pass their pair lists
+    assert {site.rel for site in calls} >= {
+        "bvdouble/deform.py", "bvdouble/doublecopy.py", "bvdouble/sections.py"
+    }
+    sources = {}
+    for site in calls:
+        if site.rel not in sources:
+            sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
+        mutant = mutants.mutate(sources[site.rel], site)
+        assert ast.dump(ast.parse(mutant)) == ast.dump(_operands_swapped(sources[site.rel], site))
+
+
+def test_an_operand_site_without_its_call_is_refused():
+    for source in ("sum_of_products(dim, *t)\n", "other(dim, a, b)\n"):
+        with pytest.raises(ValueError, match="no sum_of_products call"):
+            mutants.mutate(source, mutants.Site("m.py", 1, 0, False, operands=True))
 
 
 def test_a_mutant_run_is_limited_by_the_unmutated_time(monkeypatch):

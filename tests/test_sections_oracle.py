@@ -81,6 +81,76 @@ def test_section_kernels_match_the_definitions(name, left, right):
         same(lie_bracket_vec(a.vec, b.vec), oracle.lie_bracket_vec(a.vec, b.vec))
 
 
+# ints, Fractions and Gaussian rationals: units, zeros, reals and non-reals
+CONSTANTS = (
+    0, 1, -1, 3,
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 4), Fraction(6, 1),
+    GaussRational(0), GaussRational(1), GaussRational(-1), GaussRational(2),
+    GaussRational(0, 1), GaussRational(Fraction(1, 2), -3),
+)
+
+
+def test_constant_scaling_reads_no_fraction_operator(monkeypatch):
+    # a constant on the right of a scalar, section or element (and an int or
+    # Gaussian rational on its left) scales without Fraction.__eq__ or
+    # Fraction.__mul__, and equals the convolution with the constant scalar
+    rng = random.Random("constant-scaling")
+    values = [random_scalar(rng, DIM, 2), FourierScalar.zero(DIM)]
+    values += [draw_section(rng, DENSE, shape) for shape in SHAPES]
+    values += [random_element(rng, DIM, 2, degree) for degree in DEGREES]
+    pairs = [(x, c) for x in values for c in CONSTANTS]
+    want = [oracle.scale(x, c) for x, c in pairs]
+    lefts = [i for i, (_, c) in enumerate(pairs) if not isinstance(c, Fraction)]
+    units = [i for i, (x, c) in enumerate(pairs) if c == 1 and not isinstance(x, GenSection)]
+
+    def banned(*args):
+        raise AssertionError("a constant scaling must not call a Fraction operator")
+
+    monkeypatch.setattr(Fraction, "__eq__", banned)
+    monkeypatch.setattr(Fraction, "__mul__", banned)
+    got = [x * c for x, c in pairs]
+    left = [pairs[i][1] * pairs[i][0] for i in lefts]
+    monkeypatch.undo()
+    for value, expected in zip(got, want):
+        same(value, expected)
+    for i, value in zip(lefts, left):
+        same(value, want[i])
+    # a unit returns the scalar or element itself
+    assert units and all(got[i] is pairs[i][0] for i in units)
+
+
+class _Scalar(FourierScalar):
+    __slots__ = ()
+
+
+class _Ratio(Fraction):
+    pass
+
+
+class _Gauss(GaussRational):
+    __slots__ = ()
+
+
+def test_subclass_operands_scale_like_their_base_types():
+    # subclasses of the scalar and constant types, bool among the ints,
+    # multiply and scale as their base values do
+    rng = random.Random("subclass-operands")
+    f, g = random_scalar(rng, DIM, 2), random_scalar(rng, DIM, 2)
+    same(f * _Scalar(DIM, g.coeffs), oracle.convolve(f, g))
+    cases = [
+        (True, 1),
+        (False, 0),
+        (_Ratio(-3, 4), Fraction(-3, 4)),
+        (_Ratio(-1), -1),
+        (_Gauss(Fraction(1, 2), -3), GaussRational(Fraction(1, 2), -3)),
+        (_Gauss(-1), -1),
+    ]
+    for c, base in cases:
+        same(f * c, oracle.scale(f, base))
+        same(c * f, oracle.scale(f, base))
+    assert f * True is f and f * _Gauss(1) is f
+
+
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_c_bracket_kernels_match_the_definitions(name):
     eta = METRICS[name]
