@@ -7,7 +7,9 @@ Degrees and slots (D = torus dimension):
     degree 2:  (At, vt)           generalized section + scalar
     degree 3:  ut                 one scalar
 
-An element is stored uniformly as (degree, section-or-None, scalar).  The
+An element is stored uniformly as (degree, section-or-None, scalar).  Its
+sums, constant multiples, zero test and equality come from
+``scalars.Linear``, which absorbs a zero of another degree in a sum.  The
 three odd endomorphisms are
 
     b:  (A, v) -> v,     (At, vt) -> (-At, 0),   ut -> (0, -ut),   u -> 0
@@ -29,9 +31,8 @@ onto the first summand.
 from __future__ import annotations
 
 from functools import cache
-from operator import add, sub
 
-from .scalars import FourierScalar, GaussRational, _constant, _random_scalars
+from .scalars import FourierScalar, GaussRational, Linear, _constant, _random_scalars
 from .sections import _HALF, GenSection, d_scalar, divergence, pairing
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-class BVElement:
+class BVElement(Linear):
     """A homogeneous element of the graded complex."""
 
     __slots__ = ("degree", "dim", "section", "scalar")
@@ -55,9 +56,12 @@ class BVElement:
         # Degrees outside 0..3 only ever hold the zero element; they appear
         # transiently when operators walk off the end of the complex.
         if degree in (1, 2):
-            if section is not None and not isinstance(section, GenSection):
+            if section is None:
+                section = GenSection.zero(dim)
+            elif not isinstance(section, GenSection):
                 raise TypeError(f"a degree-{degree} section must be a GenSection")
-            section = GenSection.zero(dim) if section is None else section
+            elif section.dim != dim:
+                raise ValueError(f"a section on T^{section.dim} in an element on T^{dim}")
         else:
             if section is not None and not section.is_zero():
                 raise ValueError(f"degree {degree} has no section slot")
@@ -97,28 +101,20 @@ class BVElement:
 
     # -- linear structure --------------------------------------------------
 
-    def __add__(self, other, op=add):
-        if not isinstance(other, BVElement):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"elements on T^{self.dim} and T^{other.dim}")
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other if op is add else -other
-            if other.is_zero():
-                return self
-            raise TypeError(f"cannot combine degrees {self.degree} and {other.degree}")
-        section = None
-        if self.section is not None:
-            section = op(self.section, other.section)
-        return BVElement(self.degree, self.dim, section, op(self.scalar, other.scalar))
+    def parts(self) -> tuple:
+        """The section's components, then the scalar (alone without a section)."""
+        if self.section is None:
+            return (self.scalar,)
+        return self.section.vec + self.section.form + (self.scalar,)
 
-    def __sub__(self, other):
-        return self.__add__(other, sub)
+    def _like(self, parts):
+        if self.section is None:
+            return BVElement(self.degree, self.dim, None, parts[0])
+        d = self.dim
+        return BVElement(self.degree, d, GenSection(parts[:d], parts[d:-1]), parts[-1])
 
-    def __neg__(self):
-        section = None if self.section is None else -self.section
-        return BVElement(self.degree, self.dim, section, -self.scalar)
+    def _shape(self):
+        return self.dim, self.degree
 
     def __mul__(self, const):
         """Multiplication by a constant from Q(i) (not by a scalar field)."""
@@ -129,26 +125,15 @@ class BVElement:
             return self
         if t == (-1, 0, 1):
             return -self
-        section = None if self.section is None else self.section * const
-        return BVElement(self.degree, self.dim, section, self.scalar * const)
+        return Linear.__mul__(self, const)
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return (self.section is None or self.section.is_zero()) and self.scalar.is_zero()
-
     def __eq__(self, other):
-        if not isinstance(other, BVElement):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
+        # zeros of any degree are equal
+        if isinstance(other, BVElement) and self.is_zero() and other.is_zero():
             return True
-        return (
-            self.degree == other.degree
-            and self.dim == other.dim
-            and (self.section or GenSection.zero(self.dim))
-            == (other.section or GenSection.zero(self.dim))
-            and self.scalar == other.scalar
-        )
+        return Linear.__eq__(self, other)
 
 
 def op_b(x: BVElement) -> BVElement:
@@ -239,11 +224,9 @@ def odd_pairing(x: BVElement, y: BVElement) -> GaussRational:
 
 def random_element(rng, dim: int, cutoff: int, degree: int) -> BVElement:
     """A random sparse element of the requested degree: a scalar, or at
-    degrees 1 and 2 a section and a scalar, its 2D + 1 scalars in one draw."""
-    if degree in (0, 3):
-        (u,) = _random_scalars(rng, dim, cutoff, 1)
-        return BVElement(degree, dim, None, u)
-    if degree in (1, 2):
-        fs = _random_scalars(rng, dim, cutoff, 2 * dim + 1)
-        return BVElement(degree, dim, GenSection(fs[:dim], fs[dim:-1]), fs[-1])
-    return BVElement.zero(degree, dim)
+    degrees 1 and 2 a section and a scalar, its 2D + 1 scalars in one draw
+    (in the order of its parts); the zero outside degrees 0..3."""
+    zero = BVElement.zero(degree, dim)
+    if degree not in (0, 1, 2, 3):
+        return zero
+    return zero._like(_random_scalars(rng, dim, cutoff, len(zero.parts())))

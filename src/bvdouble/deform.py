@@ -258,15 +258,8 @@ def ym_embed(x: YMElement, eta: Metric) -> BVElement:
 class MatrixFunction(SquareGrid):
     """A square grid of scalars on one torus, with the convolution matrix product."""
 
-    __slots__ = ("dim",)
+    __slots__ = ()
     ENTRY = FourierScalar
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        dim = self.rows[0][0].dim
-        if any(e.dim != dim for row in self.rows for e in row):
-            raise ValueError("matrix function entries live on tori of different dimensions")
-        self.dim = dim
 
     @staticmethod
     def zero(rank: int, dim: int) -> "MatrixFunction":
@@ -275,8 +268,7 @@ class MatrixFunction(SquareGrid):
 
     @staticmethod
     def random(rng, rank: int, dim: int, cutoff: int) -> "MatrixFunction":
-        fs = _random_scalars(rng, dim, cutoff, rank * rank)
-        return MatrixFunction([fs[i : i + rank] for i in range(0, rank * rank, rank)])
+        return MatrixFunction._like(_random_scalars(rng, dim, cutoff, rank * rank))
 
     def __mul__(self, other):
         if isinstance(other, MatrixFunction):
@@ -306,21 +298,16 @@ class MatrixFunction(SquareGrid):
 class LieValuedBVElement(SquareGrid):
     """A square grid of BVElements of one degree and torus (one per Lie slot)."""
 
-    __slots__ = ("degree", "dim")
+    __slots__ = ("degree",)
     ENTRY = BVElement
 
     def __init__(self, rows):
         super().__init__(rows)
         degree = self.rows[0][0].degree
-        dim = self.rows[0][0].dim
-        for row in self.rows:
-            for e in row:
-                if e.dim != dim:
-                    raise ValueError("entries live on tori of different dimensions")
-                if e.degree != degree and not e.is_zero():
-                    raise ValueError(f"a degree-{e.degree} entry in a degree-{degree} grid")
+        for e in self.parts():
+            if e.degree != degree and not e.is_zero():
+                raise ValueError(f"a degree-{e.degree} entry in a degree-{degree} grid")
         self.degree = degree
-        self.dim = dim
 
     def __eq__(self, other):
         # entrywise BVElement equality holds for zeros of any degree and dim

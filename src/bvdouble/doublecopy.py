@@ -233,12 +233,8 @@ class Bivector(SquareGrid):
 
     def __init__(self, rows):
         super().__init__(rows)
-        if any(s.dim != self.dim for row in self.rows for s in row):
-            raise ValueError(f"a rank-{self.rank} bivector needs entries on T^{self.dim}")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.rank
+        if self.dim != 2 * self.rank:
+            raise ValueError(f"a rank-{self.rank} bivector needs entries on T^{2 * self.rank}")
 
 
 # Each kernel takes the jet of each input entry once and writes each output
@@ -356,6 +352,4 @@ def random_doubled_scalar(rng, halfdim: int, cutoff: int, sector: str = "both"):
 
 def random_bivector(rng, halfdim: int, cutoff: int) -> Bivector:
     """A random bivector with sparse entries on T^{2 halfdim}, row by row."""
-    n = halfdim
-    fs = _random_scalars(rng, 2 * n, cutoff, n * n)
-    return Bivector(tuple(tuple(fs[i : i + n]) for i in range(0, n * n, n)))
+    return Bivector._like(_random_scalars(rng, 2 * halfdim, cutoff, halfdim * halfdim))

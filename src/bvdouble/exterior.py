@@ -1,7 +1,8 @@
 """Exact exterior calculus on the torus for a constant metric.
 
 Differential forms carry Fourier-sum components on strictly increasing index
-tuples.  The module provides wedge, the de Rham differential, a Hodge star
+tuples; forms and the four-slot elements below take their sums, scaling,
+zero test and equality from ``scalars.Linear``.  The module provides wedge, the de Rham differential, a Hodge star
 for any symmetric invertible rational metric whose determinant has a
 rational square root, and the star pairing of two forms.  On top of these
 it realizes the four-slot complex
@@ -15,10 +16,10 @@ and the trilinear homotopy for associativity acting on one-form triples.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from functools import cache
 
 from .bvops import sign
-from .scalars import FourierScalar, GaussRational, Metric, _gauss_jordan, _random_scalars
+from .scalars import FourierScalar, GaussRational, Linear, Metric, _gauss_jordan, _random_scalars
 
 __all__ = [
     "DifferentialForm",
@@ -49,8 +50,15 @@ def _shuffle_sign(left: tuple, right: tuple):
     return tuple(sorted(left + right)), sign(inversions)
 
 
-class DifferentialForm:
-    """A p-form with FourierScalar components on increasing index tuples."""
+@cache
+def _indices(dim: int, degree: int) -> dict:
+    """The increasing ``degree``-indices on T^dim, in order, each mapped to zero."""
+    return dict.fromkeys(itertools.combinations(range(dim), degree), FourierScalar.zero(dim))
+
+
+class DifferentialForm(Linear):
+    """A p-form with FourierScalar components on increasing index tuples; its
+    parts are the components on every such tuple, in order, zeros included."""
 
     __slots__ = ("dim", "degree", "comps")
 
@@ -61,12 +69,13 @@ class DifferentialForm:
         self.degree = degree
         clean = {}
         if comps:
+            indices = _indices(dim, degree)
             for idx, f in comps.items():
                 idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise ValueError(f"{idx} is not an increasing {degree}-index")
-                if not all(0 <= i < dim for i in idx):
-                    raise ValueError(f"index {idx} outside 0..{dim - 1}")
+                if idx not in indices:
+                    raise ValueError(f"{idx} is not an increasing {degree}-index on T^{dim}")
+                if f.dim != dim:
+                    raise ValueError(f"a component on T^{f.dim} in a form on T^{dim}")
                 if not f.is_zero():
                     clean[idx] = f
         self.comps = clean
@@ -81,49 +90,18 @@ class DifferentialForm:
     def one_form_components(self):
         if self.degree != 1:
             raise ValueError(f"expected a one-form, got degree {self.degree}")
-        return tuple(self.component((j,)) for j in range(self.dim))
+        return self.parts()
 
-    def __add__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"forms on T^{self.dim} and T^{other.dim}")
-        if self.degree != other.degree:
-            raise TypeError(f"cannot add degrees {self.degree} and {other.degree}")
-        comps = dict(self.comps)
-        for idx, f in other.comps.items():
-            comps[idx] = comps.get(idx, FourierScalar.zero(self.dim)) + f
-        return DifferentialForm(self.dim, self.degree, comps)
+    def parts(self) -> tuple:
+        # an update keeps each key where it was, so the components fall in index order
+        return tuple({**_indices(self.dim, self.degree), **self.comps}.values())
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, parts):
+        indices = _indices(self.dim, self.degree)
+        return DifferentialForm(self.dim, self.degree, dict(zip(indices, parts)))
 
-    def __neg__(self):
-        return DifferentialForm(
-            self.dim, self.degree, {i: -f for i, f in self.comps.items()}
-        )
-
-    def __mul__(self, other):
-        """Multiplication by a scalar function or constant."""
-        if isinstance(other, (int, Fraction, GaussRational, FourierScalar)):
-            return DifferentialForm(
-                self.dim, self.degree, {i: f * other for i, f in self.comps.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
+    def _shape(self):
+        return self.dim, self.degree
 
 
 def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
@@ -175,7 +153,7 @@ def hodge(alpha: DifferentialForm, metric: Metric) -> DifferentialForm:
         det = abs(1 / metric.det_upper)
         raise ValueError(f"|det eta| = {det} is not a perfect rational square")
     comps = {}
-    for raised in itertools.combinations(range(dim), p):
+    for raised in _indices(dim, p):
         # alpha with all indices raised, component on the increasing tuple
         lifted = FourierScalar.zero(dim)
         for idx, f in alpha.comps.items():
@@ -210,14 +188,13 @@ def star_pairing(
 # -- the four-slot complex -------------------------------------------------
 
 
-class YMElement:
-    """Element of the four-slot complex; degree fixes the form type."""
+class YMElement(Linear):
+    """Element of the four-slot complex; degree fixes the form type.  Its parts
+    are its form's."""
 
-    __slots__ = ("degree", "form")
+    __slots__ = ("degree", "dim", "form")
 
-    _FORM_DEGREE = staticmethod(
-        lambda degree, dim: {0: 0, 1: 1, 2: dim - 1, 3: dim}[degree]
-    )
+    _FORM_DEGREE = staticmethod(lambda degree, dim: (0, 1, dim - 1, dim)[degree])
 
     def __init__(self, degree: int, form: DifferentialForm):
         if not 0 <= degree <= 3:
@@ -225,48 +202,21 @@ class YMElement:
         if form.degree != YMElement._FORM_DEGREE(degree, form.dim):
             raise ValueError(f"slot {degree} cannot hold a {form.degree}-form")
         self.degree = degree
+        self.dim = form.dim
         self.form = form
-
-    @property
-    def dim(self):
-        return self.form.dim
 
     @staticmethod
     def zero(degree: int, dim: int) -> "YMElement":
-        return YMElement(
-            degree, DifferentialForm.zero(dim, YMElement._FORM_DEGREE(degree, dim))
-        )
+        return YMElement(degree, DifferentialForm.zero(dim, YMElement._FORM_DEGREE(degree, dim)))
 
-    def __add__(self, other):
-        if not isinstance(other, YMElement):
-            return NotImplemented
-        if self.degree != other.degree:
-            # zero summands of a clamped degree are absorbed silently
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise TypeError(f"cannot add degrees {self.degree} and {other.degree}")
-        return YMElement(self.degree, self.form + other.form)
+    def parts(self) -> tuple:
+        return self.form.parts()
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, parts):
+        return YMElement(self.degree, self.form._like(parts))
 
-    def __neg__(self):
-        return YMElement(self.degree, -self.form)
-
-    def __mul__(self, other):
-        return YMElement(self.degree, self.form * other)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.form.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, YMElement):
-            return NotImplemented
-        return self.degree == other.degree and self.form == other.form
+    def _shape(self):
+        return self.dim, self.degree
 
 
 def ym_q(x: YMElement, metric: Metric) -> YMElement:
@@ -323,7 +273,7 @@ def ym_nu_sym(x: YMElement, y: YMElement, z: YMElement, metric: Metric) -> YMEle
 
 
 def random_form(rng, dim: int, cutoff: int, degree: int) -> DifferentialForm:
-    idxs = list(itertools.combinations(range(dim), degree))
+    idxs = _indices(dim, degree)
     comps = _random_scalars(rng, dim, cutoff, len(idxs))
     return DifferentialForm(dim, degree, dict(zip(idxs, comps)))
 

@@ -57,12 +57,14 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
 
 __all__ = [
     "GaussRational",
     "FourierScalar",
+    "Linear",
     "Metric",
     "SquareGrid",
     "laplacian",
@@ -619,60 +621,104 @@ def _gauss_jordan(a, b=None):
     return det, tuple(tuple(row[n:]) for row in rows)
 
 
-class SquareGrid:
-    """A nonempty square grid of ``ENTRY`` values under entrywise arithmetic.
+class Linear:
+    """An element of a free module over the scalars of one torus.
 
-    Subclasses name the entry type and add the checks of their own; every
-    result of the arithmetic is built through the subclass constructor.
+    A subclass supplies ``parts()``, the flat tuple of its entries;
+    ``_like(parts)``, the value of its own shape with those entries, built
+    through its constructor so that every result passes its checks; and
+    ``_shape()``, its size (dimension or rank, as ``_SIZE`` names it) and its
+    degree (None if ungraded).  Here they give the entrywise sum, difference,
+    negation, scaling by a constant on each entry's right, zero test and
+    equality.  Another size raises ``ValueError``; another degree absorbs a
+    zero operand (0 - y is -y) and otherwise raises ``TypeError``.
     """
 
-    __slots__ = ("rank", "rows")
-    ENTRY = object
-
-    def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
-        n = len(rows)
-        if not n or any(len(r) != n for r in rows):
-            raise ValueError(f"a {type(self).__name__} needs a nonempty square grid of entries")
-        entry = self.ENTRY
-        if not all(isinstance(e, entry) for row in rows for e in row):
-            raise TypeError(f"{type(self).__name__} entries must be {entry.__name__}s")
-        self.rank = n
-        self.rows = rows
-
-    def entry(self, p: int, q: int):
-        return self.rows[p][q]
-
-    def apply(self, fn):
-        return type(self)([[fn(e) for e in row] for row in self.rows])
+    __slots__ = ()
+    _SIZE = "dimension"
 
     def __add__(self, other, op=add):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError(f"cannot combine grids of rank {self.rank} and {other.rank}")
-        return type(self)(
-            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        shape, other_shape = self._shape(), other._shape()
+        if other_shape != shape:
+            (n, degree), (m, other_degree) = shape, other_shape
+            if n != m:
+                raise ValueError(f"{type(self).__name__}s of {self._SIZE} {n} and {m}")
+            if self.is_zero():
+                return other if op is add else -other
+            if other.is_zero():
+                return self
+            raise TypeError(f"cannot combine degrees {degree} and {other_degree}")
+        return self._like(tuple(map(op, self.parts(), other.parts())))
 
     def __sub__(self, other):
         return self.__add__(other, sub)
 
     def __neg__(self):
-        return self.apply(neg)
+        return self._like(tuple(map(neg, self.parts())))
 
     def __mul__(self, const):
-        return self.apply(lambda e: e * const)
+        if isinstance(const, Linear):
+            return NotImplemented
+        return self._like(tuple([p * const for p in self.parts()]))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        for p in self.parts():
+            if not p.is_zero():
+                return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.rows == other.rows
+        return self._shape() == other._shape() and self.parts() == other.parts()
+
+
+class SquareGrid(Linear):
+    """A nonempty square grid of ``ENTRY`` values on one torus T^dim; its
+    parts are the entries row by row.
+
+    Subclasses name the entry type and add the checks of their own.
+    """
+
+    __slots__ = ("rank", "rows", "dim")
+    ENTRY = object
+    _SIZE = "rank"
+
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
+        n, name = len(rows), type(self).__name__
+        if not n or any(len(r) != n for r in rows):
+            raise ValueError(f"a {name} needs a nonempty square grid of entries")
+        entry = self.ENTRY
+        if not all(isinstance(e, entry) for row in rows for e in row):
+            raise TypeError(f"{name} entries must be {entry.__name__}s")
+        dim = rows[0][0].dim
+        if any(e.dim != dim for row in rows for e in row):
+            raise ValueError(f"{name} entries live on tori of different dimensions")
+        self.rank = n
+        self.rows = rows
+        self.dim = dim
+
+    def entry(self, p: int, q: int):
+        return self.rows[p][q]
+
+    def apply(self, fn):
+        return self._like(tuple(map(fn, self.parts())))
+
+    def parts(self) -> tuple:
+        return tuple(chain.from_iterable(self.rows))
+
+    @classmethod
+    def _like(cls, parts):
+        n = isqrt(len(parts))
+        return cls([parts[i * n : i * n + n] for i in range(n)])
+
+    def _shape(self):
+        return self.rank, None
 
 
 # -- randomised inputs -----------------------------------------------------

@@ -1,8 +1,10 @@
 """Generalized sections (vector field + one-form) over the torus algebra.
 
 A generalized section is a pair (X, xi) of a vector field and a one-form,
-each stored as a tuple of exact Fourier scalars.  This module provides the
-standard Courant-algebroid package on such sections:
+each stored as a tuple of exact Fourier scalars; its sums, constant
+multiples, zero test and equality come from ``scalars.Linear``, and a scalar
+field acts on it from the left.  This module provides the standard
+Courant-algebroid package on such sections:
 
   * the Dorfman bracket  (A, B) -> (L_X Y,  L_X eta - i_Y d xi),
   * the canonical symmetric pairing  <A, B> = X.eta + Y.xi,
@@ -17,9 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from operator import add, sub
 
-from .scalars import FourierScalar, _random_scalars, sum_of_products
+from .scalars import FourierScalar, Linear, _random_scalars, sum_of_products
 
 __all__ = [
     "GenSection",
@@ -37,19 +38,21 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-class GenSection:
-    """A pair (vector components, one-form components) of exact scalars."""
+class GenSection(Linear):
+    """A pair (vector components, one-form components) of exact scalars on
+    T^dim, dim of each; its parts are the vector then the form components."""
 
     __slots__ = ("dim", "vec", "form")
 
     def __init__(self, vec, form):
         vec = tuple(vec)
         form = tuple(form)
-        if not vec or len(vec) != len(form):
-            raise ValueError(f"{len(vec)} vector and {len(form)} form components")
-        dim = vec[0].dim
-        if any(s.dim != dim for s in vec + form):
-            raise ValueError("section components live on tori of different dimensions")
+        dim = len(vec)
+        if not dim or len(form) != dim:
+            raise ValueError(f"{dim} vector and {len(form)} form components")
+        for s in vec + form:
+            if s.dim != dim:
+                raise ValueError(f"a section with {dim} + {dim} components needs them on T^{dim}")
         self.dim = dim
         self.vec = vec
         self.form = form
@@ -66,35 +69,23 @@ class GenSection:
         z = FourierScalar.zero(vec[0].dim)
         return GenSection(vec, (z,) * len(vec))
 
-    def __add__(self, other, op=add):
-        if not isinstance(other, GenSection):
-            raise TypeError(f"cannot combine a GenSection with {type(other).__name__}")
-        if other.dim != self.dim:
-            raise ValueError(f"sections on T^{self.dim} and T^{other.dim}")
-        return GenSection(map(op, self.vec, other.vec), map(op, self.form, other.form))
+    def parts(self) -> tuple:
+        return self.vec + self.form
 
-    def __sub__(self, other):
-        return self.__add__(other, sub)
+    def _like(self, parts):
+        return GenSection(parts[: self.dim], parts[self.dim :])
 
-    def __neg__(self):
-        return GenSection(tuple(-a for a in self.vec), tuple(-a for a in self.form))
+    def _shape(self):
+        return self.dim, None
 
     def __mul__(self, scalar):
-        """Module action of a scalar field, or of a constant, which goes on the
-        right of each component so that the component's ``__mul__`` reads it."""
+        """The module action of a scalar field, which goes on the left of each
+        component; a constant goes on the right, as for every ``Linear``."""
         if isinstance(scalar, FourierScalar):
-            return GenSection(tuple(scalar * a for a in self.vec), tuple(scalar * a for a in self.form))
-        return GenSection(tuple(a * scalar for a in self.vec), tuple(a * scalar for a in self.form))
+            return self._like(tuple(map(scalar.__mul__, self.parts())))
+        return Linear.__mul__(self, scalar)
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.vec) and all(s.is_zero() for s in self.form)
-
-    def __eq__(self, other):
-        if not isinstance(other, GenSection):
-            return NotImplemented
-        return self.dim == other.dim and self.vec == other.vec and self.form == other.form
 
 
 def _jacobian(comps):
@@ -183,5 +174,4 @@ def coordinate_section(dim: int, i: int) -> GenSection:
 
 def random_section(rng, dim: int, cutoff: int) -> GenSection:
     """A random sparse generalized section (every component 1-2 modes)."""
-    fs = _random_scalars(rng, dim, cutoff, 2 * dim)
-    return GenSection(fs[:dim], fs[dim:])
+    return GenSection.zero(dim)._like(_random_scalars(rng, dim, cutoff, 2 * dim))

@@ -18,6 +18,7 @@ from bvdouble.bvcomplex import (
     random_element,
 )
 from bvdouble.bvops import brack, mu, sign
+from bvdouble.exterior import DifferentialForm, YMElement, random_form, random_ym_element
 from bvdouble.scalars import FourierScalar, GaussRational, random_scalar, sum_of_products
 from bvdouble.sections import (
     GenSection,
@@ -213,11 +214,14 @@ def test_zero_tolerant_addition_rejects_degree_mixing(rng):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_zero_of_another_degree_is_the_additive_identity(rng, degree):
-    y = elem(rng, degree)
-    zero = BVElement.zero(0, DIM)
-    assert not y.is_zero()
-    assert zero + y == y
-    assert zero - y == -y
+    for y, zero in (
+        (elem(rng, degree), BVElement.zero(0, DIM)),
+        (random_ym_element(rng, DIM, 2, degree), YMElement.zero(0, DIM)),
+        (random_form(rng, DIM, 2, degree), DifferentialForm.zero(DIM, 0)),
+    ):
+        assert not y.is_zero()
+        assert zero + y == y and y + zero == y
+        assert zero - y == -y and y - zero == y
 
 
 def test_scalar_multiple_and_negation(rng):
@@ -255,6 +259,9 @@ def test_inconsistent_elements_raise_value_error(rng):
     for degree in (-1, 4):
         with pytest.raises(ValueError):
             BVElement(degree, DIM, None, u)
+    for degree in (1, 2):  # a section on T^2 beside a scalar on T^3
+        with pytest.raises(ValueError):
+            BVElement(degree, DIM, random_section(rng, 2, 2), u)
     x, y = elem(rng, 1), random_element(rng, 2, 2, 1)
     for op in (lambda p, q: p + q, lambda p, q: p - q):
         with pytest.raises(ValueError):

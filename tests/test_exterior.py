@@ -198,6 +198,7 @@ def test_malformed_forms_raise(rng):
         lambda: DifferentialForm(DIM, DIM + 1),
         lambda: DifferentialForm(DIM, 2, {(1, 0): _harm((1, 0, 0))}),
         lambda: DifferentialForm(DIM, 1, {(DIM,): _harm((1, 0, 0))}),
+        lambda: DifferentialForm(DIM, 1, {(0,): FourierScalar.harmonic(2, (1, 0))}),
         lambda: two.one_form_components(),
         lambda: one + flat,
         lambda: wedge(one, flat),

@@ -208,3 +208,57 @@ def test_the_terms_check_sees_every_read(tmp_path):
         "reads.py:2",
         "reads.py:3",
     ]
+
+
+# the one home of the entrywise linear structure, and the two scalar rings below it
+_LINEAR_OPERATORS = {"__add__", "__radd__", "__sub__", "__neg__", "is_zero"}
+_LINEAR_HOMES = {"Linear", "FourierScalar", "GaussRational"}
+
+
+def _linear_operator_owners(paths):
+    """``file:Class.name`` for each class body that defines (or aliases) one of
+    ``_LINEAR_OPERATORS``."""
+    found = []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}:{cls.name}.{n}" for n in names if n in _LINEAR_OPERATORS]
+    return found
+
+
+def test_one_home_for_the_linear_structure():
+    # every module over the scalars (sections, graded elements, forms, grids)
+    # takes its sum, difference, negation and zero test from ``Linear``
+    owners = _linear_operator_owners(SOURCES)
+    assert {o.partition(":")[2].partition(".")[0] for o in owners} == _LINEAR_HOMES, owners
+
+
+def test_the_linear_structure_check_sees_every_definition(tmp_path):
+    (tmp_path / "own.py").write_text(
+        "class A:\n"
+        "    def __neg__(self):\n"
+        "        return self\n"
+        "    def is_zero(self):\n"
+        "        return False\n"
+        "    __radd__ = __neg__\n"
+        "class B:\n"
+        "    def __mul__(self, c):\n"
+        "        return self\n"
+        "    parts = None\n"
+        "def __add__(x, y):\n"
+        "    return x\n"
+    )
+    assert _linear_operator_owners([tmp_path / "own.py"]) == [
+        "own.py:A.__neg__",
+        "own.py:A.is_zero",
+        "own.py:A.__radd__",
+    ]

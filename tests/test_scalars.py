@@ -12,6 +12,8 @@ from scalars_oracle import seeded_scalar
 from bvdouble.bvcomplex import random_element
 from bvdouble.deform import LieValuedBVElement, MatrixFunction
 from bvdouble.doublecopy import random_bivector
+from bvdouble.exterior import random_form, random_ym_element
+from bvdouble.sections import random_section
 from bvdouble.serialize import canonical_dumps
 from bvdouble.scalars import (
     FourierScalar,
@@ -342,36 +344,58 @@ def test_weighted_sum_is_the_sum_with_the_scaled_term(w):
         assert f.__add__(Fraction(1, 3), w) == f + Fraction(w, 3)
 
 
-# -- square grids ----------------------------------------------------------
+# -- the linear structure of every container -------------------------------
 
 
-def _grids(rng, rank):
-    """One random grid of each SquareGrid type, all of one rank."""
+def _grids(rng, size):
+    """One random value of each ``Linear`` type, all of one size: the grids of
+    rank ``size`` (on T^2, the bivector on T^4), the others on T^size."""
     return [
-        MatrixFunction.random(rng, rank, 2, 2),
+        MatrixFunction.random(rng, size, 2, 2),
         LieValuedBVElement(
-            [[random_element(rng, 2, 2, 1) for _ in range(rank)] for _ in range(rank)]
+            [[random_element(rng, 2, 2, 1) for _ in range(size)] for _ in range(size)]
         ),
-        random_bivector(rng, rank, 2),
+        random_bivector(rng, size, 2),
+        random_section(rng, size, 2),
+        random_element(rng, size, 2, 1),
+        random_form(rng, size, 2, 1),
+        random_ym_element(rng, size, 2, 1),
     ]
 
 
-@pytest.mark.parametrize("kind", range(3))
+KINDS = len(_grids(random.Random(0), 1))
+
+
+@pytest.mark.parametrize("kind", range(KINDS))
 def test_grid_difference_is_the_sum_with_the_negation(kind):
     rng = random.Random(kind)
-    for rank in (1, 2, 3):
+    for size in (1, 2, 3):
         for _ in range(5):
-            g, h = _grids(rng, rank)[kind], _grids(rng, rank)[kind]
+            g, h = _grids(rng, size)[kind], _grids(rng, size)[kind]
             assert g - h == g + (-h)
             assert canonical_dumps(g - h) == canonical_dumps(g + (-h))
             assert (g - g).is_zero() and type(g - h) is type(g)
+            for c in (1, -1, 0, 3, Fraction(1, 2), GaussRational(0, 1)):
+                for scaled in (g * c, c * g):
+                    assert type(scaled) is type(g)
+                    assert scaled.parts() == tuple(p * c for p in g.parts())
+                    assert scaled.is_zero() == (c == 0)
 
 
-@pytest.mark.parametrize("kind", range(3))
+@pytest.mark.parametrize("kind", range(KINDS))
 def test_grid_difference_checks_the_rank_and_the_type(kind):
     rng = random.Random(kind)
     g, h = _grids(rng, 2)[kind], _grids(rng, 3)[kind]
-    with pytest.raises(ValueError, match="rank 2 and 3"):
-        g - h
+    other = _grids(rng, 2)[(kind + 1) % KINDS]
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="(rank|dimension) 2 and 3"):
+            op(g, h)
+        for operand in (1, random_scalar(rng, 2, 2), other):
+            with pytest.raises(TypeError):
+                op(g, operand)
+            with pytest.raises(TypeError):
+                op(operand, g)
+    with pytest.raises(TypeError):
+        g * other
     with pytest.raises(TypeError, match="-"):
         g - 1

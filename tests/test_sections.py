@@ -187,6 +187,8 @@ def test_malformed_sections_raise_value_error():
         GenSection((f3,) * 3, (f3,) * 2)
     with pytest.raises(ValueError):
         GenSection((f3, f3, f2), (f3,) * 3)
+    with pytest.raises(ValueError):  # two + two components on T^3
+        GenSection((f3,) * 2, (f3,) * 2)
 
 
 def test_mismatched_operands_raise_without_assert(rng):
