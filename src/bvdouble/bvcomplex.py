@@ -31,9 +31,17 @@ onto the first summand.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
-from .scalars import FourierScalar, GaussRational, Linear, _constant, _random_scalars
-from .sections import _HALF, GenSection, d_scalar, divergence, pairing
+from .scalars import (
+    FourierScalar,
+    GaussRational,
+    Linear,
+    _constant,
+    _random_scalars,
+    integral_of_products,
+)
+from .sections import _HALF, GenSection, d_scalar, divergence
 
 __all__ = [
     "BVElement",
@@ -67,10 +75,12 @@ class BVElement(Linear):
                 raise ValueError(f"degree {degree} has no section slot")
             section = None
         scalar = FourierScalar.zero(dim) if scalar is None else scalar
+        if not isinstance(scalar, FourierScalar):
+            raise TypeError(f"the scalar slot must be a FourierScalar, not {scalar!r}")
+        if scalar.dim != dim:
+            raise ValueError(f"a scalar on T^{scalar.dim} in an element on T^{dim}")
         if degree not in (0, 1, 2, 3) and not scalar.is_zero():
             raise ValueError(f"degree {degree} space is zero")
-        if not isinstance(scalar, FourierScalar) or scalar.dim != dim:
-            raise TypeError(f"the scalar slot must be a FourierScalar on T^{dim}")
         self.degree = degree
         self.dim = dim
         self.section = section
@@ -207,19 +217,19 @@ def odd_pairing(x: BVElement, y: BVElement) -> GaussRational:
     """Symmetric pairing between degrees d and 3 - d.
 
     (u, ut) = -2 int u ut;   ((A, v), (At, vt)) = int <A, At> - 2 int v vt;
-    zero unless the degrees sum to 3.
+    zero unless the degrees sum to 3.  One integral of products: the
+    pairing's X_A . xi_B + X_B . xi_A, less the scalar product twice.
     """
     if x.dim != y.dim:
         raise ValueError(f"elements on T^{x.dim} and T^{y.dim}")
     if x.degree + y.degree != 3:
         return GaussRational(0)
-    if x.degree > y.degree:
-        return odd_pairing(y, x)
-    if x.degree == 0:
-        return (x.scalar * y.scalar).integral() * (-2)
-    return pairing(x.section, y.section).integral() - (
-        (x.scalar * y.scalar).integral() * 2
-    )
+    v = (x.scalar, y.scalar)
+    pairs = ()
+    if x.section is not None:
+        a, b = x.section, y.section
+        pairs = chain(zip(a.vec, b.form), zip(b.vec, a.form))
+    return integral_of_products(x.dim, pairs, (v, v))
 
 
 def random_element(rng, dim: int, cutoff: int, degree: int) -> BVElement:

@@ -21,11 +21,11 @@ Fractions.  Inside ``FourierScalar`` a coefficient is the bare int triple
 ``(a, b, d)`` in the same canonical form, never ``(0, 0, d)``: the ring
 operations, the derivative, scaling and ``random_scalar`` read and write
 triples, and a ``GaussRational`` is built only at the boundary, by
-``coeffs``, ``integral``, the hash of a constant scalar, and the public
-constructor (which takes one apart).  The ring operations build their
-results through a trusted constructor that skips the public one's coercion
-and validation; they keep its invariant that no zero coefficient is ever
-stored.
+``coeffs``, ``integral``, ``integral_of_products``, the hash of a constant
+scalar, and the public constructor (which takes one apart).  The ring
+operations build their results through a trusted constructor that skips the
+public one's coercion and validation; they keep its invariant that no zero
+coefficient is ever stored.
 
 Packed modes: a mode k is stored as the one int  sum_j k_j * 2^(W*j),  its
 components being signed digits of the fixed width W = 32 (Kronecker
@@ -49,7 +49,11 @@ Symbols: a constant-coefficient operator of order p multiplies the term of
 mode k by i^p P(k)/den, with P an integer polynomial.  ``symbols`` reads each
 packed mode once, like ``coeffs``, and writes each coefficient of several
 such operators with one ``_canon``: the raised gradient, the Laplacian, the
-Jacobian of ``sections`` and the doubled-torus jets of ``doublecopy``.
+Jacobian (``jacobian``) and the doubled-torus jets of ``doublecopy``.  A
+scalar's value is never written after construction (the cached zeros rely on
+this too), so ``jacobian`` keeps its result, as a tuple, the first time it is
+taken.  ``integral_of_products`` reads only the term pairs of a signed sum of
+products whose modes cancel.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
     "Linear",
     "Metric",
     "SquareGrid",
+    "integral_of_products",
     "laplacian",
     "randbelow",
     "random_coefficient",
@@ -238,12 +243,13 @@ def _component(k) -> int:
 class FourierScalar:
     """A finite Fourier sum on the torus T^dim with Q(i) coefficients."""
 
-    __slots__ = ("dim", "_terms", "reach")
+    __slots__ = ("dim", "_terms", "reach", "_jac")
 
     def __init__(self, dim: int, coeffs=None):
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
         self.dim = dim
+        self._jac = None
         clean = {}
         reach = 0
         if coeffs:
@@ -366,6 +372,15 @@ class FourierScalar:
                     out[m] = _canon(-b * v, a * v, d) if p == 1 else _canon(-a * v, -b * v, d)
         return [_scalar(self.dim, out, self.reach) for out in outs]
 
+    def jacobian(self) -> tuple:
+        """Every first derivative d_k self over k, from one ``symbols`` pass
+        (the symbols i k_k), kept on first use; a tuple, so no caller can
+        change what later callers read."""
+        jac = self._jac
+        if jac is None:
+            jac = self._jac = tuple(self.symbols((1,) * self.dim, tuple))
+        return jac
+
     def integral(self) -> GaussRational:
         """Normalised integral over the torus (the mode-0 coefficient)."""
         t = self._terms.get(0)
@@ -475,6 +490,29 @@ def sum_of_products(dim: int, pairs, negated=()) -> FourierScalar:
     return _scalar(dim, out, reach)
 
 
+def integral_of_products(dim: int, pairs, negated=()) -> GaussRational:
+    """The integral of ``sum_of_products(dim, pairs, negated)``, from its
+    mode-0 term pairs only: per term of mode m in f, one lookup of the mode
+    -m in g.  Packing is linear and every |k_j| < 2^(W-1), so the packed -m
+    is the mode -k; no mode is formed, so no reach can overflow.  Raises
+    ``ValueError`` if a factor is not on T^dim.
+    """
+    total = _ZERO
+    for sign, group in ((1, pairs), (-1, negated)):
+        for f, g in group:
+            if f.dim != dim or g.dim != dim:
+                raise ValueError(f"cannot multiply T^{f.dim} and T^{g.dim} scalars on T^{dim}")
+            get = g._terms.get
+            for m, (a1, b1, d1) in f._terms.items():
+                t = get(-m)
+                if t is not None:
+                    a2, b2, d2 = t
+                    total = total.__add__(
+                        _gauss(*_canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)), sign
+                    )
+    return total
+
+
 def _scalar(dim: int, terms: dict, reach: int) -> FourierScalar:
     """Trusted constructor for the ring operations.
 
@@ -486,6 +524,7 @@ def _scalar(dim: int, terms: dict, reach: int) -> FourierScalar:
     f.dim = dim
     f._terms = terms
     f.reach = reach
+    f._jac = None
     return f
 
 

@@ -89,9 +89,9 @@ class GenSection(Linear):
 
 
 def _jacobian(comps):
-    """Every first derivative of every component, ``jac[c][k] = d_k comps[c]``,
-    from one pass per component: the symbols i k_k."""
-    return [f.symbols((1,) * f.dim, tuple) for f in comps]
+    """Every first derivative of every component, ``jac[c][k] = d_k comps[c]``:
+    each component's kept ``FourierScalar.jacobian``."""
+    return [f.jacobian() for f in comps]
 
 
 def lie_bracket_vec(x, y):
@@ -148,14 +148,12 @@ def pairing(a: GenSection, b: GenSection) -> FourierScalar:
 
 def anchor(a: GenSection, u: FourierScalar) -> FourierScalar:
     """Anchor action A.u = X^i d_i u (one-form part is inert)."""
-    (du,) = _jacobian((u,))
-    return sum_of_products(a.dim, zip(a.vec, du))
+    return sum_of_products(a.dim, zip(a.vec, u.jacobian()))
 
 
 def d_scalar(u: FourierScalar) -> GenSection:
     """The derivation u -> (0, du)."""
-    (du,) = _jacobian((u,))
-    return GenSection((FourierScalar.zero(u.dim),) * u.dim, du)
+    return GenSection((FourierScalar.zero(u.dim),) * u.dim, u.jacobian())
 
 
 def divergence(a: GenSection) -> FourierScalar:

@@ -4,7 +4,8 @@ A site is one ``+`` or ``-`` of a binary expression or an augmented
 assignment, one unary minus, one order comparison (``<``, ``<=``, ``>``,
 ``>=``), one list named ``plus`` or ``minus`` that an ``append``,
 ``extend`` or ``+=`` adds to, or one ``sum_of_products(dim, pairs[,
-negated])`` call with two or three positional arguments and no star.  Its
+negated])`` or ``integral_of_products(dim, pairs[, negated])`` call with two
+or three positional arguments and no star.  Its
 mutant is the source with exactly that node changed: ``+`` and ``-`` (``+=``
 and ``-=``) swap, a unary minus is dropped, a comparison moves its bound by
 one (``<`` and ``<=`` swap, as do ``>`` and ``>=``), ``plus`` and ``minus``
@@ -56,7 +57,7 @@ _FLIP = {"+": "-", "-": "+", "+=": "-=", "-=": "+="}
 _BOUND = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 _ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _SWAP = {"plus": "minus", "minus": "plus"}
-_PRODUCTS = "sum_of_products"
+_PRODUCTS = ("sum_of_products", "integral_of_products")
 _SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
 # the unmutated run's limit; each mutant's is derived from its wall time
 _TIMEOUT_S = 3600
@@ -120,21 +121,23 @@ def _swapped_list(node):
 
 def _product_call(node):
     """The (line, byte column) of the called name when ``node`` is a
-    ``sum_of_products`` call whose pair lists can be swapped, else None."""
+    ``sum_of_products`` or ``integral_of_products`` call whose pair lists
+    can be swapped, else None."""
     if not isinstance(node, ast.Call) or node.keywords or len(node.args) not in (2, 3):
         return None
     if any(isinstance(arg, ast.Starred) for arg in node.args):
         return None
     func = node.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    if name != _PRODUCTS:
+    if name not in _PRODUCTS:
         return None
     return func.end_lineno, func.end_col_offset - len(name)
 
 
 def _swap_operands(source: str, site: Site) -> str:
     """The source with the ``pairs`` and ``negated`` arguments of the
-    ``sum_of_products`` call at ``site`` swapped."""
+    ``sum_of_products`` or ``integral_of_products`` call at ``site``
+    swapped."""
     lines = source.splitlines(keepends=True)
     starts = [0]
     for line in lines:
@@ -154,7 +157,7 @@ def _swap_operands(source: str, site: Site) -> str:
         (neg,) = negated
         n0, n1 = at(neg.lineno, neg.col_offset), at(neg.end_lineno, neg.end_col_offset)
         return source[:p0] + source[n0:n1] + source[p1:n0] + source[p0:p1] + source[n1:]
-    raise ValueError(f"no {_PRODUCTS} call at {site}")
+    raise ValueError(f"no {' or '.join(_PRODUCTS)} call at {site}")
 
 
 def sites_in(source: str, rel: str) -> list:

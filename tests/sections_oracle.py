@@ -8,7 +8,10 @@ folds the module action into the same sums and answers section-free
 arguments in closed form; ``bvdouble.doublecopy`` does the same for the
 C-bracket.  The functions below are the term-by-term forms those kernels
 replaced: every product is a per-term ``GaussRational`` convolution and every
-sum a chain of binary additions.  The random draws are the ``randint``-based
+sum a chain of binary additions.  ``odd_pairing`` is the body that
+``bvdouble.bvcomplex.odd_pairing`` replaced with one
+``integral_of_products``: it integrates the whole pairing scalar and the
+whole scalar product.  The random draws are the ``randint``-based
 samplers whose stream the package's samplers must reproduce exactly.
 """
 
@@ -17,6 +20,7 @@ from fractions import Fraction
 from bvdouble.bvcomplex import BVElement
 from bvdouble.scalars import FourierScalar, GaussRational, Metric, sum_of_products
 from bvdouble.sections import GenSection
+from bvdouble.sections import pairing as section_pairing
 
 _HALF = Fraction(1, 2)
 
@@ -105,6 +109,20 @@ def anchor_by_derivatives(a, u):
 def d_scalar(u):
     zero = FourierScalar.zero(u.dim)
     return GenSection((zero,) * u.dim, tuple(u.derivative(i) for i in range(u.dim)))
+
+
+# the body of ``bvcomplex.odd_pairing`` before it became one integral of
+# products: the whole pairing scalar and the whole scalar product, integrated
+def odd_pairing(x, y):
+    if x.degree + y.degree != 3:
+        return GaussRational(0)
+    if x.degree > y.degree:
+        return odd_pairing(y, x)
+    if x.degree == 0:
+        return (x.scalar * y.scalar).integral() * (-2)
+    return section_pairing(x.section, y.section).integral() - (
+        (x.scalar * y.scalar).integral() * 2
+    )
 
 
 def scale(x, c):

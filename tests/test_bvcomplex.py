@@ -241,6 +241,28 @@ def test_malformed_elements_raise_type_error(rng):
         elem(rng, 1) * random_scalar(rng, DIM, 2)
 
 
+def test_minus_one_scaling_is_the_negation(rng, monkeypatch):
+    # the -1 shortcut negates every part: equal to -x byte for byte, and no
+    # scalar product is taken on the way
+    xs = [elem(rng, degree) for degree in range(4)]
+    negations = [-x for x in xs]
+    products = []
+    multiply = FourierScalar.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(FourierScalar, "__mul__", counted)
+    monkeypatch.setattr(FourierScalar, "__rmul__", counted)
+    for x, minus_x in zip(xs, negations):
+        assert not x.is_zero()
+        for y in (x * -1, -1 * x, x * Fraction(-1), x * GaussRational(-1)):
+            assert y == minus_x and y.degree == x.degree
+            assert canonical_dumps(y) == canonical_dumps(minus_x)
+    assert products == []
+
+
 def test_unit_scaling_returns_equal_elements(rng):
     for degree in range(4):
         x = elem(rng, degree)
@@ -262,6 +284,9 @@ def test_inconsistent_elements_raise_value_error(rng):
     for degree in (1, 2):  # a section on T^2 beside a scalar on T^3
         with pytest.raises(ValueError):
             BVElement(degree, DIM, random_section(rng, 2, 2), u)
+    for degree in range(-1, 5):  # a scalar on T^2 in an element on T^3
+        with pytest.raises(ValueError):
+            BVElement(degree, DIM, None, random_scalar(rng, 2, 2))
     x, y = elem(rng, 1), random_element(rng, 2, 2, 1)
     for op in (lambda p, q: p + q, lambda p, q: p - q):
         with pytest.raises(ValueError):

@@ -191,10 +191,16 @@ def f(dim, a, b, c):
                                         (c, c)])
     y = scalars.sum_of_products(dim, zip(a, b))
     z = sum_of_products(dim, (), ((a, c),))
+    w = integral_of_products(dim, a, b)
     sum_of_products(dim, *t)
     sum_of_products(dim, a, negated=b)
     return other(dim, a, b) + sum_of_products(dim)
 """
+
+
+def _called(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
 
 
 def _operands_swapped(source, site):
@@ -205,7 +211,7 @@ def _operands_swapped(source, site):
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (node.func.end_lineno, node.func.end_col_offset - len("sum_of_products"))
+        and (node.func.end_lineno, node.func.end_col_offset - len(_called(node)))
         == (site.line, col)
     ]
     dim, pairs, *negated = call.args
@@ -215,7 +221,7 @@ def _operands_swapped(source, site):
 
 def test_operand_sites_are_the_product_calls_with_positional_pair_lists():
     sites = [s for s in mutants.sites_in(OPERANDS_SOURCE, "m.py") if s.operands]
-    assert [(s.line, s.col) for s in sites] == [(2, 8), (4, 16), (5, 8)]
+    assert [(s.line, s.col) for s in sites] == [(2, 8), (4, 16), (5, 8), (6, 8)]
     assert mutants.mutate(OPERANDS_SOURCE, sites[0]).splitlines()[1:3] == [
         "    x = sum_of_products(dim, [(b, a),",
         "                                        (c, c)], [(a, b)])",
@@ -226,6 +232,9 @@ def test_operand_sites_are_the_product_calls_with_positional_pair_lists():
     assert mutants.mutate(OPERANDS_SOURCE, sites[2]).splitlines()[4] == (
         "    z = sum_of_products(dim, ((a, c),), ())"
     )
+    assert mutants.mutate(OPERANDS_SOURCE, sites[3]).splitlines()[5] == (
+        "    w = integral_of_products(dim, b, a)"
+    )
     for site in sites:
         mutant = mutants.mutate(OPERANDS_SOURCE, site)
         assert ast.dump(ast.parse(mutant)) == ast.dump(_operands_swapped(OPERANDS_SOURCE, site))
@@ -233,9 +242,11 @@ def test_operand_sites_are_the_product_calls_with_positional_pair_lists():
 
 def test_every_operand_mutant_swaps_exactly_one_call():
     calls = [site for site in SITES if site.operands]
-    # the fused kernels of deform, doublecopy and sections pass their pair lists
+    # the fused kernels of deform, doublecopy and sections pass their pair
+    # lists, and so does the pairing of bvcomplex
     assert {site.rel for site in calls} >= {
-        "bvdouble/deform.py", "bvdouble/doublecopy.py", "bvdouble/sections.py"
+        "bvdouble/bvcomplex.py", "bvdouble/deform.py", "bvdouble/doublecopy.py",
+        "bvdouble/sections.py",
     }
     sources = {}
     for site in calls:
@@ -247,7 +258,7 @@ def test_every_operand_mutant_swaps_exactly_one_call():
 
 def test_an_operand_site_without_its_call_is_refused():
     for source in ("sum_of_products(dim, *t)\n", "other(dim, a, b)\n"):
-        with pytest.raises(ValueError, match="no sum_of_products call"):
+        with pytest.raises(ValueError, match="no sum_of_products or integral_of_products call"):
             mutants.mutate(source, mutants.Site("m.py", 1, 0, False, operands=True))
 
 

@@ -19,6 +19,7 @@ from bvdouble.scalars import (
     FourierScalar,
     GaussRational,
     Metric,
+    integral_of_products,
     laplacian,
     random_coefficient,
     random_scalar,
@@ -342,6 +343,52 @@ def test_weighted_sum_is_the_sum_with_the_scaled_term(w):
             assert_canonical_triples(got)
         assert (g * -w).__add__(g, w).is_zero()
         assert f.__add__(Fraction(1, 3), w) == f + Fraction(w, 3)
+
+
+def _reflected(f):
+    """f(-x): every mode negated, so each term of f meets one of it in f*f(-x)."""
+    return FourierScalar(f.dim, {tuple(-k for k in m): c for m, c in f.coeffs.items()})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_integral_of_products_is_the_integral_of_the_sum(dim):
+    # empty groups, zero factors, negated pairs only, products whose mode-0
+    # terms add up over shared and coprime denominators, and pairs that cancel
+    zero = FourierScalar.zero(dim)
+    nonzero = 0
+    for seed in range(20):
+        rng = random.Random(f"integral:{dim}:{seed}")
+        f, g, h = seeded_scalar(rng, dim, 2), seeded_scalar(rng, dim, 3), seeded_scalar(rng, dim, 4)
+        rf, rg = _reflected(f), _reflected(g)
+        cases = [
+            ((), ()),
+            ([(f, zero), (zero, g)], [(zero, zero)]),
+            ((), [(f, rf)]),
+            ((), [(f, g), (g, rg), (h, f)]),
+            ([(f, rf), (g, rg), (h, rf)], [(rg, f)]),
+            ([(f, g), (h, h)], [(g, f), (h, rg), (f, rf)]),
+            ([(f, rg)], [(rg, f)]),
+            ([(f, rf), (f, rf)], [(f * Fraction(1, 2), rf * 4)]),
+        ]
+        for pairs, negated in cases:
+            got = integral_of_products(dim, iter(pairs), iter(negated))
+            want = sum_of_products(dim, pairs, negated).integral()
+            assert type(got) is GaussRational and got == want
+            assert canonical_dumps(got) == canonical_dumps(want)
+            assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+            nonzero += bool(got)
+        assert integral_of_products(dim, [(f, rg)]) == (f * rg).integral()
+    assert nonzero > 40
+
+
+def test_integral_of_products_refuses_another_torus():
+    rng = random.Random("integral-torus")
+    f, g = random_scalar(rng, 3, 1), random_scalar(rng, 2, 1)
+    for pairs, negated in (([(f, g)], ()), ((), [(g, f)]), ([(f, f)], [(f, g)])):
+        with pytest.raises(ValueError):
+            integral_of_products(3, pairs, negated)
+    with pytest.raises(ValueError):
+        integral_of_products(2, [(f, f)])
 
 
 # -- the linear structure of every container -------------------------------

@@ -8,6 +8,7 @@ or zero form parts.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -16,8 +17,8 @@ import sections_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdouble import bvops
-from bvdouble.bvcomplex import random_element
+from bvdouble import bvops, sections
+from bvdouble.bvcomplex import BVElement, odd_pairing, random_element
 from bvdouble.bvops import m_op, mu
 from bvdouble.doublecopy import c_half_bracket, pair_constraint, random_vector_field
 from bvdouble.scalars import (
@@ -28,7 +29,7 @@ from bvdouble.scalars import (
     random_scalar,
     sum_of_products,
 )
-from bvdouble.sections import GenSection, anchor, dorfman, lie_bracket_vec, pairing
+from bvdouble.sections import GenSection, anchor, d_scalar, dorfman, lie_bracket_vec, pairing
 from bvdouble.serialize import canonical_dumps
 
 DIM = 3
@@ -159,6 +160,88 @@ def test_c_bracket_kernels_match_the_definitions(name):
         a, b = random_vector_field(rng, DIM, 2), random_vector_field(rng, DIM, 2)
         same(c_half_bracket(a, b, eta), oracle.c_half_bracket(a, b, eta))
         same(pair_constraint(a, b, eta), oracle.pair_constraint(a, b, eta))
+
+
+# the two metrics above, and the denominator-3 golden metric, whose raised
+# vectors give the pairing coprime denominators (3 against 2)
+PAIRING_METRICS = {**METRICS, "third": Metric.diagonal([3, Fraction(1, 3), -1])}
+
+
+def draw_element(rng, eta, degree):
+    """An element of ``degree`` on T^3 whose vector part is raised through
+    eta; its modes lie in [-1, 1]^3, so that many pairings cancel a mode."""
+    scalar = random_scalar(rng, DIM, 1)
+    if degree in (0, 3):
+        return BVElement(degree, DIM, None, scalar)
+    vec = eta.raise_index([random_scalar(rng, DIM, 1) for _ in range(DIM)])
+    form = [random_scalar(rng, DIM, 1) for _ in range(DIM)]
+    return BVElement(degree, DIM, GenSection(vec, form), scalar)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_METRICS))
+def test_odd_pairing_is_the_integral_of_the_whole_products(name, monkeypatch):
+    # on all 16 degree patterns, byte for byte, and with no pairing scalar,
+    # scalar product or Gaussian scaling built on the way
+    eta = PAIRING_METRICS[name]
+    rng = random.Random(f"odd-pairing:{name}")
+    cases = [
+        (draw_element(rng, eta, p), draw_element(rng, eta, q))
+        for p in range(4)
+        for q in range(4)
+        for _ in range(12)
+    ]
+    want = [oracle.odd_pairing(x, y) for x, y in cases]
+
+    def built(*args):
+        raise AssertionError("odd_pairing integrates term pairs, it builds no product")
+
+    for cls in (FourierScalar, GaussRational):
+        monkeypatch.setattr(cls, "__mul__", built)
+        monkeypatch.setattr(cls, "__rmul__", built)
+    monkeypatch.setattr(sections, "sum_of_products", built)
+    got = [odd_pairing(x, y) for x, y in cases]
+    monkeypatch.undo()
+    for value, expected in zip(got, want):
+        same(value, expected)
+    nonzero = [w for w in want if w]
+    assert len(nonzero) >= 10
+    if name == "third":
+        assert any(w._d % 3 == 0 for w in nonzero)
+
+
+def test_each_scalar_takes_its_jacobian_once(monkeypatch):
+    # anchor, d_scalar and dorfman, called again and again, read one kept
+    # Jacobian per scalar: equal to a fresh symbol pass, the same tuple each time
+    rng = random.Random("jacobian-once")
+    a, b = draw_section(rng, DENSE, "full"), draw_section(rng, DENSE, "full")
+    u = random_scalar(rng, DIM, 2)
+    inputs = a.parts() + b.parts() + (u,)
+    fresh = [f.symbols((1,) * DIM, tuple) for f in inputs]
+    passes = Counter()
+    symbols = FourierScalar.symbols
+
+    def counted(self, *args):
+        passes[id(self)] += 1
+        return symbols(self, *args)
+
+    monkeypatch.setattr(FourierScalar, "symbols", counted)
+    for _ in range(3):
+        anchor(a, u), anchor(b, u), d_scalar(u), dorfman(a, b), dorfman(b, a)
+    monkeypatch.undo()
+    assert passes == Counter({id(f): 1 for f in inputs})
+    for f, want in zip(inputs, fresh):
+        jac = f.jacobian()
+        assert type(jac) is tuple and f.jacobian() is jac
+        same(jac, tuple(want))
+
+
+def test_the_cached_zero_has_a_zero_jacobian():
+    for dim in (1, 2, 3, 6):
+        zero = FourierScalar.zero(dim)
+        jac = zero.jacobian()
+        assert type(jac) is tuple and len(jac) == dim
+        assert all(type(d) is FourierScalar and d.dim == dim and d.is_zero() for d in jac)
+        assert zero.jacobian() is jac and FourierScalar.zero(dim) is zero and zero.is_zero()
 
 
 @pytest.mark.parametrize("seed", range(4))
