@@ -139,12 +139,6 @@ class BVElement(Linear):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        # zeros of any degree are equal
-        if isinstance(other, BVElement) and self.is_zero() and other.is_zero():
-            return True
-        return Linear.__eq__(self, other)
-
 
 def op_b(x: BVElement) -> BVElement:
     """The degree -1 operator b."""

@@ -309,11 +309,6 @@ class LieValuedBVElement(SquareGrid):
                 raise ValueError(f"a degree-{e.degree} entry in a degree-{degree} grid")
         self.degree = degree
 
-    def __eq__(self, other):
-        # entrywise BVElement equality holds for zeros of any degree and dim
-        eq = super().__eq__(other)
-        return eq if eq is NotImplemented else eq and self.dim == other.dim
-
 
 # -- Maurer-Cartan theory --------------------------------------------------
 

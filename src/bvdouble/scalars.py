@@ -21,11 +21,13 @@ Fractions.  Inside ``FourierScalar`` a coefficient is the bare int triple
 ``(a, b, d)`` in the same canonical form, never ``(0, 0, d)``: the ring
 operations, the derivative, scaling and ``random_scalar`` read and write
 triples, and a ``GaussRational`` is built only at the boundary, by
-``coeffs``, ``integral``, ``integral_of_products``, the hash of a constant
-scalar, and the public constructor (which takes one apart).  The ring
-operations build their results through a trusted constructor that skips the
-public one's coercion and validation; they keep its invariant that no zero
-coefficient is ever stored.
+``coeffs``, ``integral``, ``integral_of_products`` and the public
+constructor (which takes one apart).  ``_constant`` is the one parser of a
+constant: it reads an int, ``Fraction`` or ``GaussRational``, by exact type,
+as its canonical triple, and every constructor and ring operation that takes
+a constant reads it there.  The ring operations build their results through
+a trusted constructor that skips the public one's parsing and validation;
+they keep its invariant that no zero coefficient is ever stored.
 
 Packed modes: a mode k is stored as the one int  sum_j k_j * 2^(W*j),  its
 components being signed digits of the fixed width W = 32 (Kronecker
@@ -85,16 +87,18 @@ class GaussRational:
 
     The form is unique: ``d > 0`` and ``gcd(a, b, d) == 1`` (zero is
     ``(0, 0, 1)``), so equality is a comparison of the three ints.
+    ``GaussRational(re, im)`` is re + im*i for any two constants that
+    ``_constant`` reads.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        a, d = _ratio(re)
-        b, e = _ratio(im)
-        if d != e:
-            a, b, d = _canon(a * e, b * d, d * e)
-        self._a, self._b, self._d = a, b, d
+        t, u = _constant(re), _constant(im)
+        if t is None or u is None:
+            raise TypeError(f"cannot interpret {re!r} + {im!r}*i as a Gaussian rational")
+        (a, b, d), (c, e, f) = t, u
+        self._a, self._b, self._d = _canon(a * f - e * d, b * f + c * d, d * f)
 
     @property
     def re(self) -> Fraction:
@@ -104,23 +108,15 @@ class GaussRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    @staticmethod
-    def coerce(value) -> "GaussRational":
-        if isinstance(value, GaussRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussRational(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-
     def __add__(self, other, sign=1):
-        if type(other) is not GaussRational:
-            if not isinstance(other, (GaussRational, int, Fraction)):
-                return NotImplemented
-            other = GaussRational.coerce(other)
-        a, b, d, f = sign * other._a, sign * other._b, self._d, other._d
+        t = _constant(other)
+        if t is None:
+            return NotImplemented
+        c, e, f = t
+        d = self._d
         if d == f:
-            return _gauss(*_canon(self._a + a, self._b + b, d))
-        return _gauss(*_canon(self._a * f + a * d, self._b * f + b * d, d * f))
+            return _gauss(*_canon(self._a + sign * c, self._b + sign * e, d))
+        return _gauss(*_canon(self._a * f + sign * c * d, self._b * f + sign * e * d, d * f))
 
     __radd__ = __add__
 
@@ -128,62 +124,35 @@ class GaussRational:
         return self.__add__(other, -1)
 
     def __mul__(self, other):
-        if type(other) is not GaussRational:
-            if not isinstance(other, (GaussRational, int, Fraction)):
-                return NotImplemented
-            other = GaussRational.coerce(other)
-        a, b, c, e = self._a, self._b, other._a, other._b
-        return _gauss(*_canon(a * c - b * e, a * e + b * c, self._d * other._d))
+        t = _constant(other)
+        if t is None:
+            return NotImplemented
+        a, b, (c, e, f) = self._a, self._b, t
+        return _gauss(*_canon(a * c - b * e, a * e + b * c, self._d * f))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return _gauss(-self._a, -self._b, self._d)
 
     def __bool__(self):
         return bool(self._a or self._b)
 
     def __eq__(self, other):
-        if type(other) is not GaussRational:
-            try:
-                other = GaussRational.coerce(other)
-            except TypeError:
-                return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
-
-    def __hash__(self):
-        # a real value hashes like the equal Fraction (and int)
-        if not self._b:
-            return hash(self.re)
-        return hash((self._a, self._b, self._d))
-
-    def __repr__(self):
-        re, im = self.re, self.im
-        if not im:
-            return f"{re}"
-        if not re:
-            return f"{im}*i"
-        return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
-
-
-def _ratio(x):
-    """Numerator and positive denominator of an exact rational input."""
-    if type(x) is int:
-        return x, 1
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return x.numerator, x.denominator
+        t = _constant(other)
+        return NotImplemented if t is None else t == (self._a, self._b, self._d)
 
 
 def _constant(value):
-    """The canonical triple (p, q, e) of an int, Fraction or GaussRational, or
-    None for any other value; the constant is 1 or -1 exactly when the triple
-    is (1, 0, 1) or (-1, 0, 1), so a unit test compares ints."""
-    if isinstance(value, int):
-        return value, 0, 1
-    if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
-    if isinstance(value, GaussRational):
+    """The one parser of a constant: the canonical triple (a, b, d) of an int,
+    Fraction or GaussRational, taken by exact type, or None for any other
+    value (a bool, a float and a str among them).  The constant is 1 or -1
+    exactly when the triple is (1, 0, 1) or (-1, 0, 1), so a unit test
+    compares ints."""
+    kind = type(value)
+    if kind is GaussRational:
         return value._a, value._b, value._d
+    if kind is int:
+        return value, 0, 1
+    if kind is Fraction:
+        return value.numerator, 0, value.denominator
     return None
 
 
@@ -254,8 +223,10 @@ class FourierScalar:
         reach = 0
         if coeffs:
             for mode, c in coeffs.items():
-                c = GaussRational.coerce(c)
-                if c:
+                t = _constant(c)
+                if t is None:
+                    raise TypeError(f"cannot interpret {c!r} as a Gaussian rational")
+                if t[0] or t[1]:
                     if len(mode) != dim:
                         raise ValueError(f"mode {mode} has wrong arity")
                     mode = tuple(map(_component, mode))
@@ -265,7 +236,7 @@ class FourierScalar:
                             f"mode {mode} has a component outside (-2**{_W - 1}, 2**{_W - 1})"
                         )
                     reach = max(reach, top)
-                    clean[sum(map(mul, mode, _weights(dim, range(dim))))] = (c._a, c._b, c._d)
+                    clean[sum(map(mul, mode, _weights(dim, range(dim))))] = t
         self._terms = clean
         self.reach = reach
 
@@ -287,7 +258,7 @@ class FourierScalar:
 
     @staticmethod
     def const(dim: int, value) -> "FourierScalar":
-        return FourierScalar(dim, {(0,) * dim: GaussRational.coerce(value)})
+        return FourierScalar(dim, {(0,) * dim: value})
 
     @staticmethod
     def one(dim: int) -> "FourierScalar":
@@ -295,17 +266,15 @@ class FourierScalar:
 
     @staticmethod
     def harmonic(dim: int, mode, coeff=1) -> "FourierScalar":
-        return FourierScalar(dim, {tuple(mode): GaussRational.coerce(coeff)})
+        return FourierScalar(dim, {tuple(mode): coeff})
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other, sign=1):
         """self + sign * other, in one merge, for any nonzero int ``sign``."""
         if not isinstance(other, FourierScalar):
-            if not isinstance(other, (int, Fraction, GaussRational)):
-                return NotImplemented
-            other = FourierScalar.const(self.dim, other)
-        elif other.dim != self.dim:
+            return NotImplemented
+        if other.dim != self.dim:
             raise ValueError(f"cannot add scalars on T^{self.dim} and T^{other.dim}")
         r, s = self.reach, other.reach
         return _scalar(self.dim, _merge(self._terms, other._terms, sign), r if r >= s else s)
@@ -395,18 +364,9 @@ class FourierScalar:
         return bool(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = FourierScalar.const(self.dim, other)
         if not isinstance(other, FourierScalar):
             return NotImplemented
         return self.dim == other.dim and self._terms == other._terms
-
-    def __hash__(self):
-        # a constant scalar equals its coefficient, so it hashes like it
-        terms = self._terms
-        if not terms.keys() - {0}:
-            return hash(self.integral())
-        return hash((self.dim, frozenset(terms.items())))
 
 
 def _merge(p: dict, q: dict, sign: int) -> dict:

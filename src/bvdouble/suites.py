@@ -239,8 +239,6 @@ def _parse_metric(spec) -> Metric:
             return Metric(rows)
         entries = [parse_fraction(x) for x in spec]
         return Metric.diagonal(entries)
-    except ConfigError:
-        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid metric: {exc}") from exc
 

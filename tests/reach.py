@@ -1,4 +1,5 @@
-"""Line reach: the ``src/`` lines that no pinned run of ``cli.main`` executes.
+"""Line reach: the ``src/`` statements that no pinned run of ``cli.main``
+executes, gated by an allowlist.
 
 Runs ``bvdouble verify`` in process under ``trace`` at the configurations
 that ``tests/test_golden.py`` pins and at the three benchmark configurations
@@ -6,6 +7,14 @@ that ``tests/test_golden.py`` pins and at the three benchmark configurations
 the executable lines that never ran.  Lines of a ``raise`` statement are
 left out: error paths are reached by the tests, not by a report.  Module
 level lines count, because tracing starts before the package is imported.
+
+Each unrun line belongs to the innermost statement, ``except`` clause or
+lambda around it, keyed by its module, its enclosing def (dotted through
+classes and defs, ``<module>`` at top level) and the stripped text of its
+first line.  ``tests/reach_allow.txt`` names every key that may stay unrun,
+with one reason from ``REASONS``; one entry covers every statement of that
+text in that def.  The tool exits 1 on an unrun statement that the list
+does not name, and on a listed statement that now runs or no longer exists:
 
     python tests/reach.py
 
@@ -27,7 +36,12 @@ import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bvdouble"
+ALLOWLIST = pathlib.Path(__file__).with_name("reach_allow.txt")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+# why a statement may stay unrun by every pinned run (``reach_allow.txt``
+# says what each means)
+REASONS = ("failure-path", "refusal", "__main__", "test-facing-api", "bench-facing-api")
 
 
 # the constants of ``test_golden.py`` that name the pinned runs
@@ -95,6 +109,44 @@ def _raise_lines(tree) -> set:
     }
 
 
+def statements(source: str) -> dict:
+    """Per line of ``source`` inside a statement, ``except`` clause or lambda,
+    the key (enclosing def, first-line text) of the innermost one."""
+    lines = source.splitlines()
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.stmt, ast.excepthandler, ast.Lambda)):
+                decorators = getattr(child, "decorator_list", ())
+                first = min([child.lineno, *(d.lineno for d in decorators)])
+                key = scope, lines[child.lineno - 1].strip()
+                found.update(dict.fromkeys(range(first, child.end_lineno + 1), key))
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def allowlist(text: str) -> list:
+    """The entries (module, def, statement, reason) of an allowlist, one per
+    line as ``module def reason statement``; blank and ``#`` lines are skipped,
+    and a line without four fields or with a reason outside ``REASONS`` raises
+    ``ValueError``."""
+    entries = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            fields = line.split(maxsplit=3)
+            if len(fields) != 4 or fields[2] not in REASONS:
+                raise ValueError(f"allowlist line {number} is not 'module def reason statement'")
+            module, scope, reason, statement = fields
+            entries.append((module, scope, statement, reason))
+    return entries
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         argvs = _argvs(pathlib.Path(tmp))
@@ -102,16 +154,29 @@ def main() -> int:
         tracer.runfunc(_run_all, argvs)
     counts = tracer.results().counts
     total = 0
+    unrun, present = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        keys = statements(source)
         ran = {line for (name, line) in counts if pathlib.Path(name) == path}
         executable = set(trace._find_executable_linenos(str(path))) - {0}
-        missed = sorted(executable - ran - _raise_lines(ast.parse(path.read_text())))
+        missed = sorted(executable - ran - _raise_lines(ast.parse(source)))
         total += len(missed)
         print(f"{path.name}: {len(missed)} of {len(executable)} lines never ran")
         if missed:
             print("    " + ", ".join(map(str, missed)))
+        unrun |= {(path.stem, *keys[line]) for line in missed}
+        present |= {(path.stem, *key) for key in keys.values()}
     print(f"total: {total} lines never ran, over {len(argvs)} runs")
-    return 0
+    listed = {entry[:3] for entry in allowlist(ALLOWLIST.read_text())}
+    faults = [f"unrun and not in {ALLOWLIST.name}: {key}" for key in sorted(unrun - listed)]
+    faults += [
+        f"listed in {ALLOWLIST.name} but "
+        f"{'now runs' if key in present else 'no longer exists'}: {key}"
+        for key in sorted(listed - unrun)
+    ]
+    print("\n".join(faults) or f"every unrun statement is in {ALLOWLIST.name}")
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ The functions below are those bodies, on dicts from packed modes to
 objects, the reduction back into objects, the merge of a sum or difference,
 the negation, the derivative and the scaling.  ``test_scalars_oracle``
 requires the triple kernels to give the same scalars, in the same storage
-order, with the same canonical bytes and the same hash.
+order, with the same canonical bytes.
 
 ``gradient``, ``laplacian``, ``jacobian`` and ``jet`` are the compositions
 of per-axis ``derivative`` calls, rational row sums and scalar sums that the
@@ -133,7 +133,7 @@ def derivative(terms: dict, j: int) -> dict:
 
 def scale(terms: dict, other) -> dict:
     """The terms times an int, ``Fraction`` or ``GaussRational``."""
-    s = GaussRational.coerce(other)
+    s = GaussRational(other)
     if not s:
         return {}
     return {m: c * s for m, c in terms.items()}

@@ -324,8 +324,9 @@ def test_lie_valued_equality_is_entrywise():
     assert r1.__eq__(r1.entry(0, 0)) is NotImplemented and r1 != r1.entry(0, 0)
 
 
-def test_lie_valued_zero_grids_of_any_degree_are_equal():
-    # as for BVElement: a zero carries no degree worth comparing
-    assert zero_grid(1, DIM, 2) == zero_grid(2, DIM, 2)
+def test_lie_valued_zero_grids_compare_by_degree_rank_and_torus():
+    # as for BVElement: a zero keeps its degree, so zeros of two degrees differ
+    assert zero_grid(1, DIM, 2) == zero_grid(1, DIM, 2)
+    assert zero_grid(1, DIM, 2) != zero_grid(2, DIM, 2)
     assert zero_grid(1, DIM, 2) != zero_grid(1, DIM, 3)
     assert zero_grid(1, DIM, 2) != zero_grid(1, 2, 2)

@@ -54,7 +54,7 @@ def test_bracket_value_on_crafted_fields():
     b = (_harm((0, 0, 1)), _harm((0, 0, 0), I), _harm((0, 1, 0)))
     out = c_bracket(a, b, LORENTZ)
     half = GaussRational(Fraction(1, 2))
-    assert _coeffs(out[0]) == {(0, 0, 1): I, (1, 0, 1): -I * half}
+    assert _coeffs(out[0]) == {(0, 0, 1): I, (1, 0, 1): I * half * -1}
     assert _coeffs(out[1]) == {(0, 1, 0): GaussRational(1) + I * half}
     assert _coeffs(out[2]) == {(0, 2, 0): I * 2, (1, 0, 1): I * half}
 

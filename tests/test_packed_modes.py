@@ -87,17 +87,6 @@ def test_coeffs_view_keeps_order_through_sums():
     assert (9, 9) not in f.coeffs
 
 
-def test_constant_scalar_hashes_like_its_coefficient():
-    half = Fraction(1, 2)
-    for dim in (1, 3, 8):
-        const = FourierScalar.const(dim, half)
-        assert const.integral() == half
-        assert hash(const) == hash(half) and const == half
-        assert hash(FourierScalar.zero(dim)) == hash(0)
-    f = FourierScalar.harmonic(2, (0, 1))
-    assert hash(f) == hash(FourierScalar(2, f.coeffs))
-
-
 # -- guards ----------------------------------------------------------------
 
 

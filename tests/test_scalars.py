@@ -1,5 +1,6 @@
 """Exact coefficient and torus-scalar arithmetic."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from bvdouble.scalars import (
     FourierScalar,
     GaussRational,
     Metric,
+    _constant,
     integral_of_products,
     laplacian,
     random_coefficient,
@@ -137,25 +139,59 @@ reals = st.one_of(st.integers(-6, 6), fractions)
 
 
 @given(reals, gauss, st.integers(1, 3))
-def test_equal_values_hash_equal(r, g, dim):
+def test_equal_values_compare_equal(r, g, dim):
     as_gauss = GaussRational(r)
-    assert as_gauss == r and hash(as_gauss) == hash(r)
-    assert GaussRational(r, 0) == as_gauss and hash(GaussRational(r, 0)) == hash(r)
+    assert as_gauss == r and r == as_gauss
+    assert GaussRational(r, 0) == as_gauss
     for value in (r, as_gauss, g):
         const = FourierScalar.const(dim, value)
-        assert const == value and hash(const) == hash(value)
-    if g == as_gauss:
-        assert hash(g) == hash(r)
+        assert const == FourierScalar.const(dim, GaussRational(value))
+        assert const.integral() == value
     rebuilt = GaussRational(g.re, g.im)
-    assert rebuilt == g and hash(rebuilt) == hash(g)
+    assert rebuilt == g
 
 
-def test_hash_examples():
-    assert hash(GaussRational(3)) == hash(3)
-    assert hash(GaussRational(Fraction(1, 2))) == hash(Fraction(1, 2))
-    assert hash(FourierScalar.const(3, 2)) == hash(2)
-    assert hash(FourierScalar.zero(2)) == hash(0)
-    assert {GaussRational(3): "x"}[3] == "x"
+class _Ratio(Fraction):
+    pass
+
+
+# inexact, non-numeric or merely int-like: a constant is read by exact type
+NOT_CONSTANTS = (0.5, 0.1, "1/3", True, False, 1j, None, _Ratio(1, 3))
+
+
+def test_constant_entry_points_take_only_ints_fractions_and_gauss_rationals():
+    g, f = GaussRational(1, 1), FourierScalar.harmonic(2, (1, 0))
+    for bad in NOT_CONSTANTS:
+        assert _constant(bad) is None
+        for build in (
+            lambda: GaussRational(bad),
+            lambda: GaussRational(0, bad),
+            lambda: FourierScalar(2, {(0, 0): bad}),
+            lambda: FourierScalar.const(2, bad),
+            lambda: FourierScalar.harmonic(2, (1, 0), bad),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        for x in (g, f):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(x, bad)
+                with pytest.raises(TypeError):
+                    op(bad, x)
+            assert (x == bad) is False and (bad == x) is False
+    # a scalar adds only scalars: a constant enters as ``FourierScalar.const``
+    for c in (1, Fraction(1, 2), GaussRational(0, 1)):
+        with pytest.raises(TypeError):
+            f + c
+        with pytest.raises(TypeError):
+            c - f
+        assert f * c == f * FourierScalar.const(2, c) and (f == c) is False
+    # the three exact types parse to one canonical triple, on either part
+    assert _constant(Fraction(6, 4)) == (3, 0, 2) and _constant(-7) == (-7, 0, 1)
+    assert GaussRational(Fraction(1, 2), GaussRational(0, 1)) == GaussRational(Fraction(-1, 2))
+    assert GaussRational(g, Fraction(1, 3)) == GaussRational(1, Fraction(4, 3))
+    # equality reads the whole triple: values that differ only in d differ
+    assert GaussRational(Fraction(1, 2)) != GaussRational(1) and Fraction(1, 2) != GaussRational(1)
 
 
 # -- metrics ---------------------------------------------------------------
@@ -342,7 +378,8 @@ def test_weighted_sum_is_the_sum_with_the_scaled_term(w):
             assert got == x + y * w
             assert_canonical_triples(got)
         assert (g * -w).__add__(g, w).is_zero()
-        assert f.__add__(Fraction(1, 3), w) == f + Fraction(w, 3)
+        third = FourierScalar.const(2, Fraction(1, 3))
+        assert f.__add__(third, w) == f + FourierScalar.const(2, Fraction(w, 3))
 
 
 def _reflected(f):

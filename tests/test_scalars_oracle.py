@@ -4,8 +4,8 @@
 ``GaussRational`` per coefficient.  On seeded inputs at D = 2 and 3 with
 coefficient denominators 1, 2, 4 and 6, every sum, difference, negation,
 product, signed sum of products, derivative and scaling must give the
-oracle's coefficients in the oracle's storage order, the same canonical
-bytes and the same hash; a constant result hashes like its coefficient.
+oracle's coefficients in the oracle's storage order and the same canonical
+bytes.
 
 The one-pass symbols of the raised gradient, the Laplacian, the Jacobian
 (and so the anchor action and d), the doubled-torus jets and the
@@ -61,9 +61,6 @@ def same(got, dim, terms):
     assert list(got.coeffs.items()) == list(coeffs.items())
     assert got == want
     assert canonical_dumps(got) == canonical_dumps(want)
-    assert hash(got) == hash(want)
-    if not terms.keys() - {0}:
-        assert hash(got) == hash(terms.get(0, GaussRational(0)))
 
 
 @pytest.mark.parametrize("dim, den", CASES)
@@ -95,14 +92,6 @@ def test_derivative_and_scaling_match_the_object_valued_kernels(dim, den):
         for s in FACTORS:
             same(f * s, dim, oracle.scale(F, s))
             same(s * f, dim, oracle.scale(F, s))
-
-
-def test_a_constant_scalar_hashes_like_its_coefficient():
-    one = FourierScalar.one(3)
-    for c in (GaussRational(Fraction(3, 4)), GaussRational(2, -1), GaussRational(0)):
-        f = FourierScalar.const(3, c)
-        for g, want in ((f, c), (f * 1, c), (-(-f), c), (f - one, c - 1), (f * f * one, c * c)):
-            assert g == want and hash(g) == hash(want)
 
 
 # -- the symbols ----------------------------------------------------------
@@ -142,11 +131,10 @@ def symbol_inputs(dim: int):
 
 
 def equal(got, want):
-    """Equal scalars: the same terms, bytes, hash and reach (storage order may
+    """Equal scalars: the same terms, bytes and reach (storage order may
     differ, since a composition appends the modes its later sums bring)."""
     assert got == want
     assert canonical_dumps(got) == canonical_dumps(want)
-    assert hash(got) == hash(want)
     assert got.reach == want.reach
 
 
