@@ -8,9 +8,8 @@ fields f_i.  The module provides:
     applies R through its closed-form Delta / d-hat / div-hat slot arrows
     (d-hat is ``Metric.gradient``); both take one graded element;
   * the product correction mu_bar in closed form ({f_j, .} is the slotwise
-    derivative d_j), the deformed product and its derived bracket (a
-    ``bvops.boundary``); the bracket-built R and the four-cell table for
-    mu_bar stay as the oracles the deform suite compares against;
+    derivative d_j), the deformed product, its bracket brack + s [b, mu_bar];
+    R from brackets and the cell table of mu_bar, per axis, are suite oracles;
   * matrix-valued elements, the Maurer-Cartan residual of a degree-1 matrix
     element, its gauge variation, and the exact dictionary onto covariant
     Yang-Mills field equations for the pair (gauge field, adjoint scalars);
@@ -93,10 +92,15 @@ def flat_sections(dim: int):
     return tuple(BVElement.deg1(coordinate_section(dim, i)) for i in range(dim))
 
 
-def R_eta(x: BVElement, eta: Metric) -> BVElement:
-    """The deforming operator sum eta^{ij} mu(f_i, {f_j, x}); raises degree."""
+def _axes(eta: Metric) -> tuple:
+    """The pairs (f^j = eta^{ij} f_i, f_j); ``tests/deform_oracle.py`` keeps the pair sums."""
     f = flat_sections(eta.dim)
-    terms = (mu(f[i], brack(f[j], x)) * w for i, j, w in eta.pairs())
+    return tuple(zip(eta.raise_index(f), f))
+
+
+def R_eta(x: BVElement, eta: Metric) -> BVElement:
+    """R = sum eta^{ij} mu(f_i, {f_j, .}), summed as sum_j mu(f^j, {f_j, .}) by ``_axes``."""
+    terms = (mu(g, brack(e, x)) for g, e in _axes(eta))
     return sum(terms, BVElement.zero(x.degree + 1, x.dim))
 
 
@@ -124,9 +128,8 @@ def Q_eta(x: BVElement, eta: Metric) -> BVElement:
 
 
 def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
-    """Delta as the double bracket sum eta^{ij} {f_i, {f_j, x}}."""
-    f = flat_sections(eta.dim)
-    terms = (brack(f[i], brack(f[j], x)) * w for i, j, w in eta.pairs())
+    """Delta = sum eta^{ij} {f_i, {f_j, .}}, summed as sum_j {f^j, {f_j, .}} by ``_axes``."""
+    terms = (brack(g, brack(e, x)) for g, e in _axes(eta))
     return sum(terms, BVElement.zero(x.degree, x.dim))
 
 
@@ -182,16 +185,16 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
 def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     """The product correction from its cell table (the oracle form).
 
-    With cell(a, z) = -eta^{ij} mu(m(f_i, a), {f_j, z}), the nonzero cells are
-    (A, u) = cell(A, u), (A, vt) = (vt, A) = cell(A, vt) and (A, B) = cell(A, B)
-    - cell(B, A) - eta^{ij} mu(m({f_j, A}, B), f_i), for sections A, B of
-    degree-1 arguments, a degree-0 u and the scalar slot vt of degree 2.
+    With cell(a, z) = -eta^{ij} mu(m(f_i, a), {f_j, z}), the nonzero cells are (A, u) =
+    cell(A, u), (A, vt) = (vt, A) = cell(A, vt) and (A, B) = cell(A, B) - cell(B, A) -
+    eta^{ij} mu(m({f_j, A}, B), f_i), for sections A, B of degree-1 arguments, a degree-0 u
+    and the scalar slot vt of degree 2; each eta^{ij} sum runs per axis by ``_axes``.
     """
-    f, dim, pairs = flat_sections(eta.dim), x.dim, eta.pairs()
+    axes, dim = _axes(eta), x.dim
 
     def cell(a, z):
-        terms = (mu(m_op(f[i], a), brack(f[j], z)) * -w for i, j, w in pairs)
-        return sum(terms, BVElement.zero(a.degree + z.degree, dim))
+        terms = (mu(m_op(g, a), brack(e, z)) for g, e in axes)
+        return -sum(terms, BVElement.zero(a.degree + z.degree, dim))
 
     if (x.degree, y.degree) == (2, 1):  # the (vt, A) cell is cell(A, vt)
         x, y = y, x
@@ -203,8 +206,8 @@ def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     if y.degree == 2:
         return cell(a, BVElement.deg2(GenSection.zero(dim), y.scalar))
     b = BVElement.deg1(y.section)
-    terms = (mu(m_op(brack(f[j], a), b), f[i]) * -w for i, j, w in pairs)
-    return sum(terms, cell(a, b) - cell(b, a))
+    terms = (mu(m_op(brack(e, a), b), g) for g, e in axes)
+    return cell(a, b) - cell(b, a) - sum(terms, BVElement.zero(2, dim))
 
 
 def mu_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
@@ -222,8 +225,9 @@ def musym_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
 
 
 def deformed_bracket(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
-    """The derived bracket s [b, mu_eta](x, y), s = (-1)^|x|; not a BV-LZ one."""
-    return sign(x.degree) * boundary(op_b, partial(mu_eta, eta=eta), (x, y), False)
+    """s [b, mu_eta] as brack + s [b, mu_bar], s = (-1)^|x|; deform_oracle has the mu_eta form."""
+    mu_bar = partial(mu_bar_eta, eta=eta)
+    return brack(x, y) + sign(x.degree) * boundary(op_b, mu_bar, (x, y), False)
 
 
 # -- the four-slot complex inside the graded complex ----------------------

@@ -531,10 +531,6 @@ class Metric:
             [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
 
-    def pairs(self):
-        """The nonzero entries (i, j, eta^{ij}), row by row."""
-        return [(i, j, w) for i, row in enumerate(self._up_rows) for j, w in row]
-
     def raise_index(self, ts) -> list:
         """The list of eta^{ij} t_j over i."""
         return [_row_sum(row, ts) for row in self._up_rows]

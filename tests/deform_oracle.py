@@ -18,11 +18,17 @@ gradients eta^{ij} d_j x, summed every slot of them against one operand's
 one-form part (``_weighted_sum``) and kept the slots that mu((0, s), .)
 reads (``_mu_scalar_slot``).  ``slotwise_derivative`` is the slotwise
 d/dx^j that ``BVElement`` once carried as a method; only these oracles and
-their tests read it.
+their tests read it.  ``R_eta``, ``bracket_laplacian`` and
+``mu_bar_eta_table`` are the eta^{ij} pair sums, one term per nonzero entry,
+that the package replaced by sums over the raised coordinate sections
+f^j = eta^{ij} f_i.  ``deformed_bracket`` takes the three mu_eta products
+that the package replaced by ``brack`` plus the boundary of mu_bar.
 """
 
 from fractions import Fraction
 from functools import partial
+
+from scalars_oracle import metric_pairs
 
 from bvdouble.bvcomplex import BVElement, op_b, op_q
 from bvdouble.bvops import brack, m_op, mu, nu, nusym, sign
@@ -30,7 +36,6 @@ from bvdouble.deform import (
     LieValuedBVElement,
     MatrixFunction,
     Q_eta,
-    R_eta,
     flat_sections,
     mu_eta,
     musym_eta,
@@ -42,6 +47,43 @@ from bvdouble.sections import GenSection, pairing
 _HALF = Fraction(1, 2)
 
 
+def R_eta(x: BVElement, eta: Metric) -> BVElement:
+    """sum eta^{ij} mu(f_i, {f_j, x}), one term per nonzero entry."""
+    f = flat_sections(eta.dim)
+    terms = (mu(f[i], brack(f[j], x)) * w for i, j, w in metric_pairs(eta))
+    return sum(terms, BVElement.zero(x.degree + 1, x.dim))
+
+
+def bracket_laplacian(x: BVElement, eta: Metric) -> BVElement:
+    """sum eta^{ij} {f_i, {f_j, x}}, one term per nonzero entry."""
+    f = flat_sections(eta.dim)
+    terms = (brack(f[i], brack(f[j], x)) * w for i, j, w in metric_pairs(eta))
+    return sum(terms, BVElement.zero(x.degree, x.dim))
+
+
+def mu_bar_eta_table(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
+    """The four-cell table of the product correction with every eta^{ij} sum
+    over the nonzero entries: cell(a, z) = -eta^{ij} mu(m(f_i, a), {f_j, z})."""
+    f, dim, pairs = flat_sections(eta.dim), x.dim, metric_pairs(eta)
+
+    def cell(a, z):
+        terms = (mu(m_op(f[i], a), brack(f[j], z)) * -w for i, j, w in pairs)
+        return sum(terms, BVElement.zero(a.degree + z.degree, dim))
+
+    if (x.degree, y.degree) == (2, 1):  # the (vt, A) cell is cell(A, vt)
+        x, y = y, x
+    if x.degree != 1 or y.degree not in (0, 1, 2):
+        return BVElement.zero(x.degree + y.degree, dim)
+    a = BVElement.deg1(x.section)
+    if y.degree == 0:
+        return cell(a, y)
+    if y.degree == 2:
+        return cell(a, BVElement.deg2(GenSection.zero(dim), y.scalar))
+    b = BVElement.deg1(y.section)
+    terms = (mu(m_op(brack(f[j], a), b), f[i]) * -w for i, j, w in pairs)
+    return sum(terms, cell(a, b) - cell(b, a))
+
+
 def q_eta(x: BVElement, eta: Metric) -> BVElement:
     """Q + R with R built from double brackets."""
     return op_q(x) + R_eta(x, eta)
@@ -51,7 +93,7 @@ def mu_bar_eta(x: BVElement, y: BVElement, eta: Metric) -> BVElement:
     """sum eta^{ij} [nu(f_i, {f_j, x}, y) - mu(m(f_i, x), {f_j, y})]."""
     f = flat_sections(eta.dim)
     acc = BVElement.zero(x.degree + y.degree, x.dim)
-    for i, j, w in eta.pairs():
+    for i, j, w in metric_pairs(eta):
         acc = acc + nu(f[i], brack(f[j], x), y) * w
         acc = acc - mu(m_op(f[i], x), brack(f[j], y)) * w
     return acc
@@ -170,7 +212,7 @@ def ym_field_residual(calA, phi, eta: Metric):
     for k in range(dim):
         r1 = MatrixFunction.zero(rank, fdim)
         r2 = MatrixFunction.zero(rank, fdim)
-        for i, j, w in eta.pairs():
+        for i, j, w in metric_pairs(eta):
             r1 = r1 + w * _cov_deriv(calA, i, curvature(j, k))
             r1 = r1 - w * commutator(_cov_deriv(calA, k, phi[i]), phi[j])
             r2 = r2 + w * _cov_deriv(calA, i, _cov_deriv(calA, j, phi[k]))

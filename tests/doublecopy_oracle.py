@@ -17,7 +17,7 @@ pytest.
 from fractions import Fraction
 from itertools import product
 
-from scalars_oracle import is_definite
+from scalars_oracle import is_definite, metric_pairs
 from sections_oracle import c_half_bracket
 
 from bvdouble.doublecopy import Bivector
@@ -137,7 +137,7 @@ def bivector_mc_residual(g, phi):
 
 def _norm2(eta: Metric, n) -> Fraction:
     """The quadratic form eta^{ij} n_i n_j as the double sum over Fractions."""
-    return sum(w * n[i] * n[j] for i, j, w in eta.pairs())
+    return sum(w * n[i] * n[j] for i, j, w in metric_pairs(eta))
 
 
 def null_covector(eta: Metric, search: int = 6):

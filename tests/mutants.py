@@ -5,16 +5,19 @@ assignment, one unary minus, one order comparison (``<``, ``<=``, ``>``,
 ``>=``), one list named ``plus`` or ``minus`` that an ``append``,
 ``extend`` or ``+=`` adds to, or one ``sum_of_products(dim, pairs[,
 negated])`` or ``integral_of_products(dim, pairs[, negated])`` call with two
-or three positional arguments and no star.  Its
+or three positional arguments and no star, or one subscript chain ``v[i][j]``
+inside a comprehension whose two indices are distinct loop names of that
+comprehension.  Its
 mutant is the source with exactly that node changed: ``+`` and ``-`` (``+=``
 and ``-=``) swap, a unary minus is dropped, a comparison moves its bound by
 one (``<`` and ``<=`` swap, as do ``>`` and ``>=``), ``plus`` and ``minus``
 swap, so that the pairs go to the other list of a fused ``sum_of_products``
-kernel and enter with the other sign, and a call's ``pairs`` and
+kernel and enter with the other sign, a call's ``pairs`` and
 ``negated`` arguments swap (a missing ``negated`` is ``()``), so that every
-product of the call enters with the other sign.  Sites are named
-``FILE:LINE:COL`` by the position of their operator, list name or called
-name, with FILE relative to ``src/``.
+product of the call enters with the other sign, and ``v[i][j]`` becomes
+``v[j][i]``, a transposed index such as d_j dt_i for d_i dt_j.  Sites are
+named ``FILE:LINE:COL`` by the position of their operator, list name, called
+name or first index, with FILE relative to ``src/``.
 
     python tests/mutants.py --list [--file bvdouble/suites.py]
     python tests/mutants.py --sample 20 --seed 0 --out table.md -- python -m pytest -q
@@ -69,7 +72,7 @@ class Site:
     """One operator, list name or called name: ``rel`` is the file under ``src/``,
     ``line`` is 1-based and ``col`` a character offset into that line."""
 
-    __slots__ = ("rel", "line", "col", "unary", "swap", "bound", "operands")
+    __slots__ = ("rel", "line", "col", "unary", "swap", "bound", "operands", "index")
 
     def __init__(
         self,
@@ -80,9 +83,10 @@ class Site:
         swap: bool = False,
         bound: bool = False,
         operands: bool = False,
+        index: bool = False,
     ):
         self.rel, self.line, self.col, self.unary = rel, line, col, unary
-        self.swap, self.bound, self.operands = swap, bound, operands
+        self.swap, self.bound, self.operands, self.index = swap, bound, operands, index
 
     def __str__(self):
         return f"{self.rel}:{self.line}:{self.col}"
@@ -134,6 +138,58 @@ def _product_call(node):
     return func.end_lineno, func.end_col_offset - len(name)
 
 
+def _loop_names(comp) -> set:
+    """The names that the ``for`` targets of one comprehension bind."""
+    return {
+        node.id
+        for gen in comp.generators
+        for node in ast.walk(gen.target)
+        if isinstance(node, ast.Name)
+    }
+
+
+def _index_pairs(tree):
+    """The (first, second) index names of every chain ``v[i][j]`` inside a
+    comprehension with ``i`` and ``j`` two distinct loop names of it; a
+    chain inside nested comprehensions is listed once.  None inside an
+    f-string."""
+    in_f_strings = {
+        id(node) for joined in ast.walk(tree) if isinstance(joined, ast.JoinedStr)
+        for node in ast.walk(joined)
+    }
+    found = {}
+    for comp in ast.walk(tree):
+        if not isinstance(comp, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            continue
+        names = _loop_names(comp)
+        for node in ast.walk(comp):
+            if not isinstance(node, ast.Subscript) or not isinstance(node.value, ast.Subscript):
+                continue
+            first, second = node.value.slice, node.slice
+            if id(node) in in_f_strings or not isinstance(first, ast.Name):
+                continue
+            if isinstance(second, ast.Name) and first.id != second.id:
+                if {first.id, second.id} <= names:
+                    found[id(node)] = (first, second)
+    return list(found.values())
+
+
+def _swap_indices(source: str, site: Site) -> str:
+    """The source with the two indices of the chain ``v[i][j]`` whose first
+    index stands at ``site`` swapped."""
+    lines = source.splitlines(keepends=True)
+    col = len(lines[site.line - 1][: site.col].encode())
+    for first, second in _index_pairs(ast.parse(source)):
+        if (first.lineno, first.col_offset) != (site.line, col):
+            continue
+        for name, other in ((second, first), (first, second)):  # the later one first
+            raw = lines[name.lineno - 1].encode()
+            start, end = name.col_offset, name.end_col_offset
+            lines[name.lineno - 1] = (raw[:start] + other.id.encode() + raw[end:]).decode()
+        return "".join(lines)
+    raise ValueError(f"no index pair at {site}")
+
+
 def _swap_operands(source: str, site: Site) -> str:
     """The source with the ``pairs`` and ``negated`` arguments of the
     ``sum_of_products`` or ``integral_of_products`` call at ``site``
@@ -168,7 +224,9 @@ def sites_in(source: str, rel: str) -> list:
     swaps = set()
     bounds = set()
     calls = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    indices = {(first.lineno, first.col_offset) for first, _ in _index_pairs(tree)}
+    for node in ast.walk(tree):
         name = _swapped_list(node)
         if name is not None:
             swaps.add((name.lineno, name.col_offset))
@@ -197,18 +255,22 @@ def sites_in(source: str, rel: str) -> list:
         if unary and raw[col : col + 1] != b"-":
             continue
         out.append(Site(rel, line, len(raw[:col].decode()), unary))
-    for line, col in swaps | bounds | calls:
+    for line, col in swaps | bounds | calls | indices:
         raw = lines[line - 1].encode()
-        kind = "bound" if (line, col) in bounds else "operands" if (line, col) in calls else "swap"
+        kinds = ((bounds, "bound"), (calls, "operands"), (indices, "index"), (swaps, "swap"))
+        kind = next(name for group, name in kinds if (line, col) in group)
         out.append(Site(rel, line, len(raw[:col].decode()), False, **{kind: True}))
     return sorted(out, key=lambda site: (site.line, site.col))
 
 
 def mutate(source: str, site: Site) -> str:
     """The source with the operator at ``site`` flipped or dropped, its
-    bound moved, its list name swapped, or its call's pair lists swapped."""
+    bound moved, its list name swapped, its call's pair lists swapped, or
+    its two indices swapped."""
     if site.operands:
         return _swap_operands(source, site)
+    if site.index:
+        return _swap_indices(source, site)
     lines = source.splitlines(keepends=True)
     line = lines[site.line - 1]
     head, tail = line[: site.col], line[site.col :]
@@ -331,9 +393,11 @@ def mutant_limit(baseline_s: float) -> float:
     return max(_LIMIT_FLOOR_S, _LIMIT_FACTOR * baseline_s)
 
 
-def _kind(site: Site, unary, swap, bound, operands, flip):
+def _kind(site: Site, unary, swap, bound, operands, index, flip):
     if site.operands:
         return operands
+    if site.index:
+        return index
     return unary if site.unary else swap if site.swap else bound if site.bound else flip
 
 
@@ -351,7 +415,13 @@ def table(baseline: dict, results: list, command: list) -> str:
     ]
     for site, line, got in results:
         change = _kind(
-            site, "drop unary -", "swap plus/minus", "move bound", "swap pairs/negated", "flip +/-"
+            site,
+            "drop unary -",
+            "swap plus/minus",
+            "move bound",
+            "swap pairs/negated",
+            "swap indices",
+            "flip +/-",
         )
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
             got["rows"] != baseline["rows"]
@@ -380,7 +450,8 @@ def main(argv=None) -> int:
     sites = all_sites(ROOT / "src", args.file)
     if args.list:
         for site in sites:
-            print(site, _kind(site, "(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", ""))
+            labels = ("(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", "(indices)", "")
+            print(site, _kind(site, *labels))
         return 0
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:

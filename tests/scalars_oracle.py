@@ -16,6 +16,10 @@ one-pass symbols of ``FourierScalar.symbols`` replaced: the raised gradient,
 the Laplacian, the Jacobian of ``sections`` and the doubled-torus jets of
 ``doublecopy``.
 
+``metric_pairs`` is the nonzero-entry list that ``Metric`` once carried as
+``pairs``; the eta^{ij} pair-sum oracles of ``deform_oracle`` and
+``doublecopy_oracle`` read it.
+
 ``det_fraction`` and ``is_definite`` are the two exact eliminations that
 ``scalars._gauss_jordan`` replaced: the first-row cofactor expansion that
 the Hodge star took of each minor, and the LDL^T pivot test of
@@ -172,6 +176,11 @@ def jet(f: FourierScalar, n: int, mixed: bool):
     x = [f.derivative(i) for i in range(n)]
     t = [f.derivative(n + i) for i in range(n)]
     return x, t, [[d.derivative(n + j) for j in range(n)] for d in x] if mixed else None
+
+
+def metric_pairs(eta) -> list:
+    """The nonzero entries (i, j, eta^{ij}), row by row."""
+    return [(i, j, w) for i, row in enumerate(eta._up_rows) for j, w in row]
 
 
 def det_fraction(rows) -> Fraction:

@@ -5,8 +5,8 @@ bracket s [b, mu_eta] are each one call of ``boundary``; ``bvops_oracle``
 and ``deform_oracle`` keep them written out term by term.  Both must agree
 in value, in canonical bytes and in the degree they carry, on every binary
 and ternary degree pattern and on the zeros of degrees -1..5, at D = 2 and
-D = 3; the deformed bracket also on a diagonal Lorentzian and an
-off-diagonal metric.
+D = 3; the deformed bracket also on a diagonal Lorentzian, an off-diagonal
+and a denominator-3 metric.
 """
 
 import itertools
@@ -29,6 +29,8 @@ METRICS = {
     (2, "offdiag"): Metric([[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]]),
     (3, "lorentz"): Metric.diagonal([1, 1, -1]),
     (3, "offdiag"): Metric([[F(5, 4), F(3, 4), 0], [F(3, 4), F(5, 4), 0], [0, 0, -1]]),
+    (2, "third"): Metric.diagonal([3, F(1, 3)]),
+    (3, "third"): Metric.diagonal([3, F(1, 3), -1]),
 }
 DIMS = (2, 3)
 ZERO_DEGREES = range(-1, 6)

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -232,6 +232,55 @@ def test_dictionary_constants_close_the_ym_residual(name, rank):
     # the match is not 0 == 0: both field residual families are nonzero here
     e1, e2 = ym_field_residual(*dictionary_fields(psi, eta), eta)
     assert not all(m.is_zero() for m in e1) and not all(m.is_zero() for m in e2)
+
+
+# The largest ym row, mc-matches-field-equations, compares a polynomial of
+# degree 3 in psi: Q psi + musym_eta(psi, psi) + nusym(psi, psi, psi).  Along
+# the ray t psi its values at t = 0..4 fix it exactly.
+RAY_METRICS = {"lorentz": LORENTZ, "dense": DICTIONARY_METRICS["D3-dense"]}
+
+
+@lru_cache(maxsize=None)
+def _ray_residuals(name):
+    """mc_residual(t psi) at t = 0..4 for a seeded rank-2 gauge field psi."""
+    eta = RAY_METRICS[name]
+    rng = random.Random(f"ray:{name}")
+    avec = [MatrixFunction.random(rng, 2, DIM, 1) for _ in range(DIM)]
+    bform = [MatrixFunction.random(rng, 2, DIM, 1) for _ in range(DIM)]
+    psi = mc_from_fields(avec, bform, eta)
+    return psi, [mc_residual(psi * t, eta) for t in range(5)]
+
+
+@pytest.mark.parametrize("name", RAY_METRICS)
+def test_mc_residual_is_cubic_along_a_ray(name):
+    _, r = _ray_residuals(name)
+    # the 4th exact finite difference over t = 0..4 vanishes
+    assert (r[4] - 4 * r[3] + 6 * r[2] - 4 * r[1] + r[0]).is_zero()
+    assert not (r[3] - 3 * r[2] + 3 * r[1] - r[0]).is_zero()
+
+
+@pytest.mark.parametrize("name", RAY_METRICS)
+def test_mc_residual_splits_into_its_orders_in_psi(name):
+    # Lagrange interpolation at t = 0..3: R(t psi) = sum_n t^n R_n(psi), and
+    # R_1 is Q^eta psi, so a failing law can name the order that breaks
+    psi, r = _ray_residuals(name)
+    d1, d2, d3 = r[1] - r[0], r[2] - 2 * r[1] + r[0], r[3] - 3 * r[2] + 3 * r[1] - r[0]
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    orders = [r[0], d1 - d2 * half + d3 * third, (d2 - d3) * half, d3 * sixth]
+    assert orders[0].is_zero()
+    assert all(not part.is_zero() for part in orders[1:])
+    assert orders[1] == psi.apply(partial(Q_eta, eta=RAY_METRICS[name]))
+    for t in range(5):
+        assert sum((part * t**n for n, part in enumerate(orders[1:], 1)), orders[0]) == r[t]
+
+
+@pytest.mark.parametrize("name", RAY_METRICS)
+def test_mc_ym_residual_vanishes_along_a_ray(name):
+    eta = RAY_METRICS[name]
+    psi, _ = _ray_residuals(name)
+    for t in range(5):
+        aslot, pslot, scalars = mc_ym_residual(psi * t, eta)
+        assert all(m.is_zero() for m in aslot + pslot) and scalars.is_zero()
 
 
 def test_gauge_moves_become_covariant_transformations(rng):

@@ -3,9 +3,11 @@
 Every comparison is exact and also byte-level: the canonical encodings must
 agree, degree tags of zero elements included, because reports and failure
 witnesses are written from these values.  Each law is checked on the
-diagonal Lorentzian metric and on an off-diagonal metric.
+diagonal Lorentzian metric and on an off-diagonal metric; the sums over the
+raised coordinate sections also at D = 2 and on a denominator-3 metric.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,10 +21,12 @@ from bvdouble.deform import (
     LieValuedBVElement,
     MatrixFunction,
     Q_eta,
+    R_eta,
     _Jet,
     _matrix_sum,
     _musym_terms,
     _slot_split,
+    bracket_laplacian,
     dictionary_fields,
     flat_sections,
     gauge_variation,
@@ -57,6 +61,68 @@ PAIRS = [(d1, d2) for d1 in DEGREES for d2 in DEGREES]
 def same(a, b):
     assert a == b
     assert canonical_dumps(a) == canonical_dumps(b)
+
+
+# -- sums over the raised coordinate sections --------------------------------
+
+F = Fraction
+AXIS_METRICS = {
+    (2, "lorentz"): Metric.diagonal([1, -1]),
+    (2, "offdiag"): Metric([[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]]),
+    (2, "third"): Metric.diagonal([3, F(1, 3)]),
+    (3, "lorentz"): LORENTZ,
+    (3, "offdiag"): DENSE,
+    (3, "third"): Metric.diagonal([3, F(1, 3), -1]),
+}
+ZERO_DEGREES = range(-1, 6)
+
+
+def same_graded(a, b):
+    assert a.degree == b.degree
+    same(a, b)
+
+
+def unary_args(rng, dim):
+    """Two draws of each degree 0..3, then the zeros of degrees -1..5."""
+    for degree in range(4):
+        yield random_element(rng, dim, 1, degree)
+        yield random_element(rng, dim, 1, degree)
+    for degree in ZERO_DEGREES:
+        yield BVElement.zero(degree, dim)
+
+
+def binary_args(rng, dim):
+    """Every pattern of degrees 0..3, a zero of each degree -1..5 in either
+    slot beside a random draw, and every pair of such zeros."""
+    for d1, d2 in itertools.product(range(4), repeat=2):
+        yield random_element(rng, dim, 1, d1), random_element(rng, dim, 1, d2)
+    for degree in ZERO_DEGREES:
+        zero, other = BVElement.zero(degree, dim), random_element(rng, dim, 1, rng.randrange(4))
+        yield zero, other
+        yield other, zero
+    for d1, d2 in itertools.product(ZERO_DEGREES, repeat=2):
+        yield BVElement.zero(d1, dim), BVElement.zero(d2, dim)
+
+
+@pytest.mark.parametrize("dim,name", AXIS_METRICS)
+def test_r_eta_is_the_pair_sum(dim, name):
+    eta = AXIS_METRICS[dim, name]
+    for x in unary_args(random.Random(f"r-eta-axes:{dim}:{name}"), dim):
+        same_graded(R_eta(x, eta), oracle.R_eta(x, eta))
+
+
+@pytest.mark.parametrize("dim,name", AXIS_METRICS)
+def test_bracket_laplacian_is_the_pair_sum(dim, name):
+    eta = AXIS_METRICS[dim, name]
+    for x in unary_args(random.Random(f"laplacian-axes:{dim}:{name}"), dim):
+        same_graded(bracket_laplacian(x, eta), oracle.bracket_laplacian(x, eta))
+
+
+@pytest.mark.parametrize("dim,name", AXIS_METRICS)
+def test_mu_bar_eta_table_is_the_pair_sum(dim, name):
+    eta = AXIS_METRICS[dim, name]
+    for x, y in binary_args(random.Random(f"mu-bar-table-axes:{dim}:{name}"), dim):
+        same_graded(mu_bar_eta_table(x, y, eta), oracle.mu_bar_eta_table(x, y, eta))
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))

@@ -37,7 +37,7 @@ def _order_comparisons(tree):
 
 def test_sites_cover_the_operators_outside_f_strings():
     by_file = {}
-    for site in (s for s in SITES if not s.swap and not s.bound and not s.operands):
+    for site in (s for s in SITES if not (s.swap or s.bound or s.operands or s.index)):
         by_file[site.rel] = by_file.get(site.rel, 0) + 1
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -76,6 +76,10 @@ def test_each_pinned_mutant_differs_by_exactly_one_node():
         mutant = mutants.mutate(sources[site.rel], site)
         if site.operands:
             assert ast.dump(ast.parse(mutant)) == ast.dump(_operands_swapped(sources[site.rel], site))
+            continue
+        if site.index:
+            first, second = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
+            assert first == second[::-1], site
             continue
         ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
         if site.swap:
@@ -260,6 +264,56 @@ def test_an_operand_site_without_its_call_is_refused():
     for source in ("sum_of_products(dim, *t)\n", "other(dim, a, b)\n"):
         with pytest.raises(ValueError, match="no sum_of_products or integral_of_products call"):
             mutants.mutate(source, mutants.Site("m.py", 1, 0, False, operands=True))
+
+
+INDEX_SOURCE = """\
+def f(v, w, n, r):
+    a = [v[i][j] + v[i][i] + v[i][n] for i in r for j in r]
+    b = [[w[k][l].x[i][j] for i in r for j in r] for k in r for l in r]
+    c = {v[k][i][j]: f"{v[i][j]}" for (i, j), k in zip(r, r)}
+    d = sum(w[q][
+        p] for p in r for q in r)
+    return v[1][2], [v[i][j] for i in r], [v[k][l] for k in r if (l := k)]
+"""
+
+
+def test_index_sites_are_chains_of_two_loop_names_of_one_comprehension():
+    sites = [s for s in mutants.sites_in(INDEX_SOURCE, "m.py") if s.index]
+    positions = [(2, 11), (3, 12), (3, 20), (4, 11), (4, 14), (5, 14)]
+    assert [(s.line, s.col) for s in sites] == positions
+    lines = [mutants.mutate(INDEX_SOURCE, s).splitlines()[s.line - 1 : s.line + 1] for s in sites]
+    assert [chunk[0].strip() for chunk in lines] == [
+        "a = [v[j][i] + v[i][i] + v[i][n] for i in r for j in r]",
+        "b = [[w[l][k].x[i][j] for i in r for j in r] for k in r for l in r]",
+        "b = [[w[k][l].x[j][i] for i in r for j in r] for k in r for l in r]",
+        'c = {v[i][k][j]: f"{v[i][j]}" for (i, j), k in zip(r, r)}',
+        'c = {v[k][j][i]: f"{v[i][j]}" for (i, j), k in zip(r, r)}',
+        "d = sum(w[p][",
+    ]
+    assert lines[-1][1].strip() == "q] for p in r for q in r)"
+    for site in sites:
+        first, second = mutants.node_diffs(
+            ast.parse(INDEX_SOURCE), ast.parse(mutants.mutate(INDEX_SOURCE, site))
+        )
+        assert first == second[::-1] and first[0] != first[1], site
+
+
+def test_index_sites_include_the_transposed_mixed_derivative():
+    # d_i dt_j read as d_j dt_i in the double bracket, a mutant the
+    # doublecopy report cannot see (ROADMAP item 3)
+    source = (SRC / "bvdouble/doublecopy.py").read_text(encoding="utf-8")
+    mutated = [
+        mutants.mutate(source, site).splitlines()[site.line - 1].strip()
+        for site in SITES
+        if site.index and site.rel == "bvdouble/doublecopy.py"
+    ]
+    assert "[(a[i][j].f, b[k][l].xt[j][i]) for a, b in both for i in r for j in r]," in mutated
+
+
+def test_an_index_site_without_its_chain_is_refused():
+    for source in ("v[i][j]\n", "[v[i][n] for i in r]\n", "[v[i][i] for i in r]\n"):
+        with pytest.raises(ValueError, match="no index pair"):
+            mutants.mutate(source, mutants.Site("m.py", 1, 1, False, index=True))
 
 
 def test_a_mutant_run_is_limited_by_the_unmutated_time(monkeypatch):

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalars_oracle import seeded_scalar
+from scalars_oracle import metric_pairs, seeded_scalar
 
 from bvdouble.bvcomplex import random_element
 from bvdouble.deform import LieValuedBVElement, MatrixFunction
@@ -259,7 +259,7 @@ def test_raise_index_and_pairs_follow_the_matrix(name):
     for i, t in enumerate(eta.raise_index(ts)):
         expected = sum((ts[j] * eta.upper[i][j] for j in range(n)), FourierScalar.zero(n))
         assert t == expected
-    assert eta.pairs() == [
+    assert metric_pairs(eta) == [
         (i, j, eta.upper[i][j]) for i in range(n) for j in range(n) if eta.upper[i][j]
     ]
 
