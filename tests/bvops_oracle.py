@@ -5,17 +5,18 @@ oracles.
 three products, two applications of b and three rescaled sums, whose
 cancelling terms the closed form in ``bvdouble.bvops`` never builds.
 ``n_op`` and ``nu_b_commutator`` are the graded commutators [b, m] and
-[b, nu] written out term by term, as they were before ``bvops.boundary``
-became their one body.  ``musym`` and ``l2`` are the graded
-(anti)symmetrizations of ``mu`` and of ``brack``, which evaluate two products
-and average them where ``bvdouble.bvops`` takes the Courant bracket of two
-degree-1 arguments in one pass.
+[b, nu] written out term by term, as ``bvops.boundary`` evaluates them.
+``musym`` and ``l2`` are the graded (anti)symmetrizations of ``mu`` and of
+``brack``, which evaluate two operations and average them, and ``nu`` and
+``nusym`` are sums of products ``mu`` of an ``m_op`` value with the third
+argument.  ``bvdouble.bvops`` evaluates all six as closed forms, one per
+nonzero degree pattern, and builds no element-level sum.
 """
 
 from fractions import Fraction
 
-from bvdouble.bvcomplex import op_b
-from bvdouble.bvops import m_op, mu, nu, sign
+from bvdouble.bvcomplex import BVElement, op_b
+from bvdouble.bvops import m_op, mu, sign
 
 _HALF = Fraction(1, 2)
 
@@ -33,6 +34,37 @@ def n_op(x, y):
         + m_op(op_b(x), y)
         + sign(x.degree) * m_op(x, op_b(y))
     )
+
+
+def nu(x, y, z):
+    """The homotopy for the associativity of ``mu``, from ``m_op`` and ``mu``."""
+    pattern = (x.degree, y.degree, z.degree)
+    if not x.dim == y.dim == z.dim:
+        raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
+    if pattern == (1, 1, 1):
+        return mu(m_op(x, z), y) - mu(m_op(y, z), x)
+    if pattern == (2, 1, 1):
+        return -mu(m_op(y, z), x)
+    if pattern == (1, 2, 1):
+        return -mu(m_op(x, z), y)
+    return BVElement.zero(x.degree + y.degree + z.degree - 1, x.dim)
+
+
+def nusym(x, y, z):
+    """The trilinear operation of the commutative structure, from ``m_op``
+    and ``mu``."""
+    pattern = (x.degree, y.degree, z.degree)
+    if not x.dim == y.dim == z.dim:
+        raise ValueError(f"elements on T^{x.dim}, T^{y.dim} and T^{z.dim}")
+    if pattern == (1, 1, 1):
+        return mu(m_op(x, z), y) - mu(m_op(y, z), x) * _HALF - mu(m_op(x, y), z) * _HALF
+    if pattern == (1, 1, 2):
+        return mu(m_op(x, y), z) * -_HALF
+    if pattern == (2, 1, 1):
+        return mu(m_op(y, z), x) * -_HALF
+    if pattern == (1, 2, 1):
+        return -mu(m_op(x, z), y)
+    return BVElement.zero(x.degree + y.degree + z.degree - 1, x.dim)
 
 
 def nu_b_commutator(x, y, z):

@@ -7,17 +7,21 @@ assignment, one unary minus, one order comparison (``<``, ``<=``, ``>``,
 negated])`` or ``integral_of_products(dim, pairs[, negated])`` call with two
 or three positional arguments and no star, or one subscript chain ``v[i][j]``
 inside a comprehension whose two indices are distinct loop names of that
-comprehension.  Its
-mutant is the source with exactly that node changed: ``+`` and ``-`` (``+=``
-and ``-=``) swap, a unary minus is dropped, a comparison moves its bound by
-one (``<`` and ``<=`` swap, as do ``>`` and ``>=``), ``plus`` and ``minus``
-swap, so that the pairs go to the other list of a fused ``sum_of_products``
-kernel and enter with the other sign, a call's ``pairs`` and
-``negated`` arguments swap (a missing ``negated`` is ``()``), so that every
-product of the call enters with the other sign, and ``v[i][j]`` becomes
-``v[j][i]``, a transposed index such as d_j dt_i for d_i dt_j.  Sites are
-named ``FILE:LINE:COL`` by the position of their operator, list name, called
-name or first index, with FILE relative to ``src/``.
+comprehension, or one non-empty list display or list comprehension that is
+the ``pairs`` or ``negated`` argument of a ``sum_of_products`` or
+``integral_of_products`` call, or one element of a ``(plus, minus)`` tuple
+display of two list displays or comprehensions.  No site lies inside an
+f-string.  Its mutant is the source with exactly that node changed: ``+``
+and ``-`` (``+=`` and ``-=``) swap, a unary minus is dropped, a comparison
+moves its bound by one (``<`` and ``<=`` swap, as do ``>`` and ``>=``),
+``plus`` and ``minus`` swap, so that the pairs go to the other list of a
+fused ``sum_of_products`` kernel and enter with the other sign, a call's
+``pairs`` and ``negated`` arguments swap (a missing ``negated`` is ``()``),
+so that every product of the call enters with the other sign, ``v[i][j]``
+becomes ``v[j][i]``, a transposed index such as d_j dt_i for d_i dt_j, and a
+product list becomes ``[]``, so that every product of it is dropped.  Sites
+are named ``FILE:LINE:COL`` by the position of their operator, list name,
+called name, first index or opening bracket, with FILE relative to ``src/``.
 
     python tests/mutants.py --list [--file bvdouble/suites.py]
     python tests/mutants.py --sample 20 --seed 0 --out table.md -- python -m pytest -q
@@ -72,7 +76,7 @@ class Site:
     """One operator, list name or called name: ``rel`` is the file under ``src/``,
     ``line`` is 1-based and ``col`` a character offset into that line."""
 
-    __slots__ = ("rel", "line", "col", "unary", "swap", "bound", "operands", "index")
+    __slots__ = ("rel", "line", "col", "unary", "swap", "bound", "operands", "index", "drop")
 
     def __init__(
         self,
@@ -84,9 +88,11 @@ class Site:
         bound: bool = False,
         operands: bool = False,
         index: bool = False,
+        drop: bool = False,
     ):
         self.rel, self.line, self.col, self.unary = rel, line, col, unary
         self.swap, self.bound, self.operands, self.index = swap, bound, operands, index
+        self.drop = drop
 
     def __str__(self):
         return f"{self.rel}:{self.line}:{self.col}"
@@ -131,11 +137,16 @@ def _product_call(node):
         return None
     if any(isinstance(arg, ast.Starred) for arg in node.args):
         return None
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    name = _called_name(node)
     if name not in _PRODUCTS:
         return None
-    return func.end_lineno, func.end_col_offset - len(name)
+    return node.func.end_lineno, node.func.end_col_offset - len(name)
+
+
+def _called_name(call) -> str | None:
+    """The name of the called function or attribute of ``call``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def _loop_names(comp) -> set:
@@ -148,15 +159,20 @@ def _loop_names(comp) -> set:
     }
 
 
+def _in_f_strings(tree) -> set:
+    """The ids of every node inside an f-string of ``tree``."""
+    return {
+        id(node) for joined in ast.walk(tree) if isinstance(joined, ast.JoinedStr)
+        for node in ast.walk(joined)
+    }
+
+
 def _index_pairs(tree):
     """The (first, second) index names of every chain ``v[i][j]`` inside a
     comprehension with ``i`` and ``j`` two distinct loop names of it; a
     chain inside nested comprehensions is listed once.  None inside an
     f-string."""
-    in_f_strings = {
-        id(node) for joined in ast.walk(tree) if isinstance(joined, ast.JoinedStr)
-        for node in ast.walk(joined)
-    }
+    in_f_strings = _in_f_strings(tree)
     found = {}
     for comp in ast.walk(tree):
         if not isinstance(comp, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -172,6 +188,56 @@ def _index_pairs(tree):
                 if {first.id, second.id} <= names:
                     found[id(node)] = (first, second)
     return list(found.values())
+
+
+def _product_lists(tree) -> list:
+    """Every non-empty list display or list comprehension that is the
+    ``pairs`` or ``negated`` argument of a ``sum_of_products`` or
+    ``integral_of_products`` call, or one element of a tuple display of two
+    such lists; each listed once, none inside an f-string."""
+    in_f_strings = _in_f_strings(tree)
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
+            isinstance(e, (ast.List, ast.ListComp)) for e in node.elts
+        ):
+            candidates = node.elts
+        elif isinstance(node, ast.Call) and _called_name(node) in _PRODUCTS:
+            candidates = node.args[1:3] + [
+                k.value for k in node.keywords if k.arg in ("pairs", "negated")
+            ]
+        else:
+            continue
+        for lst in candidates:
+            if isinstance(lst, ast.ListComp) or isinstance(lst, ast.List) and lst.elts:
+                if id(lst) not in in_f_strings:
+                    found[id(lst)] = lst
+    return list(found.values())
+
+
+def _offsets(source: str):
+    """The lines of ``source`` and a function from (line, byte column) to a
+    character offset into ``source``."""
+    lines = source.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+
+    def at(line, byte_col):
+        return starts[line - 1] + len(lines[line - 1].encode()[:byte_col].decode())
+
+    return lines, at
+
+
+def _drop_list(source: str, site: Site) -> str:
+    """The source with the product list whose opening bracket stands at
+    ``site`` replaced by ``[]``."""
+    lines, at = _offsets(source)
+    for lst in _product_lists(ast.parse(source)):
+        start = at(lst.lineno, lst.col_offset)
+        if start == at(site.line, 0) + site.col:
+            return source[:start] + "[]" + source[at(lst.end_lineno, lst.end_col_offset) :]
+    raise ValueError(f"no product list at {site}")
 
 
 def _swap_indices(source: str, site: Site) -> str:
@@ -194,14 +260,7 @@ def _swap_operands(source: str, site: Site) -> str:
     """The source with the ``pairs`` and ``negated`` arguments of the
     ``sum_of_products`` or ``integral_of_products`` call at ``site``
     swapped."""
-    lines = source.splitlines(keepends=True)
-    starts = [0]
-    for line in lines:
-        starts.append(starts[-1] + len(line))
-
-    def at(line, byte_col):
-        return starts[line - 1] + len(lines[line - 1].encode()[:byte_col].decode())
-
+    lines, at = _offsets(source)
     for node in ast.walk(ast.parse(source)):
         name = _product_call(node)
         if name is None or at(*name) != at(site.line, 0) + site.col:
@@ -226,7 +285,11 @@ def sites_in(source: str, rel: str) -> list:
     calls = set()
     tree = ast.parse(source)
     indices = {(first.lineno, first.col_offset) for first, _ in _index_pairs(tree)}
+    drops = {(lst.lineno, lst.col_offset) for lst in _product_lists(tree)}
+    in_f_strings = _in_f_strings(tree)
     for node in ast.walk(tree):
+        if id(node) in in_f_strings:
+            continue
         name = _swapped_list(node)
         if name is not None:
             swaps.add((name.lineno, name.col_offset))
@@ -255,9 +318,12 @@ def sites_in(source: str, rel: str) -> list:
         if unary and raw[col : col + 1] != b"-":
             continue
         out.append(Site(rel, line, len(raw[:col].decode()), unary))
-    for line, col in swaps | bounds | calls | indices:
+    for line, col in swaps | bounds | calls | indices | drops:
         raw = lines[line - 1].encode()
-        kinds = ((bounds, "bound"), (calls, "operands"), (indices, "index"), (swaps, "swap"))
+        kinds = (
+            (bounds, "bound"), (calls, "operands"), (indices, "index"), (drops, "drop"),
+            (swaps, "swap"),
+        )
         kind = next(name for group, name in kinds if (line, col) in group)
         out.append(Site(rel, line, len(raw[:col].decode()), False, **{kind: True}))
     return sorted(out, key=lambda site: (site.line, site.col))
@@ -265,12 +331,14 @@ def sites_in(source: str, rel: str) -> list:
 
 def mutate(source: str, site: Site) -> str:
     """The source with the operator at ``site`` flipped or dropped, its
-    bound moved, its list name swapped, its call's pair lists swapped, or
-    its two indices swapped."""
+    bound moved, its list name swapped, its call's pair lists swapped, its
+    two indices swapped, or its product list emptied."""
     if site.operands:
         return _swap_operands(source, site)
     if site.index:
         return _swap_indices(source, site)
+    if site.drop:
+        return _drop_list(source, site)
     lines = source.splitlines(keepends=True)
     line = lines[site.line - 1]
     head, tail = line[: site.col], line[site.col :]
@@ -393,11 +461,13 @@ def mutant_limit(baseline_s: float) -> float:
     return max(_LIMIT_FLOOR_S, _LIMIT_FACTOR * baseline_s)
 
 
-def _kind(site: Site, unary, swap, bound, operands, index, flip):
+def _kind(site: Site, unary, swap, bound, operands, index, drop, flip):
     if site.operands:
         return operands
     if site.index:
         return index
+    if site.drop:
+        return drop
     return unary if site.unary else swap if site.swap else bound if site.bound else flip
 
 
@@ -421,6 +491,7 @@ def table(baseline: dict, results: list, command: list) -> str:
             "move bound",
             "swap pairs/negated",
             "swap indices",
+            "drop list",
             "flip +/-",
         )
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
@@ -450,7 +521,9 @@ def main(argv=None) -> int:
     sites = all_sites(ROOT / "src", args.file)
     if args.list:
         for site in sites:
-            labels = ("(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", "(indices)", "")
+            labels = (
+                "(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", "(indices)", "(drop)", "",
+            )
             print(site, _kind(site, *labels))
         return 0
     command = args.command[1:] if args.command[:1] == ["--"] else args.command

@@ -1,8 +1,9 @@
 """The Koszul boundary ``bvops.boundary`` against the sums it replaced.
 
-``n_op = [b, m]``, the [b, nu] term of ``nprime`` and the deformed derived
-bracket s [b, mu_eta] are each one call of ``boundary``; ``bvops_oracle``
-and ``deform_oracle`` keep them written out term by term.  Both must agree
+The [b, nu] term of ``nprime`` and the deformed derived bracket
+s [b, mu_eta] are each one call of ``boundary``, and ``n_op = [b, m]`` is the
+closed form of ``boundary(op_b, m_op, ...)``; ``bvops_oracle`` and
+``deform_oracle`` keep them written out term by term.  Both must agree
 in value, in canonical bytes and in the degree they carry, on every binary
 and ternary degree pattern and on the zeros of degrees -1..5, at D = 2 and
 D = 3; the deformed bracket also on a diagonal Lorentzian, an off-diagonal
@@ -73,7 +74,9 @@ def ternary_cases(rng, dim):
 def test_n_op_is_the_written_out_commutator(dim):
     rng = random.Random(f"n_op:{dim}")
     for x, y in binary_cases(rng, dim):
-        same(n_op(x, y), bvops_oracle.n_op(x, y))
+        want = bvops_oracle.n_op(x, y)
+        same(n_op(x, y), want)
+        same(boundary(op_b, m_op, (x, y), True), want)
 
 
 @pytest.mark.parametrize("dim", DIMS)

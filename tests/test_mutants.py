@@ -37,7 +37,7 @@ def _order_comparisons(tree):
 
 def test_sites_cover_the_operators_outside_f_strings():
     by_file = {}
-    for site in (s for s in SITES if not (s.swap or s.bound or s.operands or s.index)):
+    for site in (s for s in SITES if not (s.swap or s.bound or s.operands or s.index or s.drop)):
         by_file[site.rel] = by_file.get(site.rel, 0) + 1
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -80,6 +80,9 @@ def test_each_pinned_mutant_differs_by_exactly_one_node():
         if site.index:
             first, second = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
             assert first == second[::-1], site
+            continue
+        if site.drop:
+            assert_one_list_emptied(trees[site.rel], mutant, site)
             continue
         ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
         if site.swap:
@@ -314,6 +317,83 @@ def test_an_index_site_without_its_chain_is_refused():
     for source in ("v[i][j]\n", "[v[i][n] for i in r]\n", "[v[i][i] for i in r]\n"):
         with pytest.raises(ValueError, match="no index pair"):
             mutants.mutate(source, mutants.Site("m.py", 1, 1, False, index=True))
+
+
+DROP_SOURCE = """\
+def f(dim, a, b, r):
+    x = sum_of_products(dim, [(a, b)], [(b, a) for _ in r])
+    y = integral_of_products(dim, zip(a, b), negated=[(a, a)])
+    plus, minus = [(a, b)], []
+    pm = [u for u in r], [
+        (v, v) for v in r]
+    return ([a], {}), (a, [b]), f"{([a], [b])}", other(dim, [a], [b])
+"""
+
+
+def assert_one_list_emptied(tree, mutant, site):
+    """``mutant`` differs from ``tree`` in one list, now ``[]``, at ``site``."""
+    ((old, new),) = mutants.node_diffs(tree, ast.parse(mutant))
+    if isinstance(old, list):  # a list display loses its elements
+        assert old and new == [], site
+    else:
+        assert isinstance(old, ast.ListComp), site
+        assert isinstance(new, ast.List) and not new.elts, site
+
+
+def test_drop_sites_are_the_product_lists_and_plus_minus_pairs():
+    sites = [s for s in mutants.sites_in(DROP_SOURCE, "m.py") if s.drop]
+    assert [(s.line, s.col) for s in sites] == [(2, 29), (2, 39), (3, 53), (4, 18), (5, 9), (5, 25)]
+    lines = [mutants.mutate(DROP_SOURCE, s).splitlines()[s.line - 1] for s in sites]
+    assert lines == [
+        "    x = sum_of_products(dim, [], [(b, a) for _ in r])",
+        "    x = sum_of_products(dim, [(a, b)], [])",
+        "    y = integral_of_products(dim, zip(a, b), negated=[])",
+        "    plus, minus = [], []",
+        "    pm = [], [",
+        "    pm = [u for u in r], []",
+    ]
+    for site in sites:
+        assert_one_list_emptied(ast.parse(DROP_SOURCE), mutants.mutate(DROP_SOURCE, site), site)
+
+
+def test_an_f_string_is_never_a_site():
+    source = (
+        'x = f"{([a], [b])} {sum_of_products(d, [(a, b)], [(b, a)])} {-a} {a - b} {a < b}"\n'
+        "y = f\"{', '.join(f'{v[i][j]}' for i in r for j in r)} {t[-1]} {-t[0]}\"\n"
+    )
+    assert mutants.sites_in(source, "m.py") == []
+    assert [s for s in mutants.sites_in(DROP_SOURCE, "m.py") if s.drop and s.line == 7] == []
+
+
+def test_drop_sites_include_the_minus_list_of_the_double_bracket(capsys):
+    # hand mutant A drops the -d_i g^{kj} dt_j h^{il} terms of the double
+    # bracket, a mutant the doublecopy report cannot see (ROADMAP item 3)
+    rel = "bvdouble/doublecopy.py"
+    source = (SRC / rel).read_text(encoding="utf-8")
+    minus = "[(a[k][j].x[i], b[i][l].t[j]) for a, b in both for i in r for j in r]"
+    line = next(n for n, text in enumerate(source.splitlines(), 1) if text.strip() == minus + ",")
+    col = source.splitlines()[line - 1].index("[")
+    assert mutants.main(["--list", "--file", rel]) == 0
+    assert f"{rel}:{line}:{col} (drop)\n" in capsys.readouterr().out
+    (site,) = [s for s in SITES if s.drop and s.rel == rel and (s.line, s.col) == (line, col)]
+    assert mutants.mutate(source, site).splitlines()[line - 1].strip() == "[],"
+
+
+def test_every_drop_mutant_empties_exactly_one_list():
+    drops = [site for site in SITES if site.drop]
+    assert {site.rel for site in drops} >= {"bvdouble/bvops.py", "bvdouble/doublecopy.py"}
+    trees, sources = {}, {}
+    for site in drops:
+        if site.rel not in trees:
+            sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
+            trees[site.rel] = ast.parse(sources[site.rel])
+        assert_one_list_emptied(trees[site.rel], mutants.mutate(sources[site.rel], site), site)
+
+
+def test_a_drop_site_without_its_list_is_refused():
+    for source in ("f(dim, [a])\n", "sum_of_products(dim, [])\n", "([a], {})\n"):
+        with pytest.raises(ValueError, match="no product list"):
+            mutants.mutate(source, mutants.Site("m.py", 1, 0, False, drop=True))
 
 
 def test_a_mutant_run_is_limited_by_the_unmutated_time(monkeypatch):
