@@ -28,7 +28,8 @@ the dictionary's constants 2 and 2, which nothing fits.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, product
+from operator import add, sub
 
 from .bvcomplex import BVElement, op_b, op_q
 from .bvops import boundary, brack, m_op, mu, sign
@@ -79,10 +80,6 @@ def _div_hat(form, eta: Metric) -> FourierScalar:
     return divergence(GenSection.from_vec(eta.raise_index(form)))
 
 
-def _lap_tuple(comps, eta: Metric):
-    return tuple(laplacian(c, eta) for c in comps)
-
-
 # -- the deforming operator ------------------------------------------------
 
 
@@ -111,9 +108,9 @@ def _r_eta_slotwise(x: BVElement, eta: Metric) -> BVElement:
         return BVElement.deg1(GenSection.from_vec(eta.gradient(u)), -laplacian(u, eta))
     if x.degree == 1:
         a, v = x.section, x.scalar
-        vec = tuple(l + g for l, g in zip(_lap_tuple(a.vec, eta), eta.gradient(v)))
+        vec = tuple(laplacian(l, eta) + g for l, g in zip(a.vec, eta.gradient(v)))
         return BVElement.deg2(
-            GenSection(vec, _lap_tuple(a.form, eta)),
+            GenSection(vec, tuple(laplacian(c, eta) for c in a.form)),
             _div_hat(a.form, eta) * _HALF,
         )
     if x.degree == 2:
@@ -266,11 +263,6 @@ class MatrixFunction(SquareGrid):
     ENTRY = FourierScalar
 
     @staticmethod
-    def zero(rank: int, dim: int) -> "MatrixFunction":
-        z = FourierScalar.zero(dim)
-        return MatrixFunction([[z] * rank for _ in range(rank)])
-
-    @staticmethod
     def random(rng, rank: int, dim: int, cutoff: int) -> "MatrixFunction":
         return MatrixFunction._like(_random_scalars(rng, dim, cutoff, rank * rank))
 
@@ -324,19 +316,14 @@ def mc_from_fields(avec, bform, eta: Metric) -> LieValuedBVElement:
     scalar slot is fixed to -(div A + div-hat B)/2 entrywise, the gauge slice
     on which the Maurer-Cartan residual has no scalar component.
     """
-    dim = eta.dim
-    rank = avec[0].rank
-    grid = []
-    for p in range(rank):
-        row = []
-        for q in range(rank):
-            vec = tuple(avec[j].entry(p, q) for j in range(dim))
-            form = tuple(bform[j].entry(p, q) for j in range(dim))
-            a = GenSection(vec, form)
-            v = -_HALF * (divergence(a) + _div_hat(form, eta))
-            row.append(BVElement.deg1(a, v))
-        grid.append(row)
-    return LieValuedBVElement(grid)
+
+    def entry(p, q):
+        form = tuple(m.entry(p, q) for m in bform)
+        a = GenSection(tuple(m.entry(p, q) for m in avec), form)
+        return BVElement.deg1(a, -_HALF * (divergence(a) + _div_hat(form, eta)))
+
+    n = avec[0].rank
+    return LieValuedBVElement([[entry(p, q) for q in range(n)] for p in range(n)])
 
 
 def _entries(x: LieValuedBVElement, degree: int):
@@ -525,18 +512,15 @@ def _slot_split(x: LieValuedBVElement, eta: Metric):
 
     (A, B) is the section of each entry of x, zero when the entry has none.
     """
-    dim, rank = x.dim, x.rank
-    plus = [[[None] * rank for _ in range(rank)] for _ in range(dim)]
-    minus = [[[None] * rank for _ in range(rank)] for _ in range(dim)]
-    for p in range(rank):
-        for q in range(rank):
-            e = x.entry(p, q)
-            sec = e.section if e.section is not None else GenSection.zero(dim)
-            lowered = eta.lower_index(sec.vec)
-            for k in range(dim):
-                plus[k][p][q] = sec.form[k] + lowered[k]
-                minus[k][p][q] = sec.form[k] - lowered[k]
-    return [MatrixFunction(m) for m in plus], [MatrixFunction(m) for m in minus]
+    zero = GenSection.zero(x.dim)
+    secs = [zero if e.section is None else e.section for e in x.parts()]
+    low = [eta.lower_index(sec.vec) for sec in secs]
+
+    def side(op):
+        entries = ([op(s.form[k], w[k]) for s, w in zip(secs, low)] for k in range(x.dim))
+        return [MatrixFunction._like(e) for e in entries]
+
+    return side(add), side(sub)
 
 
 def dictionary_fields(psi: LieValuedBVElement, eta: Metric):
@@ -549,27 +533,31 @@ def dictionary_fields(psi: LieValuedBVElement, eta: Metric):
     return [m * _HALF for m in plus], [m * _HALF for m in minus]
 
 
-def _matrix_sum(added, subtracted, brackets) -> MatrixFunction:
+def _matrix_sum(added, subtracted, brackets, weights=None, y=None) -> MatrixFunction:
     """sum(added) - sum(subtracted) + the sum of [a, b] over ``brackets``.
 
-    ``brackets`` is a nonempty list of matrix pairs.  Each entry is one
-    signed sum of products reduced once: a matrix in ``added`` or
-    ``subtracted`` enters as its product with the constant 1.  Entries
-    commute, so no commutator term that cancels is built.  Off the diagonal,
-    the r = p and r = q terms of [a, b]_pq join into (a_pp - a_qq) b_pq -
-    a_pq (b_pp - b_qq); each difference is formed once per pair p < q, and
-    [a, b]_qp takes it with the other sign, by the other list.  On the
-    diagonal, [a, b]_pp is the sum over r != p of t_pr = a_pr b_rp - a_rp b_pr
-    = -t_rp, each t summed once (p < r) and entering by the constant 1.  One
-    commutator thus makes n(n-1)(2n-1) products, where its definition
-    (``tests/deform_oracle.py``) makes 2n^3, and n(n-1)/2 differences of
-    diagonal entries per operand.
+    ``brackets`` is a nonempty list of matrix pairs; with ``weights``, entry
+    (p, q) also subtracts sum_e weights[p][q][e] y_e over the entries e of
+    the matrix y.  Each entry is one signed sum of products reduced once: a
+    matrix in ``added`` or ``subtracted`` enters as its product with the
+    constant 1.  Entries commute, so no commutator term that cancels is
+    built.  Off the diagonal, the r = p and r = q terms of [a, b]_pq join
+    into (a_pp - a_qq) b_pq - a_pq (b_pp - b_qq); each difference is formed
+    once per pair p < q, and [a, b]_qp takes it with the other sign, by the
+    other list.  On the diagonal, [a, b]_pp is the sum over r != p of t_pr =
+    a_pr b_rp - a_rp b_pr = -t_rp, each t summed once (p < r) and entering
+    by the constant 1.  One commutator thus makes n(n-1)(2n-1) products,
+    where its definition (``tests/deform_oracle.py``) makes 2n^3, and
+    n(n-1)/2 differences of diagonal entries per operand.
     """
     first = brackets[0][0]
     n, dim = first.rank, first.dim
     one = _one(dim)
     plus = [[[(one, m.rows[p][q]) for m in added] for q in range(n)] for p in range(n)]
     minus = [[[(one, m.rows[p][q]) for m in subtracted] for q in range(n)] for p in range(n)]
+    if weights:
+        for p, q in product(range(n), repeat=2):
+            minus[p][q] += zip(weights[p][q], y.parts())
     for a, b in brackets:
         a, b = a.rows, b.rows
         for p, q in combinations(range(n), 2):
@@ -587,56 +575,70 @@ def _matrix_sum(added, subtracted, brackets) -> MatrixFunction:
     )
 
 
+def _cubic_weights(calA, phi, a_up, phi_up) -> list:
+    """The weights W_pq(r, t) = S(pr, tq) - d_tq C_pr - d_rp C_tq of the cubic
+    terms per entry (p, q), flat over (r, t) (``ym_field_residual``): S(e, f) =
+    B_j,e X^j_f + X^j_e B_j,f (B = A + phi, X^j = A^j - phi^j) is one sum of
+    products per entry pair e <= f; C_pq = (1/2) sum_r S(pr, rq) and W merge."""
+    b = [(a + f).parts() for a, f in zip(calA, phi)]
+    x = [(a - f).parts() for a, f in zip(a_up, phi_up)]
+    n, dim = calA[0].rank, calA[0].dim
+    ns, m = range(n), n * n
+    s = [[None] * m for _ in range(m)]
+    for e in range(m):
+        for f in range(e, m):
+            pairs = [(u[e], v[f]) for u, v in zip(b, x)] + [(v[e], u[f]) for u, v in zip(b, x)]
+            s[e][f] = s[f][e] = sum_of_products(dim, pairs)
+    c = [[sum((s[p * n + r][r * n + q] for r in ns[1:]), s[p * n][q]) for q in ns] for p in ns]
+    c = [[v * _HALF for v in row] for row in c]
+
+    def weight(p, q, r, t):
+        w = s[p * n + r][t * n + q]
+        w = w - c[p][r] if t == q else w
+        return w - c[t][q] if r == p else w
+
+    return [[[weight(p, q, r, t) for r in ns for t in ns] for q in ns] for p in ns]
+
+
 def ym_field_residual(calA, phi, eta: Metric):
     """Covariant field equations for the (gauge field, adjoint scalars) pair.
 
     Returns (e1, e2): per-direction matrix residuals of
     eta^{ij}[nabla_i,[nabla_j,nabla_k]] - eta^{ij}[[nabla_k,phi_i],phi_j] and
     eta^{ij}[nabla_i,[nabla_j,phi_k]] - eta^{ij}[phi_i,[phi_j,phi_k]].
-    Each field strength F_jk, commutator [phi_j, phi_k] and covariant
-    derivative nabla_j phi_k is built once (F and the commutator once per
-    pair j < k, being antisymmetric), eta is contracted before nabla_i is
-    applied, and each entry of each result is one signed sum of products.
+
+    Derivation.  With Z^j = eta^{ij} Z_i, nabla_j = d_j + [A_j, .], F_jk =
+    d_j A_k - d_k A_j + [A_j, A_k], div = d^j A_j, box = d^j d_j and D_Z(Y) =
+    [Z^j, [Z_j, Y]], the Leibniz rule on d^j F_jk and d^j nabla_j phi_k
+    gives, with D = D_A - D_phi collecting every cubic term,
+
+        e1_k = box A_k - d_k div + [div, A_k] + [A^j, 2 d_j A_k - d_k A_j]
+               + [phi^j, d_k phi_j] + D(A_k),
+        e2_k = box phi_k + [div, phi_k] + [A^j, 2 d_j phi_k] + D(phi_k).
+
+    Entries commute and eta is symmetric, so D_Z(Y)_pq = sum_rs (d_qs C_pr +
+    d_pr C_sq - 2 G(pr, sq)) Y_rs with G(pr, sq) = Z^j_pr (Z_j)_sq and C_pq =
+    sum_r G(pr, rq).  With B = A + phi and X = A - phi, S = 2 (G_A - G_phi) =
+    B_j,pr X^j_sq + X^j_pr B_j,sq has no B.B or X.X part (under the slot
+    dictionary it is the Gram matrix <psi_pr, psi_sq> of ``mc_residual``), and
+    D(Y)_pq = -sum_rs W_pq(r, s) Y_rs (``_cubic_weights``).  Each result
+    entry is one signed sum of products, n^2 of them cubic; no F, nabla phi
+    or nested commutator is built, nor S at rank 1, where D = 0.
     """
-    dim = len(calA)
-    zero = MatrixFunction.zero(calA[0].rank, calA[0].dim)
-
-    # F_jk = d_j A_k - d_k A_j + [A_j, A_k] and [phi_j, phi_k], once per pair
-    curv = [[zero] * dim for _ in range(dim)]
-    comm = [[zero] * dim for _ in range(dim)]
-    for j, k in combinations(range(dim), 2):
-        f = _matrix_sum([calA[k].derivative(j)], [calA[j].derivative(k)], [(calA[j], calA[k])])
-        curv[j][k], curv[k][j] = f, -f
-        c = phi[j].commutator(phi[k])
-        comm[j][k], comm[k][j] = c, -c
-    nabla_phi = [
-        [_matrix_sum([p.derivative(j)], (), [(calA[j], p)]) for p in phi] for j in range(dim)
-    ]
-    phi_up = eta.raise_index(phi)
-
-    # [nabla_i, T] = d_i T + [A_i, T]; -[X, Y] enters as [Y, X]
+    n, r = calA[0].rank, range(len(calA))
+    a_up, phi_up = eta.raise_index(calA), eta.raise_index(phi)
+    da = [[a.derivative(j) for a in calA] for j in r]
+    dphi = [[p.derivative(j) for p in phi] for j in r]
+    div = sum((a_up[j].derivative(j) for j in r[1:]), a_up[0].derivative(0))
+    box = partial(laplacian, metric=eta)
+    weights = _cubic_weights(calA, phi, a_up, phi_up) if n > 1 else None
     e1, e2 = [], []
-    for k in range(dim):
-        curv_up = eta.raise_index([row[k] for row in curv])
-        nabla_up = eta.raise_index([row[k] for row in nabla_phi])
-        comm_up = eta.raise_index([row[k] for row in comm])
-        r = range(dim)
-        e1.append(
-            _matrix_sum(
-                [curv_up[i].derivative(i) for i in r],
-                (),
-                [(calA[i], curv_up[i]) for i in r]
-                + [(phi_up[i], nabla_phi[k][i]) for i in r],
-            )
-        )
-        e2.append(
-            _matrix_sum(
-                [nabla_up[i].derivative(i) for i in r],
-                (),
-                [(calA[i], nabla_up[i]) for i in r]
-                + [(comm_up[i], phi[i]) for i in r],
-            )
-        )
+    for k in r:
+        comm = [(div, calA[k])] + [(a_up[j], da[j][k] * 2 - da[k][j]) for j in r]
+        comm += [(phi_up[j], dphi[k][j]) for j in r]
+        e1.append(_matrix_sum([calA[k].apply(box)], [div.derivative(k)], comm, weights, calA[k]))
+        comm = [(div, phi[k])] + [(a_up[j], dphi[j][k] * 2) for j in r]
+        e2.append(_matrix_sum([phi[k].apply(box)], (), comm, weights, phi[k]))
     return e1, e2
 
 
@@ -648,8 +650,10 @@ def mc_ym_residual(psi: LieValuedBVElement, eta: Metric):
     onto the two field residual families (e1, e2) of ``ym_field_residual``
     with the constants ``DICTIONARY_CONSTANTS`` = (2, 2).  Returns the exact
     residual (aslot_k - 2 e1_k, pslot_k - 2 e2_k per direction k, the matrix
-    of the residual's scalar slots); every part vanishes on every field.
-    Each entry of slot - c e is one weighted merge, with no scaled copy of e.
+    of the residual's scalar slots); every part vanishes on every field.  The
+    two sides share no kernel: their cubic parts agree because 2 (G_A -
+    G_phi) is the pairing Gram of the nusym terms of ``mc_residual``.  Each
+    entry of slot - c e is one weighted merge, with no scaled copy of e.
     """
     res = mc_residual(psi, eta)
     e1, e2 = ym_field_residual(*dictionary_fields(psi, eta), eta)

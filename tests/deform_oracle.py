@@ -23,6 +23,12 @@ their tests read it.  ``R_eta``, ``bracket_laplacian`` and
 that the package replaced by sums over the raised coordinate sections
 f^j = eta^{ij} f_i.  ``deformed_bracket`` takes the three mu_eta products
 that the package replaced by ``brack`` plus the boundary of mu_bar.
+``ym_field_residual`` is the triple loop of nested commutators, and
+``ym_field_residual_raised`` the layout that built each F_jk and
+nabla_j phi_k once; the package expands both by the Leibniz rule and takes
+the cubic terms from one Gram matrix, whose definition G_A - G_phi
+(``gram_difference``) and weights (``cubic_weights``) are summed here term
+by term.
 """
 
 from fractions import Fraction
@@ -187,6 +193,12 @@ def matrix_product(a: MatrixFunction, b: MatrixFunction) -> MatrixFunction:
     )
 
 
+def zero_matrix(rank: int, dim: int) -> MatrixFunction:
+    """The zero matrix of scalars on T^dim."""
+    z = FourierScalar.zero(dim)
+    return MatrixFunction([[z] * rank for _ in range(rank)])
+
+
 def commutator(a: MatrixFunction, b: MatrixFunction) -> MatrixFunction:
     return matrix_product(a, b) - matrix_product(b, a)
 
@@ -210,8 +222,8 @@ def ym_field_residual(calA, phi, eta: Metric):
 
     e1, e2 = [], []
     for k in range(dim):
-        r1 = MatrixFunction.zero(rank, fdim)
-        r2 = MatrixFunction.zero(rank, fdim)
+        r1 = zero_matrix(rank, fdim)
+        r2 = zero_matrix(rank, fdim)
         for i, j, w in metric_pairs(eta):
             r1 = r1 + w * _cov_deriv(calA, i, curvature(j, k))
             r1 = r1 - w * commutator(_cov_deriv(calA, k, phi[i]), phi[j])
@@ -220,6 +232,46 @@ def ym_field_residual(calA, phi, eta: Metric):
         e1.append(r1)
         e2.append(r2)
     return e1, e2
+
+
+def gram_difference(calA, phi, eta: Metric) -> list:
+    """G_A - G_phi over the entry pairs e = (p, r), f = (s, q), flat row by row:
+    eta^{ij} ((A_i)_e (A_j)_f - (phi_i)_e (phi_j)_f), one term per nonzero entry."""
+    entries = [(a.parts(), f.parts()) for a, f in zip(calA, phi)]
+    m = len(entries[0][0])
+    out = [[FourierScalar.zero(calA[0].dim)] * m for _ in range(m)]
+    for e in range(m):
+        for f in range(m):
+            for i, j, w in metric_pairs(eta):
+                (ai, pi), (aj, pj) = entries[i], entries[j]
+                out[e][f] = out[e][f] + (ai[e] * aj[f] - pi[e] * pj[f]) * w
+    return out
+
+
+def cubic_weights(calA, phi, eta: Metric) -> list:
+    """Per entry (p, q), the weights W_pq(r, s) = 2 G(pr, sq) - d_qs C_pr -
+    d_pr C_sq flat over (r, s), with G = G_A - G_phi and C_pq = sum_r
+    G(pr, rq): D_A - D_phi applied to Y is -sum_rs W_pq(r, s) Y_rs."""
+    g = gram_difference(calA, phi, eta)
+    n = calA[0].rank
+    c = [[sum((g[p * n + r][r * n + q] for r in range(n)), g[0][0] * 0) for q in range(n)]
+         for p in range(n)]
+    out = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            w = []
+            for r in range(n):
+                for t in range(n):
+                    v = g[p * n + r][t * n + q] * 2
+                    if t == q:
+                        v = v - c[p][r]
+                    if r == p:
+                        v = v - c[t][q]
+                    w.append(v)
+            row.append(w)
+        out.append(row)
+    return out
 
 
 def dictionary_fields(psi, eta: Metric):
@@ -305,7 +357,7 @@ def ym_field_residual_raised(calA, phi, eta: Metric):
     """The field equations with eta contracted first and each F_jk, nabla_j phi_k
     built once, every matrix product summed term by term."""
     dim = len(calA)
-    zero = MatrixFunction.zero(calA[0].rank, calA[0].dim)
+    zero = zero_matrix(calA[0].rank, calA[0].dim)
     curv = [[zero] * dim for _ in range(dim)]
     for j in range(dim):
         for k in range(j + 1, dim):

@@ -10,7 +10,8 @@ inside a comprehension whose two indices are distinct loop names of that
 comprehension, or one non-empty list display or list comprehension that is
 the ``pairs`` or ``negated`` argument of a ``sum_of_products`` or
 ``integral_of_products`` call, or one element of a ``(plus, minus)`` tuple
-display of two list displays or comprehensions.  No site lies inside an
+display of two list displays or comprehensions, or one int literal of at
+least 2 that is an operand of a binary ``*``.  No site lies inside an
 f-string.  Its mutant is the source with exactly that node changed: ``+``
 and ``-`` (``+=`` and ``-=``) swap, a unary minus is dropped, a comparison
 moves its bound by one (``<`` and ``<=`` swap, as do ``>`` and ``>=``),
@@ -18,10 +19,12 @@ moves its bound by one (``<`` and ``<=`` swap, as do ``>`` and ``>=``),
 fused ``sum_of_products`` kernel and enter with the other sign, a call's
 ``pairs`` and ``negated`` arguments swap (a missing ``negated`` is ``()``),
 so that every product of the call enters with the other sign, ``v[i][j]``
-becomes ``v[j][i]``, a transposed index such as d_j dt_i for d_i dt_j, and a
-product list becomes ``[]``, so that every product of it is dropped.  Sites
-are named ``FILE:LINE:COL`` by the position of their operator, list name,
-called name, first index or opening bracket, with FILE relative to ``src/``.
+becomes ``v[j][i]``, a transposed index such as d_j dt_i for d_i dt_j, a
+product list becomes ``[]``, so that every product of it is dropped, and a
+weight becomes its successor, such as ``d * 3`` for ``d * 2``.  Sites are
+named ``FILE:LINE:COL`` by the position of their operator, list name, called
+name, first index, opening bracket or literal, with FILE relative to
+``src/``.
 
     python tests/mutants.py --list [--file bvdouble/suites.py]
     python tests/mutants.py --sample 20 --seed 0 --out table.md -- python -m pytest -q
@@ -76,7 +79,9 @@ class Site:
     """One operator, list name or called name: ``rel`` is the file under ``src/``,
     ``line`` is 1-based and ``col`` a character offset into that line."""
 
-    __slots__ = ("rel", "line", "col", "unary", "swap", "bound", "operands", "index", "drop")
+    __slots__ = (
+        "rel", "line", "col", "unary", "swap", "bound", "operands", "index", "drop", "weight"
+    )
 
     def __init__(
         self,
@@ -89,10 +94,11 @@ class Site:
         operands: bool = False,
         index: bool = False,
         drop: bool = False,
+        weight: bool = False,
     ):
         self.rel, self.line, self.col, self.unary = rel, line, col, unary
         self.swap, self.bound, self.operands, self.index = swap, bound, operands, index
-        self.drop = drop
+        self.drop, self.weight = drop, weight
 
     def __str__(self):
         return f"{self.rel}:{self.line}:{self.col}"
@@ -215,6 +221,31 @@ def _product_lists(tree) -> list:
     return list(found.values())
 
 
+def _weight_literals(tree) -> list:
+    """Every int literal of at least 2 (a bool is no int here) that is an
+    operand of a binary ``*``; none inside an f-string."""
+    in_f_strings = _in_f_strings(tree)
+    return [
+        operand
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and id(node) not in in_f_strings
+        for operand in (node.left, node.right)
+        if isinstance(operand, ast.Constant) and type(operand.value) is int and operand.value >= 2
+    ]
+
+
+def _raise_weight(source: str, site: Site) -> str:
+    """The source with the weight literal at ``site`` replaced by its successor."""
+    lines, at = _offsets(source)
+    for lit in _weight_literals(ast.parse(source)):
+        start = at(lit.lineno, lit.col_offset)
+        if start == at(site.line, 0) + site.col:
+            end = at(lit.end_lineno, lit.end_col_offset)
+            return source[:start] + str(lit.value + 1) + source[end:]
+    raise ValueError(f"no weight literal at {site}")
+
+
 def _offsets(source: str):
     """The lines of ``source`` and a function from (line, byte column) to a
     character offset into ``source``."""
@@ -286,6 +317,7 @@ def sites_in(source: str, rel: str) -> list:
     tree = ast.parse(source)
     indices = {(first.lineno, first.col_offset) for first, _ in _index_pairs(tree)}
     drops = {(lst.lineno, lst.col_offset) for lst in _product_lists(tree)}
+    weights = {(lit.lineno, lit.col_offset) for lit in _weight_literals(tree)}
     in_f_strings = _in_f_strings(tree)
     for node in ast.walk(tree):
         if id(node) in in_f_strings:
@@ -318,11 +350,11 @@ def sites_in(source: str, rel: str) -> list:
         if unary and raw[col : col + 1] != b"-":
             continue
         out.append(Site(rel, line, len(raw[:col].decode()), unary))
-    for line, col in swaps | bounds | calls | indices | drops:
+    for line, col in swaps | bounds | calls | indices | drops | weights:
         raw = lines[line - 1].encode()
         kinds = (
             (bounds, "bound"), (calls, "operands"), (indices, "index"), (drops, "drop"),
-            (swaps, "swap"),
+            (weights, "weight"), (swaps, "swap"),
         )
         kind = next(name for group, name in kinds if (line, col) in group)
         out.append(Site(rel, line, len(raw[:col].decode()), False, **{kind: True}))
@@ -332,13 +364,15 @@ def sites_in(source: str, rel: str) -> list:
 def mutate(source: str, site: Site) -> str:
     """The source with the operator at ``site`` flipped or dropped, its
     bound moved, its list name swapped, its call's pair lists swapped, its
-    two indices swapped, or its product list emptied."""
+    two indices swapped, its product list emptied, or its weight raised."""
     if site.operands:
         return _swap_operands(source, site)
     if site.index:
         return _swap_indices(source, site)
     if site.drop:
         return _drop_list(source, site)
+    if site.weight:
+        return _raise_weight(source, site)
     lines = source.splitlines(keepends=True)
     line = lines[site.line - 1]
     head, tail = line[: site.col], line[site.col :]
@@ -461,13 +495,15 @@ def mutant_limit(baseline_s: float) -> float:
     return max(_LIMIT_FLOOR_S, _LIMIT_FACTOR * baseline_s)
 
 
-def _kind(site: Site, unary, swap, bound, operands, index, drop, flip):
+def _kind(site: Site, unary, swap, bound, operands, index, drop, weight, flip):
     if site.operands:
         return operands
     if site.index:
         return index
     if site.drop:
         return drop
+    if site.weight:
+        return weight
     return unary if site.unary else swap if site.swap else bound if site.bound else flip
 
 
@@ -492,6 +528,7 @@ def table(baseline: dict, results: list, command: list) -> str:
             "swap pairs/negated",
             "swap indices",
             "drop list",
+            "raise weight",
             "flip +/-",
         )
         killed = got["exit"] != baseline["exit"] or got["tests"] != baseline["tests"] or (
@@ -522,7 +559,8 @@ def main(argv=None) -> int:
     if args.list:
         for site in sites:
             labels = (
-                "(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", "(indices)", "(drop)", "",
+                "(unary -)", "(plus/minus)", "(bound)", "(pairs/negated)", "(indices)", "(drop)",
+                "(weight)", "",
             )
             print(site, _kind(site, *labels))
         return 0

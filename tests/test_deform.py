@@ -324,7 +324,7 @@ def test_matrix_inputs_are_validated_without_assert(rng):
     ]:
         with pytest.raises(error):
             MatrixFunction(rows)
-    one, two = MatrixFunction([[f3]]), MatrixFunction.zero(2, 3)
+    one, two = MatrixFunction([[f3]]), MatrixFunction([[f3 * 0] * 2] * 2)
     with pytest.raises(ValueError):
         one + two
     with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Every comparison is exact and also byte-level: the canonical encodings must
 agree, degree tags of zero elements included, because reports and failure
 witnesses are written from these values.  Each law is checked on the
 diagonal Lorentzian metric and on an off-diagonal metric; the sums over the
-raised coordinate sections also at D = 2 and on a denominator-3 metric.
+raised coordinate sections also at D = 2 and on a denominator-3 metric, and
+the field equations also at D = 4.
 """
 
 import itertools
@@ -213,24 +214,38 @@ def test_mu_bar_eta_reads_only_what_its_pattern_needs(name, monkeypatch):
         same(result, oracle.mu_bar_eta(x, y, eta))
 
 
-def random_matrices(rng, rank, modes):
-    """DIM random matrix functions, each entry with 1..modes modes."""
+def random_matrices(rng, rank, modes, dim=DIM):
+    """``dim`` random matrix functions, each entry with 1..modes modes."""
     return [
-        MatrixFunction([[random_scalar(rng, DIM, 1, modes) for _ in range(rank)] for _ in range(rank)])
-        for _ in range(DIM)
+        MatrixFunction([[random_scalar(rng, dim, 1, modes) for _ in range(rank)] for _ in range(rank)])
+        for _ in range(dim)
     ]
 
 
+YM_METRICS = {
+    **METRICS,
+    "lorentz4": Metric.diagonal([1, 1, 1, -1]),
+    "dense4": Metric(
+        [
+            [Fraction(5, 4), Fraction(3, 4), 0, 0],
+            [Fraction(3, 4), Fraction(5, 4), 0, 0],
+            [0, 0, 2, Fraction(1, 2)],
+            [0, 0, Fraction(1, 2), -1],
+        ]
+    ),
+}
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(METRICS))
+@pytest.mark.parametrize("name", sorted(YM_METRICS))
 def test_ym_field_residual_matches_the_triple_loop(name, rank):
-    eta = METRICS[name]
+    eta = YM_METRICS[name]
     rng = random.Random(f"ym:{name}:{rank}")
     for _ in range(2 if rank < 3 else 1):
         # one mode per entry at rank 3 keeps the triple loop near a second
         modes = 2 if rank < 3 else 1
-        avec = random_matrices(rng, rank, modes)
-        bform = random_matrices(rng, rank, modes)
+        avec = random_matrices(rng, rank, modes, eta.dim)
+        bform = random_matrices(rng, rank, modes, eta.dim)
         cal_a, phi = dictionary_fields(mc_from_fields(avec, bform, eta), eta)
         e1, e2 = ym_field_residual(cal_a, phi, eta)
         o1, o2 = oracle.ym_field_residual(cal_a, phi, eta)
@@ -240,6 +255,71 @@ def test_ym_field_residual_matches_the_triple_loop(name, rank):
         same(e1, r1)
         same(e2, r2)
         assert not all(r.is_zero() for r in e1 + e2)
+
+
+def gauge_fields(rng, rank, eta):
+    psi = mc_from_fields(random_matrices(rng, rank, 2), random_matrices(rng, rank, 2), eta)
+    return psi, dictionary_fields(psi, eta)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_gram_difference_is_half_the_pairing_gram(name, rank):
+    # G_A(pr, sq) - G_phi(pr, sq) = eta^{ij} ((A_i)_pr (A_j)_sq - (phi_i)_pr (phi_j)_sq)
+    # is half the pairing <psi_pr, psi_sq> under the slot dictionary, so the
+    # cubic terms of the field equations meet nusym's Gram terms of mc_residual
+    eta = METRICS[name]
+    psi, (cal_a, phi) = gauge_fields(random.Random(f"gram:{name}:{rank}"), rank, eta)
+    entries = psi.parts()
+    difference = oracle.gram_difference(cal_a, phi, eta)
+    for e, x in enumerate(entries):
+        for f, y in enumerate(entries):
+            same(difference[e][f], pairing(x.section, y.section) * Fraction(1, 2))
+    assert any(not g.is_zero() for row in difference for g in row)
+    if rank > 1:
+        raised = eta.raise_index(cal_a), eta.raise_index(phi)
+        same(deform._cubic_weights(cal_a, phi, *raised), oracle.cubic_weights(cal_a, phi, eta))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_ym_field_residual_builds_one_gram_and_no_commutator(name, rank, monkeypatch):
+    # the cubic terms come from one Gram matrix S = 2 (G_A - G_phi) per field,
+    # each of its n^2 (n^2 + 1)/2 distinct entries one sum of products and
+    # the weights merges; no MatrixFunction.commutator is called, and at
+    # rank 1, where every commutator vanishes, no Gram is built
+    eta = METRICS[name]
+    psi, fields = gauge_fields(random.Random(f"ym-gram:{name}:{rank}"), rank, eta)
+    calls, products = [], []
+
+    def counting(dim, pairs, negated=()):
+        if calls and calls[-1] is None:  # inside _cubic_weights
+            products.append(list(pairs) + list(negated))
+        return sum_of_products(dim, pairs, negated)
+
+    def spying(*args):
+        calls.append(None)
+        calls[-1] = weights(*args)
+        return calls[-1]
+
+    def banned(a, b):
+        raise AssertionError("ym_field_residual called MatrixFunction.commutator")
+
+    weights = deform._cubic_weights
+    monkeypatch.setattr(deform, "sum_of_products", counting)
+    monkeypatch.setattr(deform, "_cubic_weights", spying)
+    monkeypatch.setattr(MatrixFunction, "commutator", banned)
+    got = ym_field_residual(*fields, eta)
+    monkeypatch.undo()
+    m = rank * rank
+    if rank == 1:
+        assert calls == [] and products == []
+    else:
+        assert len(calls) == 1 and len(products) == m * (m + 1) // 2
+        assert all(len(pairs) == 2 * DIM for pairs in products)
+    want = oracle.ym_field_residual(*fields, eta)
+    same(got[0], want[0])
+    same(got[1], want[1])
 
 
 # -- the matrix-tensored Maurer-Cartan kernels ------------------------------
@@ -340,7 +420,7 @@ def test_matrix_product_and_commutator_match_the_entrywise_sums(rank):
         b = MatrixFunction.random(rng, rank, DIM, 2)
         same(a * b, oracle.matrix_product(a, b))
         same(a.commutator(b), oracle.commutator(a, b))
-        same(a.commutator(a), MatrixFunction.zero(rank, DIM))
+        same(a.commutator(a), oracle.zero_matrix(rank, DIM))
     c = _third_entry(rng, rank)
     same(c.commutator(a), oracle.commutator(c, a))
     same(a.commutator(c), oracle.commutator(a, c))
@@ -401,28 +481,6 @@ def test_commutator_forms_each_diagonal_difference_once(rank, monkeypatch):
     assert len(differences) == len(pairs) == rank * (rank - 1)
     assert {(id(f), id(g)) for f, g in differences} == pairs
     same(got, oracle.commutator(a, b))
-
-
-def test_ym_field_residual_builds_each_scalar_commutator_once(monkeypatch):
-    # [phi_j, phi_k] once per pair j < k, raised per k like F
-    rng = random.Random("ym-commutators")
-    for eta in (LORENTZ, DENSE):
-        fields = dictionary_fields(
-            mc_from_fields(random_matrices(rng, 2, 2), random_matrices(rng, 2, 2), eta), eta
-        )
-        made = []
-
-        def counting(a, b):
-            made.append((a, b))
-            return _matrix_sum((), (), [(a, b)])
-
-        monkeypatch.setattr(MatrixFunction, "commutator", counting)
-        got = ym_field_residual(*fields, eta)
-        monkeypatch.undo()
-        assert len(made) == DIM * (DIM - 1) // 2
-        want = oracle.ym_field_residual(*fields, eta)
-        same(got[0], want[0])
-        same(got[1], want[1])
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))

@@ -37,7 +37,8 @@ def _order_comparisons(tree):
 
 def test_sites_cover_the_operators_outside_f_strings():
     by_file = {}
-    for site in (s for s in SITES if not (s.swap or s.bound or s.operands or s.index or s.drop)):
+    kinds = ("swap", "bound", "operands", "index", "drop", "weight")
+    for site in (s for s in SITES if not any(getattr(s, kind) for kind in kinds)):
         by_file[site.rel] = by_file.get(site.rel, 0) + 1
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -85,7 +86,9 @@ def test_each_pinned_mutant_differs_by_exactly_one_node():
             assert_one_list_emptied(trees[site.rel], mutant, site)
             continue
         ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
-        if site.swap:
+        if site.weight:
+            assert type(old) is int and old >= 2 and new == old + 1, site
+        elif site.swap:
             assert {old, new} == {"plus", "minus"}, site
         elif site.bound:
             assert {type(old), type(new)} in ({ast.Lt, ast.LtE}, {ast.Gt, ast.GtE}), site
@@ -394,6 +397,67 @@ def test_a_drop_site_without_its_list_is_refused():
     for source in ("f(dim, [a])\n", "sum_of_products(dim, [])\n", "([a], {})\n"):
         with pytest.raises(ValueError, match="no product list"):
             mutants.mutate(source, mutants.Site("m.py", 1, 0, False, drop=True))
+
+
+WEIGHT_SOURCE = """\
+def f(d, n, r):
+    x = [(a, d * 2) for a in r], 3 * (n
+                                     * 10)
+    y = d * 1, d * True, d * 2.0, d + 2, d ** 2, d * -2, d * 0x10, 2 @ d
+    return f"{d * 2}", (2 * n) * d, d // 2 * 2
+"""
+
+
+def test_weight_sites_are_the_int_factors_of_products():
+    sites = [s for s in mutants.sites_in(WEIGHT_SOURCE, "m.py") if s.weight]
+    assert [(s.line, s.col) for s in sites] == [(2, 17), (2, 33), (3, 39), (4, 61), (5, 24), (5, 45)]
+    lines = [mutants.mutate(WEIGHT_SOURCE, s).splitlines()[s.line - 1] for s in sites]
+    assert lines == [
+        "    x = [(a, d * 3) for a in r], 3 * (n",
+        "    x = [(a, d * 2) for a in r], 4 * (n",
+        "                                     * 11)",
+        "    y = d * 1, d * True, d * 2.0, d + 2, d ** 2, d * -2, d * 17, 2 @ d",
+        '    return f"{d * 2}", (3 * n) * d, d // 2 * 2',
+        '    return f"{d * 2}", (2 * n) * d, d // 2 * 3',
+    ]
+    for site in sites:
+        ((old, new),) = mutants.node_diffs(
+            ast.parse(WEIGHT_SOURCE), ast.parse(mutants.mutate(WEIGHT_SOURCE, site))
+        )
+        assert new == old + 1, site
+
+
+def test_weight_sites_include_the_dilaton_weight(capsys):
+    # hand mutant C weights the dilaton by 3 instead of 2 in the weighted
+    # divergence, a mutant the doublecopy report cannot see (ROADMAP item 3)
+    rel = "bvdouble/doublecopy.py"
+    source = (SRC / rel).read_text(encoding="utf-8")
+    text = "return [(d, one) for d in dfs], [(f, d * 2) for f, d in zip(fs, dphi)]"
+    line = next(n for n, got in enumerate(source.splitlines(), 1) if got.strip() == text)
+    col = source.splitlines()[line - 1].index("d * 2") + 4
+    assert mutants.main(["--list", "--file", rel]) == 0
+    assert f"{rel}:{line}:{col} (weight)\n" in capsys.readouterr().out
+    (site,) = [s for s in SITES if s.weight and s.rel == rel and (s.line, s.col) == (line, col)]
+    assert mutants.mutate(source, site).splitlines()[line - 1].strip() == text.replace("* 2", "* 3")
+
+
+def test_every_weight_mutant_raises_exactly_one_literal():
+    weights = [site for site in SITES if site.weight]
+    assert {site.rel for site in weights} >= {"bvdouble/doublecopy.py", "bvdouble/scalars.py"}
+    trees, sources = {}, {}
+    for site in weights:
+        if site.rel not in trees:
+            sources[site.rel] = (SRC / site.rel).read_text(encoding="utf-8")
+            trees[site.rel] = ast.parse(sources[site.rel])
+        mutant = mutants.mutate(sources[site.rel], site)
+        ((old, new),) = mutants.node_diffs(trees[site.rel], ast.parse(mutant))
+        assert type(old) is int and old >= 2 and new == old + 1, site
+
+
+def test_a_weight_site_without_its_literal_is_refused():
+    for source in ("d * 1\n", "d * x\n", "d + 2\n", "d * True\n", "d * 2.0\n"):
+        with pytest.raises(ValueError, match="no weight literal"):
+            mutants.mutate(source, mutants.Site("m.py", 1, 4, False, weight=True))
 
 
 def test_a_mutant_run_is_limited_by_the_unmutated_time(monkeypatch):

@@ -321,8 +321,18 @@ def test_random_scalar_respects_cutoff():
             f = random_scalar(rng, dim, 2)
             for mode in f.coeffs:
                 assert len(mode) == dim and all(abs(k) <= 2 for k in mode)
-            assert f.coeffs  # never silently zero
+            # nonzero on these 150 draws of seed 0; the docstring allows zero
+            # when two draws of one mode cancel (pinned below)
+            assert f.coeffs
             assert f.reach == 2  # the packed-mode bound is the cutoff
+
+
+def test_random_scalar_can_cancel_to_zero_as_documented():
+    # two draws on one mode with opposite coefficients leave the zero scalar:
+    # at D = 1, cutoff 1, for 15 of the seeds 0..2999, the first being 1255
+    zeros = [s for s in range(3000) if random_scalar(random.Random(s), 1, 1).is_zero()]
+    assert len(zeros) == 15 and zeros[0] == 1255
+    assert random_scalar(random.Random(1255), 1, 1).reach == 1
 
 
 def test_random_coefficient_is_nonzero():
